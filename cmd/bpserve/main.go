@@ -132,10 +132,6 @@ func run(cfg serveConfig) error {
 	switch {
 	case cfg.registryAddr != "" && clusterAddrs != "":
 		return fmt.Errorf("-registry and -cluster are mutually exclusive: membership comes from self-registration or a static list, not both")
-	case cfg.registryAddr != "" && cfg.partitions > 1:
-		// Admission control and ring placement act on whole sessions;
-		// the partitioned path keeps its static-fleet planner.
-		return fmt.Errorf("-registry does not combine with -partitions; use -cluster for partitioned fleets")
 	case cfg.registryAddr != "":
 		// Self-registered fleet: host the registration listener, follow
 		// its membership events with a ring-placing dispatcher.
@@ -155,6 +151,7 @@ func run(cfg serveConfig) error {
 		d := cluster.NewRegisteredDispatcher(fleet, cluster.DispatcherOptions{
 			ReplayBudget: cfg.replayBudget,
 			StallTimeout: cfg.stallTimeout,
+			Partitions:   cfg.partitions,
 		})
 		defer d.Close()
 		backend = d

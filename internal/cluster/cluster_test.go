@@ -42,6 +42,42 @@ func openN(d *Dispatcher, p *serve.Pipeline, n int) (serve.SessionHandle, error)
 	return d.Open(p, serve.OpenOptions{MaxInFlight: n})
 }
 
+// sessionOf finds the dispatcher-side session behind an open handle by
+// identity, through the worker tables that hold its partitions; nil
+// once no worker hosts it (ended, or between workers mid-recovery).
+func sessionOf(d *Dispatcher, h serve.SessionHandle) *session {
+	for _, w := range d.snapshot() {
+		for _, half := range w.residents() {
+			if serve.SessionHandle(half.ps) == h {
+				return half.ps
+			}
+		}
+	}
+	return nil
+}
+
+// hostAddr reports the address of the worker hosting partition 0 of the
+// session — the whole session, for a one-partition plan — as its
+// /metrics row lists it, or "" while no worker hosts it.
+func hostAddr(d *Dispatcher, h serve.SessionHandle) string {
+	if ps := sessionOf(d, h); ps != nil {
+		if ws := ps.row().Workers; len(ws) > 0 {
+			return ws[0]
+		}
+	}
+	return ""
+}
+
+// allNodes lists every node of the pipeline's compiled graph: the node
+// set of the one-partition plan a whole session opens with.
+func allNodes(p *serve.Pipeline) []string {
+	var names []string
+	for _, n := range p.Graph().Nodes() {
+		names = append(names, n.Name())
+	}
+	return names
+}
+
 func suiteRegistry(t *testing.T, ids ...string) *serve.Registry {
 	t.Helper()
 	reg := serve.NewRegistry(machine.Embedded())
@@ -312,6 +348,57 @@ func TestClusterBackpressure(t *testing.T) {
 	}
 }
 
+// TestClusterCollectReopensWindow is the regression test for the credit
+// race: the feed window is fed-minus-collected and nothing else, so a
+// Collect must reopen a slot for the very next TryFeed — with no retry
+// loop. Gating live feeds on the worker's Credit frame, which trails its
+// Result on the wire, made the feed right after a collect fail with
+// ErrQueueFull whenever it beat the credit; the tap holds every Credit
+// back a few milliseconds so it always would.
+func TestClusterCollectReopensWindow(t *testing.T) {
+	reg := suiteRegistry(t, "5")
+	p, _ := reg.Get("5")
+	worker := NewWorker(reg, WorkerOptions{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go worker.Serve(tapListener{Listener: ln, tap: func(typ wire.MsgType, _ uint64) bool {
+		if typ == wire.TypeCredit {
+			time.Sleep(3 * time.Millisecond)
+		}
+		return false
+	}})
+	defer worker.Close()
+	d := NewDispatcher([]string{ln.Addr().String()}, fastOpts())
+	defer d.Close()
+	if err := d.WaitReady(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	const window = 4
+	h, err := openN(d, p, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	for f := 0; f < window; f++ {
+		if _, err := h.TryFeed(nil); err != nil {
+			t.Fatalf("feed %d: %v", f, err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		res, err := h.Collect(30 * time.Second)
+		if err != nil {
+			t.Fatalf("collect %d: %v", i, err)
+		}
+		serveReleaseOutputs(res.Outputs)
+		if _, err := h.TryFeed(nil); err != nil {
+			t.Fatalf("feed right after collect %d: %v", i, err)
+		}
+	}
+}
+
 // waitCondition polls until ok or the deadline.
 func waitCondition(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -381,8 +468,7 @@ func TestClusterWorkerFailureIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sA, sB := hA.(*remoteSession), hB.(*remoteSession)
-	addrA, addrB := sA.workerAddr(), sB.workerAddr()
+	addrA, addrB := hostAddr(d, hA), hostAddr(d, hB)
 	if addrA == addrB {
 		t.Fatalf("both sessions placed on %s; want them spread", addrA)
 	}
@@ -443,7 +529,7 @@ func TestClusterWorkerFailureIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open after worker death: %v", err)
 	}
-	if got := hC.(*remoteSession).workerAddr(); got != addrB {
+	if got := hostAddr(d, hC); got != addrB {
 		t.Errorf("new session placed on dead worker %s", got)
 	}
 	if err := feedCollect(hC); err != nil {
@@ -482,7 +568,7 @@ func TestClusterWorkerFailureIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open after rejoin: %v", err)
 	}
-	if got := hD.(*remoteSession).workerAddr(); got != addrA {
+	if got := hostAddr(d, hD); got != addrA {
 		t.Errorf("post-rejoin session placed on %s, want rejoined %s", got, addrA)
 	}
 	if err := feedCollect(hD); err != nil {
@@ -721,7 +807,7 @@ func TestClusterEnsureRetryAfterTimeout(t *testing.T) {
 				return // swallow the first request
 			}
 			c.Write(&wire.PipelineReady{ID: m.ID})
-		case *wire.OpenSession:
+		case *wire.OpenPartition:
 			c.Write(&wire.SessionOpened{SID: m.SID})
 		case *wire.CloseSession:
 			c.Write(&wire.SessionClosed{SID: m.SID})
@@ -750,9 +836,11 @@ func TestClusterEnsureRetryAfterTimeout(t *testing.T) {
 }
 
 // TestClusterUnsolicitedCloseDuringOpen: a SessionClosed racing right
-// behind the SessionOpened reply must still reach the session — it is
-// registered before OpenSession hits the wire — so Close surfaces the
-// worker's failure immediately instead of burning the full CloseTimeout.
+// behind the SessionOpened reply must still reach the session — its
+// half is registered before OpenPartition hits the wire — so the
+// worker's failure surfaces immediately, from the open itself when the
+// notice wins the race with the co-schedule and from Close otherwise,
+// instead of burning the full CloseTimeout.
 func TestClusterUnsolicitedCloseDuringOpen(t *testing.T) {
 	reg := suiteRegistry(t, "5")
 	p, _ := reg.Get("5")
@@ -760,7 +848,7 @@ func TestClusterUnsolicitedCloseDuringOpen(t *testing.T) {
 		switch m := m.(type) {
 		case *wire.EnsurePipeline:
 			c.Write(&wire.PipelineReady{ID: m.ID})
-		case *wire.OpenSession:
+		case *wire.OpenPartition:
 			c.Write(&wire.SessionOpened{SID: m.SID})
 			c.Write(&wire.SessionClosed{SID: m.SID, Err: "synthetic immediate failure"})
 		}
@@ -770,12 +858,11 @@ func TestClusterUnsolicitedCloseDuringOpen(t *testing.T) {
 	if err := d.WaitReady(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	h, err := openN(d, p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	start := time.Now()
-	err = h.Close()
+	h, err := openN(d, p, 1)
+	if err == nil {
+		err = h.Close()
+	}
 	if err == nil || !strings.Contains(err.Error(), "synthetic immediate failure") {
 		t.Fatalf("close after unsolicited SessionClosed: got %v, want the worker's failure", err)
 	}

@@ -9,13 +9,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"blockpar/internal/frame"
-	"blockpar/internal/graph"
 	"blockpar/internal/placement"
 	"blockpar/internal/registry"
-	"blockpar/internal/runtime"
 	"blockpar/internal/serve"
-	"blockpar/internal/wire"
 )
 
 // DispatcherOptions tunes the frontend side of the cluster. The zero
@@ -44,35 +40,33 @@ type DispatcherOptions struct {
 	// CloseTimeout bounds the wait for a worker to drain and
 	// acknowledge a session close (default 10s).
 	CloseTimeout time.Duration
-	// FailoverTimeout bounds one session's recovery after its worker
+	// FailoverTimeout bounds one partition's recovery after its worker
 	// dies: finding a surviving worker, reopening, and replaying the
-	// feed history (default 30s). A session deadline shortens it.
+	// logged inputs (default 30s). A session deadline shortens it.
 	FailoverTimeout time.Duration
-	// ReplayBudget caps the bytes of explicit input windows a session
-	// retains for failover replay (default 32 MiB). Generated inputs
-	// cost nothing — the worker regenerates them from the frame index.
-	// A session past its budget stops being failoverable: its worker
-	// dying becomes a typed serve.ErrSessionLost instead of a replay.
-	// Negative disables failover entirely (PR 4 semantics).
+	// ReplayBudget caps the bytes a session retains for recovery replay:
+	// its explicit input windows plus every cut edge's item stream
+	// (default 32 MiB). Generated inputs cost nothing — the worker
+	// regenerates them from the frame index. A session past its budget
+	// stops being recoverable: a worker dying under it becomes a typed
+	// serve.ErrSessionLost instead of a replay. Negative disables
+	// recovery entirely.
 	ReplayBudget int64
 	// StallTimeout bounds how long a session with frames in flight may
-	// go without any progress (results or credits arriving) before the
-	// dispatcher declares its worker wedged and fails the session over
-	// (default 30s; negative disables). This is the recovery for
-	// messages lost on an otherwise-healthy connection — a dropped
-	// frame, a silently stuck worker — which connection-level health
-	// checks can never see.
+	// go without any progress (results, credits or cut-edge traffic
+	// arriving from any of its workers) before the dispatcher declares
+	// the quietest partition wedged and re-homes it (default 30s;
+	// negative disables). This is the recovery for messages lost on an
+	// otherwise-healthy connection — a dropped frame, a silently stuck
+	// worker — which connection-level health checks can never see.
 	StallTimeout time.Duration
-	// Partitions, when 2 or more, splits each session's compiled graph
-	// across that many workers using internal/placement and co-schedules
-	// one partition per worker, with the cut edges relayed through the
-	// dispatcher (see docs/cluster.md "Partitioned sessions"). Pipelines
-	// whose placement collapses to one partition run whole, as before.
-	// Partitioned sessions recover per partition: within ReplayBudget,
-	// one partition's death re-plans just that partition onto a survivor
-	// and replays its inputs, invisibly to the client. Past the budget —
-	// or on a second failure mid-recovery — the session ends with a
-	// typed serve.ErrSessionLost.
+	// Partitions is the most workers one session is split across
+	// (default 1: every session runs whole on one worker). An open plans
+	// the pipeline's compiled graph with internal/placement onto
+	// min(Partitions, placeable workers) partitions — a plan may collapse
+	// to fewer — and co-schedules one partition per worker, with the cut
+	// edges relayed through the dispatcher (see docs/cluster.md
+	// "Sessions"). Recovery is per partition whatever the count.
 	Partitions int
 }
 
@@ -145,11 +139,13 @@ type Dispatcher struct {
 	admittedCyc  float64
 	admitRejects atomic.Int64
 
-	// plans caches one placement plan per pipeline ID (partitioned mode).
+	// plans caches one placement plan per (pipeline ID, partition count).
 	planMu sync.Mutex
 	plans  map[string]*placement.Plan
 
-	// Failover counters, surfaced by BackendStats under /metrics.
+	// Recovery counters, surfaced by BackendStats under /metrics: a
+	// crash or stall recovery counts under sessions (one-partition
+	// plans) or partitions (split plans), a planned move under migrated.
 	sessionsFailedOver   atomic.Int64
 	partitionsFailedOver atomic.Int64
 	sessionsMigrated     atomic.Int64
@@ -181,7 +177,7 @@ func NewDispatcher(addrs []string, opts DispatcherOptions) *Dispatcher {
 // a registry.Fleet: a worker registering adds a managed connection and
 // a ring member, a deregistration or lease expiry removes both — and
 // cancels the reconnect loop, so a drained worker is never pinged at a
-// dead address. Breakers, credits, failover, and replay all work
+// dead address. Breakers, recovery, and replay all work
 // exactly as with a static list; only membership and placement differ.
 func NewRegisteredDispatcher(fleet *registry.Fleet, opts DispatcherOptions) *Dispatcher {
 	opts.defaults()
@@ -277,16 +273,7 @@ func (d *Dispatcher) DrainWorker(member string) error {
 	if w == nil {
 		return fmt.Errorf("cluster: unknown worker %q", member)
 	}
-	w.mu.Lock()
-	w.draining = true
-	sessions := make([]placedSession, 0, len(w.sessions))
-	for _, rs := range w.sessions {
-		sessions = append(sessions, rs)
-	}
-	w.mu.Unlock()
-	for _, rs := range sessions {
-		rs.drainClose(w)
-	}
+	w.drain()
 	return nil
 }
 
@@ -350,162 +337,6 @@ func (d *Dispatcher) WaitReady(timeout time.Duration) error {
 	}
 }
 
-// Open implements serve.Backend: place the session on the least-loaded
-// healthy worker, trying the next candidate when one refuses. With no
-// placeable worker it sheds with serve.ErrUnavailable (HTTP 503).
-func (d *Dispatcher) Open(p *serve.Pipeline, opts serve.OpenOptions) (serve.SessionHandle, error) {
-	select {
-	case <-d.closed:
-		return nil, fmt.Errorf("%w: dispatcher closed", serve.ErrUnavailable)
-	default:
-	}
-	if d.opts.Partitions >= 2 {
-		h, err := d.openPartitioned(p, opts)
-		if !errors.Is(err, errPlanWhole) {
-			return h, err
-		}
-		// The placement collapsed to one partition: run the session
-		// whole on a single worker, exactly the unpartitioned path.
-	}
-
-	// Admission control (registered mode): the new session's projected
-	// demand — Σ over its nodes of analysis cycles/sec — must fit in
-	// the fleet's registered capacity alongside everything this
-	// frontend already admitted. A healthy-but-full fleet rejects with
-	// the 429 retry contract, not a 503.
-	var admitted float64
-	if d.registered {
-		demand := p.CyclesPerSec
-		capacity := d.fleetCapacity()
-		if len(d.snapshot()) == 0 {
-			// An empty fleet is unavailable, not full: the 503 retry
-			// contract, matching Readiness, not the 429 one.
-			return nil, fmt.Errorf("%w: no workers registered with the fleet", serve.ErrUnavailable)
-		}
-		d.admitMu.Lock()
-		if demand > 0 && d.admittedCyc+demand > capacity {
-			have := capacity - d.admittedCyc
-			d.admitMu.Unlock()
-			d.admitRejects.Add(1)
-			return nil, fmt.Errorf("%w: pipeline %s needs %.3g cycles/s, fleet has %.3g of %.3g free",
-				serve.ErrOverloaded, p.ID, demand, have, capacity)
-		}
-		d.admittedCyc += demand
-		d.admitMu.Unlock()
-		admitted = demand
-	}
-
-	var lastErr error
-	for _, w := range d.candidates(p, opts) {
-		h, err := w.open(p, opts)
-		if err == nil {
-			// Hand the admission hold to the session so failSession —
-			// the single termination funnel — returns it. If the
-			// session already ended (worker died in the gap), its
-			// failSession saw admitted == 0, so the hold is still ours
-			// to release.
-			h.mu.Lock()
-			if h.ended {
-				h.mu.Unlock()
-				if admitted > 0 {
-					d.releaseAdmission(admitted)
-				}
-			} else {
-				h.admitted = admitted
-				h.mu.Unlock()
-			}
-			return h, nil
-		}
-		lastErr = err
-	}
-	if admitted > 0 {
-		d.releaseAdmission(admitted)
-	}
-	d.shedTotal.Add(1)
-	if lastErr != nil {
-		return nil, fmt.Errorf("%w: %v", serve.ErrUnavailable, lastErr)
-	}
-	return nil, fmt.Errorf("%w: no healthy cluster worker", serve.ErrUnavailable)
-}
-
-// candidates orders the placeable workers for one open. Keyed sessions
-// in registered mode walk the consistent-hash ring, so every frontend
-// sharing the fleet agrees where a key lives; keyless registered
-// sessions bin-pack by analysis cycles/sec (best fit: the busiest
-// worker the session still fits on, the paper's Section V greedy
-// multiplexing lifted from PEs to workers); everything else tries
-// least-loaded first, the static behavior.
-func (d *Dispatcher) candidates(p *serve.Pipeline, opts serve.OpenOptions) []*workerRef {
-	if d.registered && opts.Key != "" {
-		d.wmu.RLock()
-		order := d.ring.LookupN(opts.Key, d.ring.Len())
-		refs := make([]*workerRef, 0, len(order))
-		for _, name := range order {
-			if w := d.byName[name]; w != nil {
-				refs = append(refs, w)
-			}
-		}
-		d.wmu.RUnlock()
-		placeable := refs[:0]
-		for _, w := range refs {
-			if w.placeable() {
-				placeable = append(placeable, w)
-			}
-		}
-		return placeable
-	}
-
-	var cands []*workerRef
-	for _, w := range d.snapshot() {
-		if w.placeable() {
-			cands = append(cands, w)
-		}
-	}
-	if d.registered && p.CyclesPerSec > 0 {
-		demand := p.CyclesPerSec
-		sort.SliceStable(cands, func(i, j int) bool {
-			ri := cands[i].remainingCyc()
-			rj := cands[j].remainingCyc()
-			fi, fj := ri >= demand, rj >= demand
-			if fi != fj {
-				return fi // workers the session fits on come first
-			}
-			if fi {
-				return ri < rj // tightest fit first packs sessions together
-			}
-			return ri > rj // nothing fits: most headroom first
-		})
-		return cands
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].sessionCount() < cands[j].sessionCount()
-	})
-	return cands
-}
-
-// fleetCapacity sums the registered cycles/sec of every current
-// member. Membership — not momentary connectivity — defines capacity:
-// a worker mid-reconnect still holds its lease and its share.
-func (d *Dispatcher) fleetCapacity() float64 {
-	total := 0.0
-	for _, w := range d.snapshot() {
-		w.mu.Lock()
-		total += w.capacity
-		w.mu.Unlock()
-	}
-	return total
-}
-
-// releaseAdmission returns a session's admitted demand to the pool.
-func (d *Dispatcher) releaseAdmission(cyc float64) {
-	d.admitMu.Lock()
-	d.admittedCyc -= cyc
-	if d.admittedCyc < 0 {
-		d.admittedCyc = 0
-	}
-	d.admitMu.Unlock()
-}
-
 // Readiness implements serve.ReadinessReporter: "ok" with every worker
 // placeable, "degraded" while sessions still place but capacity is
 // reduced (workers down, draining, or breaker-open), "unavailable"
@@ -538,23 +369,6 @@ func (d *Dispatcher) Readiness() serve.Readiness {
 		}
 	}
 	return serve.Readiness{Status: "ok"}
-}
-
-// pick returns the placeable worker with the fewest sessions, skipping
-// already-tried candidates.
-func (d *Dispatcher) pick(tried map[*workerRef]bool) *workerRef {
-	var best *workerRef
-	bestLoad := 0
-	for _, w := range d.snapshot() {
-		if tried[w] || !w.placeable() {
-			continue
-		}
-		load := w.sessionCount()
-		if best == nil || load < bestLoad {
-			best, bestLoad = w, load
-		}
-	}
-	return best
 }
 
 // Close tears down every worker connection; in-flight sessions fail.
@@ -594,9 +408,9 @@ type WorkerStats struct {
 	Reconnects      int64   `json:"reconnects"`
 }
 
-// SessionStats is one open session's row in /metrics: the worker (or
-// workers, for a partitioned session), how many partitions execute it,
-// and the bytes its failover replay log retains.
+// SessionStats is one open session's row in /metrics: the worker
+// hosting each partition, in plan order, how many partitions execute
+// it, and the bytes its recovery replay log retains.
 type SessionStats struct {
 	Pipeline    string   `json:"pipeline"`
 	Workers     []string `json:"workers"`
@@ -609,21 +423,14 @@ type SessionStats struct {
 func (d *Dispatcher) BackendStats() any {
 	workers := d.snapshot()
 	rows := make([]WorkerStats, 0, len(workers))
-	seen := make(map[uint64]bool)
+	seen := make(map[*session]bool)
 	var sessions []SessionStats
 	for _, w := range workers {
 		rows = append(rows, w.stats())
-		w.mu.Lock()
-		placed := make([]placedSession, 0, len(w.sessions))
-		for _, ps := range w.sessions {
-			placed = append(placed, ps)
-		}
-		w.mu.Unlock()
-		for _, ps := range placed {
-			row, key := ps.sessionRow()
-			if !seen[key] {
-				seen[key] = true
-				sessions = append(sessions, row)
+		for _, h := range w.residents() {
+			if !seen[h.ps] {
+				seen[h.ps] = true
+				sessions = append(sessions, h.ps.row())
 			}
 		}
 	}
@@ -655,1435 +462,4 @@ func (d *Dispatcher) BackendStats() any {
 		}
 	}
 	return out
-}
-
-// placedSession is one session's presence on one worker connection:
-// either a whole remoteSession or one partitionHalf of a partitioned
-// session. The worker read loop routes frames through it without
-// knowing which.
-type placedSession interface {
-	deliver(w *workerRef, m *wire.Result)
-	addCredits(n int)
-	edgeFrame(w *workerRef, m *wire.EdgeFrame)
-	edgeCredit(w *workerRef, m *wire.EdgeCredit)
-	onClosed(w *workerRef, m *wire.SessionClosed)
-	failSession(err error)
-	connLost(cause error)
-	drainClose(w *workerRef)
-	creditsOut() int
-	// demandCyc is the session's analysis-priced cycles/sec demand,
-	// the bin-packing weight in registered mode. Must not block: it is
-	// called under the owning worker's lock.
-	demandCyc() float64
-	// sessionRow reports the session's /metrics row and a key that
-	// deduplicates a partitioned session appearing on several workers.
-	sessionRow() (SessionStats, uint64)
-}
-
-// workerRef is the dispatcher's view of one worker: a managed
-// connection with reconnection, health pings, and a circuit breaker,
-// plus the sessions currently placed on it.
-type workerRef struct {
-	d      *Dispatcher
-	addr   string
-	member string // ring identity (registration name; the address in static mode)
-
-	// stop cancels the manage loop: closed when the member deregisters
-	// (or the dispatcher closes it out of the fleet), so a removed
-	// worker's backoff never pings its dead address again.
-	stop     chan struct{}
-	stopOnce sync.Once
-
-	mu       sync.Mutex
-	capacity float64    // registered cycles/sec (0 in static mode)
-	conn     *wire.Conn // nil while disconnected
-	epoch    uint64     // bumped per successful connect
-	name     string     // from Welcome
-	draining bool       // saw Goaway
-	known    map[string]bool
-	sessions map[uint64]placedSession
-	pending  map[uint64]chan *wire.SessionOpened
-	ensure   map[string][]chan *wire.PipelineReady
-
-	consecFails int
-	openUntil   time.Time // breaker open until this instant
-	lastPong    atomic.Int64
-
-	framesRouted atomic.Int64
-	resultsRecv  atomic.Int64
-	reconnects   atomic.Int64
-}
-
-// halt cancels the manage loop. Idempotent; a live connection is left
-// to finish on its own (sessions drain or fail over when it dies), but
-// no redial ever follows.
-func (w *workerRef) halt() {
-	w.stopOnce.Do(func() { close(w.stop) })
-}
-
-// halted reports whether the member was removed.
-func (w *workerRef) halted() bool {
-	select {
-	case <-w.stop:
-		return true
-	default:
-		return false
-	}
-}
-
-// manage owns the connection lifecycle: dial + handshake with
-// exponential backoff, then read until the connection dies, failing
-// that epoch's sessions and starting over. Deregistration (halt)
-// cancels the loop: a removed worker's address is never redialed —
-// previously a drained worker was pinged forever, holding its breaker
-// half-open.
-func (w *workerRef) manage() {
-	backoff := w.d.opts.ReconnectMin
-	connected := false
-	for {
-		select {
-		case <-w.d.closed:
-			return
-		case <-w.stop:
-			return
-		default:
-		}
-		conn, welcome, err := w.dial()
-		if err != nil {
-			w.recordFailure()
-			select {
-			case <-w.d.closed:
-				return
-			case <-w.stop:
-				return
-			case <-time.After(backoff):
-			}
-			// Decorrelated jitter: frontends that lost the same worker at
-			// the same instant spread their redials instead of thundering
-			// back in lockstep.
-			backoff = registry.JitterBackoff(backoff, w.d.opts.ReconnectMin, w.d.opts.ReconnectMax)
-			continue
-		}
-		if connected {
-			w.reconnects.Add(1)
-		}
-		connected = true
-		backoff = w.d.opts.ReconnectMin
-		w.attach(conn, welcome)
-
-		pingStop := make(chan struct{})
-		go w.pingLoop(conn, pingStop)
-		err = w.readLoop(conn)
-		close(pingStop)
-		conn.Close()
-		w.detach(conn, err)
-		w.recordFailure()
-	}
-}
-
-func (w *workerRef) dial() (*wire.Conn, *wire.Welcome, error) {
-	nc, err := w.d.opts.Dial(w.addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	conn := wire.NewConn(nc)
-	// Bound the handshake: a Welcome lost in transit must surface as a
-	// dial failure and a backoff retry, not a manager wedged forever on
-	// the read.
-	conn.SetReadDeadline(time.Now().Add(w.d.opts.OpenTimeout))
-	welcome, err := conn.Handshake()
-	if err != nil {
-		conn.Close()
-		return nil, nil, err
-	}
-	conn.SetReadDeadline(time.Time{})
-	return conn, welcome, nil
-}
-
-func (w *workerRef) attach(conn *wire.Conn, welcome *wire.Welcome) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.conn = conn
-	w.epoch++
-	w.name = welcome.Worker
-	w.draining = false
-	w.known = make(map[string]bool, len(welcome.Pipelines))
-	for _, id := range welcome.Pipelines {
-		w.known[id] = true
-	}
-	w.sessions = make(map[uint64]placedSession)
-	w.pending = make(map[uint64]chan *wire.SessionOpened)
-	w.ensure = make(map[string][]chan *wire.PipelineReady)
-	// A successful handshake is the breaker's probe: it closes.
-	w.consecFails = 0
-	w.openUntil = time.Time{}
-	w.lastPong.Store(time.Now().UnixNano())
-}
-
-// detach hands every session placed over the dead connection to the
-// failover path (or fails it, when it cannot be replayed). The cause
-// names the worker, so a client whose session could not be recovered
-// sees exactly why its stream died while unrelated sessions keep
-// running.
-func (w *workerRef) detach(conn *wire.Conn, cause error) {
-	w.mu.Lock()
-	if w.conn != conn {
-		w.mu.Unlock()
-		return
-	}
-	w.conn = nil
-	sessions := w.sessions
-	pending := w.pending
-	ensure := w.ensure
-	w.sessions = nil
-	w.pending = nil
-	w.ensure = nil
-	name := w.name
-	w.mu.Unlock()
-
-	err := fmt.Errorf("cluster: worker %s at %s lost: %v", name, w.addr, cause)
-	for _, rs := range sessions {
-		rs.connLost(err)
-	}
-	for _, ch := range pending {
-		close(ch)
-	}
-	for _, chs := range ensure {
-		for _, ch := range chs {
-			close(ch)
-		}
-	}
-}
-
-func (w *workerRef) recordFailure() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.consecFails++
-	if w.consecFails >= w.d.opts.BreakerFailures {
-		w.openUntil = time.Now().Add(w.d.opts.BreakerCooldown)
-	}
-}
-
-// breakerState reports "closed", "open", or "half-open". Half-open
-// means the cooldown elapsed: the next placement may probe the worker,
-// and a handshake success closes the breaker again.
-func (w *workerRef) breakerState() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.breakerStateLocked()
-}
-
-func (w *workerRef) breakerStateLocked() string {
-	if w.consecFails < w.d.opts.BreakerFailures {
-		return "closed"
-	}
-	if time.Now().Before(w.openUntil) {
-		return "open"
-	}
-	return "half-open"
-}
-
-// placeable reports whether new sessions may land here: connected, not
-// draining, not removed from the fleet, breaker not open.
-func (w *workerRef) placeable() bool {
-	if w.halted() {
-		return false
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.conn != nil && !w.draining && w.breakerStateLocked() != "open"
-}
-
-// remainingCyc reports the capacity left after the analysis-priced
-// demand of every session currently placed here — the bin-packing
-// signal in registered mode.
-func (w *workerRef) remainingCyc() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	rem := w.capacity
-	for _, ps := range w.sessions {
-		rem -= ps.demandCyc()
-	}
-	return rem
-}
-
-func (w *workerRef) sessionCount() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.sessions)
-}
-
-func (w *workerRef) pingLoop(conn *wire.Conn, stop chan struct{}) {
-	t := time.NewTicker(w.d.opts.PingInterval)
-	defer t.Stop()
-	nonce := uint64(0)
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			nonce++
-			if conn.Write(&wire.Ping{Nonce: nonce}) != nil {
-				conn.Close()
-				return
-			}
-			last := time.Unix(0, w.lastPong.Load())
-			if time.Since(last) > w.d.opts.PingTimeout {
-				// Health check failed: the worker stopped answering.
-				conn.Close()
-				return
-			}
-		}
-	}
-}
-
-func (w *workerRef) readLoop(conn *wire.Conn) error {
-	for {
-		m, err := conn.Read()
-		if err != nil {
-			return err
-		}
-		switch m := m.(type) {
-		case *wire.Pong:
-			w.lastPong.Store(time.Now().UnixNano())
-		case *wire.PipelineReady:
-			w.mu.Lock()
-			chs := w.ensure[m.ID]
-			delete(w.ensure, m.ID)
-			if m.Err == "" && w.known != nil {
-				w.known[m.ID] = true
-			}
-			w.mu.Unlock()
-			for _, ch := range chs {
-				ch <- m
-			}
-		case *wire.SessionOpened:
-			w.mu.Lock()
-			ch := w.pending[m.SID]
-			delete(w.pending, m.SID)
-			w.mu.Unlock()
-			if ch != nil {
-				ch <- m
-			}
-			if err := w.drainedHangup(); err != nil {
-				return err
-			}
-		case *wire.Result:
-			w.resultsRecv.Add(1)
-			if rs := w.session(m.SID); rs != nil {
-				rs.deliver(w, m)
-			} else {
-				releaseResult(m)
-			}
-		case *wire.Credit:
-			if rs := w.session(m.SID); rs != nil {
-				rs.addCredits(int(m.N))
-			}
-		case *wire.SessionClosed:
-			w.mu.Lock()
-			rs := w.sessions[m.SID]
-			delete(w.sessions, m.SID)
-			w.mu.Unlock()
-			if rs != nil {
-				rs.onClosed(w, m)
-			}
-			if err := w.drainedHangup(); err != nil {
-				return err
-			}
-		case *wire.Error:
-			if m.SID == 0 {
-				return fmt.Errorf("worker error: %s", m.Msg)
-			}
-			if rs := w.session(m.SID); rs != nil {
-				rs.failSession(fmt.Errorf("cluster: worker %s: %s", w.addr, m.Msg))
-			}
-		case *wire.EdgeFrame:
-			if rs := w.session(m.SID); rs != nil {
-				rs.edgeFrame(w, m)
-			} else {
-				releaseWireItems(m.Items)
-			}
-		case *wire.EdgeCredit:
-			if rs := w.session(m.SID); rs != nil {
-				rs.edgeCredit(w, m)
-			}
-		case *wire.Goaway:
-			// The worker is draining: stop placing sessions here and move
-			// every resident session to a survivor (falling back to a
-			// quiesce-and-close when migration is impossible) before the
-			// worker exits.
-			w.mu.Lock()
-			w.draining = true
-			sessions := make([]placedSession, 0, len(w.sessions))
-			for _, rs := range w.sessions {
-				sessions = append(sessions, rs)
-			}
-			w.mu.Unlock()
-			for _, rs := range sessions {
-				rs.drainClose(w)
-			}
-			if err := w.drainedHangup(); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("unexpected %s frame", m.Type())
-		}
-	}
-}
-
-// errDrained ends the read loop of a fully-drained connection: the
-// frontend hangs up so the worker sees a clean EOF with nothing unread
-// (closing from the worker side could RST the final SessionClosed away).
-var errDrained = errors.New("worker drained")
-
-// drainedHangup reports errDrained once a draining worker has no
-// sessions or opens left on this connection.
-func (w *workerRef) drainedHangup() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.draining && len(w.sessions) == 0 && len(w.pending) == 0 && len(w.ensure) == 0 {
-		return errDrained
-	}
-	return nil
-}
-
-func (w *workerRef) session(sid uint64) placedSession {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.sessions[sid]
-}
-
-// open ensures the pipeline exists on the worker, then opens a remote
-// session over the current connection.
-func (w *workerRef) open(p *serve.Pipeline, opts serve.OpenOptions) (*remoteSession, error) {
-	rs := &remoteSession{
-		d:           w.d,
-		p:           p,
-		maxInFlight: opts.MaxInFlight,
-		credits:     opts.MaxInFlight,
-		results:     make(chan *runtime.StreamResult, opts.MaxInFlight+1),
-		done:        make(chan struct{}),
-	}
-	if opts.Deadline > 0 {
-		rs.deadline = time.Now().Add(opts.Deadline)
-	}
-	if w.d.opts.ReplayBudget < 0 {
-		rs.logFull = true // failover disabled by configuration
-	}
-	att, err := w.place(rs)
-	if err != nil {
-		return nil, err
-	}
-	rs.mu.Lock()
-	rs.att = att
-	rs.statsID = att.sid
-	rs.opened = true
-	rs.lastProgress = time.Now()
-	rs.mu.Unlock()
-	if w.d.opts.StallTimeout > 0 {
-		go rs.stallWatch()
-	}
-	return rs, nil
-}
-
-// place opens a worker-side session for rs on this worker and returns
-// the resulting attachment without installing it — the caller decides
-// when feeds may flow (immediately for a first open, only after the
-// history replay for a failover).
-func (w *workerRef) place(rs *remoteSession) (*attachment, error) {
-	w.mu.Lock()
-	conn := w.conn
-	needEnsure := !w.known[rs.p.ID]
-	w.mu.Unlock()
-	if conn == nil {
-		return nil, fmt.Errorf("cluster: worker %s not connected", w.addr)
-	}
-	if needEnsure {
-		if err := w.ensurePipeline(conn, rs.p); err != nil {
-			return nil, err
-		}
-	}
-
-	var deadlineMs uint32
-	if !rs.deadline.IsZero() {
-		rem := time.Until(rs.deadline)
-		if rem <= 0 {
-			return nil, fmt.Errorf("cluster: session deadline exceeded before open on %s", w.addr)
-		}
-		ms := int64((rem + time.Millisecond - 1) / time.Millisecond)
-		if ms > int64(^uint32(0)) {
-			ms = int64(^uint32(0))
-		}
-		deadlineMs = uint32(ms)
-	}
-
-	sid := w.d.nextSID.Add(1)
-	reply := make(chan *wire.SessionOpened, 1)
-	// Register the session before OpenSession hits the wire: any event
-	// naming this sid afterwards — an unsolicited SessionClosed, a
-	// Goaway drain — finds it in w.sessions instead of landing in an
-	// unregistered gap where it would be silently dropped (leaving the
-	// session to hang until CloseTimeout and the worker's drain to
-	// block until its context expires).
-	w.mu.Lock()
-	if w.conn != conn {
-		w.mu.Unlock()
-		return nil, fmt.Errorf("cluster: worker %s reconnected during open", w.addr)
-	}
-	w.pending[sid] = reply
-	w.sessions[sid] = rs
-	w.mu.Unlock()
-
-	m := &wire.OpenSession{
-		SID:         sid,
-		Pipeline:    rs.p.ID,
-		MaxInFlight: uint32(rs.maxInFlight),
-		DeadlineMs:  deadlineMs,
-	}
-	if err := conn.Write(m); err != nil {
-		w.unregister(conn, sid)
-		conn.Close()
-		return nil, fmt.Errorf("cluster: open on %s: %w", w.addr, err)
-	}
-	select {
-	case m, ok := <-reply:
-		if !ok {
-			return nil, fmt.Errorf("cluster: worker %s lost during open", w.addr)
-		}
-		if m.Err != "" {
-			w.unregister(conn, sid)
-			return nil, fmt.Errorf("cluster: worker %s refused session: %s", w.addr, m.Err)
-		}
-	case <-time.After(w.d.opts.OpenTimeout):
-		w.unregister(conn, sid)
-		return nil, fmt.Errorf("cluster: open on %s timed out after %v", w.addr, w.d.opts.OpenTimeout)
-	}
-	return &attachment{w: w, sid: sid, conn: conn}, nil
-}
-
-// unregister drops a failed open's session and pending entries. When
-// that leaves a draining connection fully idle it hangs the connection
-// up here: the read loop's drained-hangup check only runs on frame
-// arrival, and no further frame may ever come.
-func (w *workerRef) unregister(conn *wire.Conn, sid uint64) {
-	w.mu.Lock()
-	if w.conn != conn {
-		w.mu.Unlock()
-		return
-	}
-	delete(w.pending, sid)
-	delete(w.sessions, sid)
-	hangup := w.draining && len(w.sessions) == 0 && len(w.pending) == 0 && len(w.ensure) == 0
-	w.mu.Unlock()
-	if hangup {
-		conn.Close()
-	}
-}
-
-// ensurePipeline asks the worker to register p, shipping the JSON
-// descriptor when the pipeline has one; suite pipelines compile from
-// their ID alone.
-func (w *workerRef) ensurePipeline(conn *wire.Conn, p *serve.Pipeline) error {
-	reply := make(chan *wire.PipelineReady, 1)
-	w.mu.Lock()
-	if w.conn != conn {
-		w.mu.Unlock()
-		return fmt.Errorf("cluster: worker %s reconnected during ensure", w.addr)
-	}
-	first := len(w.ensure[p.ID]) == 0
-	w.ensure[p.ID] = append(w.ensure[p.ID], reply)
-	w.mu.Unlock()
-
-	if first {
-		m := &wire.EnsurePipeline{ID: p.ID, Source: p.Source, Desc: p.Descriptor()}
-		if err := conn.Write(m); err != nil {
-			conn.Close()
-			return fmt.Errorf("cluster: ensure %q on %s: %w", p.ID, w.addr, err)
-		}
-	}
-	select {
-	case m, ok := <-reply:
-		if !ok {
-			return fmt.Errorf("cluster: worker %s lost during ensure", w.addr)
-		}
-		if m.Err != "" {
-			return fmt.Errorf("cluster: worker %s cannot serve %q: %s", w.addr, p.ID, m.Err)
-		}
-		return nil
-	case <-time.After(w.d.opts.OpenTimeout):
-		w.abandonEnsure(p.ID, reply)
-		return fmt.Errorf("cluster: ensure %q on %s timed out", p.ID, w.addr)
-	}
-}
-
-// abandonEnsure removes a timed-out waiter from the ensure list so one
-// unanswered EnsurePipeline cannot wedge every later ensure of the same
-// pipeline: once the list drains back to empty, the next caller sends a
-// fresh EnsurePipeline frame instead of waiting on the dead request.
-func (w *workerRef) abandonEnsure(id string, ch chan *wire.PipelineReady) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	chs := w.ensure[id]
-	for i, c := range chs {
-		if c == ch {
-			chs = append(chs[:i], chs[i+1:]...)
-			break
-		}
-	}
-	if len(chs) == 0 {
-		delete(w.ensure, id)
-	} else {
-		w.ensure[id] = chs
-	}
-}
-
-func (w *workerRef) stats() WorkerStats {
-	w.mu.Lock()
-	state := "down"
-	if w.conn != nil {
-		state = "connected"
-	}
-	if w.halted() {
-		state = "removed"
-	}
-	credits := 0
-	demand := 0.0
-	for _, rs := range w.sessions {
-		credits += rs.creditsOut()
-		demand += rs.demandCyc()
-	}
-	member := w.member
-	if member == w.addr {
-		member = "" // static mode: the member column adds nothing
-	}
-	s := WorkerStats{
-		Addr:            w.addr,
-		Name:            w.name,
-		Member:          member,
-		State:           state,
-		Breaker:         w.breakerStateLocked(),
-		Draining:        w.draining,
-		Sessions:        len(w.sessions),
-		CapacityCyc:     w.capacity,
-		DemandCyc:       demand,
-		CreditsInFlight: credits,
-	}
-	w.mu.Unlock()
-	s.FramesRouted = w.framesRouted.Load()
-	s.ResultsReceived = w.resultsRecv.Load()
-	s.Reconnects = w.reconnects.Load()
-	return s
-}
-
-func releaseResult(m *wire.Result) {
-	for _, out := range m.Outputs {
-		for _, win := range out.Wins {
-			win.Release()
-		}
-	}
-}
-
-// attachment binds a session to one worker-side session instance: the
-// connection its frames travel on and the SID namespacing them there.
-// Failover replaces the whole attachment atomically; a nil attachment
-// means the session is between workers (feeds see backpressure).
-type attachment struct {
-	w    *workerRef
-	sid  uint64
-	conn *wire.Conn
-}
-
-// logEntry is one fed frame in the session's replay history. Generated
-// frames (nil inputs) carry nothing — the worker regenerates them from
-// the frame index; explicit inputs hold one arena reference per window
-// until the session ends.
-type logEntry struct {
-	inputs []wire.NamedWindow
-}
-
-// remoteSession proxies one streaming session to a worker. It
-// implements serve.SessionHandle with the same error vocabulary as the
-// in-process runtime: ErrQueueFull when out of credits, ErrBadFrame on
-// local input validation, a "timed out" error on Collect deadlines.
-//
-// Failover model: every fed frame is appended to a replay log. When
-// the session's worker dies, the dispatcher reopens it on a surviving
-// worker and replays the entire history from seq 0 — frame generators
-// are keyed by absolute frame index and kernels may carry cross-frame
-// state, so only a full re-run reproduces byte-identical outputs.
-// Results the client already saw arrive again and are deduplicated by
-// seq (at-most-once delivery); fresh results flow as if nothing
-// happened.
-type remoteSession struct {
-	d           *Dispatcher
-	p           *serve.Pipeline
-	maxInFlight int
-	deadline    time.Time // zero = unbounded
-	statsID     uint64    // stable key for the /metrics sessions table
-	admitted    float64   // cycles/sec held from the admission pool; returned when the session ends
-
-	// sendMu orders this session's frames on the wire: TryFeed holds it
-	// from seq assignment through the connection write, so concurrent
-	// feeders cannot interleave Seq order (the worker tears the session
-	// down on any gap), and a CloseSession always follows the last
-	// accepted feed.
-	sendMu sync.Mutex
-
-	mu           sync.Mutex
-	att          *attachment // nil while detached / failing over
-	credits      int
-	lastProgress time.Time // last result/credit arrival, for the stall watchdog
-	fed          int64
-	completed    int64 // results delivered to the results channel (dedup watermark)
-	collected    int64 // results handed to Collect callers
-	log          []logEntry
-	logBytes     int64
-	logFull      bool // replay budget exceeded: no longer failoverable
-	opened       bool // initial placement acknowledged
-	failingOver  bool // a failover goroutine owns recovery right now
-	err          error
-	noFeed       error // feeds refused (worker draining); results still flow
-	ended        bool  // done closed (failure or SessionClosed)
-	closeSent    bool
-
-	results chan *runtime.StreamResult
-	done    chan struct{}
-}
-
-// failSession marks the session dead and frees its replay log; Collect
-// surfaces the error after draining buffered results, feeds fail
-// immediately.
-func (rs *remoteSession) failSession(err error) {
-	rs.mu.Lock()
-	if rs.ended {
-		rs.mu.Unlock()
-		return
-	}
-	rs.ended = true
-	if rs.err == nil {
-		rs.err = err
-	}
-	rs.releaseLogLocked()
-	admitted := rs.admitted
-	rs.admitted = 0
-	rs.mu.Unlock()
-	if admitted > 0 {
-		// Every session termination funnels through here exactly once
-		// (guarded by rs.ended), so the admission pool balances.
-		rs.d.releaseAdmission(admitted)
-	}
-	close(rs.done)
-}
-
-// releaseLogLocked returns every retained replay window to the arena.
-// Caller holds rs.mu. In-flight encodes are safe: they take their own
-// reference under rs.mu before writing.
-func (rs *remoteSession) releaseLogLocked() {
-	for _, e := range rs.log {
-		for _, in := range e.inputs {
-			in.Win.Release()
-		}
-	}
-	rs.log = nil
-	rs.logBytes = 0
-}
-
-// logFeedLocked appends one fed frame to the replay history, taking
-// over the caller's window references. Caller holds rs.mu. Returns
-// false when the frame was not retained — the budget is exhausted and
-// the session just stopped being failoverable (its whole history was
-// released, since a partial history can never replay).
-func (rs *remoteSession) logFeedLocked(entry logEntry) bool {
-	if rs.logFull {
-		return false
-	}
-	var sz int64
-	for _, in := range entry.inputs {
-		sz += int64(in.Win.W) * int64(in.Win.H) * 8
-	}
-	if rs.logBytes+sz > rs.d.opts.ReplayBudget {
-		rs.logFull = true
-		rs.releaseLogLocked()
-		return false
-	}
-	rs.log = append(rs.log, entry)
-	rs.logBytes += sz
-	return true
-}
-
-// connLost reacts to the session's connection dying: recoverable
-// sessions hand off to a failover goroutine, the rest fail with a
-// typed serve.ErrSessionLost. A session whose close already fully
-// drained just completes cleanly.
-func (rs *remoteSession) connLost(cause error) {
-	rs.mu.Lock()
-	if rs.ended {
-		rs.mu.Unlock()
-		return
-	}
-	rs.att = nil
-	rs.credits = 0
-	if rs.failingOver {
-		// The running failover's writes will fail and it retries or
-		// sheds on its own deadline; a second recovery goroutine would
-		// race it.
-		rs.mu.Unlock()
-		return
-	}
-	if !rs.opened {
-		// Initial placement still in flight: open() surfaces the error
-		// and the dispatcher retries placement itself.
-		rs.mu.Unlock()
-		rs.failSession(cause)
-		return
-	}
-	if rs.closeSent && rs.completed == rs.fed {
-		// Everything fed was delivered and the close was already sent;
-		// only the SessionClosed ack died with the worker. That is a
-		// clean shutdown, not a lost session.
-		rs.mu.Unlock()
-		rs.failSession(runtime.ErrSessionClosed)
-		return
-	}
-	if rs.logFull {
-		rs.mu.Unlock()
-		rs.failSession(fmt.Errorf("%w: %v (session past its replay budget)", serve.ErrSessionLost, cause))
-		return
-	}
-	rs.failingOver = true
-	rs.mu.Unlock()
-	go rs.failover(cause, false)
-}
-
-// stallWatch runs for the session's lifetime and recovers it from
-// silent stalls — the failure mode connection health checks cannot
-// see: a frame lost in transit on an otherwise-healthy connection, or
-// a worker that wedged without dying. With frames in flight and no
-// progress (no result, no credit) within StallTimeout, the session
-// detaches from its worker — aborting the wedged worker-side half —
-// and fails over exactly as if the connection had died: the replay
-// resends whatever was lost. While idle it also resyncs credits to
-// the full window, healing a credit grant lost in transit that would
-// otherwise shrink the feed window forever.
-func (rs *remoteSession) stallWatch() {
-	interval := rs.d.opts.StallTimeout / 4
-	if interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-rs.done:
-			return
-		case <-rs.d.closed:
-			return
-		case <-t.C:
-		}
-		rs.mu.Lock()
-		if rs.ended || rs.att == nil || rs.failingOver {
-			rs.mu.Unlock()
-			continue
-		}
-		if rs.completed >= rs.fed {
-			// Idle: the worker owes nothing, so its queue is empty and
-			// the true window is the full maxInFlight.
-			rs.lastProgress = time.Now()
-			rs.credits = rs.maxInFlight
-			rs.mu.Unlock()
-			continue
-		}
-		if time.Since(rs.lastProgress) <= rs.d.opts.StallTimeout {
-			rs.mu.Unlock()
-			continue
-		}
-		att := rs.att
-		rs.att = nil
-		rs.credits = 0
-		cause := fmt.Errorf("cluster: worker %s stalled: no progress on %d in-flight frames within %v",
-			att.w.addr, rs.fed-rs.completed, rs.d.opts.StallTimeout)
-		recoverable := !rs.logFull
-		if recoverable {
-			rs.failingOver = true
-		}
-		rs.mu.Unlock()
-		// Abort the wedged worker-side session and forget its sid; a
-		// late result or close notice for it now finds nothing. The
-		// writes happen outside rs.mu (unregister takes w.mu, which
-		// stats paths acquire before rs.mu).
-		att.conn.Write(&wire.Error{SID: att.sid, Msg: "session stalled"})
-		att.w.unregister(att.conn, att.sid)
-		if recoverable {
-			go rs.failover(cause, false)
-			continue
-		}
-		rs.failSession(fmt.Errorf("%w: %v (session past its replay budget)", serve.ErrSessionLost, cause))
-	}
-}
-
-// failover reopens the session on a surviving worker and replays its
-// history, retrying across workers until the failover timeout (or the
-// session deadline) expires — then sheds with a typed 503. migration
-// marks a planned move off a draining worker, counted separately from
-// crash recovery in /metrics.
-func (rs *remoteSession) failover(cause error, migration bool) {
-	deadline := time.Now().Add(rs.d.opts.FailoverTimeout)
-	if !rs.deadline.IsZero() && rs.deadline.Before(deadline) {
-		deadline = rs.deadline
-	}
-	lastErr := cause
-	for {
-		select {
-		case <-rs.done:
-			return
-		case <-rs.d.closed:
-			rs.failSession(fmt.Errorf("%w: dispatcher closed during failover: %v", serve.ErrSessionLost, lastErr))
-			return
-		default:
-		}
-		if time.Now().After(deadline) {
-			rs.d.shedTotal.Add(1)
-			rs.failSession(fmt.Errorf("%w: %w: session not recovered within failover window: %v",
-				serve.ErrSessionLost, serve.ErrUnavailable, lastErr))
-			return
-		}
-		w := rs.d.pick(nil)
-		if w == nil {
-			time.Sleep(5 * time.Millisecond)
-			continue
-		}
-		err := rs.reattach(w, deadline)
-		if err == nil {
-			if migration {
-				rs.d.sessionsMigrated.Add(1)
-			} else {
-				rs.d.sessionsFailedOver.Add(1)
-			}
-			return
-		}
-		if errors.Is(err, errSessionEnded) {
-			return
-		}
-		lastErr = err
-	}
-}
-
-// errSessionEnded aborts a replay whose session terminated concurrently
-// (client close timeout, dispatcher shutdown).
-var errSessionEnded = errors.New("session ended during failover")
-
-// reattach opens a fresh worker-side session on w and replays the full
-// feed history from seq 0, paced by the new session's credits. Only
-// after the last historical frame is on the wire does the attachment
-// install and new feeds flow, preserving seq order. Duplicate results
-// produced by the replay are dropped in deliver.
-func (rs *remoteSession) reattach(w *workerRef, deadline time.Time) error {
-	att, err := w.place(rs)
-	if err != nil {
-		return err
-	}
-	abort := func(reason string) {
-		// Tear the half-replayed worker session down and forget it;
-		// a late SessionClosed for this sid finds nothing.
-		att.conn.Write(&wire.Error{SID: att.sid, Msg: reason})
-		w.unregister(att.conn, att.sid)
-	}
-
-	rs.mu.Lock()
-	total := int64(len(rs.log))
-	rs.credits = rs.maxInFlight
-	rs.mu.Unlock()
-
-	for seq := int64(0); seq < total; seq++ {
-		for {
-			rs.mu.Lock()
-			if rs.ended {
-				rs.mu.Unlock()
-				abort("session ended during replay")
-				return errSessionEnded
-			}
-			if rs.credits > 0 {
-				rs.credits--
-				m := &wire.Feed{SID: att.sid, Seq: seq}
-				for _, in := range rs.log[seq].inputs {
-					// Hold an encode reference so a concurrent terminal
-					// release cannot poison the samples mid-write.
-					in.Win.Retain(1)
-					m.Inputs = append(m.Inputs, in)
-				}
-				rs.mu.Unlock()
-				err := att.conn.Write(m)
-				for _, in := range m.Inputs {
-					in.Win.Release()
-				}
-				if err != nil {
-					att.conn.Close()
-					w.unregister(att.conn, att.sid)
-					return fmt.Errorf("cluster: replay to %s: %w", w.addr, err)
-				}
-				w.framesRouted.Add(1)
-				rs.d.framesReplayed.Add(1)
-				break
-			}
-			rs.mu.Unlock()
-			// Waiting on credits that can never arrive is pointless once
-			// the connection under us died; detach already unregistered
-			// the sid, so just report and let the failover loop retry.
-			w.mu.Lock()
-			connAlive := w.conn == att.conn
-			w.mu.Unlock()
-			if !connAlive {
-				return fmt.Errorf("cluster: worker %s lost mid-replay", w.addr)
-			}
-			if time.Now().After(deadline) {
-				abort("replay stalled")
-				return fmt.Errorf("cluster: replay to %s stalled at frame %d/%d", w.addr, seq, total)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-
-	rs.mu.Lock()
-	if rs.ended {
-		rs.mu.Unlock()
-		abort("session ended during replay")
-		return errSessionEnded
-	}
-	rs.att = att
-	rs.failingOver = false
-	rs.lastProgress = time.Now()
-	closeSent := rs.closeSent
-	rs.mu.Unlock()
-	if closeSent {
-		// The client closed while we were between workers; finish the
-		// close on the new attachment, after the last replayed feed.
-		att.conn.Write(&wire.CloseSession{SID: att.sid})
-	}
-	return nil
-}
-
-// onClosed handles the worker's SessionClosed notice: a clean close
-// surfaces ErrSessionClosed, a drain surfaces the draining notice, and
-// a reported failure surfaces that error.
-func (rs *remoteSession) onClosed(w *workerRef, m *wire.SessionClosed) {
-	rs.mu.Lock()
-	noFeed := rs.noFeed
-	rs.mu.Unlock()
-	var err error
-	switch {
-	case m.Err != "":
-		err = fmt.Errorf("cluster: worker %s closed session: %s", w.addr, m.Err)
-	case noFeed != nil:
-		err = noFeed
-	default:
-		err = runtime.ErrSessionClosed
-	}
-	rs.failSession(err)
-}
-
-// drainClose reacts to the worker draining. The preferred path is a
-// live migration: abort the resident instance and reuse the ordinary
-// failover machinery — reopen on a survivor, replay the feed history,
-// dedup the results — so the client's stream continues uninterrupted.
-// When the session cannot migrate (replay budget spent, a failover
-// already running, no surviving worker, or the placement never
-// attached) it falls back to the pre-v7 quiesce-and-close: refuse
-// further feeds, then close so everything already fed flushes.
-func (rs *remoteSession) drainClose(w *workerRef) {
-	rs.mu.Lock()
-	if rs.ended || rs.closeSent {
-		rs.mu.Unlock()
-		return
-	}
-	migratable := rs.att != nil && !rs.failingOver && !rs.logFull && rs.opened
-	rs.mu.Unlock()
-	// pick touches worker locks that order before rs.mu, so probe for a
-	// destination outside the session lock and re-validate after.
-	if migratable && rs.d.pick(nil) != nil {
-		rs.mu.Lock()
-		if !rs.ended && !rs.closeSent && rs.att != nil && !rs.failingOver && !rs.logFull {
-			att := rs.att
-			rs.att = nil
-			rs.credits = 0
-			rs.failingOver = true
-			rs.mu.Unlock()
-			// Abort the resident instance outside rs.mu (unregister takes
-			// w.mu, which stats paths acquire before rs.mu); the replay
-			// regenerates anything it had in flight.
-			att.conn.Write(&wire.Error{SID: att.sid, Msg: "session migrating off draining worker"})
-			att.w.unregister(att.conn, att.sid)
-			go rs.failover(fmt.Errorf("cluster: worker %s at %s draining", w.name, w.addr), true)
-			return
-		}
-		rs.mu.Unlock()
-	}
-	rs.mu.Lock()
-	if rs.ended || rs.closeSent {
-		rs.mu.Unlock()
-		return
-	}
-	if rs.failingOver {
-		// A failover (possibly this very migration, when the drain
-		// heartbeat races the worker's own Goaway) is already moving the
-		// session; it reattaches to a non-draining worker, so closing
-		// here would only end the client's stream early.
-		rs.mu.Unlock()
-		return
-	}
-	if rs.noFeed == nil {
-		rs.noFeed = fmt.Errorf("cluster: worker %s at %s is draining", w.name, w.addr)
-	}
-	rs.closeSent = true
-	detached := rs.att == nil
-	rs.mu.Unlock()
-	if detached {
-		// Initial placement or a torn-down attachment: nothing to close
-		// on this worker.
-		return
-	}
-	// A send failure means the connection died under the close; connLost
-	// owns recovery, and with closeSent set the failover (or the clean
-	// fully-drained path) finishes the close.
-	rs.send(&wire.CloseSession{})
-}
-
-// deliver queues a result for Collect, deduplicating failover replays:
-// completed is the watermark of results already handed over, so a
-// replayed frame below it is dropped (at-most-once) and anything past
-// it is a protocol break. The channel is sized for the credit bound,
-// so a blocked send means the worker broke the protocol.
-func (rs *remoteSession) deliver(w *workerRef, m *wire.Result) {
-	outputs := make(map[string][]frame.Window, len(m.Outputs))
-	for _, out := range m.Outputs {
-		outputs[out.Name] = out.Wins
-	}
-	rs.mu.Lock()
-	if rs.ended || m.Seq < rs.completed {
-		rs.mu.Unlock()
-		serveReleaseOutputs(outputs)
-		return
-	}
-	if m.Seq > rs.completed {
-		rs.mu.Unlock()
-		serveReleaseOutputs(outputs)
-		rs.failSession(fmt.Errorf("cluster: worker %s delivered frame %d, want %d", w.addr, m.Seq, rs.completed))
-		return
-	}
-	rs.completed++
-	rs.lastProgress = time.Now()
-	rs.mu.Unlock()
-	res := &runtime.StreamResult{Seq: m.Seq, Outputs: outputs}
-	select {
-	case rs.results <- res:
-	default:
-		serveReleaseOutputs(outputs)
-		rs.failSession(fmt.Errorf("cluster: worker %s overran the result window", w.addr))
-	}
-}
-
-// edgeFrame and edgeCredit are partition-plane frames; a whole session
-// receiving one means the worker broke the protocol.
-func (rs *remoteSession) edgeFrame(w *workerRef, m *wire.EdgeFrame) {
-	releaseWireItems(m.Items)
-	rs.failSession(fmt.Errorf("cluster: worker %s sent an edge frame to an unpartitioned session", w.addr))
-}
-
-func (rs *remoteSession) edgeCredit(w *workerRef, m *wire.EdgeCredit) {
-	rs.failSession(fmt.Errorf("cluster: worker %s sent an edge credit to an unpartitioned session", w.addr))
-}
-
-func (rs *remoteSession) sessionRow() (SessionStats, uint64) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	row := SessionStats{
-		Pipeline:    rs.p.ID,
-		Partitions:  1,
-		ReplayBytes: rs.logBytes,
-	}
-	if rs.att != nil {
-		row.Workers = []string{rs.att.w.addr}
-	}
-	return row, rs.statsID
-}
-
-func (rs *remoteSession) addCredits(n int) {
-	rs.mu.Lock()
-	rs.credits += n
-	if rs.credits > rs.maxInFlight {
-		rs.credits = rs.maxInFlight
-	}
-	rs.lastProgress = time.Now()
-	rs.mu.Unlock()
-}
-
-func (rs *remoteSession) demandCyc() float64 { return rs.p.CyclesPerSec }
-
-func (rs *remoteSession) creditsOut() int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	out := rs.maxInFlight - rs.credits
-	if out < 0 {
-		out = 0
-	}
-	return out
-}
-
-// TryFeed validates the frame locally (same checks and error values as
-// runtime.Session), spends a credit, logs the frame for failover
-// replay, and ships it. Zero credits — or a failover in progress —
-// means ErrQueueFull, exactly the local backpressure signal.
-// Ownership matches the local runtime's Feed: on success the transport
-// owns the pooled inputs; with failover enabled they stay retained in
-// the replay log until the session ends, otherwise they release once
-// encoded.
-func (rs *remoteSession) TryFeed(inputs map[string]frame.Window) (int64, error) {
-	if err := validateInputs(rs.p, inputs); err != nil {
-		return 0, err
-	}
-	rs.sendMu.Lock()
-	rs.mu.Lock()
-	if rs.ended {
-		err := rs.err
-		rs.mu.Unlock()
-		rs.sendMu.Unlock()
-		if errors.Is(err, runtime.ErrSessionClosed) {
-			return 0, runtime.ErrSessionClosed
-		}
-		return 0, err
-	}
-	if rs.noFeed != nil {
-		err := rs.noFeed
-		rs.mu.Unlock()
-		rs.sendMu.Unlock()
-		return 0, err
-	}
-	// Three bounds, all ErrQueueFull: a failover in progress (the
-	// session has no wire until the replay lands), credits (the worker
-	// still owes results), and fed-minus-collected (the caller stopped
-	// collecting — the same bound a local session enforces, and what
-	// keeps buffered results within the channel's capacity).
-	if rs.att == nil || rs.credits <= 0 || rs.fed-rs.collected >= int64(rs.maxInFlight) {
-		rs.mu.Unlock()
-		rs.sendMu.Unlock()
-		return 0, runtime.ErrQueueFull
-	}
-	att := rs.att
-	rs.credits--
-	seq := rs.fed
-	rs.fed++
-	rs.lastProgress = time.Now()
-	m := &wire.Feed{SID: att.sid, Seq: seq}
-	var entry logEntry
-	for name, win := range inputs {
-		nw := wire.NamedWindow{Name: name, Win: win}
-		m.Inputs = append(m.Inputs, nw)
-		entry.inputs = append(entry.inputs, nw)
-	}
-	if rs.logFeedLocked(entry) {
-		// The log took over the caller's references; hold an extra
-		// encode reference per window so a concurrent terminal release
-		// cannot poison the samples mid-write.
-		for _, in := range m.Inputs {
-			in.Win.Retain(1)
-		}
-	}
-	rs.mu.Unlock()
-
-	err := att.conn.Write(m)
-	for _, in := range m.Inputs {
-		in.Win.Release()
-	}
-	rs.sendMu.Unlock()
-	if err != nil {
-		// The connection died under the feed. The frame is in the
-		// replay log, so the session's fate rests with connLost: either
-		// a failover replays it or the session fails with a typed
-		// error. Either way this feed was accepted.
-		att.conn.Close()
-	}
-	att.w.framesRouted.Add(1)
-	return seq, nil
-}
-
-// send writes one session-scoped frame over the current attachment,
-// stamping its SID. Caller passes the message with SID zeroed.
-func (rs *remoteSession) send(m wire.Msg) error {
-	rs.sendMu.Lock()
-	defer rs.sendMu.Unlock()
-	rs.mu.Lock()
-	att := rs.att
-	rs.mu.Unlock()
-	if att == nil {
-		return errors.New("connection lost")
-	}
-	switch m := m.(type) {
-	case *wire.CloseSession:
-		m.SID = att.sid
-	case *wire.Feed:
-		m.SID = att.sid
-	}
-	if err := att.conn.Write(m); err != nil {
-		att.conn.Close()
-		return err
-	}
-	return nil
-}
-
-// workerAddr reports the address of the worker currently executing the
-// session, or "" while it is detached (failing over or failed).
-func (rs *remoteSession) workerAddr() string {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.att == nil {
-		return ""
-	}
-	return rs.att.w.addr
-}
-
-func (rs *remoteSession) sessionErr() error {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.err != nil {
-		return rs.err
-	}
-	return errors.New("cluster: session failed")
-}
-
-// Collect returns the next completed frame in order. Its timeout error
-// says "timed out" so the HTTP layer maps it to 504 like a local
-// session's.
-func (rs *remoteSession) Collect(timeout time.Duration) (*runtime.StreamResult, error) {
-	var tc <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		tc = t.C
-	}
-	select {
-	case res := <-rs.results:
-		rs.noteCollected()
-		return res, nil
-	case <-tc:
-		return nil, fmt.Errorf("cluster: session collect timed out after %v", timeout)
-	case <-rs.done:
-		// Results buffered before the failure are still deliverable.
-		select {
-		case res := <-rs.results:
-			rs.noteCollected()
-			return res, nil
-		default:
-		}
-		return nil, rs.sessionErr()
-	}
-}
-
-func (rs *remoteSession) noteCollected() {
-	rs.mu.Lock()
-	rs.collected++
-	rs.mu.Unlock()
-}
-
-// Fed reports frames shipped to the worker.
-func (rs *remoteSession) Fed() int64 {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.fed
-}
-
-// Completed reports results received back from the worker.
-func (rs *remoteSession) Completed() int64 {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.completed
-}
-
-// InFlight reports frames fed but not yet collected by the caller.
-func (rs *remoteSession) InFlight() int64 {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.fed - rs.collected
-}
-
-// Close asks the worker to drain the session and waits for its
-// SessionClosed (bounded by CloseTimeout), then releases any buffered
-// results the caller never collected. It returns the session's failure,
-// if any — a clean shutdown (including one recovered by failover)
-// returns nil.
-func (rs *remoteSession) Close() error {
-	rs.mu.Lock()
-	already := rs.closeSent
-	rs.closeSent = true
-	ended := rs.ended
-	detached := rs.att == nil
-	rs.mu.Unlock()
-	if !already && !ended && !detached {
-		// A send failure means the connection died under the close;
-		// connLost owns recovery and the failover re-sends the close
-		// (closeSent is set). If the session is unrecoverable, connLost
-		// fails it and the wait below returns immediately.
-		rs.send(&wire.CloseSession{})
-	}
-	select {
-	case <-rs.done:
-	case <-time.After(rs.d.opts.CloseTimeout):
-		rs.failSession(fmt.Errorf("cluster: session close not acknowledged within %v",
-			rs.d.opts.CloseTimeout))
-	}
-	// Drop the session from its worker's table (already gone if the
-	// worker reported SessionClosed or the connection died).
-	rs.mu.Lock()
-	att := rs.att
-	rs.mu.Unlock()
-	if att != nil {
-		att.w.mu.Lock()
-		if att.w.sessions != nil {
-			delete(att.w.sessions, att.sid)
-		}
-		att.w.mu.Unlock()
-	}
-	for {
-		select {
-		case res := <-rs.results:
-			serveReleaseOutputs(res.Outputs)
-		default:
-			rs.mu.Lock()
-			err := rs.err
-			rs.mu.Unlock()
-			if errors.Is(err, runtime.ErrSessionClosed) {
-				return nil
-			}
-			return err
-		}
-	}
-}
-
-// validateInputs applies the runtime's feed-time checks locally so bad
-// frames bounce at the frontend without a round trip, with the same
-// ErrBadFrame tag the HTTP layer maps to 400.
-func validateInputs(p *serve.Pipeline, inputs map[string]frame.Window) error {
-	g := p.Graph()
-	for name, w := range inputs {
-		n := g.Node(name)
-		if n == nil || n.Kind != graph.KindInput {
-			return fmt.Errorf("%w: unknown input %q", runtime.ErrBadFrame, name)
-		}
-		if w.W != n.FrameSize.W || w.H != n.FrameSize.H {
-			return fmt.Errorf("%w: input %q is %dx%d, want %dx%d",
-				runtime.ErrBadFrame, name, w.W, w.H, n.FrameSize.W, n.FrameSize.H)
-		}
-		if want := n.Output("out").Elem; w.Kind != want {
-			return fmt.Errorf("%w: input %q carries %s samples, declared %s",
-				runtime.ErrBadFrame, name, w.Kind, want)
-		}
-	}
-	return nil
-}
-
-// serveReleaseOutputs returns a result's pooled windows to the arena.
-func serveReleaseOutputs(outs map[string][]frame.Window) {
-	for _, ws := range outs {
-		for _, w := range ws {
-			w.Release()
-		}
-	}
 }

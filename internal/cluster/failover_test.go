@@ -135,7 +135,7 @@ func TestClusterSessionFailover(t *testing.T) {
 	}
 
 	// Kill the worker under the session, mid-stream.
-	addr := h.(*remoteSession).workerAddr()
+	addr := hostAddr(d, h)
 	victim := byAddr[addr]
 	if victim == nil {
 		t.Fatalf("session attached to unknown worker %q", addr)
@@ -154,6 +154,10 @@ func TestClusterSessionFailover(t *testing.T) {
 	for f := int64(frames - 2); f < frames; f++ {
 		collectCompare(t, h, f, want)
 	}
+	// The session must have ended up on the survivor.
+	if got := hostAddr(d, h); got == addr || got == "" {
+		t.Errorf("session attached to %q after failover, want the survivor", got)
+	}
 	if err := h.Close(); err != nil {
 		t.Fatalf("close after failover: %v", err)
 	}
@@ -163,11 +167,6 @@ func TestClusterSessionFailover(t *testing.T) {
 	}
 	if n := dispatcherCounter(d, "frames_replayed"); n < 4 {
 		t.Errorf("frames_replayed = %d, want >= 4 (history at kill time)", n)
-	}
-
-	// The session must have ended up on the survivor.
-	if got := h.(*remoteSession).workerAddr(); got == addr || got == "" {
-		t.Errorf("session attached to %q after failover, want the survivor", got)
 	}
 }
 
@@ -205,7 +204,7 @@ func TestClusterFailoverReplayOwnership(t *testing.T) {
 	serveReleaseOutputs(res.Outputs)
 
 	feedRetry(t, h, map[string]frame.Window{in.Name(): alloc()})
-	byAddr[h.(*remoteSession).workerAddr()].Close()
+	byAddr[hostAddr(d, h)].Close()
 
 	// The in-flight frame and one more fed across the failover still
 	// complete.
@@ -295,7 +294,8 @@ func TestWorkerDrainTimeoutAbandoned(t *testing.T) {
 	if _, err := c.Handshake(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Write(&wire.OpenSession{SID: 1, Pipeline: "5", MaxInFlight: 2}); err != nil {
+	p, _ := suiteRegistry(t, "5").Get("5")
+	if err := c.Write(&wire.OpenPartition{SID: 1, Pipeline: "5", MaxInFlight: 2, Nodes: allNodes(p)}); err != nil {
 		t.Fatal(err)
 	}
 	readUntil := func(match func(wire.Msg) bool) {

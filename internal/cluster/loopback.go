@@ -35,8 +35,8 @@ func Loopback(w *Worker, dopts DispatcherOptions) (*Dispatcher, func(), error) {
 
 // LoopbackFleet starts n workers, each on its own loopback listener,
 // and one dispatcher connected to all of them — the harness for
-// partitioned-session tests and benchmarks. It blocks until every
-// worker is placeable (a partitioned open needs the whole fleet), so
+// split-session tests and benchmarks. It blocks until every worker is
+// placeable (a full-depth split needs the whole fleet), so
 // callers can open sessions immediately. The returned workers allow
 // targeted kills in chaos tests; the stop function tears everything
 // down.

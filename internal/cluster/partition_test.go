@@ -38,6 +38,17 @@ func partitionedFleetN(t *testing.T, workers, parts int, opts DispatcherOptions)
 	return d, ws, stop
 }
 
+// splitSession returns the session behind h, requiring that placement
+// genuinely split it.
+func splitSession(t *testing.T, d *Dispatcher, h serve.SessionHandle) *session {
+	t.Helper()
+	ps := sessionOf(d, h)
+	if ps == nil || len(ps.plan.Partitions) < 2 {
+		t.Fatalf("placement did not split pipeline 5: %+v", d.BackendStats().(map[string]any)["sessions"])
+	}
+	return ps
+}
+
 // partitionWorker maps one partition half to the in-process Worker
 // hosting it, via the name the worker reported in its Welcome.
 func partitionWorker(t *testing.T, workers []*Worker, h *partitionHalf) *Worker {
@@ -59,7 +70,7 @@ func partitionWorker(t *testing.T, workers []*Worker, h *partitionHalf) *Worker 
 // split across 2 and then 3 workers, cut edges relayed through the
 // dispatcher — produces frames byte-identical to the batch runtime,
 // with poisoning and the zero-copy plane on (see poison_test.go).
-// Pipelines whose placement collapses run whole; at least one app must
+// Pipelines whose placement collapses run as one partition; at least one app must
 // genuinely partition or the test is vacuous.
 func TestPartitionedSuiteGoldens(t *testing.T) {
 	for _, workers := range []int{2, 3} {
@@ -214,10 +225,7 @@ func TestPartitionedSessionStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	ps, ok := h.(*partitionedSession)
-	if !ok {
-		t.Fatalf("session is %T; placement did not split pipeline 5", h)
-	}
+	ps := splitSession(t, d, h)
 	rows := d.BackendStats().(map[string]any)["sessions"].([]SessionStats)
 	if len(rows) != 1 {
 		t.Fatalf("got %d session rows, want 1 (deduplicated): %+v", len(rows), rows)
@@ -239,8 +247,9 @@ func TestPartitionedSessionStats(t *testing.T) {
 }
 
 // TestPartitionedInsufficientWorkers: a 2-way split over a fleet with
-// one placeable worker degrades to a whole session on that worker
-// instead of co-locating partitions, refusing service, or hanging.
+// one placeable worker degrades to the one-partition plan on that
+// worker instead of co-locating partitions, refusing service, or
+// hanging.
 func TestPartitionedInsufficientWorkers(t *testing.T) {
 	frontend := suiteRegistry(t, "5")
 	p, _ := frontend.Get("5")
@@ -261,8 +270,8 @@ func TestPartitionedInsufficientWorkers(t *testing.T) {
 		t.Fatalf("2-way split on 1 worker: got %v, want whole-session fallback", err)
 	}
 	defer h.Close()
-	if _, ok := h.(*partitionedSession); ok {
-		t.Fatal("2-way split on 1 worker placed a partitioned session, want whole")
+	if rows := d.BackendStats().(map[string]any)["sessions"].([]SessionStats); len(rows) != 1 || rows[0].Partitions != 1 {
+		t.Fatalf("2-way split on 1 worker placed %+v, want one partition", rows)
 	}
 	const frames = 2
 	if err := streamSession(h, frames, batchFrames(t, app, frames)); err != nil {
@@ -305,10 +314,7 @@ func TestPartitionedChaosKill(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ps, ok := h.(*partitionedSession)
-				if !ok {
-					t.Fatalf("session is %T; placement did not split pipeline 5", h)
-				}
+				ps := splitSession(t, d, h)
 				ps.mu.Lock()
 				halves := append([]*partitionHalf(nil), ps.halves...)
 				ps.mu.Unlock()
@@ -366,10 +372,7 @@ func TestPartitionedReplayBudgetExceeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, ok := h.(*partitionedSession)
-	if !ok {
-		t.Fatalf("session is %T; placement did not split pipeline 5", h)
-	}
+	ps := splitSession(t, d, h)
 	app, err := apps.ByID("5")
 	if err != nil {
 		t.Fatal(err)
@@ -451,10 +454,7 @@ func TestPartitionedDrainMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, ok := h.(*partitionedSession)
-	if !ok {
-		t.Fatalf("session is %T; placement did not split pipeline 5", h)
-	}
+	ps := splitSession(t, d, h)
 	ps.mu.Lock()
 	halves := append([]*partitionHalf(nil), ps.halves...)
 	ps.mu.Unlock()
@@ -516,10 +516,7 @@ func TestPartitionedRollingDrainColocated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, ok := h.(*partitionedSession)
-	if !ok {
-		t.Fatalf("session is %T; placement did not split pipeline 5", h)
-	}
+	ps := splitSession(t, d, h)
 	ps.mu.Lock()
 	halves := append([]*partitionHalf(nil), ps.halves...)
 	ps.mu.Unlock()

@@ -1,13 +1,12 @@
 package cluster
 
-// Worker-side partition execution: a partitioned session runs one
-// member subset of a pipeline's compiled graph, with boundary shims
-// splicing its cut edges onto the wire. Inbound cut edges queue
-// decoded items for a runtime.BoundarySource and return credits as the
-// partition consumes; outbound cut edges drain a runtime.BoundarySink
-// through a batching sender paced by the peer's credits. The session
-// itself reuses the ordinary feeder/collector machinery — a partition
-// is just a session whose graph happens to have boundary nodes.
+// Worker-side partition execution: every worker session runs one
+// member subset of a pipeline's compiled graph — all of it, when the
+// session's plan has one partition — with boundary shims splicing its
+// cut edges onto the wire. Inbound cut edges queue decoded items for a
+// runtime.BoundarySource and return credits as the partition consumes;
+// outbound cut edges drain a runtime.BoundarySink through a batching
+// sender paced by the peer's credits.
 
 import (
 	"errors"
@@ -30,32 +29,12 @@ const edgeBatchItems = 256
 // the runtime is stopped hard as a last resort.
 const partitionAbortGrace = 2 * time.Second
 
+// openPartition places one partition of a session here. A resuming
+// open (ResumeResults/Resume set: the previous worker died or drained)
+// takes the same path: the runtime re-executes the stream from frame
+// zero to rebuild its deterministic state, while the boundary shims and
+// collector suppress the prefix the rest of the fleet already saw.
 func (c *workerConn) openPartition(m *wire.OpenPartition) {
-	c.openPartitionResume(m, 0, nil)
-}
-
-// reopenPartition resumes a partition whose previous worker died or
-// drained (protocol v7): the same open path, plus resume watermarks —
-// the runtime re-executes the stream from frame zero to rebuild its
-// deterministic state, while the boundary shims and collector suppress
-// the prefix the rest of the fleet already saw.
-func (c *workerConn) reopenPartition(m *wire.ReopenPartition) {
-	resume := make(map[uint32]wire.EdgeResume, len(m.Resume))
-	for _, er := range m.Resume {
-		resume[er.Edge] = er
-	}
-	c.openPartitionResume(&wire.OpenPartition{
-		SID:         m.SID,
-		Pipeline:    m.Pipeline,
-		Partition:   m.Partition,
-		MaxInFlight: m.MaxInFlight,
-		DeadlineMs:  m.DeadlineMs,
-		Nodes:       m.Nodes,
-		Edges:       m.Edges,
-	}, m.ResumeResults, resume)
-}
-
-func (c *workerConn) openPartitionResume(m *wire.OpenPartition, resumeResults int64, resume map[uint32]wire.EdgeResume) {
 	if c.w.isDraining() {
 		c.send(&wire.SessionOpened{SID: m.SID, Err: "worker draining"})
 		return
@@ -73,8 +52,7 @@ func (c *workerConn) openPartitionResume(m *wire.OpenPartition, resumeResults in
 	s := &workerSession{
 		conn:          c,
 		sid:           m.SID,
-		partitioned:   true,
-		resumeResults: resumeResults,
+		resumeResults: m.ResumeResults,
 		feedq:         make(chan *wire.Feed, maxInFlight+1),
 		abortc:        make(chan struct{}),
 		feederDone:    make(chan struct{}),
@@ -82,7 +60,7 @@ func (c *workerConn) openPartitionResume(m *wire.OpenPartition, resumeResults in
 		inEdges:       make(map[uint32]*inEdge),
 		outEdges:      make(map[uint32]*outEdge),
 	}
-	g, err := partitionGraph(p.Graph(), m, s, resume)
+	g, err := partitionGraph(p.Graph(), m, s)
 	if err != nil {
 		c.send(&wire.SessionOpened{SID: m.SID, Err: err.Error()})
 		return
@@ -93,10 +71,10 @@ func (c *workerConn) openPartitionResume(m *wire.OpenPartition, resumeResults in
 	// bound (frames resident in the feed queue plus the runtime) is the
 	// same one MaxInFlight already enforces.
 	s.creditFeeds = len(g.Outputs()) == 0
-	for id, er := range resume {
-		oe := s.outEdges[id]
+	for _, er := range m.Resume {
+		oe := s.outEdges[er.Edge]
 		if oe == nil {
-			c.send(&wire.SessionOpened{SID: m.SID, Err: fmt.Sprintf("resume mark for unknown out edge %d", id)})
+			c.send(&wire.SessionOpened{SID: m.SID, Err: fmt.Sprintf("resume mark for unknown out edge %d", er.Edge)})
 			return
 		}
 		oe.skip = er.SkipItems
@@ -140,8 +118,12 @@ func (c *workerConn) openPartitionResume(m *wire.OpenPartition, resumeResults in
 // graph validation — an OpenPartition that leaves a member input
 // dangling (a plan/spec mismatch) fails the session open instead of
 // executing nonsense.
-func partitionGraph(template *graph.Graph, m *wire.OpenPartition, s *workerSession, resume map[uint32]wire.EdgeResume) (*graph.Graph, error) {
+func partitionGraph(template *graph.Graph, m *wire.OpenPartition, s *workerSession) (*graph.Graph, error) {
 	g := template.Clone()
+	resumed := make(map[uint32]bool, len(m.Resume))
+	for _, er := range m.Resume {
+		resumed[er.Edge] = true
+	}
 	member := make(map[string]bool, len(m.Nodes))
 	for _, name := range m.Nodes {
 		if g.Node(name) == nil {
@@ -157,11 +139,10 @@ func partitionGraph(template *graph.Graph, m *wire.OpenPartition, s *workerSessi
 			return nil, fmt.Errorf("duplicate cut edge %d", spec.ID)
 		}
 		if spec.Credit == 0 {
-			// A reopened outbound edge may legitimately start with zero
+			// A resumed outbound edge may legitimately start with zero
 			// credits: the dead instance had the peer's whole window in
 			// flight, so the new one waits for returns before producing.
-			_, resumed := resume[spec.ID]
-			if !resumed || spec.Dir != wire.EdgeOut {
+			if !resumed[spec.ID] || spec.Dir != wire.EdgeOut {
 				return nil, fmt.Errorf("cut edge %d has no credit window", spec.ID)
 			}
 		}
@@ -516,15 +497,14 @@ func (oe *outEdge) sender() {
 	}
 }
 
-// drainAndClosePartition is the partition variant of drainAndClose:
-// stop the feeds, then let the pipeline run dry naturally — boundary
-// sources end on peer EOS (or abort), every in-flight window flows to
-// a collector result, a sinkhole, or normal consumption, and the
-// collector exits once the runtime winds down. Only a wedged drain
-// after an abort escalates to a hard runtime stop; the graceful path
-// waits indefinitely (the dispatcher's close timeout escalates to an
-// abort from outside if the session never drains).
-func (s *workerSession) drainAndClosePartition(report bool) {
+// drainAndClose stops the feeds, then lets the pipeline run dry
+// naturally — boundary sources end on peer EOS (or abort), every
+// in-flight window flows to a collector result, a sinkhole, or normal
+// consumption, and the collector exits once the runtime winds down.
+// Only a wedged drain after an abort escalates to a hard runtime stop;
+// the graceful path waits indefinitely (the dispatcher's close timeout
+// escalates to an abort from outside if the session never drains).
+func (s *workerSession) drainAndClose(report bool) {
 	s.qmu.Lock()
 	if !s.closing {
 		s.closing = true

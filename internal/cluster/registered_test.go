@@ -10,7 +10,10 @@ import (
 	"time"
 
 	"blockpar/internal/apps"
+	"blockpar/internal/core"
+	"blockpar/internal/machine"
 	"blockpar/internal/serve"
+	"blockpar/internal/transform"
 )
 
 // startRegistered brings up a registered fleet over loopback with test
@@ -75,7 +78,7 @@ func TestRegisteredPlacementAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frontend %d: open: %v", fe, err)
 		}
-		got := byAddr[h.(*remoteSession).workerAddr()]
+		got := byAddr[hostAddr(d, h)]
 		if first := d.PlacementFor(key)[0]; got != first {
 			t.Fatalf("frontend %d: keyed session placed on %q, ring says %q", fe, got, first)
 		}
@@ -194,6 +197,131 @@ func TestRegisteredAdmissionControl(t *testing.T) {
 	h2.Close()
 }
 
+// fleetGauge reads one value of the /metrics "fleet" block.
+func fleetGauge(d *Dispatcher, key string) any {
+	return d.BackendStats().(map[string]any)["fleet"].(map[string]any)[key]
+}
+
+// TestRegisteredAdmissionPricesSplitSessions: admission control prices
+// every open, however many partitions it is split across — sessions
+// opened with Partitions: 2 exhaust a registered fleet's capacity and
+// the next one gets serve.ErrOverloaded — and the cycles a session
+// holds return to the pool whichever way it ends: by close, by failure,
+// and by a co-schedule that fails partway.
+func TestRegisteredAdmissionPricesSplitSessions(t *testing.T) {
+	frontend := suiteRegistry(t, "5")
+	p, _ := frontend.Get("5")
+	opts := fastOpts()
+	opts.Partitions = 2
+	opts.ReplayBudget = -1 // losing a worker fails the session instead of recovering it
+
+	// Three workers at 0.8× the pipeline's demand: room for two sessions.
+	c := startRegistered(t, 1, 3, RegisteredClusterConfig{
+		Dispatcher: opts,
+		Capacity:   func(int) float64 { return 0.8 * p.CyclesPerSec },
+	})
+	d := c.Dispatchers[0]
+	var open []serve.SessionHandle
+	for {
+		h, err := openN(d, p, 2)
+		if err != nil {
+			if !errors.Is(err, serve.ErrOverloaded) {
+				t.Fatalf("open %d: got %v, want serve.ErrOverloaded", len(open), err)
+			}
+			break
+		}
+		splitSession(t, d, h)
+		if open = append(open, h); len(open) > 2 {
+			t.Fatalf("admitted %d split sessions into a fleet with room for 2", len(open))
+		}
+	}
+	if len(open) != 2 {
+		t.Fatalf("admitted %d split sessions, want 2", len(open))
+	}
+	if n := fleetGauge(d, "admission_rejects").(int64); n != 1 {
+		t.Errorf("admission_rejects = %d, want 1", n)
+	}
+	if got := fleetGauge(d, "admitted_cycles_per_sec").(float64); got != 2*p.CyclesPerSec {
+		t.Errorf("admitted %v cycles/s with two sessions open, want %v", got, 2*p.CyclesPerSec)
+	}
+
+	// By close.
+	if err := open[0].Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if got := fleetGauge(d, "admitted_cycles_per_sec").(float64); got != p.CyclesPerSec {
+		t.Errorf("admitted %v cycles/s after one close, want %v", got, p.CyclesPerSec)
+	}
+	// By failure: kill a worker under the survivor.
+	victim := hostAddr(d, open[1])
+	for _, rw := range c.Workers {
+		if rw.Addr == victim {
+			rw.Kill()
+		}
+	}
+	if _, err := open[1].Collect(10 * time.Second); !errors.Is(err, serve.ErrSessionLost) {
+		t.Fatalf("collect after worker kill: got %v, want serve.ErrSessionLost", err)
+	}
+	if got := fleetGauge(d, "admitted_cycles_per_sec").(float64); got != 0 {
+		t.Errorf("admitted %v cycles/s after every session ended, want 0", got)
+	}
+	open[1].Close()
+}
+
+// TestRegisteredAdmissionFailedCoSchedule: a split open that places one
+// partition and then runs out of willing workers tears the placed one
+// down and returns its admission hold.
+func TestRegisteredAdmissionFailedCoSchedule(t *testing.T) {
+	app, err := apps.ByID("5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compile := func() *core.Compiled {
+		c, err := core.Compile(app.Graph.Clone(), core.Config{
+			Machine: machine.Embedded(), Align: transform.Trim, Parallelize: true, BufferStriping: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// Only worker 0 has the pipeline, and nothing tells worker 1 how to
+	// build it, so one of the two partitions is always refused.
+	opts := fastOpts()
+	opts.Partitions = 2
+	c := startRegistered(t, 1, 2, RegisteredClusterConfig{
+		Dispatcher: opts,
+		MakeWorker: func(i int) *Worker {
+			reg := serve.NewRegistry(machine.Embedded())
+			if i == 0 {
+				if _, err := reg.AddCompiled("only-w0", "only-w0", compile(), app.Sources); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return NewWorker(reg, WorkerOptions{Name: fmt.Sprintf("rw%d", i)})
+		},
+	})
+	d := c.Dispatchers[0]
+	p, err := serve.NewRegistry(machine.Embedded()).AddCompiled("only-w0", "only-w0", compile(), app.Sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openN(d, p, 2); !errors.Is(err, serve.ErrUnavailable) {
+		t.Fatalf("open with one unwilling worker: got %v, want serve.ErrUnavailable", err)
+	}
+	if got := fleetGauge(d, "admitted_cycles_per_sec").(float64); got != 0 {
+		t.Errorf("admitted %v cycles/s after a failed co-schedule, want 0", got)
+	}
+	for _, w := range d.snapshot() {
+		if n := w.sessionCount(); n != 0 {
+			t.Errorf("worker %s still tracks %d partitions of the abandoned session", w.addr, n)
+		}
+	}
+	waitCondition(t, "worker 0 to drop the abandoned partition", func() bool {
+		return c.Workers[0].Worker.OpenSessions() == 0
+	})
+}
+
 // TestRegisteredFlapFailover kills a registered worker mid-stream: the
 // session fails over to a survivor with the stream byte-identical to
 // the batch golden, lease expiry drops the dead member from every
@@ -227,7 +355,7 @@ func TestRegisteredFlapFailover(t *testing.T) {
 	}
 
 	// Crash the worker under the session: no Deregister, just death.
-	addr := h.(*remoteSession).workerAddr()
+	addr := hostAddr(d, h)
 	var victim *RegisteredWorker
 	for _, rw := range c.Workers {
 		if rw.Addr == addr {

@@ -3,20 +3,29 @@
 // frames over TCP using the internal/wire codec, with credit-based
 // backpressure mirroring the runtime's bounded frame queues.
 //
-// The two halves are Worker (this file) — owns a serve.Registry of
-// compiled pipelines and executes sessions on behalf of remote
-// frontends — and Dispatcher (dispatcher.go) — the frontend side,
-// implementing serve.Backend with least-loaded placement, health
-// checks, reconnection, and per-worker circuit breakers.
+// The two halves are Worker (this file and partition_worker.go) — owns
+// a serve.Registry of compiled pipelines and executes partitions of
+// sessions on behalf of remote frontends — and Dispatcher, the frontend
+// side implementing serve.Backend: membership and stats
+// (dispatcher.go), one managed connection per worker with health
+// checks, reconnection and a circuit breaker (workerref.go), placement
+// and admission (placement.go), the session (session.go), and its
+// recovery (recover.go).
 //
-// Failure semantics: when a worker dies mid-stream the dispatcher
-// fails its sessions over to surviving workers, replaying each
-// session's feed history so outputs stay byte-identical and clients
-// observe at-most-once delivery with no error. Sessions that cannot be
-// recovered (no surviving capacity, replay budget exceeded, failover
-// disabled) fail with a typed serve.ErrSessionLost naming the worker;
-// the frontend keeps serving everything else, and the worker may
-// rejoin at the same address. See docs/robustness.md.
+// There is one session model: a session executes a placement.Plan of
+// N >= 1 partitions, one per worker, with the cut edges between them
+// relayed through the dispatcher; a session that runs whole is the plan
+// with one partition and no cuts.
+//
+// Failure semantics: when a worker dies, drains, or silently stalls
+// mid-stream the dispatcher re-homes just the partitions it hosted onto
+// surviving workers, replaying each one's logged inputs so outputs stay
+// byte-identical and clients observe at-most-once delivery with no
+// error. Sessions that cannot be recovered (no surviving capacity,
+// replay budget exceeded, recovery disabled) fail with a typed
+// serve.ErrSessionLost naming the worker; the frontend keeps serving
+// everything else, and the worker may rejoin at the same address. See
+// docs/cluster.md and docs/robustness.md.
 package cluster
 
 import (
@@ -324,22 +333,18 @@ func (c *workerConn) readLoop() error {
 			// (and other sessions' frames) keep flowing. The frontend
 			// orders open-after-ensure itself.
 			go func(m *wire.EnsurePipeline) { c.send(c.ensure(m)) }(m)
-		case *wire.OpenSession:
-			c.open(m)
 		case *wire.OpenPartition:
 			c.openPartition(m)
-		case *wire.ReopenPartition:
-			c.reopenPartition(m)
 		case *wire.Feed:
 			c.feed(m)
 		case *wire.EdgeFrame:
-			if s := c.session(m.SID); s != nil && s.partitioned {
+			if s := c.session(m.SID); s != nil {
 				s.edgeFrame(m)
 			} else {
 				releaseWireItems(m.Items)
 			}
 		case *wire.EdgeCredit:
-			if s := c.session(m.SID); s != nil && s.partitioned {
+			if s := c.session(m.SID); s != nil {
 				s.edgeCredit(m)
 			}
 		case *wire.CloseSession:
@@ -388,61 +393,6 @@ func (c *workerConn) ensure(m *wire.EnsurePipeline) *wire.PipelineReady {
 	return &wire.PipelineReady{ID: m.ID}
 }
 
-func (c *workerConn) open(m *wire.OpenSession) {
-	if c.w.isDraining() {
-		c.send(&wire.SessionOpened{SID: m.SID, Err: "worker draining"})
-		return
-	}
-	p, ok := c.w.reg.Get(m.Pipeline)
-	if !ok {
-		c.send(&wire.SessionOpened{SID: m.SID, Err: fmt.Sprintf("unknown pipeline %q", m.Pipeline)})
-		return
-	}
-	maxInFlight := int(m.MaxInFlight)
-	if maxInFlight <= 0 || maxInFlight > 1024 {
-		c.send(&wire.SessionOpened{SID: m.SID, Err: fmt.Sprintf("max-in-flight %d out of range", m.MaxInFlight)})
-		return
-	}
-	rt, err := p.NewSession(runtime.SessionOptions{
-		MaxInFlight: maxInFlight,
-		Executor:    c.w.opts.Executor,
-		Workers:     c.w.opts.Workers,
-	})
-	if err != nil {
-		c.send(&wire.SessionOpened{SID: m.SID, Err: err.Error()})
-		return
-	}
-	s := &workerSession{
-		conn:          c,
-		sid:           m.SID,
-		rt:            rt,
-		feedq:         make(chan *wire.Feed, maxInFlight+1),
-		abortc:        make(chan struct{}),
-		feederDone:    make(chan struct{}),
-		collectorDone: make(chan struct{}),
-	}
-	c.mu.Lock()
-	if _, dup := c.sessions[m.SID]; dup {
-		c.mu.Unlock()
-		rt.Close()
-		c.send(&wire.SessionOpened{SID: m.SID, Err: "session id already in use"})
-		return
-	}
-	c.sessions[m.SID] = s
-	c.mu.Unlock()
-	if m.DeadlineMs > 0 {
-		// The frontend's per-session deadline travels with the open, so
-		// a stuck session (or an abandoned replay) cancels here even if
-		// the frontend never says another word.
-		s.ttl = time.AfterFunc(time.Duration(m.DeadlineMs)*time.Millisecond, func() {
-			s.beginAbort(errors.New("session deadline exceeded"), true)
-		})
-	}
-	go s.feeder()
-	go s.collector()
-	c.send(&wire.SessionOpened{SID: m.SID})
-}
-
 func (c *workerConn) feed(m *wire.Feed) {
 	s := c.session(m.SID)
 	if s == nil {
@@ -473,23 +423,20 @@ func releaseFeed(m *wire.Feed) {
 	}
 }
 
-// workerSession is one remote session executing locally: a resident
-// runtime session, a feeder draining the bounded feed queue into it,
-// and a collector flushing completed frames (plus their credits) back
-// to the frontend.
+// workerSession is one partition of a remote session executing locally:
+// a resident runtime session over the partition's member subset of the
+// pipeline graph, a feeder draining the bounded feed queue into it, and
+// a collector flushing completed frames (plus their credits) back to
+// the frontend. Its cut edges live in inEdges/outEdges (both empty when
+// the partition is the whole graph); see partition_worker.go.
 type workerSession struct {
 	conn *workerConn
 	sid  uint64
 	rt   *runtime.Session
 
-	// Partitioned sessions (opened by OpenPartition) execute one member
-	// subset of the pipeline graph; their cut edges live in
-	// inEdges/outEdges and their teardown drains naturally instead of
-	// waiting on fed-vs-collected (see partition_worker.go).
-	partitioned bool
-	inEdges     map[uint32]*inEdge
-	outEdges    map[uint32]*outEdge
-	// resumeResults is the reopen watermark: results below it were
+	inEdges  map[uint32]*inEdge
+	outEdges map[uint32]*outEdge
+	// resumeResults is the resume watermark: results below it were
 	// already delivered by the dead instance, so the collector grants
 	// their feed credits without re-sending the result.
 	resumeResults int64
@@ -619,58 +566,14 @@ func (s *workerSession) beginClose() {
 }
 
 // beginAbort starts the failure teardown: queued feeds are dropped and
-// the session closes as soon as the runtime lets go. A partition also
-// releases its cut edges immediately — a blocked boundary push must
-// unwedge before the feeder and pipeline can drain.
+// the session closes as soon as the runtime lets go. The cut edges are
+// released immediately — a blocked boundary push must unwedge before
+// the feeder and pipeline can drain.
 func (s *workerSession) beginAbort(err error, report bool) {
 	s.fail(err)
 	s.abortOnce.Do(func() { close(s.abortc) })
-	if s.partitioned {
-		s.abortEdges()
-	}
+	s.abortEdges()
 	s.endOnce.Do(func() { go s.drainAndClose(report) })
-}
-
-func (s *workerSession) drainAndClose(report bool) {
-	if s.partitioned {
-		s.drainAndClosePartition(report)
-		return
-	}
-	s.qmu.Lock()
-	if !s.closing {
-		s.closing = true
-		close(s.feedq)
-	}
-	s.qmu.Unlock()
-	<-s.feederDone
-
-	// Let the collector flush every completed frame before the runtime
-	// discards uncollected results; a failed session skips the wait.
-	for s.collected.Load() < s.fed.Load() {
-		if _, bad := s.failed(); bad {
-			break
-		}
-		select {
-		case <-s.collectorDone:
-		case <-time.After(2 * time.Millisecond):
-			continue
-		}
-		break
-	}
-	s.abortOnce.Do(func() { close(s.abortc) })
-	if err := s.rt.Close(); err != nil {
-		s.fail(err)
-	}
-	<-s.collectorDone
-
-	if s.ttl != nil {
-		s.ttl.Stop()
-	}
-	if report {
-		msg, _ := s.failed()
-		s.conn.send(&wire.SessionClosed{SID: s.sid, Completed: s.collected.Load(), Err: msg})
-	}
-	s.conn.removeSession(s.sid)
 }
 
 // encodeResult converts a completed frame into its wire form, output

@@ -31,47 +31,7 @@ func checkCluster(compiled *core.Compiled, sources map[string]frame.Generator,
 	}
 	defer stop()
 
-	h, err := d.Open(p, serve.OpenOptions{MaxInFlight: len(want)})
-	if err != nil {
-		return err
-	}
-	defer h.Close()
-	for f := range want {
-		if _, err := h.TryFeed(nil); err != nil {
-			return fmt.Errorf("feed %d: %w", f, err)
-		}
-	}
-	outputs := compiled.Graph.Outputs()
-	for f := range want {
-		res, err := h.Collect(execTimeout)
-		if err != nil {
-			return fmt.Errorf("collect %d: %w", f, err)
-		}
-		if res.Seq != int64(f) {
-			return fmt.Errorf("collected frame %d, want %d", res.Seq, f)
-		}
-		cmpErr := func() error {
-			for _, out := range outputs {
-				name := out.Name()
-				if err := compareWindows(res.Outputs[name], want[f][name]); err != nil {
-					return fmt.Errorf("output %q frame %d: %w", name, f, err)
-				}
-			}
-			return nil
-		}()
-		for _, ws := range res.Outputs {
-			for _, w := range ws {
-				w.Release()
-			}
-		}
-		if cmpErr != nil {
-			return cmpErr
-		}
-	}
-	if err := h.Close(); err != nil {
-		return fmt.Errorf("close: %w", err)
-	}
-	return nil
+	return streamConformance(d, p, compiled, serve.OpenOptions{MaxInFlight: len(want)}, want)
 }
 
 // checkRegistered streams the case through a self-registered fleet:
@@ -80,11 +40,14 @@ func checkCluster(compiled *core.Compiled, sources map[string]frame.Generator,
 // registered themselves — the bpserve -registry / bpworker -join
 // topology. Both frontends must agree on keyed placement without
 // talking to each other, and the stream through either must match the
-// oracle bit for bit.
+// oracle bit for bit. With partitions > 1 every session is additionally
+// split that many ways across the registered workers — the partitioned
+// backend's cut-edge relay over the registered backend's membership.
 func checkRegistered(compiled *core.Compiled, sources map[string]frame.Generator,
-	want []map[string][]frame.Window) error {
+	want []map[string][]frame.Window, partitions int) error {
 
 	c, err := cluster.StartRegisteredCluster(2, 3, cluster.RegisteredClusterConfig{
+		Dispatcher: cluster.DispatcherOptions{Partitions: partitions},
 		MakeWorker: func(i int) *cluster.Worker {
 			reg := serve.NewRegistry(machine.Embedded())
 			// Each worker registers the same compiled template; sessions
@@ -178,8 +141,9 @@ func streamConformance(d *cluster.Dispatcher, p *serve.Pipeline, compiled *core.
 // compiled graph is split by the placement layer across a 2-worker and
 // then a 3-worker fleet, with cut-edge traffic relayed through the
 // dispatcher, and every frame must still match the oracle bit for bit.
-// Small cases whose placement collapses to one partition run whole —
-// that fallback is part of the contract and stays under test.
+// Small cases whose placement collapses run as fewer partitions, down
+// to one — that degradation is part of the contract and stays under
+// test.
 func checkPartitioned(compiled *core.Compiled, sources map[string]frame.Generator,
 	want []map[string][]frame.Window) error {
 
@@ -214,45 +178,5 @@ func checkPartitionedFleet(compiled *core.Compiled, sources map[string]frame.Gen
 	if err != nil {
 		return err
 	}
-	h, err := d.Open(p, serve.OpenOptions{MaxInFlight: len(want)})
-	if err != nil {
-		return err
-	}
-	defer h.Close()
-	for f := range want {
-		if _, err := h.TryFeed(nil); err != nil {
-			return fmt.Errorf("feed %d: %w", f, err)
-		}
-	}
-	outputs := compiled.Graph.Outputs()
-	for f := range want {
-		res, err := h.Collect(execTimeout)
-		if err != nil {
-			return fmt.Errorf("collect %d: %w", f, err)
-		}
-		if res.Seq != int64(f) {
-			return fmt.Errorf("collected frame %d, want %d", res.Seq, f)
-		}
-		cmpErr := func() error {
-			for _, out := range outputs {
-				name := out.Name()
-				if err := compareWindows(res.Outputs[name], want[f][name]); err != nil {
-					return fmt.Errorf("output %q frame %d: %w", name, f, err)
-				}
-			}
-			return nil
-		}()
-		for _, ws := range res.Outputs {
-			for _, w := range ws {
-				w.Release()
-			}
-		}
-		if cmpErr != nil {
-			return cmpErr
-		}
-	}
-	if err := h.Close(); err != nil {
-		return fmt.Errorf("close: %w", err)
-	}
-	return nil
+	return streamConformance(d, p, compiled, serve.OpenOptions{MaxInFlight: len(want)}, want)
 }

@@ -88,8 +88,8 @@ func TestDiffClusterSmoke(t *testing.T) {
 // TestDiffPartitionedSmoke does the same for partitioned sessions: a
 // few seeds split by the placement layer across 2- and 3-worker
 // loopback fleets on every PR, so cut-edge streaming stays honest
-// between nightly sweeps. Cases whose placement collapses run whole —
-// exercising that fallback is part of the point.
+// between nightly sweeps. Cases whose placement collapses run as fewer
+// partitions — exercising that degradation is part of the point.
 func TestDiffPartitionedSmoke(t *testing.T) {
 	const seeds = 3
 	for i := 0; i < seeds; i++ {
@@ -119,6 +119,27 @@ func TestDiffRegisteredSmoke(t *testing.T) {
 				t.Fatalf("case %s [seed=%d backend=registered]: %v", c.Name, seed, err)
 			}
 		})
+	}
+}
+
+// TestDiffPartitionedRegistered runs the partitioned check over a
+// self-registered fleet: sessions split three ways across workers that
+// dialed in and registered themselves, priced by admission control and
+// placed off the ring, must still match the oracle bit for bit.
+func TestDiffPartitionedRegistered(t *testing.T) {
+	c := Generate(*seedFlag)
+	want, err := OracleFrames(c, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range Variants() {
+		compiled, err := compileVariant(c, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkRegistered(compiled, c.Sources, want, 3); err != nil {
+			t.Fatalf("case %s [seed=%d variant=%s backend=registered partitions=3]: %v", c.Name, *seedFlag, v.Name, err)
+		}
 	}
 }
 

@@ -160,7 +160,7 @@ func Check(c *Case, opts CheckOptions) error {
 			}
 		}
 		if backends["registered"] {
-			if err := checkRegistered(compiled, c.Sources, want); err != nil {
+			if err := checkRegistered(compiled, c.Sources, want, 0); err != nil {
 				return fmt.Errorf("%s: registered: %w", v.Name, err)
 			}
 		}

@@ -27,6 +27,9 @@ func FuzzWire(f *testing.F) {
 	bad := AppendWindow([]byte{0}, typedTestWindow(frame.U8, 2, 2))
 	bad[9] = 0x7f
 	f.Add(bad)
+	// A resume mark naming an edge the partition does not produce.
+	f.Add(Append(nil, &OpenPartition{SID: 7, Pipeline: "1", MaxInFlight: 8,
+		Resume: []EdgeResume{{Edge: 3, SkipItems: 1}}})[4:])
 	f.Add([]byte{})
 	f.Add([]byte{byte(TypeFeed)})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff})

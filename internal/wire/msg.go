@@ -12,17 +12,17 @@ import (
 type MsgType uint8
 
 // The frame catalogue. Frontend → worker: Hello, EnsurePipeline,
-// OpenSession, OpenPartition, Feed, CloseSession, Ping. Worker →
-// frontend: Welcome, PipelineReady, SessionOpened, Result, Credit,
-// SessionClosed, Goaway, Pong. Error flows both ways, and so do the
-// cut-edge streams of a partitioned session (EdgeFrame, EdgeCredit),
-// relayed between workers by the frontend.
+// OpenPartition, Feed, CloseSession, Ping. Worker → frontend: Welcome,
+// PipelineReady, SessionOpened, Result, Credit, SessionClosed, Goaway,
+// Pong. Error flows both ways, and so do the cut-edge streams of a
+// session split across workers (EdgeFrame, EdgeCredit), relayed
+// between workers by the frontend. Register, RegisterAck, Heartbeat
+// and Deregister travel on the registration plane.
 const (
 	TypeHello MsgType = iota + 1
 	TypeWelcome
 	TypeEnsurePipeline
 	TypePipelineReady
-	TypeOpenSession
 	TypeSessionOpened
 	TypeFeed
 	TypeResult
@@ -40,7 +40,6 @@ const (
 	TypeRegisterAck
 	TypeHeartbeat
 	TypeDeregister
-	TypeReopenPartition
 )
 
 func (t MsgType) String() string {
@@ -53,8 +52,6 @@ func (t MsgType) String() string {
 		return "ensure-pipeline"
 	case TypePipelineReady:
 		return "pipeline-ready"
-	case TypeOpenSession:
-		return "open-session"
 	case TypeSessionOpened:
 		return "session-opened"
 	case TypeFeed:
@@ -89,8 +86,6 @@ func (t MsgType) String() string {
 		return "heartbeat"
 	case TypeDeregister:
 		return "deregister"
-	case TypeReopenPartition:
-		return "reopen-partition"
 	default:
 		return "unknown"
 	}
@@ -197,35 +192,7 @@ func (m *PipelineReady) decode(r *reader) {
 	m.Err = r.str("ready err")
 }
 
-// OpenSession places a streaming session on the worker. SID is chosen
-// by the frontend and namespaces every session-scoped frame that
-// follows; MaxInFlight is the credit budget (mirroring the runtime's
-// bounded frame queue). DeadlineMs, when nonzero, is a wall-clock
-// budget for the whole session: the worker aborts the session with a
-// typed error once it expires, so a stuck replay or an abandoned
-// frontend can never pin worker state forever.
-type OpenSession struct {
-	SID         uint64
-	Pipeline    string
-	MaxInFlight uint32
-	DeadlineMs  uint32
-}
-
-func (*OpenSession) Type() MsgType { return TypeOpenSession }
-func (m *OpenSession) append(b []byte) []byte {
-	b = appendU64(b, m.SID)
-	b = appendStr(b, m.Pipeline)
-	b = appendU32(b, m.MaxInFlight)
-	return appendU32(b, m.DeadlineMs)
-}
-func (m *OpenSession) decode(r *reader) {
-	m.SID = r.u64("open sid")
-	m.Pipeline = r.str("open pipeline")
-	m.MaxInFlight = r.u32("open max-in-flight")
-	m.DeadlineMs = r.u32("open deadline-ms")
-}
-
-// SessionOpened answers OpenSession.
+// SessionOpened answers OpenPartition.
 type SessionOpened struct {
 	SID uint64
 	Err string
@@ -547,8 +514,6 @@ func newMsg(t MsgType) Msg {
 		return &EnsurePipeline{}
 	case TypePipelineReady:
 		return &PipelineReady{}
-	case TypeOpenSession:
-		return &OpenSession{}
 	case TypeSessionOpened:
 		return &SessionOpened{}
 	case TypeFeed:
@@ -583,8 +548,6 @@ func newMsg(t MsgType) Msg {
 		return &Heartbeat{}
 	case TypeDeregister:
 		return &Deregister{}
-	case TypeReopenPartition:
-		return &ReopenPartition{}
 	default:
 		return nil
 	}
@@ -652,15 +615,8 @@ func checkEncodable(m Msg) error {
 		if len(m.Edges) > math.MaxUint16 {
 			return fmt.Errorf("wire: open-partition carries %d edges, max %d", len(m.Edges), math.MaxUint16)
 		}
-	case *ReopenPartition:
-		if len(m.Nodes) > math.MaxUint16 {
-			return fmt.Errorf("wire: reopen-partition carries %d nodes, max %d", len(m.Nodes), math.MaxUint16)
-		}
-		if len(m.Edges) > math.MaxUint16 {
-			return fmt.Errorf("wire: reopen-partition carries %d edges, max %d", len(m.Edges), math.MaxUint16)
-		}
 		if len(m.Resume) > math.MaxUint16 {
-			return fmt.Errorf("wire: reopen-partition carries %d resume marks, max %d", len(m.Resume), math.MaxUint16)
+			return fmt.Errorf("wire: open-partition carries %d resume marks, max %d", len(m.Resume), math.MaxUint16)
 		}
 	case *EdgeFrame:
 		if len(m.Items) > math.MaxUint16 {

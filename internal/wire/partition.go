@@ -1,13 +1,15 @@
 package wire
 
-// The partition plane (protocol version 3): when a session is split
-// across several workers, each worker runs one partition of the
-// compiled graph and the cut edges between partitions become explicit
-// item streams relayed through the frontend. OpenPartition places one
-// partition (a node subset plus its cut-edge endpoints), EdgeFrame
-// moves items across a cut edge, and EdgeCredit returns consumption
-// credits so a cut edge buffers no more than its window — mirroring
-// the bounded mailboxes the edge replaced.
+// The partition plane: a session is a plan of one or more partitions of
+// a pipeline's compiled graph, each placed on a worker, and the cut
+// edges between partitions are explicit item streams relayed through
+// the frontend. OpenPartition places one partition (a node subset plus
+// its cut-edge endpoints) — fresh, or resuming after its previous
+// worker died or drained — EdgeFrame moves items across a cut edge, and
+// EdgeCredit returns consumption credits so a cut edge buffers no more
+// than its window, mirroring the bounded mailboxes the edge replaced.
+// A session that runs whole is the one-partition plan: every node, no
+// edges.
 
 // Cut-edge directions, relative to the partition receiving the
 // OpenPartition: EdgeIn streams arrive via EdgeFrame, EdgeOut streams
@@ -31,74 +33,8 @@ type EdgeSpec struct {
 	ToPort   string
 }
 
-// OpenPartition places one partition of a session on the worker. The
-// worker clones the named pipeline's compiled graph, keeps only Nodes,
-// splices boundary shims onto the cut edges, and runs the remainder as
-// an ordinary streaming session under SID. Fields mirror OpenSession;
-// Partition is the plan index, for diagnostics.
-type OpenPartition struct {
-	SID         uint64
-	Pipeline    string
-	Partition   uint32
-	MaxInFlight uint32
-	DeadlineMs  uint32
-	Nodes       []string
-	Edges       []EdgeSpec
-}
-
-func (*OpenPartition) Type() MsgType { return TypeOpenPartition }
-func (m *OpenPartition) append(b []byte) []byte {
-	b = appendU64(b, m.SID)
-	b = appendStr(b, m.Pipeline)
-	b = appendU32(b, m.Partition)
-	b = appendU32(b, m.MaxInFlight)
-	b = appendU32(b, m.DeadlineMs)
-	b = appendU16(b, uint16(len(m.Nodes)))
-	for _, n := range m.Nodes {
-		b = appendStr(b, n)
-	}
-	b = appendU16(b, uint16(len(m.Edges)))
-	for _, e := range m.Edges {
-		b = appendU32(b, e.ID)
-		b = append(b, e.Dir)
-		b = appendU32(b, e.Credit)
-		b = appendStr(b, e.FromNode)
-		b = appendStr(b, e.FromPort)
-		b = appendStr(b, e.ToNode)
-		b = appendStr(b, e.ToPort)
-	}
-	return b
-}
-func (m *OpenPartition) decode(r *reader) {
-	m.SID = r.u64("open-partition sid")
-	m.Pipeline = r.str("open-partition pipeline")
-	m.Partition = r.u32("open-partition index")
-	m.MaxInFlight = r.u32("open-partition max-in-flight")
-	m.DeadlineMs = r.u32("open-partition deadline-ms")
-	nn := int(r.u16("open-partition node count"))
-	for i := 0; i < nn && r.err == nil; i++ {
-		m.Nodes = append(m.Nodes, r.str("open-partition node"))
-	}
-	en := int(r.u16("open-partition edge count"))
-	for i := 0; i < en && r.err == nil; i++ {
-		e := EdgeSpec{
-			ID:     r.u32("edge id"),
-			Dir:    r.u8("edge dir"),
-			Credit: r.u32("edge credit"),
-		}
-		e.FromNode = r.str("edge from node")
-		e.FromPort = r.str("edge from port")
-		e.ToNode = r.str("edge to node")
-		e.ToPort = r.str("edge to port")
-		if r.err == nil && e.Dir != EdgeIn && e.Dir != EdgeOut {
-			r.err = corruptf("edge dir %d out of range", e.Dir)
-		}
-		m.Edges = append(m.Edges, e)
-	}
-}
-
-// EdgeResume is one outbound cut edge's resume watermark inside a
-// ReopenPartition: SkipItems is the number of items the dead instance
+// EdgeResume is one outbound cut edge's resume watermark inside an
+// OpenPartition: SkipItems is the number of items the previous instance
 // already shipped (and the frontend already relayed to the consumer),
 // so the new instance re-produces the stream from the start and
 // discards that prefix without consuming credits. Inbound edges need
@@ -110,14 +46,24 @@ type EdgeResume struct {
 	SkipItems uint64
 }
 
-// ReopenPartition (protocol v7) resumes one partition of a live
-// partitioned session on a new worker after its previous worker died
-// or drained. The open fields mirror OpenPartition; ResumeResults is
-// the session's result-delivery watermark (results below it were
-// already delivered to the client and are suppressed, though their
-// feed credits still flow so replay stays paced), and Resume carries
-// the per-cut-edge skip watermarks.
-type ReopenPartition struct {
+// OpenPartition places one partition of a session on the worker. The
+// worker clones the named pipeline's compiled graph, keeps only Nodes,
+// splices boundary shims onto the cut edges, and runs the remainder as
+// a streaming session under SID. SID is chosen by the frontend and
+// namespaces every session-scoped frame that follows; MaxInFlight
+// sizes the worker's feed queue (mirroring the runtime's bounded frame
+// queue). DeadlineMs, when nonzero, is a wall-clock budget for the
+// whole session: the worker aborts it with a typed error once it
+// expires, so a stuck replay or an abandoned frontend can never pin
+// worker state forever. Partition is the plan index, for diagnostics.
+//
+// ResumeResults and Resume are zero/empty on a fresh open. When the
+// partition resumes on a new worker, ResumeResults is the session's
+// result-delivery watermark (results below it were already delivered
+// and are suppressed, though their feed credits still flow so replay
+// stays paced), and Resume carries one skip watermark per outbound cut
+// edge.
+type OpenPartition struct {
 	SID           uint64
 	Pipeline      string
 	Partition     uint32
@@ -129,8 +75,8 @@ type ReopenPartition struct {
 	Resume        []EdgeResume
 }
 
-func (*ReopenPartition) Type() MsgType { return TypeReopenPartition }
-func (m *ReopenPartition) append(b []byte) []byte {
+func (*OpenPartition) Type() MsgType { return TypeOpenPartition }
+func (m *OpenPartition) append(b []byte) []byte {
 	b = appendU64(b, m.SID)
 	b = appendStr(b, m.Pipeline)
 	b = appendU32(b, m.Partition)
@@ -158,22 +104,22 @@ func (m *ReopenPartition) append(b []byte) []byte {
 	}
 	return b
 }
-func (m *ReopenPartition) decode(r *reader) {
-	m.SID = r.u64("reopen-partition sid")
-	m.Pipeline = r.str("reopen-partition pipeline")
-	m.Partition = r.u32("reopen-partition index")
-	m.MaxInFlight = r.u32("reopen-partition max-in-flight")
-	m.DeadlineMs = r.u32("reopen-partition deadline-ms")
-	m.ResumeResults = r.i64("reopen-partition resume-results")
+func (m *OpenPartition) decode(r *reader) {
+	m.SID = r.u64("open-partition sid")
+	m.Pipeline = r.str("open-partition pipeline")
+	m.Partition = r.u32("open-partition index")
+	m.MaxInFlight = r.u32("open-partition max-in-flight")
+	m.DeadlineMs = r.u32("open-partition deadline-ms")
+	m.ResumeResults = r.i64("open-partition resume-results")
 	if r.err == nil && m.ResumeResults < 0 {
-		r.err = corruptf("reopen-partition resume-results %d negative", m.ResumeResults)
+		r.err = corruptf("open-partition resume-results %d negative", m.ResumeResults)
 		return
 	}
-	nn := int(r.u16("reopen-partition node count"))
+	nn := int(r.u16("open-partition node count"))
 	for i := 0; i < nn && r.err == nil; i++ {
-		m.Nodes = append(m.Nodes, r.str("reopen-partition node"))
+		m.Nodes = append(m.Nodes, r.str("open-partition node"))
 	}
-	en := int(r.u16("reopen-partition edge count"))
+	en := int(r.u16("open-partition edge count"))
 	for i := 0; i < en && r.err == nil; i++ {
 		e := EdgeSpec{
 			ID:     r.u32("edge id"),
@@ -189,13 +135,27 @@ func (m *ReopenPartition) decode(r *reader) {
 		}
 		m.Edges = append(m.Edges, e)
 	}
-	rn := int(r.u16("reopen-partition resume count"))
+	rn := int(r.u16("open-partition resume count"))
 	for i := 0; i < rn && r.err == nil; i++ {
-		m.Resume = append(m.Resume, EdgeResume{
+		er := EdgeResume{
 			Edge:      r.u32("resume edge"),
 			SkipItems: r.u64("resume skip-items"),
-		})
+		}
+		if r.err == nil && !m.outbound(er.Edge) {
+			r.err = corruptf("resume mark for edge %d, not an outbound edge of the partition", er.Edge)
+		}
+		m.Resume = append(m.Resume, er)
 	}
+}
+
+// outbound reports whether the partition produces cut edge id.
+func (m *OpenPartition) outbound(id uint32) bool {
+	for _, e := range m.Edges {
+		if e.ID == id && e.Dir == EdgeOut {
+			return true
+		}
+	}
+	return false
 }
 
 // EdgeFrame moves items across one cut edge: a batch of in-order

@@ -42,20 +42,14 @@ import (
 const Magic uint32 = 0x42505702 // "BPW\x02"
 
 // Version is the protocol version spoken by this build. A peer with a
-// different version is rejected at handshake. Version 2 added the
-// CRC32C frame trailer and the OpenSession deadline; version 3 added
-// the partition plane (OpenPartition, EdgeFrame, EdgeCredit); version 4
-// added the registration plane (Register, RegisterAck, Heartbeat,
-// Deregister); version 5 tags every window with its element kind and
-// carries samples at native width (one byte per u8 sample, four per
-// f32) instead of promoting everything to float64; version 6 lets an
-// edge item carry a row-batch descriptor (item tag 2), so a whole row
-// of logical windows crosses a partition cut as one window plus three
-// integers instead of N separate windows; version 7 adds partitioned
-// failover (ReopenPartition resumes one partition on a survivor with
-// per-edge skip watermarks) and a drain-intent bit on Heartbeat so a
-// worker can announce planned maintenance before it leaves the fleet.
-const Version uint16 = 7
+// different version is rejected at handshake. In v8 a session has one
+// shape on the wire: OpenPartition places (or, with its resume
+// watermarks set, re-places) one partition of the session's plan, and a
+// session that runs whole is the one-partition plan. Windows are tagged
+// with their element kind and carry samples at native width; an edge
+// item may carry a row-batch descriptor; Heartbeat carries a
+// drain-intent bit.
+const Version uint16 = 8
 
 // MaxFrame bounds a single frame's encoded size; a length prefix past
 // it is treated as corruption and kills the connection before any

@@ -146,7 +146,6 @@ func sampleMsgs() []Msg {
 		&EnsurePipeline{ID: "edges", Source: "json", Desc: []byte(`{"name":"edges"}`)},
 		&PipelineReady{ID: "edges"},
 		&PipelineReady{ID: "bad", Err: "compile failed"},
-		&OpenSession{SID: 7, Pipeline: "1", MaxInFlight: 8, DeadlineMs: 30_000},
 		&SessionOpened{SID: 7},
 		&Feed{SID: 7, Seq: 3, Inputs: []NamedWindow{
 			{Name: "in", Win: frame.FromRows([][]float64{{1, 2}, {3, 4}})},
@@ -162,6 +161,9 @@ func sampleMsgs() []Msg {
 		&Ping{Nonce: 99},
 		&Pong{Nonce: 99},
 		&Goaway{Reason: "draining"},
+		// A whole session: the one-partition plan, every node, no cuts.
+		&OpenPartition{SID: 7, Pipeline: "1", MaxInFlight: 8, DeadlineMs: 30_000,
+			Nodes: []string{"blur", "sobel", "thresh"}},
 		&OpenPartition{SID: 7, Pipeline: "1", Partition: 1, MaxInFlight: 8, DeadlineMs: 30_000,
 			Nodes: []string{"sobel", "thresh"},
 			Edges: []EdgeSpec{
@@ -183,7 +185,8 @@ func sampleMsgs() []Msg {
 		&Heartbeat{Sessions: 3, CyclesPerSec: 1.5e6},
 		&Heartbeat{Sessions: 1, CyclesPerSec: 4e5, Draining: true},
 		&Deregister{Reason: "draining"},
-		&ReopenPartition{SID: 7, Pipeline: "1", Partition: 1, MaxInFlight: 8, DeadlineMs: 30_000,
+		// The same partition resuming on a survivor.
+		&OpenPartition{SID: 7, Pipeline: "1", Partition: 1, MaxInFlight: 8, DeadlineMs: 30_000,
 			ResumeResults: 12,
 			Nodes:         []string{"sobel", "thresh"},
 			Edges: []EdgeSpec{
@@ -491,6 +494,30 @@ func TestEdgeFrameDecodeRejectsCorruption(t *testing.T) {
 	}
 	if live := frame.Stats().Live; live != base {
 		t.Fatalf("corrupt edge-frame decodes leaked %d arena windows", live-base)
+	}
+}
+
+// TestOpenPartitionDecodeRejectsMalformedResume: the resume watermarks
+// are peer input like everything else — a negative result watermark, or
+// a skip mark naming an edge the partition does not produce, is
+// corruption, not something for the worker to guess at.
+func TestOpenPartitionDecodeRejectsMalformedResume(t *testing.T) {
+	edges := []EdgeSpec{
+		{ID: 0, Dir: EdgeIn, Credit: 64, FromNode: "blur", FromPort: "out", ToNode: "sobel", ToPort: "in"},
+		{ID: 1, Dir: EdgeOut, Credit: 64, FromNode: "thresh", FromPort: "out", ToNode: "sink", ToPort: "in"},
+	}
+	for name, m := range map[string]*OpenPartition{
+		"negative result watermark": {SID: 7, Pipeline: "1", MaxInFlight: 8, ResumeResults: -1},
+		"mark for an inbound edge":  {SID: 7, Pipeline: "1", MaxInFlight: 8, Edges: edges, Resume: []EdgeResume{{Edge: 0, SkipItems: 3}}},
+		"mark for an unknown edge":  {SID: 7, Pipeline: "1", MaxInFlight: 8, Edges: edges, Resume: []EdgeResume{{Edge: 9, SkipItems: 3}}},
+		"mark on a whole session":   {SID: 7, Pipeline: "1", MaxInFlight: 8, Resume: []EdgeResume{{Edge: 0}}},
+	} {
+		b := Append(nil, m)
+		if _, err := Decode(MsgType(b[4]), b[5:]); err == nil {
+			t.Errorf("%s: decode accepted it", name)
+		} else if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: error %v is not tagged ErrCorrupt", name, err)
+		}
 	}
 }
 
