@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -93,6 +94,25 @@ func runFunctional(appID, exec string, frames int) error {
 	fmt.Printf("  outputs:   %d stream items\n", items)
 	fmt.Printf("  pool:      %d gets, %.1f%% hit rate, %d live, %d bytes parked\n",
 		ps.Gets, 100*ps.HitRate(), ps.Live, ps.PooledBytes)
+	fmt.Printf("  nodes:     deliveries, ring high-water/capacity per input, firings per method\n")
+	for _, st := range res.Stats {
+		if len(st.Rings) == 0 {
+			continue // application inputs receive nothing
+		}
+		fmt.Printf("    %-32s %8d ", st.Node, st.Deliveries)
+		for _, r := range st.Rings {
+			fmt.Printf(" %s %d/%d", r.Input, r.HighWater, r.Capacity)
+		}
+		methods := make([]string, 0, len(st.Firings))
+		for m := range st.Firings {
+			methods = append(methods, m)
+		}
+		sort.Strings(methods)
+		for _, m := range methods {
+			fmt.Printf("  %s×%d", m, st.Firings[m])
+		}
+		fmt.Println()
+	}
 	return nil
 }
 

@@ -889,3 +889,62 @@ func TestDispatcherUnavailable(t *testing.T) {
 		t.Fatal("WaitReady succeeded with no reachable worker")
 	}
 }
+
+// TestReplayBudgetChargesNativeWidth pins the replay log's accounting
+// to what it retains: a window's samples at their native width. The
+// same Bayer pipeline is streamed with explicit inputs as f64 (app 1)
+// and as u8 (app 1u8) under a ReplayBudget of four f64 frames; the f64
+// session must log exactly four frames before the budget trips, and the
+// u8 session — an eighth of the bytes per frame — exactly thirty-two.
+// Charging every sample at eight bytes spent a u8 session's budget
+// eight times too fast.
+func TestReplayBudgetChargesNativeWidth(t *testing.T) {
+	logged := func(id string) int {
+		reg := suiteRegistry(t, id)
+		p, _ := reg.Get(id)
+		in := p.Graph().Inputs()[0]
+		opts := fastOpts()
+		opts.ReplayBudget = 4 * int64(in.FrameSize.W) * int64(in.FrameSize.H) * 8
+		d, stop, err := Loopback(NewWorker(reg, WorkerOptions{}), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stop()
+		h, err := openN(d, p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		ps := sessionOf(d, h)
+		gen := p.Sources()[in.Name()]
+		for f := 0; f < 64; f++ {
+			win := gen(int64(f), in.FrameSize.W, in.FrameSize.H)
+			if _, err := h.TryFeed(map[string]frame.Window{in.Name(): win}); err != nil {
+				t.Fatalf("app %s feed %d: %v", id, f, err)
+			}
+			ps.mu.Lock()
+			full := ps.logFull
+			ps.mu.Unlock()
+			if full {
+				return f
+			}
+			res, err := h.Collect(30 * time.Second)
+			if err != nil {
+				t.Fatalf("app %s collect %d: %v", id, f, err)
+			}
+			for _, ws := range res.Outputs {
+				for _, w := range ws {
+					w.Release()
+				}
+			}
+		}
+		t.Fatalf("app %s: 64 frames never tripped the replay budget", id)
+		return 0
+	}
+	if n := logged("1"); n != 4 {
+		t.Errorf("f64 session logged %d frames under a 4-frame budget, want 4", n)
+	}
+	if n := logged("1u8"); n != 32 {
+		t.Errorf("u8 session logged %d frames under a budget of 4 f64 frames, want 32", n)
+	}
+}

@@ -205,6 +205,13 @@ func (ps *session) terminate(err error, notify bool) {
 
 func (ps *session) fail(err error) { ps.terminate(err, true) }
 
+// windowBytes is what a logged window charges against ReplayBudget:
+// its samples at their native width, which is what the log retains — a
+// u8 frame costs an eighth of an f64 frame of the same shape.
+func windowBytes(w frame.Window) int64 {
+	return int64(w.W) * int64(w.H) * int64(w.Kind.Bytes())
+}
+
 // logFeedLocked appends one accepted feed to the replay log, taking
 // over the caller's window references on success. Caller holds ps.mu.
 func (ps *session) logFeedLocked(inputs map[string]frame.Window) bool {
@@ -214,7 +221,7 @@ func (ps *session) logFeedLocked(inputs map[string]frame.Window) bool {
 	var entry logEntry
 	var sz int64
 	for name, win := range inputs {
-		sz += int64(win.W) * int64(win.H) * 8
+		sz += windowBytes(win)
 		entry.inputs = append(entry.inputs, wire.NamedWindow{Name: name, Win: win})
 	}
 	if ps.logBytes+sz > ps.d.opts.ReplayBudget {
@@ -236,7 +243,7 @@ func (ps *session) logEdgeItemsLocked(es *cutEdgeState, items []wire.Item) bool 
 	var sz int64
 	for _, it := range items {
 		if !it.IsToken {
-			sz += int64(it.Win.W) * int64(it.Win.H) * 8
+			sz += windowBytes(it.Win)
 		}
 	}
 	if ps.logBytes+sz > ps.d.opts.ReplayBudget {

@@ -135,9 +135,11 @@ func TestPartitionedStallRecovers(t *testing.T) {
 			if link.dropped.Load() == 0 {
 				t.Fatal("no frame was dropped; the stall went unexercised")
 			}
-			if n := dispatcherCounter(d, "sessions_failed_over") + dispatcherCounter(d, "partitions_failed_over"); n < 1 {
-				t.Errorf("no failover counted after a stall recovery")
-			}
+			// The counter ticks when the recovery routine returns, which the
+			// replayed frame's result can beat to the client.
+			waitCondition(t, "failover counter to tick", func() bool {
+				return dispatcherCounter(d, "sessions_failed_over")+dispatcherCounter(d, "partitions_failed_over") >= 1
+			})
 			for f := 3; f < frames; f++ {
 				feedRetry(t, h, nil)
 				collectCompare(t, h, int64(f), want)

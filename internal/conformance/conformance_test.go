@@ -458,3 +458,54 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, body any, wantCode
 		}
 	}
 }
+
+// TestCountersOnSuiteApps holds every suite app, on both executors and
+// at every PE budget, to the two numbers the execution plan takes from
+// the compiler: each kernel's firing count (read from the session's
+// live counter block) equals the analysis' predicted iterations, and no
+// input ring holds more than its plan-time capacity, even with every
+// frame fed before the first is collected. The random-graph sweeps get
+// the same check on every case (checkCounters in Check); this is the
+// named, deterministic-input half.
+func TestCountersOnSuiteApps(t *testing.T) {
+	const frames = 4
+	for _, id := range apps.IDs() {
+		app, err := apps.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &Case{Name: id, Graph: app.Graph, Sources: app.Sources}
+		for _, v := range Variants() {
+			compiled, err := compileVariant(c, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, exec := range []runtime.ExecutorKind{runtime.ExecGoroutines, runtime.ExecWorkers} {
+				sess, err := runtime.NewSession(compiled.Graph.Clone(), runtime.SessionOptions{
+					Sources: app.Sources, MaxInFlight: frames, Executor: exec,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for f := 0; f < frames; f++ {
+					if _, err := sess.Feed(nil); err != nil {
+						t.Fatalf("app %s %s %s: feed %d: %v", id, v.Name, exec, f, err)
+					}
+				}
+				for f := 0; f < frames; f++ {
+					if _, err := sess.Collect(execTimeout); err != nil {
+						t.Fatalf("app %s %s %s: collect %d: %v", id, v.Name, exec, f, err)
+					}
+				}
+				// Read the counters live, before Close: nothing is paused.
+				stats := sess.Stats()
+				if err := sess.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := checkCounters(compiled, stats, frames); err != nil {
+					t.Errorf("app %s %s %s: %v", id, v.Name, exec, err)
+				}
+			}
+		}
+	}
+}

@@ -126,7 +126,7 @@ func Check(c *Case, opts CheckOptions) error {
 			}
 		}
 		if backends["batch"] {
-			if err := checkFirings(compiled, res, frames); err != nil {
+			if err := checkCounters(compiled, res.Stats, frames); err != nil {
 				return fmt.Errorf("%s: %w", v.Name, err)
 			}
 		}
@@ -135,12 +135,12 @@ func Check(c *Case, opts CheckOptions) error {
 			if err != nil {
 				return fmt.Errorf("%s: workers: %w", v.Name, err)
 			}
-			if err := checkFirings(compiled, wres, frames); err != nil {
+			if err := checkCounters(compiled, wres.Stats, frames); err != nil {
 				return fmt.Errorf("%s: workers: %w", v.Name, err)
 			}
 		}
 		if backends["session"] {
-			if err := checkSession(compiled.Graph, c.Sources, want); err != nil {
+			if err := checkSession(compiled, c.Sources, want); err != nil {
 				return fmt.Errorf("%s: %w", v.Name, err)
 			}
 		}
@@ -231,11 +231,13 @@ func checkBatch(template *graph.Graph, sources map[string]frame.Generator,
 }
 
 // checkSession streams the same frames through a resident
-// runtime.Session and compares the per-frame results.
-func checkSession(template *graph.Graph, sources map[string]frame.Generator,
+// runtime.Session and compares the per-frame results, then holds the
+// session's live counters (Session.Stats) to the same bar as a batch
+// run's.
+func checkSession(compiled *core.Compiled, sources map[string]frame.Generator,
 	want []map[string][]frame.Window) error {
 
-	g := template.Clone()
+	g := compiled.Graph.Clone()
 	sess, err := runtime.NewSession(g, runtime.SessionOptions{
 		Sources: sources, MaxInFlight: len(want),
 	})
@@ -265,6 +267,9 @@ func checkSession(template *graph.Graph, sources map[string]frame.Generator,
 	}
 	if err := sess.Close(); err != nil {
 		return fmt.Errorf("session: close: %w", err)
+	}
+	if err := checkCounters(compiled, sess.Stats(), len(want)); err != nil {
+		return fmt.Errorf("session: %w", err)
 	}
 	return nil
 }
@@ -300,12 +305,26 @@ func checkSim(template *graph.Graph, m machine.Machine, frames int, run *runtime
 	return nil
 }
 
-// checkFirings compares the batch runtime's actual method invocation
-// counts with the analysis' predicted iteration grids — the §III-A
-// numbers every buffer size and parallel degree is derived from.
-// Kernels fed by round-robin flattened streams are skipped: their
-// per-instance share is modeled as a flat total, not a grid.
-func checkFirings(compiled *core.Compiled, res *runtime.Result, frames int) error {
+// checkCounters holds a run's per-node counter blocks to the compiler's
+// numbers. Firing counts must equal the analysis' predicted iteration
+// grids — the §III-A numbers every buffer size and parallel degree is
+// derived from (kernels fed by round-robin flattened streams are
+// skipped: their per-instance share is modeled as a flat total, not a
+// grid). And no input ring may have held more than the capacity the
+// execution plan derived for it from the same analysis: a higher mark
+// means the ring grew, i.e. the plan-time bound was wrong for this
+// graph.
+func checkCounters(compiled *core.Compiled, stats []runtime.NodeStats, frames int) error {
+	fired := make(map[string]map[string]int64, len(stats))
+	for _, st := range stats {
+		fired[st.Node] = st.Firings
+		for _, r := range st.Rings {
+			if r.HighWater > r.Capacity {
+				return fmt.Errorf("rings: %q.%s held %d items, planned capacity %d",
+					st.Node, r.Input, r.HighWater, r.Capacity)
+			}
+		}
+	}
 	for _, n := range compiled.Graph.Nodes() {
 		if n.Kind != graph.KindKernel {
 			continue
@@ -329,7 +348,7 @@ func checkFirings(compiled *core.Compiled, res *runtime.Result, frames int) erro
 				continue
 			}
 			wantN := mi.Invocations() * int64(frames)
-			gotN := res.Firings[n.Name()][m.Name]
+			gotN := fired[n.Name()][m.Name]
 			if gotN != wantN {
 				return fmt.Errorf("firings: %q.%s fired %d times over %d frames, analysis predicts %d",
 					n.Name(), m.Name, gotN, frames, wantN)

@@ -10,24 +10,20 @@ import (
 	"blockpar/internal/kernel"
 )
 
-// stubEngine captures deliveries into a fixed array so the send path
-// under test is the only code that could touch the heap.
-type stubEngine struct {
-	items [8]graph.Item
-	n     int
+// planNodeOf returns the plan record of the named node. The alloc
+// gates build an executor and never start it: with no engine running,
+// the input rings capture exactly what the send path delivered, and the
+// code under test is the only code that could touch the heap.
+func planNodeOf(t *testing.T, ex *executor, name string) *planNode {
+	t.Helper()
+	for i := range ex.plan.nodes {
+		if ex.plan.nodes[i].node.Name() == name {
+			return &ex.plan.nodes[i]
+		}
+	}
+	t.Fatalf("no node %q in plan", name)
+	return nil
 }
-
-func (s *stubEngine) start() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}
-func (s *stubEngine) deliver(e *graph.Edge, it graph.Item) {
-	s.items[s.n] = it
-	s.n++
-}
-func (s *stubEngine) recv(n *graph.Node) (inMsg, bool) { return inMsg{}, false }
-func (s *stubEngine) stopNotify()                      {}
 
 // TestBroadcastSendAllocFree is the zero-copy gate on broadcast
 // fan-out: delivering one data item to every consumer of a declared
@@ -54,24 +50,26 @@ func TestBroadcastSendAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &stubEngine{}
-	ex.eng = eng
-	port := in.Output("out")
+	src := planNodeOf(t, ex, "Input")
+	var rings [3]*ring
+	for b := range rings {
+		rings[b] = &ex.boxes[planNodeOf(t, ex, "Gain"+string(rune('A'+b))).id].rings[0]
+	}
 
 	fire := func() {
 		w := frame.PooledScalar(42)
-		ex.send(port, graph.DataItem(w))
-		if eng.n != 3 {
-			t.Fatalf("delivered %d items, want 3", eng.n)
-		}
-		base := &eng.items[0].Win.Pix[0]
-		for i := 0; i < eng.n; i++ {
-			if &eng.items[i].Win.Pix[0] != base {
+		ex.send(src, 0, graph.DataItem(w))
+		base := &w.Pix[0]
+		for i, r := range rings {
+			if r.n != 1 {
+				t.Fatalf("consumer %d holds %d items, want 1", i, r.n)
+			}
+			if &r.peek().Win.Pix[0] != base {
 				t.Fatalf("consumer %d received a copy, not a shared reference", i)
 			}
-			eng.items[i].Win.Release()
+			r.peek().Win.Release()
+			r.drop()
 		}
-		eng.n = 0
 	}
 	fire() // warm-up: populate the pool bucket
 	if avg := testing.AllocsPerRun(100, fire); avg != 0 {

@@ -9,313 +9,291 @@ import (
 )
 
 // driver runs an Invoker kernel with the generic method-trigger rules
-// described in the package comment.
+// described in the package comment, over the node's plan tables and
+// input rings. One locked section per firing retires the previous
+// firing's inputs, picks the next action and — when there is none —
+// parks; the method itself runs unlocked and reads its inputs in place
+// in the ring slots, so an item is copied once, into its ring, on its
+// whole way through a kernel.
 type driver struct {
-	ex   *executor
-	node *graph.Node
-	inv  graph.Invoker
-
-	queues map[string]*itemQueue
+	ex  *executor
+	pn  *planNode
+	ib  *inbox
+	inv graph.Invoker
 
 	// ctx is reused across firings: a method invocation may not retain
-	// its ExecContext, so one scratch context (and trigger map) per
-	// driver avoids a heap allocation per firing.
+	// its ExecContext.
 	ctx invokeCtx
 
-	// tokScratch is the consumed-token buffer reused across firings,
-	// for the same reason.
+	// held is the method whose trigger heads ctx.in points at, -1 when
+	// none; the next locked section drops those slots. released records
+	// that the firing got far enough to give up their windows.
+	held     int32
+	released bool
+
+	// tokScratch is the consumed-token buffer reused across firings.
 	tokScratch []token.Token
 
 	// Configuration methods (all triggers on replicated inputs) are
 	// frame-synchronized: each fires exactly once per frame, before
 	// the frame's data methods. frameIdx counts end-of-frame tokens
 	// consumed from non-replicated inputs; configFired counts firings
-	// per config method. A config method is ready only while
-	// configFired == frameIdx, and data methods wait until every
-	// config method has fired for the current frame. This makes
-	// coefficient/bin reloads deterministic: the frame-f configuration
-	// applies to frame f exactly.
+	// per config method (indexed like pn.config). A config method is
+	// ready only while configFired == frameIdx, and data methods wait
+	// until every config method has fired for the current frame. This
+	// makes coefficient/bin reloads deterministic: the frame-f
+	// configuration applies to frame f exactly.
 	frameIdx    int64
-	configFired map[*graph.Method]int64
-
-	// configMethods fire with priority; dataMethods wait for config.
-	configMethods []*graph.Method
-	otherMethods  []*graph.Method
-	// otherIsData caches isDataMethod per otherMethods entry: the
-	// check sits on the per-item firing path and DataTriggers
-	// allocates.
-	otherIsData []bool
-
-	// feedbackFed marks inputs fed directly by a feedback kernel, and
-	// loopOutputs outputs that feed one. Control tokens cannot travel
-	// around a feedback loop (the loop's first token would have to
-	// produce itself), so loop inputs are excluded from token-forward
-	// groups and loop outputs never receive forwarded tokens (§III-D).
-	feedbackFed map[string]bool
-	loopOutputs map[string]bool
+	configFired []int64
 }
 
-func newDriver(ex *executor, n *graph.Node, inv graph.Invoker) *driver {
+// action is what one locked section decided to do next: fire method
+// (>= 0), or forward tok — already popped from its group — to the
+// outputs in input in's forwarding table, or nothing further (an
+// absorbed token).
+type action struct {
+	method  int32
+	forward bool
+	in      int32
+	tok     token.Token
+}
+
+func newDriver(ex *executor, pn *planNode) *driver {
 	d := &driver{
-		ex:          ex,
-		node:        n,
-		inv:         inv,
-		queues:      make(map[string]*itemQueue),
-		configFired: make(map[*graph.Method]int64),
-		feedbackFed: make(map[string]bool),
-		loopOutputs: make(map[string]bool),
+		ex: ex, pn: pn, ib: &ex.boxes[pn.id], inv: pn.invoker,
+		held:        -1,
+		configFired: make([]int64, len(pn.config)),
 	}
-	d.ctx = invokeCtx{ex: ex, node: n, inputs: make(map[string]graph.Item)}
-	for _, m := range n.Methods() {
-		if isConfigMethod(n, m) {
-			d.configMethods = append(d.configMethods, m)
-		} else {
-			d.otherMethods = append(d.otherMethods, m)
-			d.otherIsData = append(d.otherIsData, isDataMethod(m))
-		}
+	maxTrig := 0
+	for i := range pn.methods {
+		maxTrig = max(maxTrig, len(pn.methods[i].trig))
 	}
-	for _, p := range n.Inputs() {
-		if e := ex.g.EdgeTo(p); e != nil && e.From.Node().Kind == graph.KindFeedback {
-			d.feedbackFed[p.Name] = true
-		}
-	}
-	for _, p := range n.Outputs() {
-		for _, e := range ex.g.EdgesFrom(p) {
-			if e.To.Node().Kind == graph.KindFeedback {
-				d.loopOutputs[p.Name] = true
-			}
-		}
-	}
+	d.ctx = invokeCtx{d: d, in: make([]*graph.Item, maxTrig)}
 	return d
 }
 
-// isConfigMethod reports whether every trigger of m is on a replicated
-// input: such methods load configuration (coefficients, bin edges) and
-// run before data methods.
-func isConfigMethod(n *graph.Node, m *graph.Method) bool {
-	if len(m.Triggers) == 0 {
-		return false
-	}
-	for _, t := range m.Triggers {
-		p := n.Input(t.Input)
-		if p == nil || !p.Replicated {
-			return false
-		}
-	}
-	return true
-}
-
-// configReady reports whether every config method has fired for the
-// current frame, unblocking the frame's data methods.
-func (d *driver) configReady() bool {
-	for _, m := range d.configMethods {
-		if d.configFired[m] <= d.frameIdx {
-			return false
-		}
-	}
-	return true
-}
-
-// loop drives the kernel on a blocking transport (chanEngine): fire
-// until quiescent, block for the next delivery, repeat.
+// loop drives the kernel on its own goroutine (goroutineEngine): fire
+// until quiescent, park for the next delivery, repeat. Once the inputs are
+// exhausted it fires whatever remains, then stops.
 func (d *driver) loop() error {
-	defer d.releaseQueues()
+	ib := d.ib
 	for {
-		if err := d.step(nil); err != nil {
-			return err
-		}
-		msg, ok := d.ex.recv(d.node)
-		if !ok {
-			// Inputs exhausted: fire whatever remains, then stop.
-			return d.step(nil)
-		}
-		d.push(msg.input, msg.item)
-	}
-}
-
-// releaseQueues returns every undelivered queued item to the arena.
-// Called once when the kernel retires: a complete stream leaves the
-// queues empty, but a truncated one (hard stop, or a cut edge whose
-// peer partition died mid-frame) strands items no firing will ever
-// consume.
-func (d *driver) releaseQueues() {
-	for _, q := range d.queues {
-		for q.head < len(q.items) {
-			it := q.items[q.head]
-			q.items[q.head] = graph.Item{}
-			q.head++
-			if !it.IsToken {
-				it.Win.Release()
+		ib.mu.Lock()
+		act, ok := d.next()
+		for !ok {
+			if ib.closed || d.ex.stopped.Load() {
+				ib.mu.Unlock()
+				return nil
 			}
+			ib.park(anyInput)
+			act, ok = d.next()
 		}
-	}
-}
-
-// itemQueue is a FIFO over a reused backing array: pop advances a head
-// index, and draining resets it, so steady-state push/pop cycles stop
-// reallocating (a plain items = items[1:] slide forces a grow on
-// almost every append once the backing array's tail is consumed).
-type itemQueue struct {
-	items []graph.Item
-	head  int
-}
-
-func (d *driver) push(input string, it graph.Item) {
-	q := d.queues[input]
-	if q == nil {
-		q = &itemQueue{}
-		d.queues[input] = q
-	}
-	q.items = append(q.items, it)
-}
-
-// step enqueues a batch of deliveries and fires methods until the
-// kernel is quiescent. It is the non-blocking entry point the worker
-// engine schedules.
-func (d *driver) step(msgs []inMsg) error {
-	for _, m := range msgs {
-		d.push(m.input, m.item)
-	}
-	for {
-		fired, err := d.tryFire()
-		if err != nil {
+		ib.mu.Unlock()
+		if err := d.run(act); err != nil {
 			return err
 		}
-		if !fired {
-			return nil
-		}
 	}
 }
 
-func (d *driver) head(input string) (graph.Item, bool) {
-	q := d.queues[input]
-	if q == nil || q.head == len(q.items) {
-		return graph.Item{}, false
-	}
-	return q.items[q.head], true
-}
-
-func (d *driver) pop(input string) graph.Item {
-	q := d.queues[input]
-	it := q.items[q.head]
-	q.items[q.head] = graph.Item{} // drop the window reference
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return it
-}
-
-// tryFire attempts, in priority order: configuration methods,
-// token-triggered and data methods, then unhandled-token forwarding.
-// It reports whether anything consumed input.
-func (d *driver) tryFire() (bool, error) {
-	for _, m := range d.configMethods {
-		if d.configFired[m] == d.frameIdx && d.methodReady(m) {
-			d.configFired[m]++
-			return true, d.fire(m)
+// next retires the previous firing and picks the next action, in
+// priority order: configuration methods, token-triggered and data
+// methods, then unhandled-token forwarding. ok is false when the
+// kernel is quiescent. Called with ib.mu held.
+func (d *driver) next() (act action, ok bool) {
+	d.retire()
+	for ci, mi := range d.pn.config {
+		if d.configFired[ci] == d.frameIdx && d.ready(&d.pn.methods[mi]) {
+			d.configFired[ci]++
+			return d.hold(mi), true
 		}
 	}
-	ready := d.configReady()
-	for i, m := range d.otherMethods {
-		if !d.methodReady(m) {
-			continue
+	configured := true
+	for _, fired := range d.configFired {
+		if fired <= d.frameIdx {
+			configured = false
+			break
 		}
-		if d.otherIsData[i] && !ready {
-			continue
+	}
+	for _, mi := range d.pn.other {
+		m := &d.pn.methods[mi]
+		if (configured || !m.data) && d.ready(m) {
+			return d.hold(mi), true
 		}
-		return true, d.fire(m)
 	}
-	if d.forwardUnhandledToken() {
-		return true, nil
-	}
-	return false, nil
+	return d.forwardUnhandled()
 }
 
-func isDataMethod(m *graph.Method) bool {
-	for _, t := range m.Triggers {
-		if t.IsData() {
-			return true
-		}
-	}
-	return false
-}
-
-// methodReady reports whether every trigger input's queue head matches.
-func (d *driver) methodReady(m *graph.Method) bool {
-	for _, t := range m.Triggers {
-		it, ok := d.head(t.Input)
-		if !ok {
+// ready reports whether every trigger input's ring head matches.
+func (d *driver) ready(m *planMethod) bool {
+	for i := range m.trig {
+		t := &m.trig[i]
+		r := &d.ib.rings[t.in]
+		if r.n == 0 {
 			return false
 		}
-		if t.IsData() {
+		it := r.peek()
+		if t.tok == token.None {
 			if it.IsToken {
 				return false
 			}
-		} else {
-			if !it.IsToken || !it.Tok.Matches(t.Token, t.TokenName) {
-				return false
-			}
+		} else if !it.IsToken || !it.Tok.Matches(t.tok, t.tokName) {
+			return false
 		}
 	}
 	return true
 }
 
-// fire consumes the trigger heads, invokes the method, and forwards any
+// hold points the invocation context at method mi's trigger heads,
+// which stay in their rings until retire.
+func (d *driver) hold(mi int32) action {
+	m := &d.pn.methods[mi]
+	for i := range m.trig {
+		d.ctx.in[i] = d.ib.rings[m.trig[i].in].peek()
+	}
+	d.ctx.m = m
+	d.held, d.released = mi, false
+	return action{method: mi}
+}
+
+// retire drops the slots the last firing read in place and wakes any
+// producer waiting for the room. Called with ib.mu held.
+func (d *driver) retire() {
+	if d.held < 0 {
+		return
+	}
+	m := &d.pn.methods[d.held]
+	for i := range m.trig {
+		r := &d.ib.rings[m.trig[i].in]
+		if it := r.peek(); !d.released && !it.IsToken {
+			// The firing never finished (a kernel panic): the window is
+			// still ours to give back.
+			it.Win.Release()
+		}
+		r.drop()
+		d.ib.freed(r)
+	}
+	d.held = -1
+}
+
+// forwardUnhandled handles control tokens no method consumes (paper
+// §II-C): the token is forwarded to the outputs of the methods
+// data-triggered by that input, once the same token heads every data
+// input of those methods. Tokens on inputs whose methods have no
+// outputs are absorbed. Both tables are precomputed (plan.go).
+func (d *driver) forwardUnhandled() (action, bool) {
+	rings := d.ib.rings
+	for k := range d.pn.ins {
+		in := &d.pn.ins[k]
+		r := &rings[k]
+		if r.n == 0 || !r.peek().IsToken {
+			continue
+		}
+		tok := r.peek().Tok
+		if in.consumes(tok) {
+			continue // a token-triggered method will take it
+		}
+		if in.absorb {
+			// Tokens arriving through a feedback loop have no defined
+			// forwarding position.
+			r.drop()
+			d.ib.freed(r)
+			return action{method: -1}, true
+		}
+		all := true
+		for _, g := range in.group {
+			gr := &rings[g]
+			if gr.n == 0 || !gr.peek().IsToken || gr.peek().Tok != tok {
+				all = false
+				break
+			}
+		}
+		if !all {
+			continue
+		}
+		bump := false
+		for _, g := range in.group {
+			rings[g].drop()
+			d.ib.freed(&rings[g])
+			if tok.Kind == token.EndOfFrame && d.pn.ins[g].bumpsFrame {
+				bump = true
+			}
+		}
+		if bump {
+			d.frameIdx++
+		}
+		return action{method: -1, forward: true, in: int32(k), tok: tok}, true
+	}
+	return action{}, false
+}
+
+// run carries out an action picked by next, outside the lock.
+func (d *driver) run(act action) error {
+	if act.method >= 0 {
+		return d.fire(act.method)
+	}
+	if act.forward {
+		for _, o := range d.pn.ins[act.in].fwd {
+			d.ex.send(d.pn, o, graph.TokenItem(act.tok))
+		}
+	}
+	return nil
+}
+
+// fire invokes the held method on its trigger heads and forwards any
 // consumed control tokens to the method's outputs so frame structure
 // follows the results downstream (e.g. the end-of-frame token follows
 // the histogram's final counts to the merge kernel).
-func (d *driver) fire(m *graph.Method) error {
-	ctx := &d.ctx
-	clear(ctx.inputs)
+func (d *driver) fire(mi int32) error {
+	m, ctx := &d.pn.methods[mi], &d.ctx
 	tokens := d.tokScratch[:0]
-	bumpFrame := false
 	logical := int64(1)
-	for _, t := range m.Triggers {
-		it := d.pop(t.Input)
-		ctx.inputs[t.Input] = it
+	bump := false
+	for i := range m.trig {
+		it := ctx.in[i]
 		if it.IsToken {
 			tokens = append(tokens, it.Tok)
-			if it.Tok.Kind == token.EndOfFrame {
-				if p := d.node.Input(t.Input); p != nil && !p.Replicated {
-					bumpFrame = true
-				}
+			if it.Tok.Kind == token.EndOfFrame && d.pn.ins[m.trig[i].in].bumpsFrame {
+				bump = true
 			}
-		} else if n := int64(it.BatchN()); n > logical {
+		} else if n := int64(it.B.N); n > logical {
 			// A batched firing stands for its batch's N logical
 			// invocations (batch-aware kernels have a single data
 			// trigger, so one batch determines the count).
 			logical = n
 		}
 	}
-	if bumpFrame {
+	if bump {
 		d.frameIdx++
 	}
-	d.ex.recordFiring(d.node.Name(), m.Name, logical)
-	err := d.inv.Invoke(m.Name, ctx)
+	d.tokScratch = tokens
+	d.ib.fired[mi].Add(logical)
+	err := d.inv.Invoke(m.name, ctx)
 	// The firing consumed its data inputs: release their pool
 	// references. Anything the kernel emitted from shared storage was
 	// re-retained by Emit, and anything it keeps across firings it must
 	// Clone (ownership protocol, DESIGN.md "Memory model").
-	for _, it := range ctx.inputs {
-		if !it.IsToken {
+	for i := range m.trig {
+		if it := ctx.in[i]; !it.IsToken {
 			it.Win.Release()
 		}
 	}
+	d.released = true
 	if err != nil {
 		return err
 	}
 	for _, tok := range dedupeTokens(tokens) {
-		for _, out := range m.Outputs {
-			d.ex.send(d.node.Output(out), graph.TokenItem(tok))
-		}
-		for _, out := range m.ForwardOnly {
-			d.ex.send(d.node.Output(out), graph.TokenItem(tok))
+		for _, o := range m.fwd {
+			d.ex.send(d.pn, o, graph.TokenItem(tok))
 		}
 	}
-	d.tokScratch = tokens
 	return nil
+}
+
+// close retires the last firing of a kernel that will fire no more.
+func (d *driver) close() {
+	d.ib.mu.Lock()
+	d.retire()
+	d.ib.mu.Unlock()
 }
 
 // dedupeTokens compacts ts in place, keeping first occurrences.
@@ -337,152 +315,85 @@ func dedupeTokens(ts []token.Token) []token.Token {
 	return ts[:n]
 }
 
-// forwardUnhandledToken handles control tokens no method consumes
-// (paper §II-C): the token is forwarded to the outputs of the methods
-// data-triggered by that input, once the same token heads every data
-// input of those methods ("in the case where two inputs trigger the
-// same method, the same control token must arrive on both inputs for
-// it to be passed to the output"). Tokens on inputs whose methods have
-// no outputs are absorbed.
-func (d *driver) forwardUnhandledToken() bool {
-	for _, p := range d.node.Inputs() {
-		it, ok := d.head(p.Name)
-		if !ok || !it.IsToken {
-			continue
-		}
-		// A token-triggered method will consume it; leave it alone.
-		if d.node.MethodForTrigger(p.Name, it.Tok.Kind, it.Tok.Name) != nil {
-			continue
-		}
-		// Tokens arriving through a feedback loop have no defined
-		// forwarding position; absorb them.
-		if d.feedbackFed[p.Name] {
-			d.pop(p.Name)
-			return true
-		}
-		// Gather the forwarding group: every data input of every
-		// method that is data-triggered by p. Feedback-fed inputs are
-		// excluded — their tokens would have to travel around the loop.
-		group := map[string]bool{p.Name: true}
-		outputs := map[string]bool{}
-		for _, m := range d.node.Methods() {
-			if !methodDataTriggered(m, p.Name) {
-				continue
-			}
-			for _, t := range m.Triggers {
-				if t.IsData() && !d.feedbackFed[t.Input] {
-					group[t.Input] = true
-				}
-			}
-			for _, o := range m.Outputs {
-				if !d.loopOutputs[o] {
-					outputs[o] = true
-				}
-			}
-		}
-		// The same token must head every input of the group.
-		all := true
-		for in := range group {
-			h, ok := d.head(in)
-			if !ok || !h.IsToken || h.Tok != it.Tok {
-				all = false
-				break
-			}
-		}
-		if !all {
-			continue
-		}
-		bumpFrame := false
-		for in := range group {
-			d.pop(in)
-			if it.Tok.Kind == token.EndOfFrame {
-				if p := d.node.Input(in); p != nil && !p.Replicated {
-					bumpFrame = true
-				}
-			}
-		}
-		if bumpFrame {
-			d.frameIdx++
-		}
-		for _, out := range d.node.Outputs() {
-			if outputs[out.Name] {
-				d.ex.send(out, graph.TokenItem(it.Tok))
-			}
-		}
-		return true
-	}
-	return false
-}
-
-func methodDataTriggered(m *graph.Method, input string) bool {
-	for _, t := range m.Triggers {
-		if t.IsData() && t.Input == input {
-			return true
-		}
-	}
-	return false
-}
-
-// invokeCtx implements graph.ExecContext for one method invocation.
+// invokeCtx implements graph.ExecContext for one method invocation:
+// in[i] is the item consumed by trigger i of method m, read in place in
+// its ring slot. Names resolve by scanning the method's own triggers
+// and the node's outputs.
 type invokeCtx struct {
-	ex     *executor
-	node   *graph.Node
-	inputs map[string]graph.Item
+	d  *driver
+	m  *planMethod
+	in []*graph.Item
+}
+
+func (c *invokeCtx) item(name string) *graph.Item {
+	for i := range c.m.trig {
+		if c.m.trig[i].name == name {
+			return c.in[i]
+		}
+	}
+	return nil
 }
 
 func (c *invokeCtx) Input(name string) frame.Window {
-	it, ok := c.inputs[name]
-	if !ok {
+	it := c.item(name)
+	if it == nil {
 		panic(fmt.Sprintf("runtime: method on %q read input %q it was not triggered by",
-			c.node.Name(), name))
+			c.d.pn.node.Name(), name))
 	}
 	if it.IsToken {
 		panic(fmt.Sprintf("runtime: method on %q read data from token-triggered input %q",
-			c.node.Name(), name))
+			c.d.pn.node.Name(), name))
 	}
 	return it.Win
 }
 
 func (c *invokeCtx) Token(name string) token.Token {
-	it, ok := c.inputs[name]
-	if !ok || !it.IsToken {
+	it := c.item(name)
+	if it == nil || !it.IsToken {
 		return token.Token{}
 	}
 	return it.Tok
 }
 
-func (c *invokeCtx) Emit(output string, w frame.Window) {
-	p := c.node.Output(output)
-	if p == nil {
-		panic(fmt.Sprintf("runtime: node %q has no output %q", c.node.Name(), output))
+// out resolves an output name, panicking on a port the node lacks.
+func (c *invokeCtx) out(name string) int32 {
+	o := c.d.pn.outIndex(name)
+	if o < 0 {
+		panic(fmt.Sprintf("runtime: node %q has no output %q", c.d.pn.node.Name(), name))
 	}
-	// Pass-through support: a window emitted from an input's pooled
-	// storage needs its own reference, because the firing's inputs are
-	// released once Invoke returns.
-	if w.Pooled() {
-		for _, it := range c.inputs {
-			if !it.IsToken && w.SharesStorage(it.Win) {
-				w.Retain(1)
-				break
-			}
+	return o
+}
+
+// passThrough gives a window emitted from an input's pooled storage its
+// own reference, because the firing's inputs are released once Invoke
+// returns.
+func (c *invokeCtx) passThrough(w frame.Window) {
+	if !w.Pooled() {
+		return
+	}
+	for i := range c.m.trig {
+		if it := c.in[i]; !it.IsToken && w.SharesStorage(it.Win) {
+			w.Retain(1)
+			return
 		}
 	}
-	c.ex.send(p, graph.DataItem(w))
+}
+
+func (c *invokeCtx) Emit(output string, w frame.Window) {
+	o := c.out(output)
+	c.passThrough(w)
+	c.d.ex.send(c.d.pn, o, graph.DataItem(w))
 }
 
 func (c *invokeCtx) EmitToken(output string, t token.Token) {
-	p := c.node.Output(output)
-	if p == nil {
-		panic(fmt.Sprintf("runtime: node %q has no output %q", c.node.Name(), output))
-	}
-	c.ex.send(p, graph.TokenItem(t))
+	c.d.ex.send(c.d.pn, c.out(output), graph.TokenItem(t))
 }
 
 // Batch implements graph.BatchContext: the descriptor of the item
 // consumed from the named input (zero for plain items and tokens).
 func (c *invokeCtx) Batch(name string) graph.Batch {
-	it, ok := c.inputs[name]
-	if !ok || it.IsToken {
+	it := c.item(name)
+	if it == nil || it.IsToken {
 		return graph.Batch{}
 	}
 	return it.B
@@ -492,17 +403,7 @@ func (c *invokeCtx) Batch(name string) graph.Batch {
 // The same pass-through re-retain rule as Emit applies when the window
 // shares an input's pooled storage.
 func (c *invokeCtx) EmitBatch(output string, w frame.Window, b graph.Batch) {
-	p := c.node.Output(output)
-	if p == nil {
-		panic(fmt.Sprintf("runtime: node %q has no output %q", c.node.Name(), output))
-	}
-	if w.Pooled() {
-		for _, it := range c.inputs {
-			if !it.IsToken && w.SharesStorage(it.Win) {
-				w.Retain(1)
-				break
-			}
-		}
-	}
-	c.ex.send(p, graph.BatchItem(w, b))
+	o := c.out(output)
+	c.passThrough(w)
+	c.d.ex.send(c.d.pn, o, graph.BatchItem(w, b))
 }

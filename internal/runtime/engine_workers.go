@@ -14,24 +14,21 @@ import (
 // mapping, and the shape SIMD/OpenCL ports of block-parallel programs
 // take — see ISSUE references).
 //
-// Transport is a per-node mailbox (mutex + slice). A pool task never
-// blocks mid-firing — a full downstream box must not stall a worker —
-// but dedicated producer goroutines (inputs, stream-FSM runners) block
-// once a mailbox holds ChannelCap items, mirroring the channel
-// engine's backpressure so a fast input cannot materialize a whole
-// frame of live windows ahead of its consumers. Invoker kernels are
-// pure event-driven state machines: a delivery marks the kernel ready,
-// and a worker later drains its mailbox and fires methods until
-// quiescent. Stream-FSM runners, inputs, and outputs keep dedicated
-// goroutines — they are I/O pumps written in blocking style, not
-// bounded firings — and block on their mailbox's condition variable.
+// Transport is the same per-input rings the goroutine engine uses.
+// Dedicated producer goroutines (inputs, stream-FSM runners) block at
+// ring capacity, so a fast input cannot materialize a whole frame of
+// live windows ahead of its consumers. A pool task never blocks
+// mid-firing — a full downstream ring must not stall a worker — so its
+// backpressure is a firing rule instead: once a ring it feeds runs high
+// the task yields before its next firing and is rescheduled when the
+// consumer has drained the ring (yield). Invoker kernels are pure
+// event-driven state machines: a delivery into an empty ring marks the
+// kernel ready, and a worker later fires its methods until quiescent.
+// Stream-FSM runners, inputs, and outputs keep dedicated goroutines —
+// they are I/O pumps written in blocking style, not bounded firings.
 type workerEngine struct {
 	ex      *executor
 	workers int
-	cap     int
-
-	boxes map[*graph.Node]*mailbox
-	tasks map[*graph.Node]*workerTask
 
 	// readyq carries schedulable kernel tasks; capacity is the task
 	// count and the scheduled flag guarantees at most one entry per
@@ -44,125 +41,57 @@ type workerEngine struct {
 	tasksLeft int
 }
 
-// mailbox is one consumer node's inbox: a FIFO over a reused backing
-// array (head marks the consumed prefix) plus the producer accounting
-// that closes it. cond wakes consumers on data or close; space wakes
-// dedicated producers blocked on a full box.
-type mailbox struct {
-	mu            sync.Mutex
-	cond          *sync.Cond
-	space         *sync.Cond
-	q             []inMsg
-	head          int
-	producersLeft int
-	closed        bool
-}
-
-func (b *mailbox) pending() int { return len(b.q) - b.head }
-
 // workerTask is the scheduling state of one Invoker kernel node.
-// scheduled and again are guarded by the node's mailbox mutex:
-// scheduled means the task is in the ready queue or running; again
-// records work that arrived while it was.
+// scheduled, yielded and finished are guarded by the node's inbox
+// mutex: scheduled means the task is in the ready queue or running,
+// yielded that it waits for a downstream ring to drain and must not be
+// scheduled by deliveries.
 type workerTask struct {
-	node      *graph.Node
+	eng       *workerEngine
 	d         *driver
-	box       *mailbox
 	scheduled bool
-	again     bool
+	yielded   bool
 	finished  bool
-}
-
-func newWorkerEngine(ex *executor, workers int) *workerEngine {
-	eng := &workerEngine{
-		ex:      ex,
-		workers: workers,
-		cap:     ex.opts.ChannelCap,
-		boxes:   make(map[*graph.Node]*mailbox),
-		tasks:   make(map[*graph.Node]*workerTask),
-	}
-	for _, n := range ex.g.Nodes() {
-		if n.Kind == graph.KindInput {
-			continue
-		}
-		producers := make(map[*graph.Node]bool)
-		for _, e := range ex.g.InEdges(n) {
-			producers[e.From.Node()] = true
-		}
-		box := &mailbox{producersLeft: len(producers)}
-		box.cond = sync.NewCond(&box.mu)
-		box.space = sync.NewCond(&box.mu)
-		box.closed = len(producers) == 0
-		eng.boxes[n] = box
-	}
-	return eng
-}
-
-// poolScheduled reports whether n runs as a pool task (an Invoker
-// kernel) rather than on a dedicated goroutine.
-func poolScheduled(n *graph.Node) bool {
-	if n.Kind == graph.KindInput || n.Kind == graph.KindOutput {
-		return false
-	}
-	if _, ok := graph.RunnerBehavior(n); ok {
-		return false
-	}
-	_, ok := n.Behavior.(graph.Invoker)
-	return ok
+	// throttled is set by the task's own deliveries (executor.put) when
+	// a ring it feeds runs high; only the worker running the task
+	// touches it.
+	throttled bool
 }
 
 func (eng *workerEngine) start() chan struct{} {
 	ex := eng.ex
 	// Wire the kernel tasks first so deliveries from the earliest
 	// goroutines find them.
-	for _, n := range ex.g.Nodes() {
-		if !poolScheduled(n) {
-			continue
+	var tasks []*workerTask
+	for i := range ex.plan.nodes {
+		if pn := &ex.plan.nodes[i]; pn.invoker != nil {
+			t := &workerTask{eng: eng, d: newDriver(ex, pn)}
+			ex.boxes[i].task = t
+			tasks = append(tasks, t)
 		}
-		inv := n.Behavior.(graph.Invoker)
-		t := &workerTask{node: n, d: newDriver(ex, n, inv), box: eng.boxes[n]}
-		eng.tasks[n] = t
 	}
-	eng.tasksLeft = len(eng.tasks)
-	eng.readyq = make(chan *workerTask, len(eng.tasks)+1)
-	if len(eng.tasks) == 0 {
+	eng.tasksLeft = len(tasks)
+	eng.readyq = make(chan *workerTask, len(tasks)+1)
+	if len(tasks) == 0 {
 		close(eng.readyq)
 	}
 
 	// Dedicated goroutines: inputs, outputs, stream-FSM runners.
-	for _, n := range ex.g.Nodes() {
-		if poolScheduled(n) {
-			continue
+	for i := range ex.plan.nodes {
+		if pn := &ex.plan.nodes[i]; pn.invoker == nil {
+			ex.wg.Add(1)
+			go ex.runDedicated(pn)
 		}
-		n := n
-		ex.wg.Add(1)
-		go func() {
-			defer func() {
-				if ex.stream {
-					if r := recover(); r != nil {
-						ex.fail(fmt.Errorf("node %q panicked: %v", n.Name(), r))
-					}
-				}
-				for _, consumer := range ex.downstreamConsumers(n) {
-					eng.producerDone(consumer)
-				}
-				ex.wg.Done()
-			}()
-			if err := ex.runNode(n); err != nil && err != graph.ErrHalt {
-				ex.fail(fmt.Errorf("node %q: %w", n.Name(), err))
-			}
-		}()
 	}
-	// Kernel tasks whose mailbox starts closed (no producers — an
+	// Kernel tasks whose inbox starts closed (no producers — an
 	// empty-trigger corner Validate normally rejects) must still get
 	// one run to finish and release their own consumers.
-	for _, t := range eng.tasks {
-		t.box.mu.Lock()
-		if t.box.closed && !t.scheduled {
-			t.scheduled = true
-			eng.readyq <- t
+	for _, t := range tasks {
+		t.d.ib.mu.Lock()
+		if t.d.ib.closed {
+			eng.schedule(t)
 		}
-		t.box.mu.Unlock()
+		t.d.ib.mu.Unlock()
 	}
 
 	for i := 0; i < eng.workers; i++ {
@@ -172,27 +101,14 @@ func (eng *workerEngine) start() chan struct{} {
 	done := make(chan struct{})
 	go func() {
 		ex.wg.Wait()
-		eng.sweep()
+		// A stop strands parked tasks; retire them so their rings go
+		// back to the arena.
+		for _, t := range tasks {
+			eng.finishTask(t)
+		}
 		close(done)
 	}()
 	return done
-}
-
-// sweep releases items abandoned in the mailboxes (see
-// chanEngine.sweep). Runs after every worker and dedicated goroutine
-// has exited, so no deliveries race it.
-func (eng *workerEngine) sweep() {
-	for _, box := range eng.boxes {
-		box.mu.Lock()
-		q := box.q[box.head:]
-		box.q, box.head = nil, 0
-		box.mu.Unlock()
-		for _, m := range q {
-			if !m.item.IsToken {
-				m.item.Win.Release()
-			}
-		}
-	}
 }
 
 func (eng *workerEngine) worker() {
@@ -210,62 +126,44 @@ func (eng *workerEngine) worker() {
 	}
 }
 
-// runTask drains the task's mailbox and fires methods until the kernel
-// is quiescent, then either reschedules (more work arrived meanwhile),
-// parks, or finishes (all producers closed and nothing left to fire).
+// runTask fires the task's methods until the kernel is quiescent, then
+// parks it (a delivery reschedules it) or finishes it (all producers
+// closed and nothing left to fire).
 func (eng *workerEngine) runTask(t *workerTask) {
-	ex := eng.ex
-	for {
-		if ex.stopping() {
-			eng.finishTask(t)
+	ex, ib := eng.ex, t.d.ib
+	for !ex.stopped.Load() {
+		if t.throttled && eng.yield(t) {
 			return
 		}
-		t.box.mu.Lock()
-		msgs := t.box.q[t.box.head:]
-		t.box.q = nil
-		t.box.head = 0
-		closed := t.box.closed
-		t.again = false
-		t.box.space.Broadcast()
-		t.box.mu.Unlock()
-
-		err := eng.stepTask(t, msgs)
-		if err != nil {
+		ib.mu.Lock()
+		act, ok := t.d.next()
+		if !ok {
+			if ib.closed {
+				ib.mu.Unlock()
+				break
+			}
+			t.scheduled = false
+			ib.publish(waitStarved, 0, anyInput)
+			ib.mu.Unlock()
+			if ex.blocked.Load() > 0 {
+				ex.unwedge(t.d.pn.id)
+			}
+			return
+		}
+		ib.mu.Unlock()
+		if err := eng.runAction(t, act); err != nil {
 			if err != graph.ErrHalt {
-				ex.fail(fmt.Errorf("node %q: %w", t.node.Name(), err))
+				ex.fail(fmt.Errorf("node %q: %w", t.d.pn.node.Name(), err))
 			}
-			eng.finishTask(t)
-			return
+			break
 		}
-
-		t.box.mu.Lock()
-		if t.box.q == nil {
-			// Nothing arrived while firing: hand the drained batch's
-			// storage back so the steady-state drain/park cycle stops
-			// allocating.
-			for i := range msgs {
-				msgs[i] = inMsg{}
-			}
-			t.box.q = msgs[:0]
-		}
-		if t.again {
-			t.box.mu.Unlock()
-			continue
-		}
-		if closed && len(t.box.q) == 0 {
-			t.box.mu.Unlock()
-			eng.finishTask(t)
-			return
-		}
-		t.scheduled = false
-		t.box.mu.Unlock()
-		return
 	}
+	eng.finishTask(t)
 }
 
-// stepTask feeds one drained batch to the driver, converting stream-
-// mode kernel panics into run failures like the goroutine engine does.
-func (eng *workerEngine) stepTask(t *workerTask, msgs []inMsg) (err error) {
+// runAction carries out one firing, converting stream-mode kernel
+// panics into run failures like the goroutine engine does.
+func (eng *workerEngine) runAction(t *workerTask, act action) (err error) {
 	if eng.ex.stream {
 		defer func() {
 			if r := recover(); r != nil {
@@ -273,25 +171,24 @@ func (eng *workerEngine) stepTask(t *workerTask, msgs []inMsg) (err error) {
 			}
 		}()
 	}
-	return t.d.step(msgs)
+	return t.d.run(act)
 }
 
 // finishTask retires a kernel task exactly once: downstream consumers
 // lose a producer, and when the last task retires the ready queue
 // closes so idle workers exit.
 func (eng *workerEngine) finishTask(t *workerTask) {
-	t.box.mu.Lock()
+	ib := t.d.ib
+	ib.mu.Lock()
 	if t.finished {
-		t.box.mu.Unlock()
+		ib.mu.Unlock()
 		return
 	}
 	t.finished = true
 	t.scheduled = false
-	t.box.mu.Unlock()
-	t.d.releaseQueues()
-	for _, consumer := range eng.ex.downstreamConsumers(t.node) {
-		eng.producerDone(consumer)
-	}
+	ib.mu.Unlock()
+	t.d.close()
+	eng.ex.nodeDone(t.d.pn)
 	eng.taskMu.Lock()
 	eng.tasksLeft--
 	last := eng.tasksLeft == 0
@@ -301,100 +198,73 @@ func (eng *workerEngine) finishTask(t *workerTask) {
 	}
 }
 
-// schedule marks a task runnable after a mailbox event. Must be called
-// with the task's mailbox mutex held.
-func (eng *workerEngine) schedule(t *workerTask) {
-	if t.finished {
-		return
+// yield parks a throttled task on the first ring it feeds that is
+// still running high, and reports whether it did. The consumer draining
+// that ring to half (inbox.freed), or the deadlock detector, resumes
+// the task, which then looks at its other rings again before firing.
+func (eng *workerEngine) yield(t *workerTask) bool {
+	ex, pn, own := eng.ex, t.d.pn, t.d.ib
+	for o := range pn.outs {
+		for k := range pn.outs[o].edges {
+			e := &pn.outs[o].edges[k]
+			ib := &ex.boxes[e.node]
+			r := &ib.rings[e.in]
+			ib.mu.Lock()
+			high := r.high()
+			ib.mu.Unlock()
+			if !high {
+				continue
+			}
+			// Park first, then register: a resume can only follow the
+			// registration, and deliveries must not reschedule the task
+			// in between.
+			own.mu.Lock()
+			t.scheduled, t.yielded = false, true
+			own.publish(waitBlocked, e.node, e.in)
+			own.mu.Unlock()
+			ex.blocked.Add(1)
+			ib.mu.Lock()
+			parked := r.high() && !r.force && !ib.done
+			if parked {
+				r.waiter = t
+			}
+			ib.mu.Unlock()
+			if parked {
+				ex.unwedge(pn.id)
+				return true
+			}
+			ex.blocked.Add(-1)
+			own.mu.Lock()
+			t.scheduled, t.yielded = true, false
+			own.wait.Store(waitRunning)
+			own.mu.Unlock()
+		}
 	}
-	if t.scheduled {
-		t.again = true
+	t.throttled = false
+	return false
+}
+
+// resume reschedules a yielded task. Called with the mutex of the
+// inbox it waited on held; the task's own inbox mutex nests inside it,
+// always in that consumer-to-producer order.
+func (eng *workerEngine) resume(t *workerTask) {
+	ib := t.d.ib
+	ib.mu.Lock()
+	if t.yielded {
+		t.yielded = false
+		eng.ex.blocked.Add(-1)
+		eng.schedule(t)
+	}
+	ib.mu.Unlock()
+}
+
+// schedule marks a task runnable after an inbox event. Must be called
+// with the task's inbox mutex held.
+func (eng *workerEngine) schedule(t *workerTask) {
+	if t.finished || t.scheduled || t.yielded {
 		return
 	}
 	t.scheduled = true
+	t.d.ib.wait.Store(waitRunning)
 	eng.readyq <- t
-}
-
-func (eng *workerEngine) producerDone(consumer *graph.Node) {
-	box := eng.boxes[consumer]
-	box.mu.Lock()
-	box.producersLeft--
-	if box.producersLeft == 0 {
-		box.closed = true
-		box.cond.Broadcast()
-		if t := eng.tasks[consumer]; t != nil {
-			eng.schedule(t)
-		}
-	}
-	box.mu.Unlock()
-}
-
-func (eng *workerEngine) deliver(e *graph.Edge, it graph.Item) {
-	if eng.ex.stopping() {
-		if !it.IsToken {
-			it.Win.Release()
-		}
-		return
-	}
-	n := e.To.Node()
-	box := eng.boxes[n]
-	box.mu.Lock()
-	// Only dedicated-goroutine producers honor the bound: a pool task
-	// blocking here could stall every worker on a box only a worker
-	// can drain.
-	if !poolScheduled(e.From.Node()) {
-		for box.pending() >= eng.cap && !eng.ex.stopping() {
-			box.space.Wait()
-		}
-		if eng.ex.stopping() {
-			box.mu.Unlock()
-			if !it.IsToken {
-				it.Win.Release()
-			}
-			return
-		}
-	}
-	box.q = append(box.q, inMsg{input: e.To.Name, item: it})
-	if t := eng.tasks[n]; t != nil {
-		eng.schedule(t)
-	} else {
-		box.cond.Signal()
-	}
-	box.mu.Unlock()
-}
-
-// recv blocks on the node's mailbox; only dedicated-goroutine nodes
-// (runners, outputs) call it.
-func (eng *workerEngine) recv(n *graph.Node) (inMsg, bool) {
-	box := eng.boxes[n]
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	for {
-		if box.head < len(box.q) {
-			m := box.q[box.head]
-			box.q[box.head] = inMsg{}
-			box.head++
-			if box.head == len(box.q) {
-				box.q = box.q[:0]
-				box.head = 0
-			}
-			box.space.Signal()
-			return m, true
-		}
-		if box.closed || eng.ex.stopping() {
-			return inMsg{}, false
-		}
-		box.cond.Wait()
-	}
-}
-
-// stopNotify wakes every mailbox waiter so blocked runners and outputs
-// observe the stop.
-func (eng *workerEngine) stopNotify() {
-	for _, box := range eng.boxes {
-		box.mu.Lock()
-		box.cond.Broadcast()
-		box.space.Broadcast()
-		box.mu.Unlock()
-	}
 }

@@ -20,11 +20,17 @@
 // methods do not fire until every replicated input has delivered at
 // least one item, making coefficient/bin loading deterministic.
 //
+// The graph is lowered once, at newExecutor, into an index-addressed
+// execution plan (plan.go), and every input port is fed through a
+// bounded ring whose capacity the plan computes from the compiler's
+// analysis (ring.go): the firing path looks nothing up by name, takes
+// no global lock, and allocates nothing.
+//
 // The scheduling engine is pluggable (Options.Executor): the default
-// engine runs one goroutine per node with channels as the FIFOs; the
-// worker-pool engine runs ready kernel firings to completion on a
-// fixed set of workers, decoupling logical kernels from OS-level
-// parallelism the way the paper decouples kernels from PEs.
+// engine runs one goroutine per node; the worker-pool engine runs ready
+// kernel firings to completion on a fixed set of workers, decoupling
+// logical kernels from OS-level parallelism the way the paper decouples
+// kernels from PEs.
 //
 // Items follow the zero-copy ownership protocol of internal/frame:
 // windows travel as stride-aware views over pooled storage, the sender
@@ -37,6 +43,7 @@ import (
 	"fmt"
 	goruntime "runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"blockpar/internal/frame"
@@ -65,9 +72,10 @@ type Options struct {
 	// this wall-clock duration — a watchdog against misbehaving custom
 	// kernels deadlocking the pipeline. Zero means no watchdog.
 	Timeout time.Duration
-	// ChannelCap overrides the per-node inbox capacity. Zero means
-	// automatic: generous enough to absorb the pipeline skew of
-	// windowed diamonds (several input rows).
+	// ChannelCap overrides the capacity, in items, of every input ring.
+	// Zero means automatic: the plan sizes each ring from the analysis
+	// to absorb the pipeline skew of windowed diamonds (several input
+	// rows; see plan.go, "ring capacity").
 	ChannelCap int
 	// Sources maps application input node names to frame generators.
 	// Inputs without an entry produce frame.Gradient frames.
@@ -88,8 +96,11 @@ type Result struct {
 	// Firings counts method invocations per kernel (generic Invoker
 	// kernels only; FSM runners drive their own loops). Used to
 	// cross-check the data-flow analysis' predicted iteration counts
-	// against actual execution.
+	// against actual execution. It is Stats' firing counters keyed by
+	// node and method name.
 	Firings map[string]map[string]int64
+	// Stats is every node's counter block at the end of the run.
+	Stats []NodeStats
 }
 
 // DataWindows returns just the data windows received by the named
@@ -125,139 +136,101 @@ func (r *Result) FrameSlices(output string) [][]frame.Window {
 	return frames
 }
 
-// inMsg is one delivery into a node's inbox.
-type inMsg struct {
-	input string
-	item  graph.Item
-}
-
-// engine is the scheduling abstraction behind a run: it owns the
-// transport between nodes and decides what executes where. The
-// executor owns the graph-level semantics (input chunking, output
-// collection, firing counts, errors) and delegates movement to the
-// engine.
+// engine is the scheduling abstraction behind a run: it decides which
+// goroutine executes which node. The executor owns everything else —
+// the plan, the rings and their backpressure, input chunking, output
+// collection, counters, errors.
 type engine interface {
 	// start launches execution and returns a channel closed when every
 	// node has finished.
 	start() chan struct{}
-	// deliver moves one item along one edge. It must not block
-	// indefinitely once the run is stopping.
-	deliver(e *graph.Edge, it graph.Item)
-	// recv blocks for the next delivery to node n; ok is false when
-	// all producers have closed and the inbox is drained, or the run
-	// is stopping.
-	recv(n *graph.Node) (inMsg, bool)
-	// stopNotify wakes anything blocked outside channel selects; it is
-	// called exactly once, after the stop channel closes.
-	stopNotify()
 }
 
 // executor holds the shared state of one run, independent of engine.
 type executor struct {
-	g    *graph.Graph
 	opts Options
 	eng  engine
 
-	// edgesFrom caches the per-port fan-out so the send path does not
-	// allocate.
-	edgesFrom map[*graph.Port][]*graph.Edge
-	// batchOK records, per edge, whether the consumer accepts row
-	// batches; the send path splits batches into logical view items for
-	// every edge where it is false, so non-batch-aware kernels (and the
-	// wire transport behind boundary sinks) observe the exact scalar
-	// stream they always did.
-	batchOK map[*graph.Edge]bool
+	// plan is the index-addressed form of the graph; boxes holds each
+	// node's rings and counters, indexed like plan.nodes.
+	plan  *plan
+	boxes []inbox
 
 	stop     chan struct{}
+	stopped  atomic.Bool
 	stopOnce sync.Once
+	// blocked counts producers parked on a full ring; while it is zero
+	// a parking consumer skips deadlock detection.
+	blocked atomic.Int32
 
 	errMu sync.Mutex
 	err   error
 
-	fireMu  sync.Mutex
-	firings map[string]map[string]int64
+	// Output collection (guarded by outMu), indexed like plan.outputs.
+	outMu sync.Mutex
+	slab  slabAlloc
+	outs  []outState
 
-	// output collection (guarded by outMu)
-	outMu   sync.Mutex
-	slab    slabAlloc
-	outputs map[string][]graph.Item
-	// eofSeen tracks per-output EOF counts for termination.
-	eofSeen map[string]int
-
-	// Streaming mode (sessions): inputs read frames from feeds instead
-	// of generating them, outputs assemble per-frame results onto ready
-	// instead of accumulating the raw item stream, and node panics are
-	// converted to errors so a bad kernel cannot take down the process.
-	stream bool
-	feeds  map[*graph.Node]chan frame.Window
-	ready  chan StreamResult
-	// curFrame and doneFrames hold the per-output frame assembly
-	// (guarded by outMu); assembled counts completed frame sets.
-	curFrame   map[string][]frame.Window
-	doneFrames map[string][][]frame.Window
-	assembled  int64
+	// Streaming mode (sessions): inputs read frames from feeds (indexed
+	// like plan.inputs) instead of generating them, outputs assemble
+	// per-frame results onto ready instead of accumulating the raw item
+	// stream, and node panics are converted to errors so a bad kernel
+	// cannot take down the process. assembled counts completed frame
+	// sets (guarded by outMu).
+	stream    bool
+	feeds     []chan frame.Window
+	ready     chan StreamResult
+	assembled int64
 
 	wg sync.WaitGroup
 }
 
-// newExecutor validates the graph and wires the engine; readyCap > 0
-// selects streaming mode with that many buffered frame results.
+// outState is one application output's collection state.
+type outState struct {
+	name string
+	// items is the batch-mode stream; eofSeen its end-of-frame count.
+	items   []graph.Item
+	eofSeen int
+	// cur and done are the stream-mode frame assembly.
+	cur  []frame.Window
+	done [][]frame.Window
+}
+
+// newExecutor validates the graph, lowers it into the execution plan
+// and wires the engine; readyCap > 0 selects streaming mode with that
+// many buffered frame results.
 func newExecutor(g *graph.Graph, opts Options, readyCap int) (*executor, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("runtime: invalid graph: %w", err)
 	}
-	if opts.ChannelCap <= 0 {
-		maxW := 64
-		for _, in := range g.Inputs() {
-			if in.FrameSize.W > maxW {
-				maxW = in.FrameSize.W
-			}
-		}
-		// Four rows of per-sample slack per inbox. Row batching cut the
-		// physical item count per row to O(1) on batch-aware edges, so
-		// deep buffers only pay allocation and GC-scan cost.
-		opts.ChannelCap = 4 * maxW
-	}
 	if opts.Workers <= 0 {
 		opts.Workers = goruntime.GOMAXPROCS(0)
 	}
-
-	ex := &executor{
-		g:         g,
-		opts:      opts,
-		edgesFrom: make(map[*graph.Port][]*graph.Edge),
-		stop:      make(chan struct{}),
-		outputs:   make(map[string][]graph.Item),
-		eofSeen:   make(map[string]int),
-		firings:   make(map[string]map[string]int64),
+	ex := &executor{opts: opts, stop: make(chan struct{})}
+	switch opts.Executor {
+	case "", ExecGoroutines:
+		ex.eng = &goroutineEngine{ex: ex}
+	case ExecWorkers:
+		ex.eng = &workerEngine{ex: ex, workers: opts.Workers}
+	default:
+		return nil, fmt.Errorf("runtime: unknown executor %q", opts.Executor)
 	}
-	ex.batchOK = make(map[*graph.Edge]bool)
-	for _, n := range g.Nodes() {
-		for _, p := range n.Outputs() {
-			edges := g.EdgesFrom(p)
-			ex.edgesFrom[p] = edges
-			for _, e := range edges {
-				ex.batchOK[e] = acceptsBatch(e)
-			}
-		}
+	ex.plan = buildPlan(g, opts.ChannelCap, opts.Executor == ExecWorkers)
+	ex.boxes = make([]inbox, len(ex.plan.nodes))
+	for i := range ex.boxes {
+		ex.boxes[i].init(ex, &ex.plan.nodes[i])
+	}
+	ex.outs = make([]outState, len(ex.plan.outputs))
+	for i, id := range ex.plan.outputs {
+		ex.outs[i].name = ex.plan.nodes[id].node.Name()
 	}
 	if readyCap > 0 {
 		ex.stream = true
-		ex.feeds = make(map[*graph.Node]chan frame.Window)
 		ex.ready = make(chan StreamResult, readyCap)
-		ex.curFrame = make(map[string][]frame.Window)
-		ex.doneFrames = make(map[string][][]frame.Window)
-		for _, n := range g.Inputs() {
-			ex.feeds[n] = make(chan frame.Window, readyCap)
+		ex.feeds = make([]chan frame.Window, len(ex.plan.inputs))
+		for i := range ex.feeds {
+			ex.feeds[i] = make(chan frame.Window, readyCap)
 		}
-	}
-	switch opts.Executor {
-	case "", ExecGoroutines:
-		ex.eng = newChanEngine(ex)
-	case ExecWorkers:
-		ex.eng = newWorkerEngine(ex, opts.Workers)
-	default:
-		return nil, fmt.Errorf("runtime: unknown executor %q", opts.Executor)
 	}
 	return ex, nil
 }
@@ -300,42 +273,27 @@ func Run(g *graph.Graph, opts Options) (*Result, error) {
 	if err := ex.runErr(); err != nil {
 		return nil, err
 	}
+	res := &Result{
+		Outputs: make(map[string][]graph.Item, len(ex.outs)),
+		Firings: make(map[string]map[string]int64),
+		Stats:   ex.stats(),
+	}
 	// The run only succeeded if every output saw its full frame budget
 	// (a kernel that silently swallows its stream must not pass).
-	for _, o := range g.Outputs() {
-		if ex.eofSeen[o.Name()] < opts.Frames {
+	for i := range ex.outs {
+		o := &ex.outs[i]
+		if o.eofSeen < opts.Frames {
 			return nil, fmt.Errorf("runtime: output %q completed %d of %d frames",
-				o.Name(), ex.eofSeen[o.Name()], opts.Frames)
+				o.name, o.eofSeen, opts.Frames)
+		}
+		res.Outputs[o.name] = o.items
+	}
+	for _, st := range res.Stats {
+		if st.Firings != nil {
+			res.Firings[st.Node] = st.Firings
 		}
 	}
-	return &Result{Outputs: ex.outputs, Firings: ex.firings}, nil
-}
-
-// recordFiring counts n logical method invocations for consistency
-// checks. A batched firing covers its batch's N logical invocations, so
-// the firings-vs-analysis cross-check holds with batching on or off.
-func (ex *executor) recordFiring(node, method string, n int64) {
-	ex.fireMu.Lock()
-	m := ex.firings[node]
-	if m == nil {
-		m = make(map[string]int64)
-		ex.firings[node] = m
-	}
-	m[method] += n
-	ex.fireMu.Unlock()
-}
-
-func (ex *executor) downstreamConsumers(n *graph.Node) []*graph.Node {
-	seen := make(map[*graph.Node]bool)
-	var out []*graph.Node
-	for _, e := range ex.g.OutEdges(n) {
-		c := e.To.Node()
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	return out
+	return res, nil
 }
 
 func (ex *executor) fail(err error) {
@@ -347,20 +305,21 @@ func (ex *executor) fail(err error) {
 	ex.stopAll()
 }
 
+// stopAll ends the run: the stop channel releases the session's feed
+// and collect selects, and every party parked on a ring is woken to
+// observe the flag — the firing path itself never selects.
 func (ex *executor) stopAll() {
 	ex.stopOnce.Do(func() {
+		ex.stopped.Store(true)
 		close(ex.stop)
-		ex.eng.stopNotify()
+		for i := range ex.boxes {
+			ib := &ex.boxes[i]
+			ib.mu.Lock()
+			ib.avail.Broadcast()
+			ib.space.Broadcast()
+			ib.mu.Unlock()
+		}
 	})
-}
-
-func (ex *executor) stopping() bool {
-	select {
-	case <-ex.stop:
-		return true
-	default:
-		return false
-	}
 }
 
 // acceptsBatch reports whether the edge's consumer handles batched
@@ -375,35 +334,36 @@ func acceptsBatch(e *graph.Edge) bool {
 	return ok && ba.AcceptsBatch(e.To.Name)
 }
 
-// send delivers an item to every consumer of the given output port,
+// send delivers an item to every consumer of output o of node pn,
 // adding one pool reference per extra consumer (ownership protocol:
-// the caller's reference covers the first consumer). It aborts
-// silently once the run is stopping; undelivered references then fall
-// back to the garbage collector, which the arena tolerates.
-func (ex *executor) send(from *graph.Port, it graph.Item) {
-	edges := ex.edgesFrom[from]
+// the caller's reference covers the first consumer). Once the run is
+// stopping deliveries are dropped and their references released.
+func (ex *executor) send(pn *planNode, o int32, it graph.Item) {
+	edges := pn.outs[o].edges
 	if !it.IsToken && it.B.IsBatch() {
-		ex.sendBatch(edges, it)
+		ex.sendBatch(pn.id, edges, it)
 		return
 	}
 	if !it.IsToken && len(edges) > 1 {
 		it.Win.Retain(len(edges) - 1)
 	}
-	for _, e := range edges {
-		ex.eng.deliver(e, it)
+	for i := range edges {
+		ex.put(pn.id, &edges[i], &it)
 	}
 }
 
 // sendBatch fans a row batch out: batch-accepting consumers receive the
 // one physical item; everyone else receives its N logical windows as
-// view items in stream order. Reference math: every delivered item —
-// batch or view — is one consumer-side release, so the total retained
-// is (deliveries - 1) on top of the caller's reference.
-func (ex *executor) sendBatch(edges []*graph.Edge, it graph.Item) {
+// view items in stream order, so non-batch-aware kernels (and the wire
+// transport behind boundary sinks) observe the exact scalar stream they
+// always did. Reference math: every delivered item — batch or view — is
+// one consumer-side release, so the total retained is (deliveries - 1)
+// on top of the caller's reference.
+func (ex *executor) sendBatch(from int32, edges []planEdge, it graph.Item) {
 	n := int(it.B.N)
 	total := 0
-	for _, e := range edges {
-		if ex.batchOK[e] {
+	for i := range edges {
+		if edges[i].batchOK {
 			total++
 		} else {
 			total += n
@@ -414,87 +374,80 @@ func (ex *executor) sendBatch(edges []*graph.Edge, it graph.Item) {
 		return
 	}
 	it.Win.Retain(total - 1)
-	for _, e := range edges {
-		if ex.batchOK[e] {
-			ex.eng.deliver(e, it)
+	for i := range edges {
+		e := &edges[i]
+		if e.batchOK {
+			ex.put(from, e, &it)
 			continue
 		}
 		for j := 0; j < n; j++ {
-			ex.eng.deliver(e, graph.DataItem(it.B.Window(it.Win, j)))
+			view := graph.DataItem(it.B.Window(it.Win, j))
+			ex.put(from, e, &view)
 		}
 	}
 }
 
-// recv pulls the next delivery for node n; ok is false when all
-// producers are done and the inbox is drained, or the run is stopping.
-func (ex *executor) recv(n *graph.Node) (inMsg, bool) {
-	return ex.eng.recv(n)
-}
-
-func (ex *executor) runNode(n *graph.Node) error {
+// runNode executes one node to completion on the calling goroutine.
+func (ex *executor) runNode(pn *planNode) error {
+	n := pn.node
 	switch n.Kind {
 	case graph.KindInput:
 		if ex.stream {
-			return ex.runInputStream(n)
+			return ex.runInputStream(pn)
 		}
-		return ex.runInput(n)
+		return ex.runInput(pn)
 	case graph.KindOutput:
 		if ex.stream {
-			return ex.runOutputStream(n)
+			return ex.runOutputStream(pn)
 		}
-		return ex.runOutput(n)
+		return ex.runOutput(pn)
 	}
 	if r, ok := graph.RunnerBehavior(n); ok {
-		ctx := &runCtx{ex: ex, node: n}
-		return r.Run(ctx)
+		return r.Run(&runCtx{ex: ex, pn: pn})
 	}
 	if n.Behavior == nil {
 		return fmt.Errorf("runtime: node %q has no behavior", n.Name())
 	}
-	inv, ok := n.Behavior.(graph.Invoker)
-	if !ok {
+	if pn.invoker == nil {
 		return fmt.Errorf("runtime: node %q behavior implements neither Invoker nor Runner", n.Name())
 	}
-	d := newDriver(ex, n, inv)
+	d := newDriver(ex, pn)
+	defer d.close()
 	return d.loop()
 }
 
-// runCtx adapts the executor to graph.RunContext for Runner kernels.
-type runCtx struct {
-	ex      *executor
-	node    *graph.Node
-	pending map[string][]graph.Item
+// nodeDone retires a node that has finished: its own rings are
+// released and every consumer loses a producer.
+func (ex *executor) nodeDone(pn *planNode) {
+	ex.boxes[pn.id].finish()
+	for _, c := range pn.consumers {
+		ex.boxes[c].producerDone()
+	}
 }
 
-func (c *runCtx) Node() *graph.Node { return c.node }
+// runCtx adapts the executor to graph.RunContext for Runner kernels:
+// port names resolve by scanning the node's own port tables.
+type runCtx struct {
+	ex *executor
+	pn *planNode
+}
+
+func (c *runCtx) Node() *graph.Node { return c.pn.node }
 
 func (c *runCtx) Send(output string, it graph.Item) {
-	p := c.node.Output(output)
-	if p == nil {
-		panic(fmt.Sprintf("runtime: node %q has no output %q", c.node.Name(), output))
+	o := c.pn.outIndex(output)
+	if o < 0 {
+		panic(fmt.Sprintf("runtime: node %q has no output %q", c.pn.node.Name(), output))
 	}
-	c.ex.send(p, it)
+	c.ex.send(c.pn, o, it)
 }
 
 func (c *runCtx) Recv(input string) (graph.Item, bool) {
-	if c.pending == nil {
-		c.pending = make(map[string][]graph.Item)
+	in := c.pn.inIndex(input)
+	if in < 0 {
+		panic(fmt.Sprintf("runtime: node %q has no input %q", c.pn.node.Name(), input))
 	}
-	if q := c.pending[input]; len(q) > 0 {
-		it := q[0]
-		c.pending[input] = q[1:]
-		return it, true
-	}
-	for {
-		msg, ok := c.ex.recv(c.node)
-		if !ok {
-			return graph.Item{}, false
-		}
-		if msg.input == input {
-			return msg.item, true
-		}
-		c.pending[msg.input] = append(c.pending[msg.input], msg.item)
-	}
+	return c.ex.boxes[c.pn.id].take(in)
 }
 
 // emitFrame chunks one frame into scan-order items with end-of-line
@@ -511,7 +464,8 @@ func (c *runCtx) Recv(input string) (graph.Item, bool) {
 // exactly when the last chunk has been consumed. In copy mode the
 // chunks are independent, and the caller's reference is released once
 // the frame has been chunked.
-func (ex *executor) emitFrame(out *graph.Port, fw, fh, cw, ch int, img frame.Window, f int64) {
+func (ex *executor) emitFrame(pn *planNode, fw, fh, cw, ch int, img frame.Window, f int64) {
+	const out = 0 // an application input's one port
 	zero := frame.ZeroCopy()
 	cols, rows := fw/cw, fh/ch
 	if zero && cols > 1 {
@@ -526,11 +480,11 @@ func (ex *executor) emitFrame(out *graph.Port, fw, fh, cw, ch int, img frame.Win
 		row := f * int64(rows)
 		b := graph.Batch{N: int32(cols), Sx: int32(cw), Bw: int32(cw)}
 		for y := 0; y+ch <= fh; y += ch {
-			ex.send(out, graph.BatchItem(img.View(0, y, fw, ch), b))
-			ex.send(out, graph.TokenItem(token.EOL(row)))
+			ex.send(pn, out, graph.BatchItem(img.View(0, y, fw, ch), b))
+			ex.send(pn, out, graph.TokenItem(token.EOL(row)))
 			row++
 		}
-		ex.send(out, graph.TokenItem(token.EOF(f)))
+		ex.send(pn, out, graph.TokenItem(token.EOF(f)))
 		return
 	}
 	if zero {
@@ -549,32 +503,32 @@ func (ex *executor) emitFrame(out *graph.Port, fw, fh, cw, ch int, img frame.Win
 			} else {
 				w = img.Sub(x, y, cw, ch)
 			}
-			ex.send(out, graph.DataItem(w))
+			ex.send(pn, out, graph.DataItem(w))
 		}
-		ex.send(out, graph.TokenItem(token.EOL(row)))
+		ex.send(pn, out, graph.TokenItem(token.EOL(row)))
 		row++
 	}
-	ex.send(out, graph.TokenItem(token.EOF(f)))
+	ex.send(pn, out, graph.TokenItem(token.EOF(f)))
 }
 
 // runInput generates opts.Frames frames of scan-order chunks.
-func (ex *executor) runInput(n *graph.Node) error {
+func (ex *executor) runInput(pn *planNode) error {
+	n := pn.node
 	gen := ex.opts.Sources[n.Name()]
 	if gen == nil {
 		gen = frame.Gradient
 	}
-	out := n.Output("out")
-	chunk := out.Size
+	chunk := n.Output("out").Size
 	fs := n.FrameSize
 	if fs.W%chunk.W != 0 || fs.H%chunk.H != 0 {
 		return fmt.Errorf("runtime: input %q frame %v not divisible by chunk %v", n.Name(), fs, chunk)
 	}
 	for f := 0; f < ex.opts.Frames; f++ {
-		if ex.stopping() {
+		if ex.stopped.Load() {
 			return nil
 		}
 		img := gen(int64(f), fs.W, fs.H)
-		ex.emitFrame(out, fs.W, fs.H, chunk.W, chunk.H, img, int64(f))
+		ex.emitFrame(pn, fs.W, fs.H, chunk.W, chunk.H, img, int64(f))
 	}
 	return nil
 }
@@ -595,58 +549,54 @@ func (ex *executor) collectOutput(w frame.Window) frame.Window {
 // are cut as views of that dense copy, so unbatching costs one memmove
 // per row, not one slab placement per window. Must be called with
 // outMu held.
-func (ex *executor) collectBatch(it graph.Item) []frame.Window {
-	dense := ex.slab.place(it.Win)
-	it.Win.Release()
-	out := make([]frame.Window, it.B.N)
-	for j := range out {
-		out[j] = it.B.Window(dense, j)
+func (ex *executor) collectBatch(dst []frame.Window, it graph.Item) []frame.Window {
+	dense := ex.collectOutput(it.Win)
+	for j := 0; j < int(it.B.N); j++ {
+		dst = append(dst, it.B.Window(dense, j))
 	}
-	return out
+	return dst
 }
 
 // runOutput collects the stream and stops the run once every output
 // has seen the full frame budget.
-func (ex *executor) runOutput(n *graph.Node) error {
+func (ex *executor) runOutput(pn *planNode) error {
+	ib := &ex.boxes[pn.id]
+	o := &ex.outs[pn.io]
 	for {
-		msg, ok := ex.recv(n)
+		it, ok := ib.take(0)
 		if !ok {
 			return nil
 		}
 		ex.outMu.Lock()
-		if !msg.item.IsToken && msg.item.B.IsBatch() {
+		switch {
+		case it.IsToken:
+			o.items = append(o.items, it)
+		case it.B.IsBatch():
 			// Unbatch in place: one slab placement for the span, one
-			// append per logical window, no intermediate slice.
-			dense := ex.slab.place(msg.item.Win)
-			msg.item.Win.Release()
-			out := ex.outputs[n.Name()]
-			for j := 0; j < int(msg.item.B.N); j++ {
-				out = append(out, graph.DataItem(msg.item.B.Window(dense, j)))
+			// append per logical window.
+			dense := ex.collectOutput(it.Win)
+			for j := 0; j < int(it.B.N); j++ {
+				o.items = append(o.items, graph.DataItem(it.B.Window(dense, j)))
 			}
-			ex.outputs[n.Name()] = out
-			ex.outMu.Unlock()
-			continue
+		default:
+			it.Win = ex.collectOutput(it.Win)
+			o.items = append(o.items, it)
 		}
-		if !msg.item.IsToken {
-			msg.item.Win = ex.collectOutput(msg.item.Win)
-		}
-		ex.outputs[n.Name()] = append(ex.outputs[n.Name()], msg.item)
-		if msg.item.IsToken && msg.item.Tok.Kind == token.EndOfFrame {
-			ex.eofSeen[n.Name()]++
-			if ex.eofSeen[n.Name()] == 1 && ex.opts.Frames > 1 {
+		if it.IsToken && it.Tok.Kind == token.EndOfFrame {
+			o.eofSeen++
+			if o.eofSeen == 1 && ex.opts.Frames > 1 {
 				// The first frame fixes the per-frame item count; reserve
 				// the whole run's worth in one allocation instead of
 				// doubling through growslice for every remaining frame.
-				cur := ex.outputs[n.Name()]
-				if need := len(cur)*ex.opts.Frames + 8; cap(cur) < need {
-					grown := make([]graph.Item, len(cur), need)
-					copy(grown, cur)
-					ex.outputs[n.Name()] = grown
+				if need := len(o.items)*ex.opts.Frames + 8; cap(o.items) < need {
+					grown := make([]graph.Item, len(o.items), need)
+					copy(grown, o.items)
+					o.items = grown
 				}
 			}
 			done := true
-			for _, o := range ex.g.Outputs() {
-				if ex.eofSeen[o.Name()] < ex.opts.Frames {
+			for i := range ex.outs {
+				if ex.outs[i].eofSeen < ex.opts.Frames {
 					done = false
 					break
 				}

@@ -25,7 +25,7 @@ var (
 
 // SessionOptions configures a streaming session.
 type SessionOptions struct {
-	// ChannelCap overrides the per-node inbox capacity (see Options).
+	// ChannelCap overrides every input ring's capacity (see Options).
 	ChannelCap int
 	// MaxInFlight bounds the frames fed but not yet collected; TryFeed
 	// fails with ErrQueueFull at the bound (default 4).
@@ -138,9 +138,10 @@ func (s *Session) feed(inputs map[string]frame.Window, block bool) (int64, error
 	// Resolve and validate every window before sending anything, so a
 	// bad frame never leaves the pipeline partially fed.
 	f := s.fed
-	ins := s.g.Inputs()
+	ins := s.ex.plan.inputs
 	wins := make([]frame.Window, len(ins))
-	for i, n := range ins {
+	for i, id := range ins {
+		n := s.ex.plan.nodes[id].node
 		w, ok := inputs[n.Name()]
 		if !ok {
 			gen := s.opts.Sources[n.Name()]
@@ -159,9 +160,9 @@ func (s *Session) feed(inputs map[string]frame.Window, block bool) (int64, error
 		}
 		wins[i] = w
 	}
-	for i, n := range ins {
+	for i := range ins {
 		select {
-		case s.ex.feeds[n] <- wins[i]:
+		case s.ex.feeds[i] <- wins[i]:
 		case <-s.ex.stop:
 			return 0, s.failErr()
 		}
@@ -240,14 +241,7 @@ func (s *Session) Err() error { return s.ex.runErr() }
 // then all kernel goroutines exit. It returns the first execution
 // error, if any. Close is idempotent.
 func (s *Session) Close() error {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		for _, n := range s.g.Inputs() {
-			close(s.ex.feeds[n])
-		}
-	}
-	s.mu.Unlock()
+	s.Finish()
 	for {
 		select {
 		case <-s.done:
@@ -284,8 +278,8 @@ func (s *Session) Finish() {
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true
-		for _, n := range s.g.Inputs() {
-			close(s.ex.feeds[n])
+		for _, ch := range s.ex.feeds {
+			close(ch)
 		}
 	}
 	s.mu.Unlock()
@@ -312,14 +306,13 @@ func (s *Session) failErr() error {
 // runInputStream is the streaming replacement for runInput: frames
 // arrive from the session feed instead of a generator, but chunking and
 // EOL/EOF numbering are identical so results match the batch runtime.
-func (ex *executor) runInputStream(n *graph.Node) error {
-	out := n.Output("out")
-	chunk := out.Size
-	fs := n.FrameSize
+func (ex *executor) runInputStream(pn *planNode) error {
+	chunk := pn.node.Output("out").Size
+	fs := pn.node.FrameSize
 	for f := int64(0); ; f++ {
 		var img frame.Window
 		select {
-		case w, ok := <-ex.feeds[n]:
+		case w, ok := <-ex.feeds[pn.io]:
 			if !ok {
 				return nil
 			}
@@ -327,7 +320,7 @@ func (ex *executor) runInputStream(n *graph.Node) error {
 		case <-ex.stop:
 			return nil
 		}
-		ex.emitFrame(out, fs.W, fs.H, chunk.W, chunk.H, img, f)
+		ex.emitFrame(pn, fs.W, fs.H, chunk.W, chunk.H, img, f)
 	}
 }
 
@@ -335,44 +328,45 @@ func (ex *executor) runInputStream(n *graph.Node) error {
 // accumulate until the end-of-frame token, and once every application
 // output has completed a frame the combined result is flushed to the
 // session's ready queue.
-func (ex *executor) runOutputStream(n *graph.Node) error {
-	name := n.Name()
+func (ex *executor) runOutputStream(pn *planNode) error {
+	ib := &ex.boxes[pn.id]
+	o := &ex.outs[pn.io]
 	for {
-		msg, ok := ex.recv(n)
+		it, ok := ib.take(0)
 		if !ok {
 			return nil
 		}
-		if !msg.item.IsToken {
+		if !it.IsToken {
 			ex.outMu.Lock()
-			if msg.item.B.IsBatch() {
-				ex.curFrame[name] = append(ex.curFrame[name], ex.collectBatch(msg.item)...)
+			if it.B.IsBatch() {
+				o.cur = ex.collectBatch(o.cur, it)
 			} else {
-				ex.curFrame[name] = append(ex.curFrame[name], ex.collectOutput(msg.item.Win))
+				o.cur = append(o.cur, ex.collectOutput(it.Win))
 			}
 			ex.outMu.Unlock()
 			continue
 		}
-		if msg.item.Tok.Kind != token.EndOfFrame {
+		if it.Tok.Kind != token.EndOfFrame {
 			continue
 		}
 		ex.outMu.Lock()
-		ex.doneFrames[name] = append(ex.doneFrames[name], ex.curFrame[name])
-		ex.curFrame[name] = nil
-		res := StreamResult{Outputs: make(map[string][]frame.Window)}
+		o.done = append(o.done, o.cur)
+		o.cur = nil
 		all := true
-		for _, o := range ex.g.Outputs() {
-			if len(ex.doneFrames[o.Name()]) == 0 {
+		for i := range ex.outs {
+			if len(ex.outs[i].done) == 0 {
 				all = false
 				break
 			}
 		}
+		var res StreamResult
 		if all {
-			for _, o := range ex.g.Outputs() {
-				q := ex.doneFrames[o.Name()]
-				res.Outputs[o.Name()] = q[0]
-				ex.doneFrames[o.Name()] = q[1:]
+			res = StreamResult{Seq: ex.assembled, Outputs: make(map[string][]frame.Window, len(ex.outs))}
+			for i := range ex.outs {
+				q := &ex.outs[i]
+				res.Outputs[q.name] = q.done[0]
+				q.done = q.done[1:]
 			}
-			res.Seq = ex.assembled
 			ex.assembled++
 		}
 		ex.outMu.Unlock()
