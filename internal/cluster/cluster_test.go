@@ -342,8 +342,8 @@ func TestClusterBackpressure(t *testing.T) {
 	}
 
 	// With nothing in flight, a bounded collect times out with the
-	// "timed out" phrasing the HTTP layer maps to 504.
-	if _, err := h.Collect(10 * time.Millisecond); err == nil || !strings.Contains(err.Error(), "timed out") {
+	// typed error the HTTP layer maps to 504, its text unchanged.
+	if _, err := h.Collect(10 * time.Millisecond); !errors.Is(err, runtime.ErrCollectTimeout) || !strings.Contains(err.Error(), "session collect timed out after") {
 		t.Fatalf("collect with nothing in flight: got %v, want timeout", err)
 	}
 }

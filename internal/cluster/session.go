@@ -26,8 +26,8 @@ import (
 
 // session implements serve.SessionHandle with the same error
 // vocabulary as the in-process runtime: ErrQueueFull when the in-flight
-// window is full, ErrBadFrame on local input validation, a "timed out"
-// error on Collect deadlines.
+// window is full, ErrBadFrame on local input validation, an
+// ErrCollectTimeout wrapper on Collect deadlines.
 //
 // Flow control is global: TryFeed bounds fed-minus-collected by
 // MaxInFlight, exactly the local session's window. No per-partition
@@ -395,8 +395,8 @@ func (ps *session) TryFeed(inputs map[string]frame.Window) (int64, error) {
 }
 
 // Collect returns the next merged frame in order. Its timeout error
-// says "timed out" so the HTTP layer maps it to 504 like a local
-// session's.
+// wraps runtime.ErrCollectTimeout so the HTTP layer maps it to 504 like
+// a local session's.
 func (ps *session) Collect(timeout time.Duration) (*runtime.StreamResult, error) {
 	var tc <-chan time.Time
 	if timeout > 0 {
@@ -409,7 +409,7 @@ func (ps *session) Collect(timeout time.Duration) (*runtime.StreamResult, error)
 		ps.noteCollected()
 		return res, nil
 	case <-tc:
-		return nil, fmt.Errorf("cluster: session collect timed out after %v", timeout)
+		return nil, fmt.Errorf("cluster: session %w after %v", runtime.ErrCollectTimeout, timeout)
 	case <-ps.done:
 		// Results buffered before the failure are still deliverable.
 		select {

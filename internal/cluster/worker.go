@@ -35,7 +35,6 @@ import (
 	"net"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -543,7 +542,7 @@ func (s *workerSession) collector() {
 			if errors.Is(err, runtime.ErrSessionClosed) {
 				return
 			}
-			if isTimeout(err) {
+			if errors.Is(err, runtime.ErrCollectTimeout) {
 				continue
 			}
 			s.fail(err)
@@ -589,10 +588,4 @@ func encodeResult(sid uint64, res *runtime.StreamResult) *wire.Result {
 		m.Outputs = append(m.Outputs, wire.NamedWindows{Name: name, Wins: res.Outputs[name]})
 	}
 	return m
-}
-
-// isTimeout matches the runtime's collect-deadline error (the same
-// convention internal/serve uses).
-func isTimeout(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "timed out")
 }

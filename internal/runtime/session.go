@@ -21,6 +21,11 @@ var (
 	// dimensions) so transports can distinguish them from execution
 	// failures.
 	ErrBadFrame = errors.New("runtime: bad frame")
+	// ErrCollectTimeout marks a Collect that reached its deadline with no
+	// completed frame — a condition to retry or report as 504, unlike an
+	// execution failure. Local and cluster sessions both wrap it, its
+	// text completing theirs ("… session collect timed out after 50ms").
+	ErrCollectTimeout = errors.New("collect timed out")
 )
 
 // SessionOptions configures a streaming session.
@@ -187,7 +192,7 @@ func (s *Session) Collect(timeout time.Duration) (*StreamResult, error) {
 		s.collected.Add(1)
 		return &res, nil
 	case <-tc:
-		return nil, fmt.Errorf("runtime: session collect timed out after %v", timeout)
+		return nil, fmt.Errorf("runtime: session %w after %v", ErrCollectTimeout, timeout)
 	case <-s.ex.stop:
 		// A completed frame may have raced with the failure; prefer it.
 		select {

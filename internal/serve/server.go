@@ -1,13 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -450,6 +451,7 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 		rt:          rt,
 		maxInFlight: maxInFlight,
 		created:     time.Now(),
+		feedTimes:   make([]feedStamp, maxInFlight),
 	}
 	s.mu.Lock()
 	s.sessions[id] = sess
@@ -512,7 +514,11 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	inputs, code, err := readFrameBody(r)
+	if sess.full() {
+		s.feedError(w, runtime.ErrQueueFull)
+		return
+	}
+	inputs, code, err := readFrameBody(w, r)
 	if err != nil {
 		writeErr(w, code, err.Error())
 		return
@@ -523,10 +529,10 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.framesIn.Add(1)
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"frame":    idx,
-		"inFlight": sess.rt.InFlight(),
-	})
+	buf := getBuf()
+	b := appendFeedAck(*buf, idx, sess.rt.InFlight())
+	writeBody(w, http.StatusAccepted, b)
+	putBuf(buf, b)
 }
 
 func (s *Server) handleCollect(w http.ResponseWriter, r *http.Request) {
@@ -548,14 +554,20 @@ func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	inputs, code, err := readFrameBody(r)
+	// Serialize feed+collect pairs so each caller gets the frame it fed.
+	// The lock comes before the fullness check: another /process call in
+	// progress is a reason to wait, not to refuse.
+	sess.procMu.Lock()
+	defer sess.procMu.Unlock()
+	if sess.full() {
+		s.feedError(w, runtime.ErrQueueFull)
+		return
+	}
+	inputs, code, err := readFrameBody(w, r)
 	if err != nil {
 		writeErr(w, code, err.Error())
 		return
 	}
-	// Serialize feed+collect pairs so each caller gets the frame it fed.
-	sess.procMu.Lock()
-	defer sess.procMu.Unlock()
 	if _, err := sess.feed(inputs); err != nil {
 		s.feedError(w, err)
 		return
@@ -585,7 +597,7 @@ func (s *Server) collectAndReply(w http.ResponseWriter, r *http.Request, sess *s
 			writeErr(w, http.StatusServiceUnavailable, err.Error())
 		case errors.Is(err, runtime.ErrSessionClosed):
 			writeErr(w, http.StatusConflict, err.Error())
-		case isTimeout(err):
+		case errors.Is(err, runtime.ErrCollectTimeout):
 			writeErr(w, http.StatusGatewayTimeout, err.Error())
 		default:
 			s.metrics.sessionErrors.Add(1)
@@ -597,12 +609,18 @@ func (s *Server) collectAndReply(w http.ResponseWriter, r *http.Request, sess *s
 	if lat > 0 {
 		s.metrics.latencyFor(sess.pipeline.ID).add(lat)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"frame":      res.Seq,
-		"latency_ms": float64(lat) / float64(time.Millisecond),
-		"outputs":    encodeOutputs(res.Outputs),
-	})
+	buf := getBuf()
+	b, err := appendReply(*buf, res.Seq, float64(lat)/float64(time.Millisecond), res.Outputs)
 	releaseOutputs(res.Outputs)
+	if err != nil {
+		// The frame is consumed either way; nothing of the partial
+		// encoding has reached the client.
+		s.metrics.sessionErrors.Add(1)
+		writeErr(w, http.StatusInternalServerError, fmt.Sprintf("frame %d: %v", res.Seq, err))
+	} else {
+		writeBody(w, http.StatusOK, b)
+	}
+	putBuf(buf, b)
 }
 
 // feedError maps a runtime feed failure onto an HTTP status: queue
@@ -637,36 +655,47 @@ func (s *Server) isClosed() bool {
 
 // ---- plumbing ----
 
-// isTimeout matches the runtime's collect-deadline error.
-func isTimeout(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "timed out")
-}
+// maxBodyBytes caps a request body; a longer one is refused with 413.
+const maxBodyBytes = 64 << 20
+
+var errBodyTooLarge = fmt.Errorf("request body exceeds %d bytes", maxBodyBytes)
 
 // readFrameBody decodes an optional {"inputs": {...}} request body: an
 // empty body means "generate every input from the pipeline's sources".
-func readFrameBody(r *http.Request) (map[string]frame.Window, int, error) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	if len(data) == 0 {
+// The body is read into a pooled buffer sized from Content-Length and
+// parsed in place; the windows returned do not alias it.
+func readFrameBody(w http.ResponseWriter, r *http.Request) (map[string]frame.Window, int, error) {
+	if r.ContentLength == 0 {
 		return nil, 0, nil
 	}
-	var req struct {
-		Inputs map[string]WindowJSON `json:"inputs"`
+	if r.ContentLength > maxBodyBytes {
+		return nil, http.StatusRequestEntityTooLarge, errBodyTooLarge
 	}
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
+	buf := getBuf()
+	body := bytes.NewBuffer(*buf)
+	if r.ContentLength > 0 {
+		// Room for the announced length plus the read that returns EOF.
+		body.Grow(int(r.ContentLength) + bytes.MinRead)
 	}
-	inputs, err := decodeInputs(req.Inputs)
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	data := body.Bytes()
+	var inputs map[string]frame.Window
+	if err == nil && len(data) > 0 {
+		inputs, err = parseFrameBody(data)
+	}
+	putBuf(buf, data)
 	if err != nil {
+		var limit *http.MaxBytesError
+		if errors.As(err, &limit) {
+			return nil, http.StatusRequestEntityTooLarge, errBodyTooLarge
+		}
 		return nil, http.StatusBadRequest, err
 	}
 	return inputs, 0, nil
 }
 
 func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 64<<20))
+	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
 	if err := dec.Decode(v); err != nil {
 		if errors.Is(err, io.EOF) {
 			return fmt.Errorf("empty request body")
@@ -676,13 +705,30 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// writeBody sends a complete, already encoded JSON body.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	w.Write(body)
+}
+
+// writeJSON replies with v for the control-plane endpoints, none of
+// which carries samples. The value is encoded before the status is
+// committed, so an unencodable one becomes a 500, not an empty 200.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		writeErr(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	writeBody(w, code, buf.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+	buf := getBuf()
+	b := appendError(*buf, msg)
+	writeBody(w, code, b)
+	putBuf(buf, b)
 }

@@ -89,7 +89,7 @@ func openSession(t *testing.T, ts *httptest.Server, pipeline string, maxInFlight
 
 // batchCompile compiles an app exactly like the registry does, so the
 // batch reference shares the streamed sessions' transformed graph.
-func batchCompile(t *testing.T, app *apps.App) *core.Compiled {
+func batchCompile(t testing.TB, app *apps.App) *core.Compiled {
 	t.Helper()
 	c, err := core.Compile(app.Graph, core.Config{
 		Machine:        machine.Embedded(),
@@ -105,7 +105,7 @@ func batchCompile(t *testing.T, app *apps.App) *core.Compiled {
 
 // batchFrames runs the batch runtime over a fresh compile of the app
 // and returns per-output, per-frame golden windows.
-func batchFrames(t *testing.T, app *apps.App, frames int64) map[string][][]frame.Window {
+func batchFrames(t testing.TB, app *apps.App, frames int64) map[string][][]frame.Window {
 	t.Helper()
 	c := batchCompile(t, app)
 	res, err := runtime.Run(c.Graph, runtime.Options{Frames: int(frames), Sources: app.Sources})

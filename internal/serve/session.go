@@ -23,10 +23,22 @@ type session struct {
 	// frame it fed.
 	procMu sync.Mutex
 
-	// mu guards the feed-time FIFO used for frame latency.
+	// mu guards feedTimes, the frame-latency bookkeeping: a fixed ring
+	// of maxInFlight stamps indexed by frame sequence number.
 	mu        sync.Mutex
-	feedTimes []time.Time
+	feedTimes []feedStamp
 }
+
+// feedStamp records when frame seq was accepted.
+type feedStamp struct {
+	seq int64
+	at  time.Time
+}
+
+// full reports whether the frame queue is at its bound, so a feed would
+// be refused. It is the cheap early check that spares reading a body;
+// TryFeed stays the authority.
+func (s *session) full() bool { return s.rt.InFlight() >= int64(s.maxInFlight) }
 
 // feed enqueues one frame without blocking; runtime.ErrQueueFull is the
 // backpressure signal the handler maps to HTTP 429.
@@ -36,13 +48,14 @@ func (s *session) feed(inputs map[string]frame.Window) (int64, error) {
 		return 0, err
 	}
 	s.mu.Lock()
-	s.feedTimes = append(s.feedTimes, time.Now())
+	s.feedTimes[idx%int64(len(s.feedTimes))] = feedStamp{seq: idx, at: time.Now()}
 	s.mu.Unlock()
 	return idx, nil
 }
 
 // collect returns the next completed frame and the latency since its
-// feed (zero when the pairing queue is empty, e.g. after a restart).
+// feed (zero when the frame's stamp is not in the ring: the collect
+// overtook the feeder's bookkeeping, or the slot was already reused).
 func (s *session) collect(timeout time.Duration) (*runtime.StreamResult, time.Duration, error) {
 	res, err := s.rt.Collect(timeout)
 	if err != nil {
@@ -50,19 +63,20 @@ func (s *session) collect(timeout time.Duration) (*runtime.StreamResult, time.Du
 	}
 	var lat time.Duration
 	s.mu.Lock()
-	if len(s.feedTimes) > 0 {
-		lat = time.Since(s.feedTimes[0])
-		s.feedTimes = s.feedTimes[1:]
+	if st := s.feedTimes[res.Seq%int64(len(s.feedTimes))]; st.seq == res.Seq && !st.at.IsZero() {
+		lat = time.Since(st.at)
 	}
 	s.mu.Unlock()
 	return res, lat, nil
 }
 
-// WindowJSON is the wire form of a frame.Window. Samples always travel
-// as JSON numbers decoded into float64 — exact for every kind (u8 and
-// f32 values are exactly representable as doubles) — with the element
-// kind as a tag, so streamed outputs stay byte-identical to the
-// in-process runtime results and a typed window round-trips its kind.
+// WindowJSON is the wire form of a frame.Window for Go clients.
+// Samples always travel as JSON numbers held in float64 — exact for
+// every kind (u8 and f32 values are exactly representable as doubles) —
+// with the element kind as a tag, so streamed outputs stay
+// byte-identical to the in-process runtime results and a typed window
+// round-trips its kind. Its JSON methods are the edge codec's: a client
+// marshals and unmarshals through the same routines the server runs.
 type WindowJSON struct {
 	W int `json:"w"`
 	H int `json:"h"`
@@ -78,9 +92,8 @@ func (j WindowJSON) ToWindow() (frame.Window, error) {
 	if err != nil {
 		return frame.Window{}, err
 	}
-	if j.W < 0 || j.H < 0 || len(j.Pix) != j.W*j.H {
-		return frame.Window{}, fmt.Errorf("window %dx%d carries %d samples, want %d",
-			j.W, j.H, len(j.Pix), j.W*j.H)
+	if total, ok := windowSamples(j.W, j.H); !ok || len(j.Pix) != total {
+		return frame.Window{}, shapeError(j.W, j.H, len(j.Pix))
 	}
 	w := frame.NewWindowKind(k, j.W, j.H)
 	if k == frame.F64 {
@@ -95,47 +108,70 @@ func (j WindowJSON) ToWindow() (frame.Window, error) {
 	return w, nil
 }
 
-// FromWindow converts a window to its wire form. Strided views are
-// compacted first: the wire format is dense row-major.
+// FromWindow converts a window to its wire form: dense row-major
+// samples widened to float64. A dense f64 window shares its storage
+// with the result; anything else (typed, or a strided view) is copied
+// row by row.
 func FromWindow(w frame.Window) WindowJSON {
-	w = w.Dense()
-	if w.Kind == frame.F64 {
-		return WindowJSON{W: w.W, H: w.H, Pix: w.Pix}
+	if w.Kind == frame.F64 && w.IsDense() {
+		return WindowJSON{W: w.W, H: w.H, Pix: w.Pix[:w.W*w.H]}
 	}
-	pix := make([]float64, w.W*w.H)
+	j := WindowJSON{W: w.W, H: w.H, Pix: make([]float64, 0, w.W*w.H)}
+	if w.Kind != frame.F64 {
+		j.Kind = w.Kind.String()
+	}
 	for y := 0; y < w.H; y++ {
-		for x := 0; x < w.W; x++ {
-			pix[y*w.W+x] = w.At(x, y)
+		switch w.Kind {
+		case frame.U8:
+			for _, v := range w.RowU8(y) {
+				j.Pix = append(j.Pix, float64(v))
+			}
+		case frame.F32:
+			for _, v := range w.RowF32(y) {
+				j.Pix = append(j.Pix, float64(v))
+			}
+		default:
+			j.Pix = append(j.Pix, w.Row(y)...)
 		}
 	}
-	return WindowJSON{W: w.W, H: w.H, Kind: w.Kind.String(), Pix: pix}
+	return j
 }
 
-// decodeInputs converts a wire input map to runtime windows.
-func decodeInputs(in map[string]WindowJSON) (map[string]frame.Window, error) {
-	if len(in) == 0 {
-		return nil, nil
+// MarshalJSON writes the window as the server would. Like the struct
+// encoding it replaces it does not check Pix against W×H (ToWindow, and
+// the server, do); a non-finite sample is an error.
+func (j WindowJSON) MarshalJSON() ([]byte, error) {
+	b := openWindow(make([]byte, 0, 48+4*len(j.Pix)), j.W, j.H, j.Kind)
+	pix := len(b)
+	b, bad := appendFloats(b, j.Pix)
+	if bad >= 0 {
+		return nil, fmt.Errorf("sample %d is %v, which JSON cannot carry", bad, j.Pix[bad])
 	}
-	out := make(map[string]frame.Window, len(in))
-	for name, jw := range in {
-		w, err := jw.ToWindow()
-		if err != nil {
-			return nil, fmt.Errorf("input %q: %w", name, err)
-		}
-		out[name] = w
-	}
-	return out, nil
+	return closeWindow(b, pix), nil
 }
 
-// encodeOutputs converts a completed frame's outputs to wire form.
-func encodeOutputs(outs map[string][]frame.Window) map[string][]WindowJSON {
-	out := make(map[string][]WindowJSON, len(outs))
-	for name, ws := range outs {
-		js := make([]WindowJSON, len(ws))
-		for i, w := range ws {
-			js[i] = FromWindow(w)
-		}
-		out[name] = js
+// UnmarshalJSON reads a window object as the server would, so the kind
+// tag and the sample count are validated here and Kind comes back in
+// canonical form.
+func (j *WindowJSON) UnmarshalJSON(data []byte) error {
+	p := parser{b: data}
+	p.ws()
+	if p.peek() == 'n' { // null leaves the value alone, as for any JSON type
+		return p.lit("null")
 	}
-	return out
+	if p.peek() != '{' {
+		return p.want("a window object")
+	}
+	win, invalid, err := p.window()
+	if err == nil {
+		err = p.end()
+	}
+	if err == nil {
+		err = invalid
+	}
+	if err != nil {
+		return err
+	}
+	*j = FromWindow(win)
+	return nil
 }

@@ -261,15 +261,19 @@ func decodeWindow(r *reader) frame.Window {
 			copy(win.RowU8(y), r.take(w, "window sample"))
 		}
 	case frame.F32:
+		// The length check above covers every row: take each row's bytes
+		// once and convert them in a loop free of per-sample checks.
 		for y := 0; y < h; y++ {
 			row := win.RowF32(y)
+			src := r.take(4*len(row), "window sample")
 			for i := range row {
-				row[i] = math.Float32frombits(r.u32("window sample"))
+				row[i] = math.Float32frombits(binary.BigEndian.Uint32(src[4*i:]))
 			}
 		}
 	default:
+		src := r.take(8*len(win.Pix), "window sample")
 		for i := range win.Pix {
-			win.Pix[i] = math.Float64frombits(r.u64("window sample"))
+			win.Pix[i] = math.Float64frombits(binary.BigEndian.Uint64(src[8*i:]))
 		}
 	}
 	return win

@@ -575,3 +575,23 @@ func TestWindowDecodeRejectsMalformedKind(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkDecodeWindow prices decodeWindow on a frame-sized window of
+// each kind (48×32, app 4's input): after the one length check the rows
+// are converted in bulk, so decode should cost about what encode does.
+func BenchmarkDecodeWindow(b *testing.B) {
+	for _, k := range []frame.Kind{frame.F64, frame.F32, frame.U8} {
+		enc := AppendWindow(nil, typedTestWindow(k, 48, 32))
+		b.Run(k.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(enc)))
+			for i := 0; i < b.N; i++ {
+				w, err := DecodeWindow(enc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				w.Release()
+			}
+		})
+	}
+}
