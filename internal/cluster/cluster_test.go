@@ -442,8 +442,9 @@ func TestClusterWorkerFailureIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr1, addr2 := ln1.Addr().String(), ln2.Addr().String()
-	go w1.Serve(ln1)
-	go w2.Serve(ln2)
+	gate := newResultGate()
+	go w1.Serve(tapListener{Listener: ln1, tap: gate.tap})
+	go w2.Serve(tapListener{Listener: ln2, tap: gate.tap})
 	defer w1.Close()
 	defer w2.Close()
 
@@ -500,10 +501,13 @@ func TestClusterWorkerFailureIsolated(t *testing.T) {
 	if addrA == addr2 {
 		victim, victimName = w2, "w2"
 	}
+	// Its result stays on the worker until the worker is gone.
+	gate.hold()
 	if _, err := hA.TryFeed(nil); err != nil {
 		t.Fatal(err)
 	}
 	victim.Close()
+	gate.release()
 
 	// A's stream fails with a typed ErrSessionLost naming its worker...
 	_, err = hA.Collect(10 * time.Second)

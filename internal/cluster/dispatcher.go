@@ -406,6 +406,9 @@ type WorkerStats struct {
 	ResultsReceived int64   `json:"results_received"`
 	CreditsInFlight int     `json:"credits_in_flight"`
 	Reconnects      int64   `json:"reconnects"`
+	// ConnFlushes counts the writes issued to the worker's connection;
+	// under load several frames share one (see wire.Conn.Write).
+	ConnFlushes int64 `json:"conn_flushes"`
 }
 
 // SessionStats is one open session's row in /metrics: the worker
@@ -416,6 +419,11 @@ type SessionStats struct {
 	Workers     []string `json:"workers"`
 	Partitions  int      `json:"partitions"`
 	ReplayBytes int64    `json:"replay_bytes"`
+	// Cut-edge traffic relayed between the session's partitions so far:
+	// edge frames, the items in them, and those items' sample bytes.
+	RelayFrames int64 `json:"relay_frames"`
+	RelayItems  int64 `json:"relay_items"`
+	RelayBytes  int64 `json:"relay_bytes"`
 }
 
 // BackendStats implements serve.StatsReporter: the per-worker gauges

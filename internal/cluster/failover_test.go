@@ -235,7 +235,8 @@ func TestClusterFailoverShedsWithoutCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go worker.Serve(ln)
+	gate := newResultGate()
+	go worker.Serve(tapListener{Listener: ln, tap: gate.tap})
 	defer worker.Close()
 
 	opts := fastOpts()
@@ -250,11 +251,14 @@ func TestClusterFailoverShedsWithoutCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The frame's result stays on the worker until the worker is gone.
+	gate.hold()
 	if _, err := h.TryFeed(nil); err != nil {
 		t.Fatal(err)
 	}
 	shedBefore := dispatcherCounter(d, "shed_total")
 	worker.Close()
+	gate.release()
 
 	_, err = h.Collect(10 * time.Second)
 	if err == nil {

@@ -11,6 +11,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -71,6 +72,10 @@ func (c *workerConn) openPartition(m *wire.OpenPartition) {
 	// bound (frames resident in the feed queue plus the runtime) is the
 	// same one MaxInFlight already enforces.
 	s.creditFeeds = len(g.Outputs()) == 0
+	for _, out := range g.Outputs() {
+		s.outNames = append(s.outNames, out.Name())
+	}
+	sort.Strings(s.outNames)
 	for _, er := range m.Resume {
 		oe := s.outEdges[er.Edge]
 		if oe == nil {
@@ -254,8 +259,11 @@ func releaseWireItems(items []wire.Item) {
 }
 
 // inEdge is the consuming end of a cut edge: a bounded in-order item
-// queue between the wire read loop and the partition's boundary
-// source, granting credits back as items are handed downstream.
+// ring between the wire read loop and the partition's boundary source,
+// granting credits back as items are handed downstream. The ring's
+// bound is the edge's credit window — the producer holds a credit per
+// item in flight — so it is sized by what placement computed, not
+// discovered by append.
 type inEdge struct {
 	s      *workerSession
 	id     uint32
@@ -263,20 +271,25 @@ type inEdge struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   []graph.Item
+	queue   ring[graph.Item]
 	eos     bool
 	aborted bool
 	pending int // consumed items not yet credited back
+	// grant is the one EdgeCredit this edge ever sends, refilled per
+	// flush: ack runs on the boundary source's goroutine only and the
+	// connection encodes before send returns.
+	grant wire.EdgeCredit
 }
 
 func newInEdge(s *workerSession, spec wire.EdgeSpec) *inEdge {
-	ie := &inEdge{s: s, id: spec.ID, credit: int(spec.Credit)}
+	ie := &inEdge{s: s, id: spec.ID, credit: int(spec.Credit), queue: newRing[graph.Item](int(spec.Credit))}
 	ie.cond = sync.NewCond(&ie.mu)
+	ie.grant = wire.EdgeCredit{SID: s.sid, Edge: spec.ID}
 	return ie
 }
 
 // deliver queues one EdgeFrame's items. The producer holds a credit
-// per item, so the queue is bounded by the window; growth past it is a
+// per item, so the ring never fills; an item that does not fit is a
 // protocol violation.
 func (ie *inEdge) deliver(m *wire.EdgeFrame) {
 	ie.mu.Lock()
@@ -285,25 +298,25 @@ func (ie *inEdge) deliver(m *wire.EdgeFrame) {
 		releaseWireItems(m.Items)
 		return
 	}
+	queued := 0
 	for _, it := range m.Items {
-		if it.IsToken {
-			ie.queue = append(ie.queue, graph.TokenItem(it.Tok))
-		} else {
-			// The wire decoder validated the batch descriptor against the
-			// window (protocol v6), so it re-enters the runtime as-is.
-			ie.queue = append(ie.queue, graph.Item{
-				Win: it.Win,
-				B:   graph.Batch{N: it.B.N, Sx: it.B.Sx, Bw: it.B.Bw},
-			})
+		// The wire decoder validated the batch descriptor against the
+		// window (protocol v6), so it re-enters the runtime as-is.
+		if !ie.queue.push(graph.Item{
+			IsToken: it.IsToken, Win: it.Win, Tok: it.Tok,
+			B: graph.Batch{N: it.B.N, Sx: it.B.Sx, Bw: it.B.Bw},
+		}) {
+			break
 		}
+		queued++
 	}
 	if m.EOS {
 		ie.eos = true
 	}
-	overrun := len(ie.queue) > ie.credit
 	ie.cond.Broadcast()
 	ie.mu.Unlock()
-	if overrun {
+	if queued < len(m.Items) {
+		releaseWireItems(m.Items[queued:])
 		ie.s.beginAbort(fmt.Errorf("cut edge %d overran its credit window", ie.id), true)
 	}
 }
@@ -312,16 +325,14 @@ func (ie *inEdge) deliver(m *wire.EdgeFrame) {
 // at end-of-stream or abort.
 func (ie *inEdge) pull() (graph.Item, bool) {
 	ie.mu.Lock()
-	for len(ie.queue) == 0 && !ie.eos && !ie.aborted {
+	for ie.queue.len() == 0 && !ie.eos && !ie.aborted {
 		ie.cond.Wait()
 	}
-	if ie.aborted || len(ie.queue) == 0 {
+	if ie.aborted || ie.queue.len() == 0 {
 		ie.mu.Unlock()
 		return graph.Item{}, false
 	}
-	it := ie.queue[0]
-	ie.queue[0] = graph.Item{}
-	ie.queue = ie.queue[1:]
+	it := ie.queue.pop()
 	ie.mu.Unlock()
 	return it, true
 }
@@ -349,41 +360,38 @@ func (ie *inEdge) ack() {
 		ie.mu.Unlock()
 		return
 	}
-	n := ie.pending
+	ie.grant.N = uint32(ie.pending)
 	ie.pending = 0
 	ie.mu.Unlock()
-	ie.s.conn.send(&wire.EdgeCredit{SID: ie.s.sid, Edge: ie.id, N: uint32(n)})
+	ie.s.conn.send(&ie.grant)
 }
 
 func (ie *inEdge) abort() {
 	ie.mu.Lock()
-	if ie.aborted {
-		ie.mu.Unlock()
-		return
-	}
-	ie.aborted = true
-	queue := ie.queue
-	ie.queue = nil
-	ie.cond.Broadcast()
-	ie.mu.Unlock()
-	for _, it := range queue {
-		if !it.IsToken {
-			it.Win.Release()
+	if !ie.aborted {
+		ie.aborted = true
+		for ie.queue.len() > 0 {
+			if it := ie.queue.pop(); !it.IsToken {
+				it.Win.Release()
+			}
 		}
+		ie.cond.Broadcast()
 	}
+	ie.mu.Unlock()
 }
 
 // outEdge is the producing end of a cut edge: the boundary sink's Push
 // blocks for a credit and queues the item; a sender goroutine batches
 // whatever accumulated into EdgeFrames, so the edge naturally coalesces
-// under load without adding latency when idle.
+// under load without adding latency when idle. The credit gate bounds
+// the ring to the peer's window.
 type outEdge struct {
 	s  *workerSession
 	id uint32
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   []wire.Item
+	queue   ring[wire.Item]
 	credits int
 	closed  bool // end-of-stream requested by the sink
 	aborted bool
@@ -401,7 +409,10 @@ type outEdge struct {
 }
 
 func newOutEdge(s *workerSession, spec wire.EdgeSpec) *outEdge {
-	oe := &outEdge{s: s, id: spec.ID, credits: int(spec.Credit), senderDone: make(chan struct{})}
+	oe := &outEdge{
+		s: s, id: spec.ID, credits: int(spec.Credit),
+		queue: newRing[wire.Item](unbounded), senderDone: make(chan struct{}),
+	}
 	oe.cond = sync.NewCond(&oe.mu)
 	return oe
 }
@@ -429,7 +440,7 @@ func (oe *outEdge) push(it graph.Item) {
 		return
 	}
 	oe.credits--
-	oe.queue = append(oe.queue, wire.Item{
+	oe.queue.push(wire.Item{
 		IsToken: it.IsToken, Win: it.Win, Tok: it.Tok,
 		B: wire.Batch{N: it.B.N, Sx: it.B.Sx, Bw: it.B.Bw},
 	})
@@ -455,43 +466,42 @@ func (oe *outEdge) addCredits(n int) {
 
 func (oe *outEdge) abort() {
 	oe.mu.Lock()
-	if oe.aborted {
-		oe.mu.Unlock()
-		return
+	if !oe.aborted {
+		oe.aborted = true
+		for oe.queue.len() > 0 {
+			if it := oe.queue.pop(); !it.IsToken {
+				it.Win.Release()
+			}
+		}
+		oe.cond.Broadcast()
 	}
-	oe.aborted = true
-	queue := oe.queue
-	oe.queue = nil
-	oe.cond.Broadcast()
 	oe.mu.Unlock()
-	releaseWireItems(queue)
 }
 
 // sender drains the queue into EdgeFrames. Encoded windows are
-// released after the write — the wire copies their bytes.
+// released after the write — the wire copies their bytes — and the one
+// frame and its item batch are reused for every send.
 func (oe *outEdge) sender() {
 	defer close(oe.senderDone)
+	ef := wire.EdgeFrame{SID: oe.s.sid, Edge: oe.id}
 	for {
 		oe.mu.Lock()
-		for len(oe.queue) == 0 && !oe.closed && !oe.aborted {
+		for oe.queue.len() == 0 && !oe.closed && !oe.aborted {
 			oe.cond.Wait()
 		}
 		if oe.aborted {
 			oe.mu.Unlock()
 			return
 		}
-		batch := oe.queue
-		if len(batch) > edgeBatchItems {
-			batch = batch[:edgeBatchItems]
-		}
-		oe.queue = oe.queue[len(batch):]
-		done := oe.closed && len(oe.queue) == 0
+		ef.Items = oe.queue.popInto(ef.Items[:0], edgeBatchItems)
+		ef.EOS = oe.closed && oe.queue.len() == 0
 		oe.mu.Unlock()
-		if len(batch) > 0 || done {
-			oe.s.conn.send(&wire.EdgeFrame{SID: oe.s.sid, Edge: oe.id, EOS: done, Items: batch})
-			releaseWireItems(batch)
+		if len(ef.Items) > 0 || ef.EOS {
+			oe.s.conn.send(&ef)
+			releaseWireItems(ef.Items)
+			clear(ef.Items)
 		}
-		if done {
+		if ef.EOS {
 			return
 		}
 	}

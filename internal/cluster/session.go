@@ -85,6 +85,11 @@ type session struct {
 	recovering    bool // a partition is being re-homed; feeds are paused
 	recoveringIdx int
 
+	// What the relay has carried between this session's partitions:
+	// edge frames, their items, and the items' sample bytes, each
+	// counted once (the frontend reads and re-writes every one).
+	relayFrames, relayItems, relayBytes int64
+
 	results chan *runtime.StreamResult
 	done    chan struct{}
 }
@@ -233,18 +238,23 @@ func (ps *session) logFeedLocked(inputs map[string]frame.Window) bool {
 	return true
 }
 
-// logEdgeItemsLocked appends one edge frame's items to the edge's
-// replay log, retaining each data window for the log's reference.
-// Caller holds ps.mu.
-func (ps *session) logEdgeItemsLocked(es *cutEdgeState, items []wire.Item) bool {
-	if ps.logFull {
-		return false
-	}
+// itemsBytes is the sample bytes an edge frame's data windows carry.
+func itemsBytes(items []wire.Item) int64 {
 	var sz int64
 	for _, it := range items {
 		if !it.IsToken {
 			sz += windowBytes(it.Win)
 		}
+	}
+	return sz
+}
+
+// logEdgeItemsLocked appends one edge frame's items (sz sample bytes)
+// to the edge's replay log, retaining each data window for the log's
+// reference. Caller holds ps.mu.
+func (ps *session) logEdgeItemsLocked(es *cutEdgeState, items []wire.Item, sz int64) bool {
+	if ps.logFull {
+		return false
 	}
 	if ps.logBytes+sz > ps.d.opts.ReplayBudget {
 		ps.logFullLocked()
@@ -291,6 +301,9 @@ func (ps *session) row() SessionStats {
 		Partitions:  len(ps.halves),
 		Workers:     make([]string, 0, len(ps.halves)),
 		ReplayBytes: ps.logBytes,
+		RelayFrames: ps.relayFrames,
+		RelayItems:  ps.relayItems,
+		RelayBytes:  ps.relayBytes,
 	}
 	for _, h := range ps.halves {
 		row.Workers = append(row.Workers, h.w.addr)
@@ -510,7 +523,7 @@ type partitionHalf struct {
 
 	rmu    sync.Mutex
 	rcond  *sync.Cond
-	relayq []wire.Msg
+	relayq ring[wire.Msg]
 	rstop  bool
 }
 
@@ -527,7 +540,7 @@ func (h *partitionHalf) enqueueRelay(m wire.Msg) {
 		}
 		return
 	}
-	h.relayq = append(h.relayq, m)
+	h.relayq.push(m)
 	h.rcond.Signal()
 	h.rmu.Unlock()
 }
@@ -550,36 +563,37 @@ func (h *partitionHalf) retire(reason string) {
 	h.w.unregister(h.conn, h.sid)
 }
 
-// relay drains the queue onto the connection in order. A write failure
-// closes the connection — connLost decides whether that means a
-// partition recovery or the end of the session — and the loop keeps
-// consuming (and releasing) queued messages until stopRelay arrives, so
-// every queued window returns to the arena.
+// relay drains the queue onto the connection in order, everything
+// queued at each wake-up as one write. A write failure closes the
+// connection — connLost decides whether that means a partition recovery
+// or the end of the session — and the loop keeps consuming (and
+// releasing) queued messages until stopRelay arrives and the queue is
+// empty, so every queued window returns to the arena.
 func (h *partitionHalf) relay() {
 	broken := false
+	var batch []wire.Msg
 	for {
 		h.rmu.Lock()
-		for len(h.relayq) == 0 && !h.rstop {
+		for h.relayq.len() == 0 && !h.rstop {
 			h.rcond.Wait()
 		}
-		q := h.relayq
-		h.relayq = nil
-		stop := h.rstop
+		batch = h.relayq.popInto(batch[:0], h.relayq.len())
 		h.rmu.Unlock()
-		for _, m := range q {
-			if !broken {
-				if err := h.conn.Write(m); err != nil {
-					h.conn.Close()
-					broken = true
-				}
+		if len(batch) == 0 {
+			return // stopped and drained
+		}
+		if !broken {
+			if err := h.conn.Write(batch...); err != nil {
+				h.conn.Close()
+				broken = true
 			}
+		}
+		for _, m := range batch {
 			if ef, ok := m.(*wire.EdgeFrame); ok {
 				releaseWireItems(ef.Items)
 			}
 		}
-		if stop {
-			return
-		}
+		clear(batch)
 	}
 }
 
@@ -702,7 +716,11 @@ func (h *partitionHalf) edgeFrame(m *wire.EdgeFrame) {
 	}
 	h.progressLocked()
 	es := &ps.cuts[m.Edge]
-	logged := ps.logEdgeItemsLocked(es, m.Items)
+	sz := itemsBytes(m.Items)
+	ps.relayFrames++
+	ps.relayItems += int64(len(m.Items))
+	ps.relayBytes += sz
+	logged := ps.logEdgeItemsLocked(es, m.Items, sz)
 	if !logged && ps.recovering {
 		ps.mu.Unlock()
 		releaseWireItems(m.Items)
@@ -731,7 +749,9 @@ func (h *partitionHalf) edgeFrame(m *wire.EdgeFrame) {
 	if len(m.Items) == 0 && !m.EOS {
 		return // a fully-deduplicated end-of-stream repeat
 	}
-	t.enqueueRelay(&wire.EdgeFrame{SID: t.sid, Edge: m.Edge, EOS: m.EOS, Items: m.Items})
+	// The decoded frame is ours: retarget it instead of building a copy.
+	m.SID = t.sid
+	t.enqueueRelay(m)
 }
 
 // edgeCredit accounts consumption credits and relays them toward the
@@ -772,7 +792,8 @@ func (h *partitionHalf) edgeCredit(m *wire.EdgeCredit) {
 	t := ps.halves[c.From]
 	ps.mu.Unlock()
 	if n > 0 {
-		t.enqueueRelay(&wire.EdgeCredit{SID: t.sid, Edge: m.Edge, N: uint32(n)})
+		m.SID, m.N = t.sid, uint32(n)
+		t.enqueueRelay(m)
 	}
 }
 
@@ -850,20 +871,17 @@ func validateInputs(p *serve.Pipeline, inputs map[string]frame.Window) error {
 	return nil
 }
 
-// serveReleaseOutputs returns a result's pooled windows to the arena.
+// serveReleaseOutputs returns a result's pooled windows, and the lists
+// that carry them, to the arena.
 func serveReleaseOutputs(outs map[string][]frame.Window) {
 	for _, ws := range outs {
-		for _, w := range ws {
-			w.Release()
-		}
+		frame.ReleaseList(ws)
 	}
 }
 
 func releaseResult(m *wire.Result) {
 	for _, out := range m.Outputs {
-		for _, win := range out.Wins {
-			win.Release()
-		}
+		frame.ReleaseList(out.Wins)
 	}
 }
 

@@ -16,18 +16,32 @@ import (
 // frame, before it reaches the peer: tap may sleep to delay the frame,
 // or return true to discard it while reporting the write as successful —
 // a message lost on an otherwise-healthy connection, which no health
-// check can see. wire.Conn flushes exactly one frame per Write, with the
-// type byte at offset 4 and, on session frames, the SID at 5..13.
+// check can see. wire.Conn hands the stream a whole number of frames per
+// write (several, when senders coalesce), each [u32 length | u8 type |
+// payload | crc] with, on session frames, the SID first in the payload.
 type tapConn struct {
 	net.Conn
 	tap func(typ wire.MsgType, sid uint64) (drop bool)
 }
 
 func (c *tapConn) Write(b []byte) (int, error) {
-	if len(b) >= 13 && c.tap(wire.MsgType(b[4]), binary.BigEndian.Uint64(b[5:13])) {
-		return len(b), nil
+	// Forward frame by frame, so a tap that sleeps on one frame holds
+	// back only it and what follows.
+	for off := 0; off+4 <= len(b); {
+		end := off + 4 + int(binary.BigEndian.Uint32(b[off:]))
+		if end > len(b) {
+			end = len(b)
+		}
+		f := b[off:end]
+		off = end
+		if len(f) >= 13 && c.tap(wire.MsgType(f[4]), binary.BigEndian.Uint64(f[5:13])) {
+			continue
+		}
+		if _, err := c.Conn.Write(f); err != nil {
+			return 0, err
+		}
 	}
-	return c.Conn.Write(b)
+	return len(b), nil
 }
 
 // tapListener taps the worker→frontend direction of every connection
@@ -44,6 +58,27 @@ func (l tapListener) Accept() (net.Conn, error) {
 	}
 	return &tapConn{Conn: nc, tap: l.tap}, nil
 }
+
+// resultGate is a tap that, once held, keeps every Result a worker
+// writes from reaching the frontend until release: a test that kills a
+// worker "mid-stream" holds the gate first, so the fed frame is provably
+// still owed when the worker dies however fast the data path is.
+type resultGate struct {
+	held atomic.Bool
+	open chan struct{}
+}
+
+func newResultGate() *resultGate { return &resultGate{open: make(chan struct{})} }
+
+func (g *resultGate) tap(typ wire.MsgType, _ uint64) bool {
+	if typ == wire.TypeResult && g.held.Load() {
+		<-g.open
+	}
+	return false
+}
+
+func (g *resultGate) hold()    { g.held.Store(true) }
+func (g *resultGate) release() { close(g.open) }
 
 // deafLink discards every frontend→worker frame of one type addressed
 // to one worker-side instance (by SID). Other traffic, pings included,

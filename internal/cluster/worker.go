@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -280,10 +279,10 @@ type workerConn struct {
 	sessions map[uint64]*workerSession
 }
 
-func (c *workerConn) send(m wire.Msg) {
+func (c *workerConn) send(ms ...wire.Msg) {
 	// A write failure means the connection is gone; the read loop will
 	// observe it and tear the sessions down, so errors stop here.
-	if err := c.conn.Write(m); err != nil {
+	if err := c.conn.Write(ms...); err != nil {
 		c.conn.Close()
 	}
 }
@@ -435,6 +434,7 @@ type workerSession struct {
 
 	inEdges  map[uint32]*inEdge
 	outEdges map[uint32]*outEdge
+	outNames []string // the partition's output nodes, sorted
 	// resumeResults is the resume watermark: results below it were
 	// already delivered by the dead instance, so the collector grants
 	// their feed credits without re-sending the result.
@@ -533,9 +533,17 @@ func (s *workerSession) drainQueue() {
 
 // collector flushes completed frames to the frontend. Each result is
 // followed by a credit, so the frontend's balance tracks the session's
-// real fed-minus-delivered bound.
+// real fed-minus-delivered bound. The partition's outputs are fixed at
+// open, so the wire forms of both messages are built once — output
+// names sorted for a deterministic byte stream — and refilled per
+// frame; the connection encodes before send returns.
 func (s *workerSession) collector() {
 	defer close(s.collectorDone)
+	result := wire.Result{SID: s.sid, Outputs: make([]wire.NamedWindows, len(s.outNames))}
+	for i, name := range s.outNames {
+		result.Outputs[i].Name = name
+	}
+	credit := wire.Credit{SID: s.sid, N: 1}
 	for {
 		res, err := s.rt.Collect(collectPoll)
 		if err != nil {
@@ -551,9 +559,19 @@ func (s *workerSession) collector() {
 		}
 		s.collected.Add(1)
 		if res.Seq >= s.resumeResults {
-			s.conn.send(encodeResult(s.sid, res))
+			result.Seq = res.Seq
+			for i := range result.Outputs {
+				result.Outputs[i].Wins = res.Outputs[result.Outputs[i].Name]
+			}
+			s.conn.send(&result, &credit)
+		} else {
+			s.conn.send(&credit)
 		}
-		s.conn.send(&wire.Credit{SID: s.sid, N: 1})
+		// Encoded or suppressed, the frame is done with: its lists go
+		// back to the executor's next frames.
+		for _, ws := range res.Outputs {
+			frame.ReleaseList(ws)
+		}
 	}
 }
 
@@ -573,19 +591,4 @@ func (s *workerSession) beginAbort(err error, report bool) {
 	s.abortOnce.Do(func() { close(s.abortc) })
 	s.abortEdges()
 	s.endOnce.Do(func() { go s.drainAndClose(report) })
-}
-
-// encodeResult converts a completed frame into its wire form, output
-// names sorted for a deterministic byte stream.
-func encodeResult(sid uint64, res *runtime.StreamResult) *wire.Result {
-	names := make([]string, 0, len(res.Outputs))
-	for name := range res.Outputs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	m := &wire.Result{SID: sid, Seq: res.Seq}
-	for _, name := range names {
-		m.Outputs = append(m.Outputs, wire.NamedWindows{Name: name, Wins: res.Outputs[name]})
-	}
-	return m
 }

@@ -49,6 +49,7 @@ type workerRef struct {
 	framesRouted atomic.Int64
 	resultsRecv  atomic.Int64
 	reconnects   atomic.Int64
+	flushesPast  atomic.Int64 // writes issued on connections since lost
 }
 
 // halt cancels the manage loop. Idempotent; a live connection is left
@@ -176,6 +177,7 @@ func (w *workerRef) detach(conn *wire.Conn, cause error) {
 	w.ensure = nil
 	name := w.name
 	w.mu.Unlock()
+	w.flushesPast.Add(conn.Flushes())
 
 	err := fmt.Errorf("cluster: worker %s at %s lost: %v", name, w.addr, cause)
 	for _, h := range sessions {
@@ -446,7 +448,10 @@ func (w *workerRef) placePartition(ps *session, idx int, marks *resumeMarks) (*p
 	}
 
 	sid := w.d.nextSID.Add(1)
-	h := &partitionHalf{ps: ps, idx: idx, w: w, sid: sid, conn: conn, lastProgress: time.Now()}
+	h := &partitionHalf{
+		ps: ps, idx: idx, w: w, sid: sid, conn: conn, lastProgress: time.Now(),
+		relayq: newRing[wire.Msg](unbounded),
+	}
 	h.rcond = sync.NewCond(&h.rmu)
 	reply := make(chan *wire.SessionOpened, 1)
 	w.mu.Lock()
@@ -618,6 +623,10 @@ func (w *workerRef) stats() WorkerStats {
 		CapacityCyc:     w.capacity,
 		DemandCyc:       demand,
 		CreditsInFlight: credits,
+		ConnFlushes:     w.flushesPast.Load(),
+	}
+	if w.conn != nil {
+		s.ConnFlushes += w.conn.Flushes()
 	}
 	w.mu.Unlock()
 	s.FramesRouted = w.framesRouted.Load()

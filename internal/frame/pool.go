@@ -176,6 +176,20 @@ func Alloc(w, h int) Window { return AllocKind(F64, w, h) }
 // classed by byte footprint, so typed windows recycle the same buffers
 // as f64 ones.
 func AllocKind(k Kind, w, h int) Window {
+	win := AllocUninit(k, w, h)
+	if win.ref != nil {
+		// Recycled storage holds its previous window's samples.
+		clear(win.Pix)
+		clear(win.raw)
+	}
+	return win
+}
+
+// AllocUninit is AllocKind without the zero-fill: the samples are
+// whatever the storage's previous window left there, so the caller
+// must overwrite every one before the window is read. The wire decoder
+// uses it — a decoded window's samples all come from the frame.
+func AllocUninit(k Kind, w, h int) Window {
 	nbytes := w * h * k.Bytes()
 	b := -1
 	if ZeroCopy() {
@@ -197,17 +211,9 @@ func AllocKind(k Kind, w, h int) Window {
 	r.refs.Store(1)
 	win := Window{W: w, H: h, Kind: k, ref: r}
 	if k == F64 {
-		pix := r.buf[:w*h]
-		for i := range pix {
-			pix[i] = 0
-		}
-		win.Pix = pix
+		win.Pix = r.buf[:w*h]
 	} else {
-		raw := f64bytes(r.buf)[:nbytes]
-		for i := range raw {
-			raw[i] = 0
-		}
-		win.raw = raw
+		win.raw = f64bytes(r.buf)[:nbytes]
 	}
 	return win
 }
@@ -255,6 +261,63 @@ func (w Window) Release() {
 	}
 	poolStats.pooled.Add(int64(cap(r.buf)) * 8)
 	buckets[r.bucket].Put(r)
+}
+
+// Window lists. A frame's output travels between layers as a []Window —
+// 720 to 3,072 headers of 88 bytes for the suite's apps, several times
+// the bytes of the samples they describe. Allocated per frame they are
+// most of what a served frame allocates, and on a heap of a few MB that
+// is a collection every dozen frames. So the lists cycle like the
+// storage does: the producer of a frame's output takes one with
+// AllocList, and whoever consumes the frame ends it with ReleaseList.
+// A list that is never released is ordinary garbage.
+//
+// Lists are classed by capacity, a power of two, and pooled by the
+// address of their first element, so neither call allocates.
+const (
+	// minListLog is the smallest pooled class (64 windows); a shorter
+	// list is cheaper to allocate than to recycle.
+	minListLog = 6
+	maxListLog = 20
+)
+
+var lists [maxListLog + 1]sync.Pool
+
+// AllocList returns an empty window list with room for n windows,
+// recycled from a released one when the arena is on and n is in range.
+func AllocList(n int) []Window {
+	if n < 1<<minListLog || n > 1<<maxListLog || !ZeroCopy() {
+		return make([]Window, 0, n)
+	}
+	c := minListLog
+	for 1<<c < n {
+		c++
+	}
+	if p, _ := lists[c].Get().(*Window); p != nil {
+		return unsafe.Slice(p, 1<<c)[:0]
+	}
+	return make([]Window, 0, 1<<c)
+}
+
+// ReleaseList ends the caller's reference on every window of ws and
+// recycles the list itself if it came from AllocList. The caller must
+// not touch ws afterwards.
+func ReleaseList(ws []Window) {
+	for _, w := range ws {
+		w.Release()
+	}
+	c := minListLog
+	for c < maxListLog && 1<<c < cap(ws) {
+		c++
+	}
+	if cap(ws) != 1<<c {
+		return
+	}
+	// Drop the stale headers: they would keep their storage reachable,
+	// and a reader still holding the list sees empty windows, not the
+	// next frame's.
+	clear(ws)
+	lists[c].Put(unsafe.SliceData(ws))
 }
 
 // Pooled reports whether the window's storage is arena-backed (and so

@@ -181,3 +181,50 @@ func TestStatsTrackLiveBuffers(t *testing.T) {
 		t.Fatalf("Gets = %d, want 2", st.Gets)
 	}
 }
+
+// TestListCycle checks the window-list half of the arena: a released
+// list comes back from AllocList empty, its windows released and its
+// stale headers gone, and lists the arena does not class (short ones,
+// foreign capacities, nil) pass through both calls untouched.
+func TestListCycle(t *testing.T) {
+	defer SetZeroCopy(SetZeroCopy(true))
+	live := Stats().Live
+	reused := false
+	// sync.Pool drops a share of Puts under the race detector, so one
+	// round trip may miss; twenty do not.
+	for try := 0; try < 20 && !reused; try++ {
+		ws := AllocList(720)
+		if len(ws) != 0 || cap(ws) < 720 {
+			t.Fatalf("AllocList(720) = len %d cap %d", len(ws), cap(ws))
+		}
+		for i := 0; i < 720; i++ {
+			ws = append(ws, PooledScalar(float64(i)))
+		}
+		first := &ws[:1][0]
+		ReleaseList(ws)
+		if got := Stats().Live; got != live {
+			t.Fatalf("ReleaseList left %d windows live", got-live)
+		}
+		if ws[5].Pix != nil || ws[5].Pooled() {
+			t.Fatal("a released list still describes its old windows")
+		}
+		again := AllocList(700) // same class
+		reused = len(again) == 0 && cap(again) == cap(ws) && &again[:1][0] == first
+	}
+	if !reused {
+		t.Error("a released list never came back from AllocList")
+	}
+
+	short := AllocList(8)
+	ReleaseList(append(short, Scalar(1)))
+	if got := AllocList(8); cap(got) != 8 {
+		t.Errorf("AllocList(8) has cap %d: short lists are not classed", cap(got))
+	}
+	ReleaseList(make([]Window, 100)) // a capacity no class has
+	ReleaseList(nil)
+
+	SetZeroCopy(false)
+	if got := AllocList(720); cap(got) != 720 {
+		t.Errorf("AllocList(720) with the arena off has cap %d, want a plain 720", cap(got))
+	}
+}

@@ -16,7 +16,7 @@ import (
 // processing element, and FleetAssign splits a compiled graph into one
 // node set per worker. The same analysis-derived demand (cycles/sec
 // and memory words) drives the packing, and the same annealing energy
-// trade (communication words vs. load balance, energy.go) refines it —
+// trade (communication vs. load balance, energy.go) refines it —
 // except that here a cut edge becomes a network stream, so the
 // assignment additionally guarantees the cuts are executable: feedback
 // cycles and dependence-constrained node pairs never straddle a cut,
@@ -59,8 +59,8 @@ var ErrInfeasible = errors.New("mapping: graph does not fit fleet")
 // The initial assignment packs co-location groups in topological order
 // (one target at a time, so a single-target fleet trivially reproduces
 // the whole-session placement), then simulated annealing — the same
-// deterministic xorshift schedule as Anneal — trades cut words against
-// load balance under DefaultEnergy pricing. Deterministic per seed.
+// deterministic xorshift schedule as Anneal — trades cut-edge traffic
+// against load balance, both in cycles/sec. Deterministic per seed.
 func FleetAssign(g *graph.Graph, r *analysis.Result, m machine.Machine, targets []Target, seed uint64) (*Assignment, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("mapping: fleet is empty")
@@ -99,13 +99,20 @@ func FleetAssign(g *graph.Graph, r *analysis.Result, m machine.Machine, targets 
 type fleetState struct {
 	targets []Target
 	groups  []fleetGroup
-	// edges are the distinct inter-group stream edges, with the words
-	// per frame a cut there would move.
+	// edges are the distinct inter-group stream edges, with what a cut
+	// there would cost.
 	edges []fleetEdge
 	// groupOf maps node index (in graph order) to group index.
 	groupOf []int
 	// targetOf is the current assignment, group index → target index.
 	targetOf []int
+
+	// Scratch for the two per-move checks: quotientAcyclic's target
+	// adjacency matrix, in-degrees and Kahn queue, and energy's loads.
+	adj   []bool
+	indeg []int
+	queue []int
+	load  []float64
 }
 
 type fleetGroup struct {
@@ -120,7 +127,35 @@ type fleetGroup struct {
 
 type fleetEdge struct {
 	from, to int // group indices
-	words    int64
+	// cutCycles is what cutting here costs the fleet, in the same
+	// cycles/sec the groups' compute demand is measured in.
+	cutCycles float64
+}
+
+// cutCyclesPerByte converts cut-edge traffic into the analysis' cycles,
+// so energy() weighs communication and load in one unit. A byte on a
+// cut edge passes the wire codec four times — encoded by the producing
+// worker, decoded and re-encoded by the relaying frontend, decoded by
+// the consumer — and bench/README.md's traced table prices the codec at
+// 12.06 µs per 12,280-byte Result encode (0.98 ns/B) and 8.78 µs per
+// 12,330-byte Feed decode (0.71 ns/B, one large window, the shape of a
+// row batch): 2 × (0.98 + 0.71) = 3.4 ns per cut byte. The same table
+// measures app 4 at kernel.ns_per_cycle = 3.2–3.4 ns of runtime per
+// analysis cycle, so one cut byte costs about one cycle.
+const cutCyclesPerByte = 1.0
+
+// cutBytesPerSec is the traffic edge e would put on the wire as a cut:
+// per frame, one row batch per item row — the span of the row's
+// (possibly overlapping) windows, which is what a cut edge carries
+// since wire v6, not the per-window word count — at the stream's native
+// element width, times the stream's frame rate.
+func cutBytesPerSec(e *graph.Edge, info analysis.PortInfo, elemBytes int) float64 {
+	spanW := (info.Items.W-1)*e.From.Step.X + info.ItemSize.W
+	if full := info.Items.W * info.ItemSize.W; spanW > full || spanW <= 0 {
+		spanW = full // non-overlapping items: the batch is their concatenation
+	}
+	perFrame := int64(info.Items.H) * int64(spanW) * int64(info.ItemSize.H) * int64(elemBytes)
+	return float64(perFrame) * info.Rate.Float()
 }
 
 func newFleetState(g *graph.Graph, r *analysis.Result, m machine.Machine, targets []Target) (*fleetState, error) {
@@ -222,24 +257,28 @@ func newFleetState(g *graph.Graph, r *analysis.Result, m machine.Machine, target
 
 	// Collapse stream edges to distinct inter-group edges with their
 	// cut traffic. Fan-out to several nodes of one group still cuts
-	// once per original edge, so sum rather than dedup.
+	// once per original edge, so sum rather than dedup. An edge the
+	// analysis could not type carries no price here; placement refuses
+	// to cut it.
+	kinds, err := analysis.ElemKinds(g)
+	if err != nil {
+		return nil, fmt.Errorf("mapping: fleet element kinds: %w", err)
+	}
 	type key struct{ from, to int }
-	words := make(map[key]int64)
+	cost := make(map[key]float64)
 	for _, e := range g.Edges() {
 		gf, gt := f.groupOf[idx[e.From.Node()]], f.groupOf[idx[e.To.Node()]]
 		if gf == gt {
 			continue
 		}
-		var w int64
+		var c float64
 		if info, ok := r.Out[e.From]; ok {
-			w = info.WordsPerFrame()
-		} else {
-			w = e.From.Words()
+			c = cutCyclesPerByte * cutBytesPerSec(e, info, kinds.Out[e.From].Bytes())
 		}
-		words[key{gf, gt}] += w
+		cost[key{gf, gt}] += c
 	}
-	keys := make([]key, 0, len(words))
-	for k := range words {
+	keys := make([]key, 0, len(cost))
+	for k := range cost {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -249,7 +288,7 @@ func newFleetState(g *graph.Graph, r *analysis.Result, m machine.Machine, target
 		return keys[i].to < keys[j].to
 	})
 	for _, k := range keys {
-		f.edges = append(f.edges, fleetEdge{from: k.from, to: k.to, words: words[k]})
+		f.edges = append(f.edges, fleetEdge{from: k.from, to: k.to, cutCycles: cost[k]})
 	}
 	return f, nil
 }
@@ -380,38 +419,35 @@ func groupLabel(grp fleetGroup) string {
 // stream, so such an assignment is rejected outright.
 func (f *fleetState) quotientAcyclic() bool {
 	n := len(f.targets)
-	adj := make([][]bool, n)
-	for i := range adj {
-		adj[i] = make([]bool, n)
+	// The annealer asks once per proposed move; the scratch is reused.
+	if f.adj == nil {
+		f.adj = make([]bool, n*n)
+		f.indeg = make([]int, n)
+		f.queue = make([]int, 0, n)
 	}
+	adj, indeg := f.adj, f.indeg
+	clear(adj)
+	clear(indeg)
 	for _, e := range f.edges {
 		ft, tt := f.targetOf[e.from], f.targetOf[e.to]
-		if ft != tt {
-			adj[ft][tt] = true
+		if ft != tt && !adj[ft*n+tt] {
+			adj[ft*n+tt] = true
+			indeg[tt]++
 		}
 	}
 	// Kahn over the target quotient.
-	indeg := make([]int, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if adj[i][j] {
-				indeg[j]++
-			}
-		}
-	}
-	queue := make([]int, 0, n)
+	queue := f.queue[:0]
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
 			queue = append(queue, i)
 		}
 	}
 	seen := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for seen < len(queue) {
+		v := queue[seen]
 		seen++
 		for j := 0; j < n; j++ {
-			if adj[v][j] {
+			if adj[v*n+j] {
 				indeg[j]--
 				if indeg[j] == 0 {
 					queue = append(queue, j)
@@ -422,18 +458,26 @@ func (f *fleetState) quotientAcyclic() bool {
 	return seen == n
 }
 
-// energy prices the current assignment: cut words at PJPerWordHop (a
-// cut edge is one "hop" worth of network traffic per frame) plus a
-// strong overload penalty and a mild idle term, mirroring
-// EnergyPerFrame's structure with balance substituted for placement.
+// energy prices the current assignment in one unit, cycles/sec: the
+// cycles the fleet spends moving cut-edge bytes (cutCyclesPerByte) at
+// the price of a compute cycle, plus a strong overload penalty and a
+// mild idle term, mirroring EnergyPerFrame's structure with balance
+// substituted for placement. Moving a kernel between workers shifts
+// ~10⁷ cycles/sec of load; a window stream on a cut costs as much, a
+// scalar stream a tenth of it — so the annealer cuts where the stream
+// is thin.
 func (f *fleetState) energy(em EnergyModel) float64 {
 	var cut float64
 	for _, e := range f.edges {
 		if f.targetOf[e.from] != f.targetOf[e.to] {
-			cut += float64(e.words)
+			cut += e.cutCycles
 		}
 	}
-	load := make([]float64, len(f.targets))
+	if f.load == nil {
+		f.load = make([]float64, len(f.targets))
+	}
+	load := f.load
+	clear(load)
 	for gi, t := range f.targetOf {
 		load[t] += f.groups[gi].cycles
 	}
@@ -447,12 +491,17 @@ func (f *fleetState) energy(em EnergyModel) float64 {
 		}
 	}
 	// Overloading a worker stalls the whole pipeline; price it well
-	// above moving the words instead.
-	return em.PJPerWordHop*cut + 8*em.PJPerCycle*overload + em.PJPerIdleCycle*idle
+	// above moving the bytes instead.
+	return em.PJPerCycle*cut + 8*em.PJPerCycle*overload + em.PJPerIdleCycle*idle
 }
 
 // anneal refines the packing by moving single groups between targets,
-// rejecting any move that breaks a memory budget or the quotient DAG.
+// rejecting any move that breaks a memory budget or the quotient DAG,
+// and keeps the best assignment it visits. Trading a fat cut for a thin
+// one takes several moves (a buffer, its kernel, then the replicas that
+// rebalance the load), the first of them uphill by a kernel's worth of
+// overload, so the schedule starts hot enough to cross that — a quarter
+// of the initial energy — and cools geometrically to a thousandth of it.
 func (f *fleetState) anneal(seed uint64) {
 	if len(f.groups) < 2 {
 		return
@@ -464,8 +513,10 @@ func (f *fleetState) anneal(seed uint64) {
 	}
 	rng := annealRNG(seed | 1)
 	cost := f.energy(em)
-	temp := cost/float64(len(f.groups)) + 1
-	const iters = 2000
+	best, bestOf := cost, append([]int(nil), f.targetOf...)
+	const iters = 10000
+	temp := cost/4 + 1
+	cool := math.Pow(1e-3, 1.0/iters)
 	for i := 0; i < iters; i++ {
 		gi := rng.intn(len(f.groups))
 		to := rng.intn(len(f.targets))
@@ -486,11 +537,16 @@ func (f *fleetState) anneal(seed uint64) {
 			cost = next
 			mem[from] -= f.groups[gi].mem
 			mem[to] += f.groups[gi].mem
+			if cost < best {
+				best = cost
+				copy(bestOf, f.targetOf)
+			}
 		} else {
 			f.targetOf[gi] = from
 		}
-		temp *= 0.999
+		temp *= cool
 	}
+	copy(f.targetOf, bestOf)
 }
 
 // stronglyConnected returns the non-trivial strongly-connected

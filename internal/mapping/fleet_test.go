@@ -6,8 +6,11 @@ import (
 	"testing"
 
 	"blockpar/internal/analysis"
+	"blockpar/internal/apps"
+	"blockpar/internal/core"
 	"blockpar/internal/geom"
 	"blockpar/internal/graph"
+	"blockpar/internal/kernel"
 	"blockpar/internal/machine"
 )
 
@@ -203,5 +206,67 @@ func TestFleetCoLocatesFeedback(t *testing.T) {
 	}
 	if a.PEOf[acc] != a.PEOf[fb] {
 		t.Errorf("feedback loop cut: acc on %d, fb on %d", a.PEOf[acc], a.PEOf[fb])
+	}
+}
+
+// TestFleetCutsWhereTheStreamIsThin pins the unit fix in the fleet
+// energy on app 4, the conv chain bpbench splits three ways: cut-edge
+// traffic and load are both cycles/sec, so communication shapes the
+// plan. A §III-B buffer turns a scalar stream into overlapping windows —
+// 25 or 49 words out per word in — and every conv replica has its own,
+// so a cut belongs before the buffer, never after: no cut edge may leave
+// a Buffer whose input edge is thinner. Split three ways the plan must
+// still use all three workers (it may not collapse to dodge the cut)
+// and moves under 40 KB per frame, down from 411 KB when the cut term
+// was noise.
+func TestFleetCutsWhereTheStreamIsThin(t *testing.T) {
+	app, err := apps.ByID("4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	c, err := core.Compile(app.Graph, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, r, m := c.Graph, c.Analysis, cfg.Machine
+	var cycles float64
+	var mem int64
+	for _, n := range g.Nodes() {
+		l := r.LoadOf(n, m)
+		cycles += l.CyclesPerSec
+		mem += l.MemWords
+	}
+	for _, workers := range []int{2, 3} {
+		a, err := FleetAssign(g, r, m, fleetOf(workers, int64(cycles)/int64(workers)+1, mem+1), 1)
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		used := make(map[int]bool)
+		for _, pe := range a.PEOf {
+			used[pe] = true
+		}
+		if len(used) != workers {
+			t.Errorf("%d workers: the plan uses %d of them", workers, len(used))
+		}
+		var cutWords int64
+		for _, e := range g.Edges() {
+			from := e.From.Node()
+			if a.PEOf[from] == a.PEOf[e.To.Node()] {
+				continue
+			}
+			out := r.Out[e.From].WordsPerFrame()
+			cutWords += out
+			if _, isBuffer := kernel.BufferPlanOf(from); !isBuffer {
+				continue
+			}
+			if in := g.EdgeTo(from.Input("in")); in != nil && r.Out[in.From].WordsPerFrame() < out {
+				t.Errorf("%d workers: cut after %s (%d words/frame out, %d in)",
+					workers, from.Name(), out, r.Out[in.From].WordsPerFrame())
+			}
+		}
+		if cutWords*8 >= 40_000 {
+			t.Errorf("%d workers: the plan cuts %d bytes/frame, want < 40,000", workers, cutWords*8)
+		}
 	}
 }

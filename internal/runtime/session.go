@@ -50,7 +50,10 @@ type SessionOptions struct {
 // stream order.
 type StreamResult struct {
 	// Seq is the frame index, counted from zero per session.
-	Seq     int64
+	Seq int64
+	// Outputs are the caller's: a consumer that is done with a frame
+	// may end each list with frame.ReleaseList, which lets a later
+	// frame reuse it; one that keeps them need do nothing.
 	Outputs map[string][]frame.Window
 }
 
@@ -356,7 +359,12 @@ func (ex *executor) runOutputStream(pn *planNode) error {
 		}
 		ex.outMu.Lock()
 		o.done = append(o.done, o.cur)
-		o.cur = nil
+		// The result owns the finished list. An output's window count
+		// is the same every frame (runOutput relies on it too), so the
+		// next frame's list is sized once instead of grown from nil —
+		// and is the one a consumer ended with frame.ReleaseList a few
+		// frames ago, when there is one.
+		o.cur = frame.AllocList(len(o.cur))
 		all := true
 		for i := range ex.outs {
 			if len(ex.outs[i].done) == 0 {

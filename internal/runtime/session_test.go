@@ -229,3 +229,67 @@ func TestSessionPanicRecovery(t *testing.T) {
 		t.Fatalf("collect err = %v, want kernel panic error", err)
 	}
 }
+
+// TestSessionRecyclesOutputLists pins the window-list half of the
+// ownership protocol on a streaming session: a consumer that ends each
+// frame with frame.ReleaseList gets the same few lists back, holding
+// the next frames' windows and nothing stale, while a frame that is
+// kept is never overwritten.
+func TestSessionRecyclesOutputLists(t *testing.T) {
+	app, err := apps.ByID("4") // 720 1×1 windows per frame on one output
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.Compile(app.Graph, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frames = 24
+	batch, err := Run(c.Graph, Options{Frames: frames, Sources: app.Sources})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession(c.Graph, SessionOptions{Sources: app.Sources})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	out := c.Graph.Outputs()[0].Name()
+	check := func(f int, got []frame.Window) {
+		t.Helper()
+		want := batch.FrameSlices(out)[f]
+		if len(got) != len(want) {
+			t.Fatalf("frame %d: %d windows, want %d", f, len(got), len(want))
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("frame %d window %d differs from the batch run", f, i)
+			}
+		}
+	}
+	var kept []frame.Window
+	lists := map[*frame.Window]int{}
+	for f := 0; f < frames; f++ {
+		if _, err := sess.Feed(nil); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sess.Collect(10 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := res.Outputs[out]
+		check(f, ws)
+		if f == 1 {
+			kept = ws // never released: must stay frame 1 to the end
+			continue
+		}
+		lists[&ws[:1][0]]++
+		frame.ReleaseList(ws)
+	}
+	check(1, kept)
+	// sync.Pool may drop a list now and then (always, some, under the
+	// race detector), but 23 released frames do not need 23 lists.
+	if len(lists) >= frames-1 {
+		t.Errorf("%d frames used %d distinct lists: released lists are not reused", frames-1, len(lists))
+	}
+}

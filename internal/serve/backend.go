@@ -34,7 +34,9 @@ var ErrSessionLost = errors.New("serve: session execution lost")
 //
 // Windows returned by Collect follow the frame ownership protocol: the
 // caller owns one reference per window and must Release each (a no-op
-// for unpooled storage, which is what in-process sessions return).
+// for unpooled storage, which is what in-process sessions return) — the
+// server does it with frame.ReleaseList, which also hands the list that
+// carried them back to whichever backend allocates the next one.
 type SessionHandle interface {
 	// TryFeed enqueues one frame without blocking; runtime.ErrQueueFull
 	// signals backpressure and runtime.ErrBadFrame caller mistakes.
@@ -112,14 +114,13 @@ func (b localBackend) Open(p *Pipeline, opts OpenOptions) (SessionHandle, error)
 }
 
 // releaseOutputs ends the caller's reference on every collected window
-// once it has been encoded onto the response. In-process results are
-// unpooled slab copies (no-op); cluster results are arena windows that
-// return to the pool here.
+// once it has been encoded onto the response, and hands the lists that
+// carried them back for a later frame. In-process windows are unpooled
+// slab copies (only the list recycles); cluster results are arena
+// windows that return to the pool here.
 func releaseOutputs(outs map[string][]frame.Window) {
 	for _, ws := range outs {
-		for _, w := range ws {
-			w.Release()
-		}
+		frame.ReleaseList(ws)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -23,36 +24,89 @@ const crcSize = 4
 
 // Conn frames messages over a byte stream. Reads must stay on one
 // goroutine; writes are serialized internally, so any number of
-// goroutines may send. The encode scratch buffer is reused across
-// writes, so a steady-state connection allocates only for decoded
-// windows (which come from the frame arena).
+// goroutines may send.
+//
+// The connection owns every buffer a frame passes through: one read
+// buffer grown to the largest frame seen, one encode scratch buffer and
+// the bufio pair. A decoded message never aliases the read buffer —
+// strings, descriptor bytes and window samples are all copied out (the
+// samples into arena storage) — so the next Read may overwrite it, and
+// a steady-state connection allocates only the message structs.
 type Conn struct {
-	c  net.Conn
-	br *bufio.Reader
+	c    net.Conn
+	br   *bufio.Reader
+	rhdr [4]byte
+	rbuf []byte
+	rd   reader
 
 	wmu  sync.Mutex
 	bw   *bufio.Writer
 	wbuf []byte
 	werr error
+	// waiters counts writers blocked on (or about to take) wmu. A writer
+	// that sees one leaves its bytes in bw for the next writer to flush.
+	waiters atomic.Int32
+	flushes atomic.Int64
 }
 
 // NewConn wraps an established connection.
 func NewConn(c net.Conn) *Conn {
-	return &Conn{
-		c:  c,
-		br: bufio.NewReaderSize(c, 1<<16),
-		bw: bufio.NewWriterSize(c, 1<<16),
-	}
+	cn := &Conn{c: c, br: bufio.NewReaderSize(c, 1<<16)}
+	cn.bw = bufio.NewWriterSize(flushCounter{cn}, 1<<16)
+	return cn
 }
 
-// Write encodes and flushes one frame. After the first write error the
+// flushCounter counts the writes that reach the underlying connection:
+// one per flush, plus any frame too large for the write buffer.
+type flushCounter struct{ c *Conn }
+
+func (f flushCounter) Write(p []byte) (int, error) {
+	f.c.flushes.Add(1)
+	return f.c.c.Write(p)
+}
+
+// Flushes reports how many writes this connection has issued to the
+// underlying stream — under load, fewer than the messages sent.
+func (c *Conn) Flushes() int64 { return c.flushes.Load() }
+
+// Write encodes the messages in order, as one frame each, and flushes
+// them unless another writer is already waiting for the connection, in
+// which case that writer's flush carries them too: a caller's batch and
+// concurrent senders share a syscall, while a lone write on an idle
+// connection still goes out before Write returns. Whoever finds nobody
+// waiting behind them flushes everything buffered, so no frame is ever
+// left behind. Encoding stops at the first message that fails; the
+// frames before it are still sent. After the first write error the
 // connection is poisoned and every subsequent Write fails fast.
-func (c *Conn) Write(m Msg) error {
+func (c *Conn) Write(ms ...Msg) error {
+	c.waiters.Add(1)
 	c.wmu.Lock()
+	c.waiters.Add(-1)
 	defer c.wmu.Unlock()
 	if c.werr != nil {
 		return c.werr
 	}
+	var err error
+	for _, m := range ms {
+		if err = c.encode(m); err != nil {
+			break
+		}
+	}
+	// Flush on every path, an unencodable message's too: an earlier
+	// writer may have left its frame to this one.
+	if c.werr == nil && c.bw.Buffered() > 0 && c.waiters.Load() == 0 {
+		if ferr := c.bw.Flush(); ferr != nil {
+			c.werr = ferr
+			if err == nil {
+				err = ferr
+			}
+		}
+	}
+	return err
+}
+
+// encode appends m's frame to the write buffer. Caller holds wmu.
+func (c *Conn) encode(m Msg) error {
 	// An unencodable message fails its own Write with nothing on the
 	// wire; the connection stays healthy.
 	if err := checkEncodable(m); err != nil {
@@ -69,11 +123,17 @@ func (c *Conn) Write(m Msg) error {
 	sum := crc32.Checksum(c.wbuf[4:], crcTable)
 	c.wbuf = appendU32(c.wbuf, sum)
 	binary.BigEndian.PutUint32(c.wbuf[:4], uint32(len(c.wbuf)-4))
-	if _, err := c.bw.Write(c.wbuf); err != nil {
-		c.werr = err
-		return err
+	// Keep every write to the stream a whole number of frames: a frame
+	// that does not fit behind what is already buffered goes out after
+	// it, never split across two writes. A dropped or delayed write (a
+	// lossy link, the fault injector) then loses frames, not framing.
+	if len(c.wbuf) > c.bw.Available() && c.bw.Buffered() > 0 {
+		if err := c.bw.Flush(); err != nil {
+			c.werr = err
+			return err
+		}
 	}
-	if err := c.bw.Flush(); err != nil {
+	if _, err := c.bw.Write(c.wbuf); err != nil {
 		c.werr = err
 		return err
 	}
@@ -84,15 +144,17 @@ func (c *Conn) Write(m Msg) error {
 // undecodable frame returns an ErrCorrupt-tagged error; the caller
 // should close the connection, since framing is lost.
 func (c *Conn) Read() (Msg, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.rhdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(c.rhdr[:])
 	if n < 1+crcSize || n > MaxFrame+crcSize {
 		return nil, corruptf("frame length %d out of range", n)
 	}
-	body := make([]byte, n)
+	if uint32(cap(c.rbuf)) < n {
+		c.rbuf = make([]byte, n)
+	}
+	body := c.rbuf[:n]
 	if _, err := io.ReadFull(c.br, body); err != nil {
 		return nil, fmt.Errorf("wire: short frame body: %w", err)
 	}
@@ -100,7 +162,7 @@ func (c *Conn) Read() (Msg, error) {
 	if got, want := crc32.Checksum(payload, crcTable), binary.BigEndian.Uint32(trailer); got != want {
 		return nil, corruptf("frame checksum mismatch: computed %08x, trailer %08x", got, want)
 	}
-	return Decode(MsgType(payload[0]), payload[1:])
+	return decode(&c.rd, MsgType(payload[0]), payload[1:])
 }
 
 // SetReadDeadline bounds the next Read.

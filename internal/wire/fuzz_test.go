@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"blockpar/internal/frame"
@@ -30,6 +31,11 @@ func FuzzWire(f *testing.F) {
 	// A resume mark naming an edge the partition does not produce.
 	f.Add(Append(nil, &OpenPartition{SID: 7, Pipeline: "1", MaxInFlight: 8,
 		Resume: []EdgeResume{{Edge: 3, SkipItems: 1}}})[4:])
+	// Two frames of different sizes back to back, as a connection sees
+	// them: the second is decoded out of the buffer the first grew.
+	f.Add(onWire(f,
+		&Feed{SID: 7, Seq: 3, Inputs: []NamedWindow{{Name: "in", Win: typedTestWindow(frame.F64, 8, 8)}}},
+		&EdgeFrame{SID: 7, Edge: 1, Items: []Item{{Win: typedTestWindow(frame.U8, 3, 1)}}}))
 	f.Add([]byte{})
 	f.Add([]byte{byte(TypeFeed)})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
@@ -41,7 +47,18 @@ func FuzzWire(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		m, err := Decode(MsgType(data[0]), data[1:])
+		readStream(t, data)
+		if live := frame.Stats().Live; live != liveBefore {
+			t.Fatalf("reading the bytes as a stream leaked %d pooled windows", live-liveBefore)
+		}
+		// Decode from a scratch copy and then overwrite it, as the next
+		// frame overwrites a connection's read buffer: a message that
+		// aliased its input re-encodes differently below.
+		scratch := append([]byte(nil), data...)
+		m, err := Decode(MsgType(scratch[0]), scratch[1:])
+		for i := range scratch {
+			scratch[i] = ^scratch[i]
+		}
 		if err != nil {
 			if live := frame.Stats().Live; live != liveBefore {
 				t.Fatalf("failed decode leaked %d pooled windows", live-liveBefore)
@@ -66,4 +83,36 @@ func FuzzWire(f *testing.F) {
 			it.Win.Release()
 		}
 	})
+}
+
+// readStream reads data through a connection as [u32 length | frame]*,
+// up to the first length prefix the input cannot back (so the harness
+// never buys a 256 MiB read buffer). Frames may be corrupt — the reads
+// must then fail cleanly — and a message decoded from one frame must
+// not change when the next is read into the connection's buffer.
+func readStream(t *testing.T, data []byte) {
+	end := 0
+	for end+4 <= len(data) {
+		n := int(binary.BigEndian.Uint32(data[end:]))
+		if n > len(data)-end-4 {
+			break
+		}
+		end += 4 + n
+	}
+	c := NewConn(&scriptConn{in: bytes.NewReader(data[:end])})
+	var prev Msg
+	var prevWire []byte
+	for {
+		m, err := c.Read()
+		if prev != nil {
+			if !bytes.Equal(Append(nil, prev), prevWire) {
+				t.Fatalf("%s changed when the next frame was read", prev.Type())
+			}
+			releaseMsg(prev)
+		}
+		if err != nil {
+			return
+		}
+		prev, prevWire = m, Append(nil, m)
+	}
 }

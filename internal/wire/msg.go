@@ -238,7 +238,11 @@ func (m *Feed) append(b []byte) []byte {
 func (m *Feed) decode(r *reader) {
 	m.SID = r.u64("feed sid")
 	m.Seq = r.i64("feed seq")
-	n := int(r.u16("feed input count"))
+	// An input is at least its name's length prefix and an empty window.
+	n := r.count(int(r.u16("feed input count")), 4+minWindowBytes, "feed input count")
+	if n > 0 {
+		m.Inputs = make([]NamedWindow, 0, n)
+	}
 	for i := 0; i < n && r.err == nil; i++ {
 		name := r.str("feed input name")
 		win := decodeWindow(r)
@@ -282,25 +286,21 @@ func (m *Result) append(b []byte) []byte {
 func (m *Result) decode(r *reader) {
 	m.SID = r.u64("result sid")
 	m.Seq = r.i64("result seq")
-	n := int(r.u16("result output count"))
+	// An output is at least its name's length prefix and a window count.
+	n := r.count(int(r.u16("result output count")), 4+4, "result output count")
+	if n > 0 {
+		m.Outputs = make([]NamedWindows, 0, n)
+	}
 	for i := 0; i < n && r.err == nil; i++ {
 		out := NamedWindows{Name: r.str("result output name")}
-		wn := int(r.u32("result window count"))
-		if r.err == nil && (wn < 0 || wn > maxWins) {
-			r.err = corruptf("result window count %d out of range", wn)
-		}
-		for j := 0; j < wn && r.err == nil; j++ {
-			out.Wins = append(out.Wins, decodeWindow(r))
+		wn := r.count(int(r.u32("result window count")), minWindowBytes, "result window count")
+		if r.err == nil {
+			out.Wins = decodeWindows(r, wn)
 		}
 		m.Outputs = append(m.Outputs, out)
 	}
 	if r.err != nil {
-		for _, out := range m.Outputs {
-			for _, w := range out.Wins {
-				w.Release()
-			}
-		}
-		m.Outputs = nil
+		releaseMsgWindows(m)
 	}
 }
 
@@ -557,11 +557,17 @@ func newMsg(t MsgType) Msg {
 // message. Decoded windows come from the frame arena; on error all
 // partially-decoded windows have been released.
 func Decode(t MsgType, payload []byte) (Msg, error) {
+	return decode(new(reader), t, payload)
+}
+
+// decode is Decode through a caller-owned reader (a connection reuses
+// one for every frame).
+func decode(r *reader, t MsgType, payload []byte) (Msg, error) {
 	m := newMsg(t)
 	if m == nil {
 		return nil, corruptf("unknown frame type %d", t)
 	}
-	r := &reader{b: payload}
+	*r = reader{b: payload}
 	m.decode(r)
 	if err := r.finish(); err != nil {
 		// The per-message decoders release on their own errors, but a
@@ -583,9 +589,7 @@ func releaseMsgWindows(m Msg) {
 		m.Inputs = nil
 	case *Result:
 		for _, out := range m.Outputs {
-			for _, w := range out.Wins {
-				w.Release()
-			}
+			frame.ReleaseList(out.Wins)
 		}
 		m.Outputs = nil
 	case *EdgeFrame:

@@ -194,7 +194,10 @@ func (m *EdgeFrame) decode(r *reader) {
 		return
 	}
 	m.EOS = flags == 1
-	n := int(r.u16("edge-frame item count"))
+	n := r.count(int(r.u16("edge-frame item count")), minItemBytes, "edge-frame item count")
+	if n > 0 {
+		m.Items = make([]Item, 0, n)
+	}
 	for i := 0; i < n && r.err == nil; i++ {
 		m.Items = append(m.Items, decodeItem(r))
 	}

@@ -62,7 +62,7 @@ const MaxFrame = 1 << 28 // 256 MiB
 const (
 	maxDim         = 1 << 20
 	maxWindowBytes = 1 << 28 // 256 MiB, any element kind
-	// maxWins bounds per-message window counts.
+	// maxWins bounds the windows one row batch may pack.
 	maxWins = 1 << 25
 )
 
@@ -185,6 +185,22 @@ func (r *reader) bytes(what string) []byte {
 	return out
 }
 
+// count checks an element count just read from a header against the
+// bytes that remain: every element occupies at least minBytes of
+// payload, so a count the frame cannot carry is corruption, caught
+// before anything is sized from it. Decoders size their slices once
+// from the returned count.
+func (r *reader) count(n, minBytes int, what string) int {
+	if r.err != nil {
+		return 0
+	}
+	if n < 0 || n > (len(r.b)-r.off)/minBytes {
+		r.err = corruptf("%s %d exceeds the %d bytes left in the frame", what, n, len(r.b)-r.off)
+		return 0
+	}
+	return n
+}
+
 // finish asserts the payload was consumed exactly.
 func (r *reader) finish() error {
 	if r.err != nil {
@@ -229,41 +245,55 @@ func AppendWindow(b []byte, w frame.Window) []byte {
 	return b
 }
 
-// decodeWindow reads one window, allocating its storage from the frame
-// arena: the caller owns one reference and must Release it (or hand it
-// to a consumer that will) per the pool contract.
-func decodeWindow(r *reader) frame.Window {
-	w := int(r.u32("window width"))
-	h := int(r.u32("window height"))
-	k := frame.Kind(r.u8("window kind"))
-	if r.err != nil {
-		return frame.Window{}
+// minWindowBytes is the smallest encoded window (u32 W, u32 H, u8 kind,
+// no samples) and minItemBytes the smallest item (tag + window; a token
+// item is longer).
+const (
+	minWindowBytes = 9
+	minItemBytes   = 1 + minWindowBytes
+)
+
+// windowHeader reads and validates one window's shape, including that
+// the payload still carries every sample the shape promises — so the
+// caller may allocate and copy without further checks.
+func windowHeader(r *reader) (w, h int, k frame.Kind, ok bool) {
+	hdr := r.take(minWindowBytes, "window header")
+	if hdr == nil {
+		return 0, 0, 0, false
 	}
+	w = int(binary.BigEndian.Uint32(hdr))
+	h = int(binary.BigEndian.Uint32(hdr[4:]))
+	k = frame.Kind(hdr[8])
 	if !k.Valid() {
 		r.err = corruptf("unknown element kind %d", k)
-		return frame.Window{}
+		return 0, 0, 0, false
 	}
 	eb := k.Bytes()
 	if w < 0 || h < 0 || w > maxDim || h > maxDim || (h > 0 && w > maxWindowBytes/eb/h) {
 		r.err = corruptf("window size %dx%d (%s) out of range", w, h, k)
-		return frame.Window{}
+		return 0, 0, 0, false
 	}
 	// Bound before allocating: the remaining payload must actually
 	// carry W*H native-width samples.
 	if need := w * h * eb; r.off+need > len(r.b) {
 		r.fail("window samples")
-		return frame.Window{}
+		return 0, 0, 0, false
 	}
-	win := frame.AllocKind(k, w, h)
-	switch k {
+	return w, h, k, true
+}
+
+// readSamples fills win, whose shape windowHeader just validated, from
+// the payload: each row's bytes are taken once and converted in a loop
+// free of per-sample checks. Every sample is written, which is what
+// lets the storage come from frame.AllocUninit.
+func readSamples(r *reader, win *frame.Window) {
+	switch win.Kind {
 	case frame.U8:
-		for y := 0; y < h; y++ {
-			copy(win.RowU8(y), r.take(w, "window sample"))
+		for y := 0; y < win.H; y++ {
+			copy(win.RowU8(y), r.take(win.W, "window sample"))
 		}
 	case frame.F32:
-		// The length check above covers every row: take each row's bytes
-		// once and convert them in a loop free of per-sample checks.
-		for y := 0; y < h; y++ {
+		for y := 0; y < win.H; y++ {
 			row := win.RowF32(y)
 			src := r.take(4*len(row), "window sample")
 			for i := range row {
@@ -271,12 +301,87 @@ func decodeWindow(r *reader) frame.Window {
 			}
 		}
 	default:
-		src := r.take(8*len(win.Pix), "window sample")
-		for i := range win.Pix {
-			win.Pix[i] = math.Float64frombits(binary.BigEndian.Uint64(src[8*i:]))
+		stride := win.RowStride()
+		for y := 0; y < win.H; y++ {
+			row := win.Pix[y*stride : y*stride+win.W]
+			src := r.take(8*len(row), "window sample")
+			for i := range row {
+				row[i] = math.Float64frombits(binary.BigEndian.Uint64(src[8*i:]))
+			}
 		}
 	}
+}
+
+// decodeWindow reads one window, allocating its storage from the frame
+// arena: the caller owns one reference and must Release it (or hand it
+// to a consumer that will) per the pool contract.
+func decodeWindow(r *reader) frame.Window {
+	w, h, k, ok := windowHeader(r)
+	if !ok {
+		return frame.Window{}
+	}
+	win := frame.AllocUninit(k, w, h)
+	readSamples(r, &win)
 	return win
+}
+
+// decodeWindows reads the n windows of one result output. An output
+// port's windows share one kind and width (1×1 scalars, 2×2 quads,
+// histogram rows), so they are decoded into ONE arena buffer — a
+// W×ΣH slab — and returned as views of it, each holding one of the
+// slab's n references: one pool get per output instead of one per
+// window. A first pass over the headers finds the slab's height and
+// validates every window against the payload; a stream that does mix
+// shapes falls back to a buffer per window. On error nothing is left
+// allocated.
+func decodeWindows(r *reader, n int) []frame.Window {
+	if n == 0 {
+		return nil
+	}
+	start := r.off
+	var w0, sumH int
+	var k0 frame.Kind
+	uniform := n > 1
+	for j := 0; j < n && uniform; j++ {
+		w, h, k, ok := windowHeader(r)
+		if !ok {
+			return nil
+		}
+		if j == 0 {
+			w0, k0 = w, k
+		}
+		uniform = w == w0 && k == k0
+		sumH += h
+		r.off += w * h * k.Bytes()
+	}
+	r.off = start
+	// The list comes from the arena like the samples do; whoever ends
+	// the result's windows with frame.ReleaseList hands it back.
+	wins := frame.AllocList(n)
+	if !uniform {
+		for j := 0; j < n; j++ {
+			win := decodeWindow(r)
+			if r.err != nil {
+				frame.ReleaseList(wins)
+				return nil
+			}
+			wins = append(wins, win)
+		}
+		return wins
+	}
+	slab := frame.AllocUninit(k0, w0, sumH)
+	slab.Retain(n - 1)
+	wins = wins[:n]
+	y := 0
+	for j := range wins {
+		// The first pass validated every header; only the height varies.
+		h := int(binary.BigEndian.Uint32(r.b[r.off+4:]))
+		r.off += minWindowBytes
+		wins[j] = slab.View(0, y, w0, h)
+		readSamples(r, &wins[j])
+		y += h
+	}
+	return wins
 }
 
 // DecodeWindow decodes a standalone window payload (fuzz and test
