@@ -1,20 +1,10 @@
 package blockpar_test
 
-// BenchmarkSuiteApps measures the functional runtime's allocation
-// behavior on Figure 13 suite applications across the data-plane and
-// executor axes introduced by the zero-copy work:
-//
-//	copy     — pooled windows disabled, every edge carries a fresh copy
-//	zerocopy — pooled stride-aware views (the default)
-//	×
-//	goroutines — one goroutine per kernel (the default engine)
-//	workers    — fixed worker pool running ready firings
-//
-// Run with -benchmem; BENCH_pr3.json records a snapshot. The headline
-// is allocs/op: zero-copy must cut it by ≥5× on the windowed apps.
+// BenchmarkSuiteApps measures the functional runtime's time and
+// allocation behavior on Figure 13 suite applications, one row per app
+// (4 frames per op). Run with -benchmem; the headline is allocs/op.
 
 import (
-	"fmt"
 	"testing"
 
 	"blockpar"
@@ -32,32 +22,19 @@ func BenchmarkSuiteApps(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, zc := range []bool{false, true} {
-			plane := "copy"
-			if zc {
-				plane = "zerocopy"
+		b.Run(id, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				// Behaviors are stateful, so each run needs a fresh clone;
+				// the clone is harness cost, not data plane, and stays
+				// outside the timer.
+				b.StopTimer()
+				g := compiled.Graph.Clone()
+				b.StartTimer()
+				if _, err := blockpar.Run(g, blockpar.RunOptions{Frames: 4, Sources: app.Sources}); err != nil {
+					b.Fatal(err)
+				}
 			}
-			for _, exec := range []blockpar.ExecutorKind{blockpar.ExecGoroutines, blockpar.ExecWorkers} {
-				zc, exec := zc, exec
-				b.Run(fmt.Sprintf("%s/%s/%s", id, plane, exec), func(b *testing.B) {
-					blockpar.SetZeroCopy(zc)
-					defer blockpar.SetZeroCopy(true)
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						// Behaviors are stateful, so each run needs a
-						// fresh clone; the clone is harness cost, not
-						// data plane, and stays outside the timer.
-						b.StopTimer()
-						g := compiled.Graph.Clone()
-						b.StartTimer()
-						if _, err := blockpar.Run(g, blockpar.RunOptions{
-							Frames: 4, Sources: app.Sources, Executor: exec,
-						}); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
+		})
 	}
 }

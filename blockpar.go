@@ -197,32 +197,19 @@ type (
 )
 
 // Run executes the graph functionally: one goroutine per kernel,
-// channels as stream FIFOs, control tokens in-band.
+// bounded rings as stream FIFOs, control tokens in-band.
 func Run(g *Graph, opts RunOptions) (*RunResult, error) { return runtime.Run(g, opts) }
-
-// ExecutorKind selects the functional runtime's execution engine
-// (RunOptions.Executor).
-type ExecutorKind = runtime.ExecutorKind
-
-// Executor kinds: a goroutine per kernel (the default) or a fixed
-// worker pool running ready kernel firings to completion.
-const (
-	ExecGoroutines = runtime.ExecGoroutines
-	ExecWorkers    = runtime.ExecWorkers
-)
 
 // PoolStats is a snapshot of the frame arena's counters: allocations
 // served, pool hits, windows live, and bytes parked in the pool.
 type PoolStats = frame.PoolStats
 
-// Zero-copy data-plane controls: SetZeroCopy toggles pooled,
-// view-based window storage (on by default); PoolUsage snapshots the
-// arena counters; SetPoison enables use-after-release NaN poisoning
-// for debugging kernel ownership bugs.
+// Data-plane diagnostics: PoolUsage snapshots the window arena's
+// counters; SetPoison enables use-after-release NaN poisoning for
+// debugging kernel ownership bugs.
 var (
-	SetZeroCopy = frame.SetZeroCopy
-	PoolUsage   = frame.Stats
-	SetPoison   = frame.SetPoison
+	PoolUsage = frame.Stats
+	SetPoison = frame.SetPoison
 )
 
 // Mapping and timing simulation.

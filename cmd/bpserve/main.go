@@ -31,7 +31,6 @@ import (
 	"blockpar/internal/cluster"
 	"blockpar/internal/machine"
 	"blockpar/internal/registry"
-	"blockpar/internal/runtime"
 	"blockpar/internal/serve"
 )
 
@@ -46,8 +45,6 @@ func main() {
 	var drainTimeout time.Duration
 	flag.DurationVar(&drainTimeout, "drain", 30*time.Second, "graceful-shutdown drain budget: in-flight sessions finish before exit")
 	flag.DurationVar(&drainTimeout, "drain-timeout", 30*time.Second, "alias for -drain")
-	executor := flag.String("executor", "goroutines", "session execution engine: goroutines (one per kernel) or workers (fixed pool)")
-	workers := flag.Int("workers", 0, "worker-pool size for -executor workers (0 = GOMAXPROCS)")
 	clusterAddrs := flag.String("cluster", "", "comma-separated bpworker addresses; sessions execute on the cluster instead of in-process")
 	sessionDeadline := flag.Duration("session-deadline", 0, "wall-clock budget per session, propagated to cluster workers (0 = unbounded)")
 	replayBudget := flag.Int64("replay-budget", 0, "bytes of fed frames retained per session for cluster failover replay (0 = 32MiB default, negative disables failover)")
@@ -61,7 +58,6 @@ func main() {
 		addr: *addr, appIDs: *appIDs, descFiles: descFiles,
 		queue: *queue, maxSessions: *maxSessions,
 		collectTimeout: *collectTimeout, drainTimeout: drainTimeout,
-		executor: runtime.ExecutorKind(*executor), workers: *workers,
 		clusterAddrs:    *clusterAddrs,
 		sessionDeadline: *sessionDeadline,
 		replayBudget:    *replayBudget,
@@ -87,8 +83,6 @@ type serveConfig struct {
 	maxSessions     int
 	collectTimeout  time.Duration
 	drainTimeout    time.Duration
-	executor        runtime.ExecutorKind
-	workers         int
 	clusterAddrs    string
 	sessionDeadline time.Duration
 	replayBudget    int64
@@ -102,7 +96,7 @@ func run(cfg serveConfig) error {
 	addr, appIDs, descFiles := cfg.addr, cfg.appIDs, cfg.descFiles
 	queue, maxSessions := cfg.queue, cfg.maxSessions
 	collectTimeout, drainTimeout := cfg.collectTimeout, cfg.drainTimeout
-	executor, workers, clusterAddrs := cfg.executor, cfg.workers, cfg.clusterAddrs
+	clusterAddrs := cfg.clusterAddrs
 	reg := serve.NewRegistry(machine.Embedded())
 	switch appIDs {
 	case "none":
@@ -182,8 +176,6 @@ func run(cfg serveConfig) error {
 		MaxInFlight:     queue,
 		CollectTimeout:  collectTimeout,
 		MaxSessions:     maxSessions,
-		Executor:        executor,
-		Workers:         workers,
 		Backend:         backend,
 		SessionDeadline: cfg.sessionDeadline,
 	})

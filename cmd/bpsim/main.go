@@ -36,11 +36,11 @@ func main() {
 	traceFile := flag.String("trace", "", "write a CSV firing trace to this file")
 	traceJSON := flag.String("trace-json", "", "write a Chrome trace_event JSON firing trace to this file (chrome://tracing, Perfetto)")
 	gantt := flag.Bool("gantt", false, "print an ASCII Gantt chart of PE occupancy")
-	runExec := flag.String("run", "", "execute functionally on the given engine (goroutines, workers) and report wall time, samples/s, and pool stats instead of simulating")
+	runFn := flag.Bool("run", false, "execute functionally on the runtime and report wall time, samples/s, and pool stats instead of simulating")
 	flag.Parse()
 
-	if *runExec != "" {
-		if err := runFunctional(*appID, *runExec, *frames); err != nil {
+	if *runFn {
+		if err := runFunctional(*appID, *frames); err != nil {
 			fmt.Fprintln(os.Stderr, "bpsim:", err)
 			os.Exit(1)
 		}
@@ -52,11 +52,10 @@ func main() {
 	}
 }
 
-// runFunctional executes the compiled app on the functional runtime
-// with the chosen engine and reports throughput plus window-arena
-// statistics — the quickest way to compare the executors and observe
-// the zero-copy data plane's pool behavior on a real workload.
-func runFunctional(appID, exec string, frames int) error {
+// runFunctional executes the compiled app on the functional runtime and
+// reports throughput plus window-arena statistics — the quickest way to
+// observe the data plane's pool behavior on a real workload.
+func runFunctional(appID string, frames int) error {
 	app, err := apps.ByID(appID)
 	if err != nil {
 		return err
@@ -76,9 +75,7 @@ func runFunctional(appID, exec string, frames int) error {
 	}
 	frame.ResetStats()
 	start := time.Now()
-	res, err := runtime.Run(c.Graph, runtime.Options{
-		Frames: frames, Sources: app.Sources, Executor: runtime.ExecutorKind(exec),
-	})
+	res, err := runtime.Run(c.Graph, runtime.Options{Frames: frames, Sources: app.Sources})
 	if err != nil {
 		return err
 	}
@@ -88,7 +85,7 @@ func runFunctional(appID, exec string, frames int) error {
 		items += len(s)
 	}
 	ps := frame.Stats()
-	fmt.Printf("app %s, %s engine\n", app.Name, exec)
+	fmt.Printf("app %s, functional runtime\n", app.Name)
 	fmt.Printf("  wall:      %.3f ms for %d frames\n", float64(wall)/float64(time.Millisecond), frames)
 	fmt.Printf("  samples/s: %.3g (%d input samples)\n", float64(samples)/wall.Seconds(), samples)
 	fmt.Printf("  outputs:   %d stream items\n", items)

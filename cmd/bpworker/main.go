@@ -8,16 +8,16 @@
 //
 // With -join, the worker registers itself with one or more frontends'
 // registration listeners instead of waiting to be listed on their
-// command line: it advertises its data-plane address, executor, PE
-// capacity (for admission control), and compiled-pipeline inventory,
-// heartbeats to keep its membership lease, announces drains in those
-// heartbeats so frontends live-migrate its sessions to survivors, and
-// deregisters once empty so placement drops it immediately.
+// command line: it advertises its data-plane address, PE capacity (for
+// admission control), and compiled-pipeline inventory, heartbeats to
+// keep its membership lease, announces drains in those heartbeats so
+// frontends live-migrate its sessions to survivors, and deregisters
+// once empty so placement drops it immediately.
 //
 // Usage:
 //
 //	bpworker -addr :9090 -apps all
-//	bpworker -addr :9091 -apps none -name gpu-box -executor workers
+//	bpworker -addr :9091 -apps none -name gpu-box
 //	bpworker -addr :9090 -join fe1:7070,fe2:7070 -advertise 10.0.0.7:9090 -pes 8
 //
 // Pair with: bpserve -cluster host:9090,host:9091
@@ -40,7 +40,6 @@ import (
 	"blockpar/internal/cluster"
 	"blockpar/internal/machine"
 	"blockpar/internal/registry"
-	"blockpar/internal/runtime"
 	"blockpar/internal/serve"
 )
 
@@ -50,8 +49,6 @@ func main() {
 	var descFiles stringList
 	flag.Var(&descFiles, "desc", "JSON application description to compile at startup (repeatable)")
 	name := flag.String("name", "", "worker name reported to frontends (default worker-<pid>)")
-	executor := flag.String("executor", "goroutines", "session execution engine: goroutines (one per kernel) or workers (fixed pool)")
-	workers := flag.Int("workers", 0, "worker-pool size for -executor workers (0 = GOMAXPROCS)")
 	join := flag.String("join", "", "comma-separated frontend registration addresses to self-register with (bpserve -registry)")
 	advertise := flag.String("advertise", "", "data-plane address advertised to frontends (default derived from -addr; required when -addr has no reachable host)")
 	pes := flag.Int("pes", 0, "processing elements advertised for admission control; capacity = PEs x the machine PE clock (0 = NumCPU)")
@@ -62,7 +59,6 @@ func main() {
 
 	cfg := workerConfig{
 		addr: *addr, appIDs: *appIDs, descFiles: descFiles, name: *name,
-		executor: runtime.ExecutorKind(*executor), workers: *workers,
 		join: *join, advertise: *advertise, pes: *pes, drain: drain,
 	}
 	// A drain that abandons work exits nonzero so orchestration (and CI)
@@ -79,8 +75,6 @@ type workerConfig struct {
 	appIDs    string
 	descFiles []string
 	name      string
-	executor  runtime.ExecutorKind
-	workers   int
 	join      string
 	advertise string
 	pes       int
@@ -114,11 +108,7 @@ func run(cfg workerConfig) error {
 		fmt.Printf("compiled %-14s %-16s %3d nodes in %v\n", p.ID, p.Name, p.Nodes, p.CompileTime.Round(time.Millisecond))
 	}
 
-	w := cluster.NewWorker(reg, cluster.WorkerOptions{
-		Name:     cfg.name,
-		Executor: cfg.executor,
-		Workers:  cfg.workers,
-	})
+	w := cluster.NewWorker(reg, cluster.WorkerOptions{Name: cfg.name})
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
@@ -147,7 +137,6 @@ func run(cfg workerConfig) error {
 				Name:         w.Name(),
 				Addr:         advertise,
 				CyclesPerSec: capacity,
-				Executor:     string(cfg.executor),
 			},
 			Pipelines: func() []string {
 				var ids []string

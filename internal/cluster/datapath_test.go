@@ -121,7 +121,6 @@ func pooledItems(n int) []wire.Item {
 // inEdge.abort, outEdge.abort, and a partitionHalf's stopRelay and
 // retire, each with pooled windows queued.
 func TestCutEdgeTeardownReleasesQueuedWindows(t *testing.T) {
-	defer frame.SetZeroCopy(frame.SetZeroCopy(true))
 	base := frame.Stats().Live
 	s, _ := edgeSession()
 
@@ -307,8 +306,6 @@ func TestClusterDataPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector, so the arena allocates")
 	}
-	defer frame.SetZeroCopy(frame.SetZeroCopy(true))
-
 	t.Run("conn-read", func(t *testing.T) {
 		edgeFrame := func(n int) wire.Msg {
 			ef := &wire.EdgeFrame{SID: 1, Edge: 2}

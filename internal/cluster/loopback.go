@@ -222,7 +222,6 @@ func (c *RegisteredCluster) JoinWorker(w *Worker, capacity float64) (*Registered
 			Name:         w.Name(),
 			Addr:         ln.Addr().String(),
 			CyclesPerSec: capacity,
-			Executor:     "workers",
 		},
 		Pipelines: pipelines,
 		Load: func() (uint32, float64) {

@@ -87,8 +87,6 @@ func (c *workerConn) openPartition(m *wire.OpenPartition) {
 	rt, err := runtime.NewSession(g, runtime.SessionOptions{
 		MaxInFlight: maxInFlight,
 		Sources:     p.Sources(),
-		Executor:    c.w.opts.Executor,
-		Workers:     c.w.opts.Workers,
 	})
 	if err != nil {
 		c.send(&wire.SessionOpened{SID: m.SID, Err: err.Error()})

@@ -55,10 +55,6 @@ type WorkerOptions struct {
 	// Name identifies the worker in handshakes, errors, and metrics
 	// (default "worker-<pid>").
 	Name string
-	// Executor and Workers select the runtime engine for the sessions
-	// this worker executes (see runtime.SessionOptions).
-	Executor runtime.ExecutorKind
-	Workers  int
 }
 
 // Worker executes streaming sessions for remote frontends. Pipelines

@@ -45,11 +45,11 @@ func flagBackends(t *testing.T) []string {
 
 // TestDiffRandomGraphs is the differential harness entry point: every
 // seeded random graph runs through the selected backends — by default
-// the sequential oracle vs the batch goroutine runtime, the worker-pool
-// executor, a streaming session, and the simulator — at every PE budget
-// in Variants(), and all outputs must be byte-identical. The nightly
-// sweep passes -conformance.backends=batch,workers,session,sim,cluster
-// to add the TCP-loopback cluster path.
+// the sequential oracle vs the batch runtime, a streaming session, and
+// the simulator — at every PE budget in Variants(), and all outputs
+// must be byte-identical. The nightly sweep passes
+// -conformance.backends=batch,session,sim,cluster to add the
+// TCP-loopback cluster path.
 func TestDiffRandomGraphs(t *testing.T) {
 	n := *nFlag
 	if testing.Short() && n > 25 {
@@ -65,6 +65,18 @@ func TestDiffRandomGraphs(t *testing.T) {
 				t.Fatalf("case %s [seed=%d]: %v\nreplay: go test ./internal/conformance -conformance.seed=%d -conformance.n=1", c.Name, seed, err, seed)
 			}
 		})
+	}
+}
+
+// TestUnknownBackendRejected: a backend name the driver does not know —
+// "workers", the retired worker-pool executor, included — fails the
+// check instead of silently skipping a path.
+func TestUnknownBackendRejected(t *testing.T) {
+	for _, b := range []string{"workers", "bogus"} {
+		err := Check(Generate(*seedFlag), CheckOptions{Backends: []string{b}})
+		if err == nil || !strings.Contains(err.Error(), "unknown conformance backend") {
+			t.Errorf("backend %q: err = %v, want unknown-backend error", b, err)
+		}
 	}
 }
 
@@ -288,7 +300,7 @@ func TestMutationJoinSwapCaught(t *testing.T) {
 	} else {
 		t.Logf("invariant checker caught: %v", err)
 	}
-	if _, err := checkBatch(g, c.Sources, want, runtime.ExecGoroutines); err == nil {
+	if _, err := checkBatch(g, c.Sources, want); err == nil {
 		t.Error("differential run accepted a join with crossed collection edges")
 	} else {
 		t.Logf("differential comparison caught: %v", err)
@@ -459,8 +471,8 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, body any, wantCode
 	}
 }
 
-// TestCountersOnSuiteApps holds every suite app, on both executors and
-// at every PE budget, to the two numbers the execution plan takes from
+// TestCountersOnSuiteApps holds every suite app, at every PE budget,
+// to the two numbers the execution plan takes from
 // the compiler: each kernel's firing count (read from the session's
 // live counter block) equals the analysis' predicted iterations, and no
 // input ring holds more than its plan-time capacity, even with every
@@ -480,31 +492,29 @@ func TestCountersOnSuiteApps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, exec := range []runtime.ExecutorKind{runtime.ExecGoroutines, runtime.ExecWorkers} {
-				sess, err := runtime.NewSession(compiled.Graph.Clone(), runtime.SessionOptions{
-					Sources: app.Sources, MaxInFlight: frames, Executor: exec,
-				})
-				if err != nil {
-					t.Fatal(err)
+			sess, err := runtime.NewSession(compiled.Graph.Clone(), runtime.SessionOptions{
+				Sources: app.Sources, MaxInFlight: frames,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for f := 0; f < frames; f++ {
+				if _, err := sess.Feed(nil); err != nil {
+					t.Fatalf("app %s %s: feed %d: %v", id, v.Name, f, err)
 				}
-				for f := 0; f < frames; f++ {
-					if _, err := sess.Feed(nil); err != nil {
-						t.Fatalf("app %s %s %s: feed %d: %v", id, v.Name, exec, f, err)
-					}
+			}
+			for f := 0; f < frames; f++ {
+				if _, err := sess.Collect(execTimeout); err != nil {
+					t.Fatalf("app %s %s: collect %d: %v", id, v.Name, f, err)
 				}
-				for f := 0; f < frames; f++ {
-					if _, err := sess.Collect(execTimeout); err != nil {
-						t.Fatalf("app %s %s %s: collect %d: %v", id, v.Name, exec, f, err)
-					}
-				}
-				// Read the counters live, before Close: nothing is paused.
-				stats := sess.Stats()
-				if err := sess.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if err := checkCounters(compiled, stats, frames); err != nil {
-					t.Errorf("app %s %s %s: %v", id, v.Name, exec, err)
-				}
+			}
+			// Read the counters live, before Close: nothing is paused.
+			stats := sess.Stats()
+			if err := sess.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := checkCounters(compiled, stats, frames); err != nil {
+				t.Errorf("app %s %s: %v", id, v.Name, err)
 			}
 		}
 	}

@@ -53,11 +53,11 @@ func TestOracleMatchesConnAppGoldens(t *testing.T) {
 
 // TestDiffConnApps is the acceptance bar for the connection subsystem:
 // both benchmarks must stream byte-identically to the oracle through
-// the batch runtime, the worker-pool executor, a streaming session, the
-// simulator, a loopback cluster session, and a partitioned session
-// split by the placement layer across a 2-worker fleet — at every
-// compilation variant. Broadcast fan-out crossing a partition cut and
-// the co-located shared rings both ride this test.
+// the batch runtime, a streaming session, the simulator, a loopback
+// cluster session, and a partitioned session split by the placement
+// layer across a 2-worker fleet — at every compilation variant.
+// Broadcast fan-out crossing a partition cut and the co-located shared
+// rings both ride this test.
 func TestDiffConnApps(t *testing.T) {
 	backends := append(DefaultBackends(), "cluster", "partitioned")
 	for _, app := range connApps() {

@@ -50,20 +50,18 @@ type CheckOptions struct {
 }
 
 // Backends lists every execution path the differential driver can
-// exercise: the batch goroutine runtime, the batch worker-pool
-// executor, a streaming session, the timing simulator's functional
-// stream, a cluster session over a loopback worker, a partitioned
-// session split by the placement layer across a loopback fleet, and a
-// self-registered two-frontend fleet placed by the consistent-hash
-// ring.
+// exercise: the batch runtime, a streaming session, the timing
+// simulator's functional stream, a cluster session over a loopback
+// worker, a partitioned session split by the placement layer across a
+// loopback fleet, and a self-registered two-frontend fleet placed by the
+// consistent-hash ring.
 func Backends() []string {
-	return []string{"batch", "workers", "session", "sim", "cluster", "partitioned", "registered"}
+	return []string{"batch", "session", "sim", "cluster", "partitioned", "registered"}
 }
 
-// DefaultBackends is the per-PR subset: everything except the cluster
-// loopback.
+// DefaultBackends is the per-PR subset: the in-process paths.
 func DefaultBackends() []string {
-	return []string{"batch", "workers", "session", "sim"}
+	return []string{"batch", "session", "sim"}
 }
 
 func backendSet(names []string) (map[string]bool, error) {
@@ -120,7 +118,7 @@ func Check(c *Case, opts CheckOptions) error {
 		// implies executing (but not re-judging) the batch backend.
 		var res *runtime.Result
 		if backends["batch"] || backends["sim"] {
-			res, err = checkBatch(compiled.Graph, c.Sources, want, runtime.ExecGoroutines)
+			res, err = checkBatch(compiled.Graph, c.Sources, want)
 			if err != nil {
 				return fmt.Errorf("%s: %w", v.Name, err)
 			}
@@ -128,15 +126,6 @@ func Check(c *Case, opts CheckOptions) error {
 		if backends["batch"] {
 			if err := checkCounters(compiled, res.Stats, frames); err != nil {
 				return fmt.Errorf("%s: %w", v.Name, err)
-			}
-		}
-		if backends["workers"] {
-			wres, err := checkBatch(compiled.Graph, c.Sources, want, runtime.ExecWorkers)
-			if err != nil {
-				return fmt.Errorf("%s: workers: %w", v.Name, err)
-			}
-			if err := checkCounters(compiled, wres.Stats, frames); err != nil {
-				return fmt.Errorf("%s: workers: %w", v.Name, err)
 			}
 		}
 		if backends["session"] {
@@ -199,18 +188,16 @@ func compileVariant(c *Case, v Variant) (*core.Compiled, error) {
 	return compiled, nil
 }
 
-// checkBatch runs the compiled graph through the batch runtime on the
-// given executor backend and compares every frame of every output
-// byte-for-byte with the oracle. The template graph is cloned first:
+// checkBatch runs the compiled graph through the batch runtime and
+// compares every frame of every output byte-for-byte with the oracle. The template graph is cloned first:
 // behaviors are stateful, so a compiled graph is an execution
 // template, never run directly.
 func checkBatch(template *graph.Graph, sources map[string]frame.Generator,
-	want []map[string][]frame.Window, exec runtime.ExecutorKind) (*runtime.Result, error) {
+	want []map[string][]frame.Window) (*runtime.Result, error) {
 
 	g := template.Clone()
 	res, err := runtime.Run(g, runtime.Options{
 		Frames: len(want), Sources: sources, Timeout: execTimeout,
-		Executor: exec,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)

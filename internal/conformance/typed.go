@@ -140,7 +140,7 @@ func coeffGain(c *Case, n *graph.Node) (gain float64, taps int, err error) {
 }
 
 // CheckTyped is the typed-plane conformance gate: it runs the typed
-// case through every compilation variant on both batch executors and
+// case through every compilation variant on the batch runtime and
 // diffs each output against the f64 oracle of the reference twin —
 // the same graph and the same (pre-quantized) input values with every
 // stream left at double precision. Outputs whose path never passes
@@ -165,26 +165,23 @@ func CheckTyped(typed, ref *Case, frames int) error {
 		if err != nil {
 			return err
 		}
-		for _, exec := range []runtime.ExecutorKind{runtime.ExecGoroutines, runtime.ExecWorkers} {
-			g := compiled.Graph.Clone()
-			res, err := runtime.Run(g, runtime.Options{
-				Frames: frames, Sources: typed.Sources, Timeout: execTimeout,
-				Executor: exec,
-			})
-			if err != nil {
-				return fmt.Errorf("%s/%v: %w", v.Name, exec, err)
+		g := compiled.Graph.Clone()
+		res, err := runtime.Run(g, runtime.Options{
+			Frames: frames, Sources: typed.Sources, Timeout: execTimeout,
+		})
+		if err != nil {
+			return fmt.Errorf("%s: %w", v.Name, err)
+		}
+		for _, out := range g.Outputs() {
+			name := out.Name()
+			slices := res.FrameSlices(name)
+			if len(slices) != frames {
+				return fmt.Errorf("%s: output %q completed %d frames, want %d",
+					v.Name, name, len(slices), frames)
 			}
-			for _, out := range g.Outputs() {
-				name := out.Name()
-				slices := res.FrameSlices(name)
-				if len(slices) != frames {
-					return fmt.Errorf("%s/%v: output %q completed %d frames, want %d",
-						v.Name, exec, name, len(slices), frames)
-				}
-				for f, got := range slices {
-					if err := compareTolerant(got, want[f][name], tol[name]); err != nil {
-						return fmt.Errorf("%s/%v: output %q frame %d: %w", v.Name, exec, name, f, err)
-					}
+			for f, got := range slices {
+				if err := compareTolerant(got, want[f][name], tol[name]); err != nil {
+					return fmt.Errorf("%s: output %q frame %d: %w", v.Name, name, f, err)
 				}
 			}
 		}

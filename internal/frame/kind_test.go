@@ -209,7 +209,6 @@ func TestAllocKindPooled(t *testing.T) {
 // Buckets are classed by bytes: a u8 window recycles into buffers that
 // an f64 window of 1/8 the sample count also uses.
 func TestPoolBucketsShareAcrossKinds(t *testing.T) {
-	defer SetZeroCopy(SetZeroCopy(true))
 	// Drain potential cross-test noise by sampling hit-rate deltas.
 	u := AllocKind(U8, 64, 8) // 512 bytes
 	u.Release()
@@ -227,7 +226,6 @@ func TestPoolBucketsShareAcrossKinds(t *testing.T) {
 
 func TestPoisonTypedWindows(t *testing.T) {
 	defer SetPoison(SetPoison(true))
-	defer SetZeroCopy(SetZeroCopy(true))
 	u := AllocKind(U8, 8, 1)
 	row := u.RowU8(0)
 	u.Release()

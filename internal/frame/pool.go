@@ -116,26 +116,11 @@ func ResetStats() {
 	poolStats.live.Store(0)
 }
 
-// zeroCopy gates the whole zero-copy data plane: pooled allocation and
-// view-based input chunking. On by default; the copy-vs-zero-copy
-// benchmarks and any emergency fallback flip it off, restoring the
-// seed's copy-everything behavior.
-var zeroCopy atomic.Bool
-
 // poison gates the debug use-after-release detector: released buffers
 // are filled with poison so any consumer still reading them diverges
 // loudly in the differential conformance checks instead of silently
 // reading recycled data. Tests enable it; production leaves it off.
 var poison atomic.Bool
-
-func init() { zeroCopy.Store(true) }
-
-// SetZeroCopy toggles pooled allocation and view chunking, returning
-// the previous setting. Not intended to be flipped while graphs run.
-func SetZeroCopy(on bool) bool { return zeroCopy.Swap(on) }
-
-// ZeroCopy reports whether the zero-copy data plane is enabled.
-func ZeroCopy() bool { return zeroCopy.Load() }
 
 // SetPoison toggles release-time buffer poisoning, returning the
 // previous setting.
@@ -166,9 +151,8 @@ func f64bytes(f []float64) []byte {
 }
 
 // Alloc returns a zeroed w×h F64 window backed by the arena. The
-// caller owns one reference; see the ownership protocol above. With
-// zero-copy disabled (or a shape outside the arena's range) it degrades
-// to NewWindow.
+// caller owns one reference; see the ownership protocol above. A shape
+// outside the arena's range degrades to NewWindow.
 func Alloc(w, h int) Window { return AllocKind(F64, w, h) }
 
 // AllocKind returns a zeroed w×h window of the given element kind,
@@ -191,10 +175,7 @@ func AllocKind(k Kind, w, h int) Window {
 // uses it — a decoded window's samples all come from the frame.
 func AllocUninit(k Kind, w, h int) Window {
 	nbytes := w * h * k.Bytes()
-	b := -1
-	if ZeroCopy() {
-		b = bucketFor(nbytes)
-	}
+	b := bucketFor(nbytes)
 	if b < 0 {
 		return NewWindowKind(k, w, h)
 	}
@@ -284,9 +265,9 @@ const (
 var lists [maxListLog + 1]sync.Pool
 
 // AllocList returns an empty window list with room for n windows,
-// recycled from a released one when the arena is on and n is in range.
+// recycled from a released one when n is in range.
 func AllocList(n int) []Window {
-	if n < 1<<minListLog || n > 1<<maxListLog || !ZeroCopy() {
+	if n < 1<<minListLog || n > 1<<maxListLog {
 		return make([]Window, 0, n)
 	}
 	c := minListLog

@@ -143,17 +143,28 @@ func TestReleaseThenReusePoisoning(t *testing.T) {
 	}
 }
 
-func TestAllocFallbackWhenDisabled(t *testing.T) {
-	prev := SetZeroCopy(false)
-	defer SetZeroCopy(prev)
-	w := Alloc(4, 4)
-	if w.Pooled() {
-		t.Fatal("Alloc pooled a window with zero-copy disabled")
+// TestAllocUnpooledOutOfRange checks the arena's one unpooled path: a
+// shape whose bytes fall outside every bucket (empty, or past the
+// largest class) is plain NewWindowKind storage, and the ownership
+// protocol is a no-op on it.
+func TestAllocUnpooledOutOfRange(t *testing.T) {
+	live := Stats().Live
+	for _, c := range []struct {
+		k    Kind
+		w, h int
+	}{{F64, 0, 4}, {U8, 1<<maxBucketLog + 1, 1}} {
+		w := AllocKind(c.k, c.w, c.h)
+		if w.Pooled() || w.Kind != c.k || w.W != c.w || w.H != c.h {
+			t.Fatalf("AllocKind(%v, %d, %d) = %v %dx%d pooled=%v, want unpooled",
+				c.k, c.w, c.h, w.Kind, w.W, w.H, w.Pooled())
+		}
+		w.Retain(3)
+		w.Release()
+		w.Release()
 	}
-	// Protocol calls must be no-ops on unpooled windows.
-	w.Retain(3)
-	w.Release()
-	w.Release()
+	if got := Stats().Live; got != live {
+		t.Fatalf("unpooled allocations moved the live gauge by %d", got-live)
+	}
 }
 
 func TestPooledScalar(t *testing.T) {
@@ -187,7 +198,6 @@ func TestStatsTrackLiveBuffers(t *testing.T) {
 // stale headers gone, and lists the arena does not class (short ones,
 // foreign capacities, nil) pass through both calls untouched.
 func TestListCycle(t *testing.T) {
-	defer SetZeroCopy(SetZeroCopy(true))
 	live := Stats().Live
 	reused := false
 	// sync.Pool drops a share of Puts under the race detector, so one
@@ -222,9 +232,4 @@ func TestListCycle(t *testing.T) {
 	}
 	ReleaseList(make([]Window, 100)) // a capacity no class has
 	ReleaseList(nil)
-
-	SetZeroCopy(false)
-	if got := AllocList(720); cap(got) != 720 {
-		t.Errorf("AllocList(720) with the arena off has cap %d, want a plain 720", cap(got))
-	}
 }

@@ -56,9 +56,6 @@ func assertAllocFree(t *testing.T, what string, fire func()) {
 // demosaic and k×k convolution row loops) at zero steady-state heap
 // allocations per batched firing.
 func TestDenseLoopsAllocFree(t *testing.T) {
-	prev := frame.SetZeroCopy(true)
-	defer frame.SetZeroCopy(prev)
-
 	const k, n = 3, 61 // 61 overlapping 3×3 windows in one row span
 
 	convFire := func(kind frame.Kind) func() {

@@ -12,9 +12,8 @@ import (
 // Member is one registered worker as the fleet sees it.
 type Member struct {
 	Name         string
-	Addr         string  // data-plane address frontends dial for sessions
-	CyclesPerSec float64 // capacity in machine-model cycles/sec (PEs × PE clock)
-	Executor     string
+	Addr         string   // data-plane address frontends dial for sessions
+	CyclesPerSec float64  // capacity in machine-model cycles/sec (PEs × PE clock)
 	Pipelines    []string // compiled-pipeline cache inventory at registration
 
 	// Last heartbeat-reported load; zero until the first heartbeat.
@@ -146,8 +145,8 @@ func (f *Fleet) Close() {
 }
 
 // Register adds or replaces a member and starts its lease. A
-// re-registration with unchanged placement identity (addr, executor,
-// capacity) just refreshes the lease and pipeline inventory; a changed
+// re-registration with unchanged placement identity (addr, capacity)
+// just refreshes the lease and pipeline inventory; a changed
 // identity is announced as Leave then Join so consumers re-dial.
 func (f *Fleet) Register(m Member) error {
 	if m.Name == "" {
@@ -169,7 +168,7 @@ func (f *Fleet) Register(m Member) error {
 		f.opts.Logf("registry: %s joined (addr=%s capacity=%.3g cyc/s, %d pipelines cached)",
 			m.Name, m.Addr, m.CyclesPerSec, len(m.Pipelines))
 		f.publishLocked(Event{Kind: EventJoin, Member: m})
-	case old.Addr != m.Addr || old.Executor != m.Executor || old.CyclesPerSec != m.CyclesPerSec:
+	case old.Addr != m.Addr || old.CyclesPerSec != m.CyclesPerSec:
 		f.opts.Logf("registry: %s re-registered with new identity (addr %s -> %s)", m.Name, old.Addr, m.Addr)
 		f.publishLocked(Event{Kind: EventLeave, Member: old.Member})
 		f.publishLocked(Event{Kind: EventJoin, Member: m})
@@ -376,7 +375,6 @@ func (f *Fleet) handleConn(conn *wire.Conn) {
 				Name:         msg.Name,
 				Addr:         msg.Addr,
 				CyclesPerSec: msg.CyclesPerSec,
-				Executor:     msg.Executor,
 				Pipelines:    msg.Pipelines,
 			}
 			if err := f.Register(mem); err != nil {

@@ -189,7 +189,6 @@ func (j *Joiner) session(frontend string) error {
 		Name:         self.Name,
 		Addr:         self.Addr,
 		CyclesPerSec: self.CyclesPerSec,
-		Executor:     self.Executor,
 		Pipelines:    self.Pipelines,
 	}); err != nil {
 		return err

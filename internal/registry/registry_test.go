@@ -123,7 +123,7 @@ func TestRingRebalanceBound(t *testing.T) {
 }
 
 func member(name string) Member {
-	return Member{Name: name, Addr: name + ".example:9000", CyclesPerSec: 1e8, Executor: "workers"}
+	return Member{Name: name, Addr: name + ".example:9000", CyclesPerSec: 1e8}
 }
 
 func waitEvent(t *testing.T, ch <-chan Event) Event {
@@ -244,7 +244,7 @@ func TestJoinerEndToEnd(t *testing.T) {
 	j, err := Join(JoinConfig{
 		Frontends: addrs,
 		Self: Member{Name: "w0", Addr: "127.0.0.1:7777", CyclesPerSec: 1.6e8,
-			Executor: "workers", Pipelines: []string{"edges"}},
+			Pipelines: []string{"edges"}},
 		Load:     func() (uint32, float64) { return 2, 3e5 },
 		RetryMin: 10 * time.Millisecond,
 		Logf:     t.Logf,

@@ -11,8 +11,8 @@ import (
 )
 
 // planNodeOf returns the plan record of the named node. The alloc
-// gates build an executor and never start it: with no engine running,
-// the input rings capture exactly what the send path delivered, and the
+// gates build an executor and never start it: with no node goroutine
+// running, the input rings capture exactly what the send path delivered, and the
 // code under test is the only code that could touch the heap.
 func planNodeOf(t *testing.T, ex *executor, name string) *planNode {
 	t.Helper()
@@ -31,9 +31,6 @@ func planNodeOf(t *testing.T, ex *executor, name string) *planNode {
 // heap allocations per send, and every consumer must observe the same
 // backing storage.
 func TestBroadcastSendAllocFree(t *testing.T) {
-	prev := frame.SetZeroCopy(true)
-	defer frame.SetZeroCopy(prev)
-
 	g := graph.New("bcast-alloc")
 	in := g.AddInput("Input", geom.Sz(8, 4), geom.Sz(1, 1), geom.FInt(10))
 	tos := make([]*graph.Port, 3)

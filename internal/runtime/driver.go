@@ -72,9 +72,9 @@ func newDriver(ex *executor, pn *planNode) *driver {
 	return d
 }
 
-// loop drives the kernel on its own goroutine (goroutineEngine): fire
-// until quiescent, park for the next delivery, repeat. Once the inputs are
-// exhausted it fires whatever remains, then stops.
+// loop drives the kernel on its own goroutine: fire until quiescent,
+// park for the next delivery, repeat. Once the inputs are exhausted it
+// fires whatever remains, then stops.
 func (d *driver) loop() error {
 	ib := d.ib
 	for {

@@ -38,7 +38,7 @@ func (firstOf) Invoke(_ string, ctx graph.ExecContext) error {
 	return nil
 }
 
-// quiesce fires d until nothing is ready, exactly as an engine would.
+// quiesce fires d until nothing is ready, exactly as driver.loop would.
 func quiesce(t *testing.T, d *driver) {
 	for {
 		d.ib.mu.Lock()
@@ -62,9 +62,6 @@ func quiesce(t *testing.T, d *driver) {
 // rings capture every delivery and the code under test is the only
 // code that could touch the heap.
 func TestFiringPathAllocFree(t *testing.T) {
-	prev := frame.SetZeroCopy(true)
-	defer frame.SetZeroCopy(prev)
-
 	const width = 8
 	g := graph.New("firing-alloc")
 	a := g.AddInput("A", geom.Sz(width, 2), geom.Sz(1, 1), geom.FInt(10))

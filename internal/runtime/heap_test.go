@@ -16,12 +16,12 @@ var soakFrames = flag.Int("runtime.soak", 1000, "frames streamed by TestSessionH
 
 // TestSessionHeapFlat streams app 5 — the benchmark's local_compute
 // pipeline, whose Subtract kernel always has an item pending on one
-// input — through a session on both executors and requires the heap in
-// use at the last frame to sit within 8 MB of the heap at frame 200.
-// The rings are allocated once and clear every slot they hand on, so a
-// session's footprint is a constant; the queues they replaced kept
-// their consumed prefix and grew ~0.4 MB per frame here. Every ring
-// must also have stayed inside the capacity the plan gave it.
+// input — through a session and requires the heap in use at the last
+// frame to sit within 8 MB of the heap at frame 200. The rings are
+// allocated once and clear every slot they hand on, so a session's
+// footprint is a constant; the queues they replaced kept their consumed
+// prefix and grew ~0.4 MB per frame here. Every ring must also have
+// stayed inside the capacity the plan gave it.
 func TestSessionHeapFlat(t *testing.T) {
 	const warm, slack = 200, 8 << 20
 	frames := *soakFrames
@@ -45,44 +45,43 @@ func TestSessionHeapFlat(t *testing.T) {
 		goruntime.ReadMemStats(&ms)
 		return ms.HeapInuse
 	}
-	for _, exec := range []ExecutorKind{ExecGoroutines, ExecWorkers} {
-		t.Run(string(exec), func(t *testing.T) {
-			sess, err := NewSession(c.Graph.Clone(), SessionOptions{
-				Sources: app.Sources, Executor: exec, MaxInFlight: 8,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sess.Close()
-			var base uint64
-			for f := 0; f < frames; f++ {
-				// Keep the window full, as the serving path does: feed ahead
-				// until the session pushes back, then collect one.
-				for {
-					if _, err := sess.TryFeed(nil); err == ErrQueueFull {
-						break
-					} else if err != nil {
-						t.Fatal(err)
-					}
-				}
-				if _, err := sess.Collect(30 * time.Second); err != nil {
-					t.Fatalf("frame %d: %v", f, err)
-				}
-				if f == warm {
-					base = heapInUse()
-				}
-			}
-			if end := heapInUse(); end > base+slack {
-				t.Errorf("heap in use grew from %d KB at frame %d to %d KB at frame %d",
-					base>>10, warm, end>>10, frames)
-			}
-			for _, st := range sess.Stats() {
-				for _, r := range st.Rings {
-					if r.HighWater > r.Capacity {
-						t.Errorf("%s.%s held %d items, planned capacity %d", st.Node, r.Input, r.HighWater, r.Capacity)
-					}
-				}
-			}
+	// The subtest is named for the engine: one goroutine per node.
+	t.Run("goroutines", func(t *testing.T) {
+		sess, err := NewSession(c.Graph.Clone(), SessionOptions{
+			Sources: app.Sources, MaxInFlight: 8,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		var base uint64
+		for f := 0; f < frames; f++ {
+			// Keep the window full, as the serving path does: feed ahead
+			// until the session pushes back, then collect one.
+			for {
+				if _, err := sess.TryFeed(nil); err == ErrQueueFull {
+					break
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := sess.Collect(30 * time.Second); err != nil {
+				t.Fatalf("frame %d: %v", f, err)
+			}
+			if f == warm {
+				base = heapInUse()
+			}
+		}
+		if end := heapInUse(); end > base+slack {
+			t.Errorf("heap in use grew from %d KB at frame %d to %d KB at frame %d",
+				base>>10, warm, end>>10, frames)
+		}
+		for _, st := range sess.Stats() {
+			for _, r := range st.Rings {
+				if r.HighWater > r.Capacity {
+					t.Errorf("%s.%s held %d items, planned capacity %d", st.Node, r.Input, r.HighWater, r.Capacity)
+				}
+			}
+		}
+	})
 }

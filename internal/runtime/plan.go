@@ -26,7 +26,7 @@ type planNode struct {
 	id   int32
 	io   int
 	// invoker is non-nil for kernels fired by the generic method-trigger
-	// driver; those are the worker engine's pool tasks.
+	// driver.
 	invoker graph.Invoker
 
 	ins     []planInput
@@ -91,9 +91,6 @@ type planEdge struct {
 	// batchOK: the consumer takes row batches whole; elsewhere send
 	// splits a batch into its logical view items.
 	batchOK bool
-	// block: the producer runs on a dedicated goroutine and waits on a
-	// full ring; a pool task's deliveries grow the ring instead.
-	block bool
 }
 
 type planMethod struct {
@@ -133,17 +130,15 @@ func (pn *planNode) outIndex(name string) int32 {
 	return -1
 }
 
-// buildPlan lowers g. chanCap > 0 overrides every ring's capacity;
-// pooled says driver-run kernels execute as the worker engine's pool
-// tasks, whose deliveries may not block.
-func buildPlan(g *graph.Graph, chanCap int, pooled bool) *plan {
+// buildPlan lowers g. ringCap > 0 overrides every ring's capacity.
+func buildPlan(g *graph.Graph, ringCap int) *plan {
 	nodes := g.Nodes()
 	pl := &plan{nodes: make([]planNode, len(nodes))}
 	ids := make(map[*graph.Node]int32, len(nodes))
 	for i, n := range nodes {
 		ids[n] = int32(i)
 	}
-	caps := ringCaps(g, chanCap)
+	caps := ringCaps(g, ringCap)
 
 	for i, n := range nodes {
 		pn := &pl.nodes[i]
@@ -175,8 +170,7 @@ func buildPlan(g *graph.Graph, chanCap int, pooled bool) *plan {
 		from, to := &pl.nodes[ids[e.From.Node()]], &pl.nodes[ids[e.To.Node()]]
 		out := &from.outs[from.outIndex(e.From.Name)]
 		out.edges = append(out.edges, planEdge{
-			node: to.id, in: to.inIndex(e.To.Name),
-			batchOK: acceptsBatch(e), block: !pooled || from.invoker == nil,
+			node: to.id, in: to.inIndex(e.To.Name), batchOK: acceptsBatch(e),
 		})
 	}
 	for i := range pl.nodes {
@@ -328,9 +322,9 @@ func (pl *plan) lowerMethods(pn *planNode) {
 // Stats reports every ring's high-water mark against this capacity, and
 // if a graph's real skew exceeds it the deadlock detector
 // (executor.unwedge) grows the ring rather than hang.
-func ringCaps(g *graph.Graph, chanCap int) func(*graph.Port) int {
-	if chanCap > 0 {
-		return func(*graph.Port) int { return chanCap }
+func ringCaps(g *graph.Graph, ringCap int) func(*graph.Port) int {
+	if ringCap > 0 {
+		return func(*graph.Port) int { return ringCap }
 	}
 	maxW := 64
 	for _, in := range g.Inputs() {

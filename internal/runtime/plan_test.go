@@ -74,7 +74,7 @@ func dynamicForward(g *graph.Graph, n *graph.Node, p *graph.Port) (group, outs [
 // forwarding tables with the dynamic rule.
 func checkForwardTables(t *testing.T, g *graph.Graph) {
 	t.Helper()
-	pl := buildPlan(g, 0, false)
+	pl := buildPlan(g, 0)
 	for i := range pl.nodes {
 		pn := &pl.nodes[i]
 		if pn.invoker == nil {
@@ -132,12 +132,11 @@ func TestForwardTablesMatchDynamicRule(t *testing.T) {
 	}
 }
 
-// TestFeedbackTokenOrder pins the token order around a feedback loop on
-// both engines: the accumulator's data input carries EOL/EOF, its state
-// input (fed by the loop) never does, and every token must come out of
-// "out" exactly once, in stream position — W sums, the row's EOL, and
-// the frame's EOF after its last row — while the loop keeps circulating
-// data only.
+// TestFeedbackTokenOrder pins the token order around a feedback loop:
+// the accumulator's data input carries EOL/EOF, its state input (fed by
+// the loop) never does, and every token must come out of "out" exactly
+// once, in stream position — W sums, the row's EOL, and the frame's EOF
+// after its last row — while the loop keeps circulating data only.
 func TestFeedbackTokenOrder(t *testing.T) {
 	const W, H, frames = 4, 3, 2
 	var want []string
@@ -150,31 +149,29 @@ func TestFeedbackTokenOrder(t *testing.T) {
 		}
 		want = append(want, token.EOF(int64(f)).String())
 	}
-	for _, exec := range []ExecutorKind{ExecGoroutines, ExecWorkers} {
-		res, err := Run(feedbackGraph(W, H), Options{Frames: frames, Executor: exec, Timeout: 20 * time.Second})
-		if err != nil {
-			t.Fatalf("%s: %v", exec, err)
+	res, err := Run(feedbackGraph(W, H), Options{Frames: frames, Timeout: 20 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, it := range res.Outputs["Output"] {
+		if it.IsToken {
+			got = append(got, it.Tok.String())
+		} else {
+			got = append(got, "data")
 		}
-		var got []string
-		for _, it := range res.Outputs["Output"] {
-			if it.IsToken {
-				got = append(got, it.Tok.String())
-			} else {
-				got = append(got, "data")
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: output stream\n got %v\nwant %v", exec, got, want)
-		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("output stream\n got %v\nwant %v", got, want)
 	}
 }
 
 // TestUndersizedRingsUnwedge runs every suite app with rings far too
 // small for its skew (1, 2 and 7 items, where the plan gives four rows
-// or more) on both engines. Bounded rings that only ever block would wedge
-// — a join starving on one input while the other's producer waits on a
-// full ring — so completing at all proves the deadlock detector finds
-// the cycle and grows exactly the rings in it; completing with the same
+// or more). Bounded rings that only ever block would wedge — a join
+// starving on one input while the other's producer waits on a full
+// ring — so completing at all proves the deadlock detector finds the
+// cycle and grows exactly the rings in it; completing with the same
 // outputs proves growing loses and reorders nothing.
 func TestUndersizedRingsUnwedge(t *testing.T) {
 	const frames = 3
@@ -188,38 +185,36 @@ func TestUndersizedRingsUnwedge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, exec := range []ExecutorKind{ExecGoroutines, ExecWorkers} {
-			run := func(ringCap int) *Result {
-				res, err := Run(c.Graph.Clone(), Options{
-					Frames: frames, Sources: app.Sources, Executor: exec,
-					ChannelCap: ringCap, Timeout: 60 * time.Second,
-				})
-				if err != nil {
-					t.Fatalf("app %s on %s, ring capacity %d: %v", id, exec, ringCap, err)
-				}
-				return res
+		run := func(ringCap int) *Result {
+			res, err := Run(c.Graph.Clone(), Options{
+				Frames: frames, Sources: app.Sources,
+				Timeout: 60 * time.Second, ringCap: ringCap,
+			})
+			if err != nil {
+				t.Fatalf("app %s, ring capacity %d: %v", id, ringCap, err)
 			}
-			want := run(0)
-			caps := []int{1, 2, 7}
-			if raceEnabled {
-				caps = caps[:1]
-			}
-			for _, ringCap := range caps {
-				got := run(ringCap)
-				for name, items := range want.Outputs {
-					if err := sameStream(got.Outputs[name], items); err != nil {
-						t.Errorf("app %s on %s, ring capacity %d, output %q: %v", id, exec, ringCap, name, err)
-					}
+			return res
+		}
+		want := run(0)
+		caps := []int{1, 2, 7}
+		if raceEnabled {
+			caps = caps[:1]
+		}
+		for _, ringCap := range caps {
+			got := run(ringCap)
+			for name, items := range want.Outputs {
+				if err := sameStream(got.Outputs[name], items); err != nil {
+					t.Errorf("app %s, ring capacity %d, output %q: %v", id, ringCap, name, err)
 				}
-				for _, st := range got.Stats {
-					for _, r := range st.Rings {
-						grew = grew || (exec == ExecGoroutines && r.HighWater > r.Capacity)
-					}
+			}
+			for _, st := range got.Stats {
+				for _, r := range st.Rings {
+					grew = grew || r.HighWater > r.Capacity
 				}
 			}
 		}
 	}
-	// On the goroutine engine a ring grows only through the detector.
+	// A ring grows only through the detector.
 	if !grew {
 		t.Error("no ring ever grew: the suite did not wedge, so the detector went untested")
 	}

@@ -23,20 +23,12 @@ type ring struct {
 	// force is set by the deadlock detector: the waiting producer must
 	// proceed, growing the ring if it is full (see executor.unwedge).
 	force bool
-	// waiter is the producer's pool task while it is throttled on this
-	// ring (worker engine; see workerEngine.yield).
-	waiter *workerTask
 }
 
-// high reports whether a pool task feeding the ring should yield: a
-// quarter of the ring — a row of items, since capacity is at least four
-// rows — stays free for the firing already under way.
-func (r *ring) high() bool { return r.n >= len(r.buf)-len(r.buf)/4 }
-
-// held reports whether a producer that stopped at the ring's high mark
-// should keep waiting: until the consumer has drained half the ring,
-// so a producer that outruns its consumer parks once per half ring, not
-// once per item.
+// held reports whether a producer that stopped at a full ring should
+// keep waiting: until the consumer has drained half the ring, so a
+// producer that outruns its consumer parks once per half ring, not once
+// per item.
 func (r *ring) held() bool { return r.n > len(r.buf)/2 && !r.force }
 
 func (r *ring) full() bool { return r.n == len(r.buf) }
@@ -70,9 +62,8 @@ func (r *ring) drop() {
 }
 
 // grow doubles the ring. It runs only when the deadlock detector found
-// the plan-time capacity too small for the graph's skew, or for a pool
-// task that may not block; Stats reports it as a high-water mark above
-// the planned capacity.
+// the plan-time capacity too small for the graph's skew; Stats reports
+// it as a high-water mark above the planned capacity.
 func (r *ring) grow() {
 	nb := make([]graph.Item, 2*len(r.buf))
 	k := copy(nb, r.buf[r.head:])
@@ -89,8 +80,8 @@ const (
 	// waitStarved: parked until an input delivers; the word names the
 	// one input waited for, or anyInput.
 	waitStarved
-	// waitBlocked: parked on a ring that is running high; the word
-	// names the consumer node and its input.
+	// waitBlocked: parked on a full ring; the word names the consumer
+	// node and its input.
 	waitBlocked
 	// waitDone: the node has exited.
 	waitDone
@@ -111,14 +102,15 @@ func unpackWait(s uint64) (kind uint64, node, in int32) {
 
 // inbox is one node's receive side and live counter block: a ring per
 // input port, the producer accounting that closes them, the parking
-// state both engines schedule by, and the firing counters Stats reads.
+// state the deadlock detector reads, and the firing counters Stats
+// reads.
 type inbox struct {
 	ex *executor
 	pn *planNode
 
 	mu sync.Mutex
-	// avail wakes the consumer (dedicated goroutines only); space wakes
-	// producers blocked on a full ring.
+	// avail wakes the consumer; space wakes producers blocked on a full
+	// ring.
 	avail sync.Cond
 	space sync.Cond
 
@@ -136,10 +128,6 @@ type inbox struct {
 	// spaceWaiters counts producers in space.Wait.
 	spaceWaiters int
 	deliveries   int64
-
-	// task is the consumer's pool task in the worker engine; nil when a
-	// dedicated goroutine consumes.
-	task *workerTask
 
 	// wait is the node's published wait word (see waitRunning); epoch
 	// counts its parks and is touched only by the goroutine running the
@@ -170,17 +158,15 @@ func (ib *inbox) publish(kind uint64, node, in int32) {
 	ib.wait.Store(kind<<62 | ib.epoch&epochMask<<40 | uint64(node)<<20 | uint64(in))
 }
 
-// put delivers one item along edge e from node from. A dedicated
-// producer goroutine blocks while the ring is full (backpressure). A
-// pool task may not block mid-firing: its ring grows if it must, and
-// the task is told to yield before its next firing once the ring runs
-// high. Once the run is stopping, or the consumer has exited, the item
-// is dropped and its window reference released.
+// put delivers one item along edge e from node from. The producer
+// blocks while the ring is full (backpressure). Once the run is
+// stopping, or the consumer has exited, the item is dropped and its
+// window reference released.
 func (ex *executor) put(from int32, e *planEdge, it *graph.Item) {
 	ib := &ex.boxes[e.node]
 	ib.mu.Lock()
 	r := &ib.rings[e.in]
-	if r.full() && e.block {
+	if r.full() {
 		ex.waitForSpace(from, e, ib)
 	}
 	if ib.done || ex.stopped.Load() {
@@ -191,14 +177,11 @@ func (ex *executor) put(from int32, e *planEdge, it *graph.Item) {
 		return
 	}
 	if r.full() {
-		r.grow() // forced by the detector, or a pool task's overshoot
+		r.grow() // forced by the deadlock detector
 	}
 	r.force = false
 	r.push(it)
 	ib.deliveries++
-	if !e.block && r.high() {
-		ex.boxes[from].task.throttled = true
-	}
 	// Readiness depends only on ring heads, so only a push into an
 	// empty ring can make a parked consumer runnable.
 	if r.n == 1 {
@@ -210,10 +193,6 @@ func (ex *executor) put(from int32, e *planEdge, it *graph.Item) {
 // wake makes a parked consumer runnable after input in changed (or,
 // with anyInput, after a close). Called with ib.mu held.
 func (ib *inbox) wake(in int32) {
-	if t := ib.task; t != nil {
-		t.eng.schedule(t)
-		return
-	}
 	if ib.want != anyInput && in != anyInput && ib.want != in {
 		return // a Runner's Recv is waiting on another input
 	}
@@ -295,10 +274,6 @@ func (ib *inbox) freed(r *ring) {
 	}
 	if ib.spaceWaiters > 0 {
 		ib.space.Broadcast()
-	}
-	if t := r.waiter; t != nil {
-		r.waiter = nil
-		t.eng.resume(t)
 	}
 }
 

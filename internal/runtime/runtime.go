@@ -26,22 +26,20 @@
 // analysis (ring.go): the firing path looks nothing up by name, takes
 // no global lock, and allocates nothing.
 //
-// The scheduling engine is pluggable (Options.Executor): the default
-// engine runs one goroutine per node; the worker-pool engine runs ready
-// kernel firings to completion on a fixed set of workers, decoupling
-// logical kernels from OS-level parallelism the way the paper decouples
-// kernels from PEs.
+// Every node runs on its own goroutine. The rings are the pipeline's
+// elasticity and backpressure: a producer that finds a ring full parks
+// until its consumer has drained it, and only the deadlock detector
+// (executor.unwedge) ever grows a ring past its planned capacity.
 //
 // Items follow the zero-copy ownership protocol of internal/frame:
 // windows travel as stride-aware views over pooled storage, the sender
-// retains one reference per consumer at fan-out, and the engine
+// retains one reference per consumer at fan-out, and the driver
 // releases a kernel's data inputs after each firing. Results are
 // compacted into slab storage so callers never pin pool buffers.
 package runtime
 
 import (
 	"fmt"
-	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,19 +47,6 @@ import (
 	"blockpar/internal/frame"
 	"blockpar/internal/graph"
 	"blockpar/internal/token"
-)
-
-// ExecutorKind selects the scheduling engine for a run or session.
-type ExecutorKind string
-
-const (
-	// ExecGoroutines is the default engine: one goroutine per node,
-	// channels as the stream FIFOs.
-	ExecGoroutines ExecutorKind = "goroutines"
-	// ExecWorkers is the worker-pool engine: a fixed set of workers
-	// (Options.Workers, default GOMAXPROCS) runs ready kernel firings
-	// to completion from a shared ready queue.
-	ExecWorkers ExecutorKind = "workers"
 )
 
 // Options configures a functional run.
@@ -72,20 +57,14 @@ type Options struct {
 	// this wall-clock duration — a watchdog against misbehaving custom
 	// kernels deadlocking the pipeline. Zero means no watchdog.
 	Timeout time.Duration
-	// ChannelCap overrides the capacity, in items, of every input ring.
-	// Zero means automatic: the plan sizes each ring from the analysis
-	// to absorb the pipeline skew of windowed diamonds (several input
-	// rows; see plan.go, "ring capacity").
-	ChannelCap int
 	// Sources maps application input node names to frame generators.
 	// Inputs without an entry produce frame.Gradient frames.
 	Sources map[string]frame.Generator
-	// Executor selects the scheduling engine; empty means
-	// ExecGoroutines.
-	Executor ExecutorKind
-	// Workers sizes the ExecWorkers pool (default GOMAXPROCS); ignored
-	// by other engines.
-	Workers int
+
+	// ringCap, when positive, overrides the capacity in items of every
+	// input ring the plan sizes (plan.go, "ring capacity"); tests set it
+	// to starve the rings and exercise the deadlock detector.
+	ringCap int
 }
 
 // Result holds everything the application outputs produced.
@@ -136,20 +115,9 @@ func (r *Result) FrameSlices(output string) [][]frame.Window {
 	return frames
 }
 
-// engine is the scheduling abstraction behind a run: it decides which
-// goroutine executes which node. The executor owns everything else —
-// the plan, the rings and their backpressure, input chunking, output
-// collection, counters, errors.
-type engine interface {
-	// start launches execution and returns a channel closed when every
-	// node has finished.
-	start() chan struct{}
-}
-
-// executor holds the shared state of one run, independent of engine.
+// executor holds the shared state of one run.
 type executor struct {
 	opts Options
-	eng  engine
 
 	// plan is the index-addressed form of the graph; boxes holds each
 	// node's rings and counters, indexed like plan.nodes.
@@ -196,26 +164,15 @@ type outState struct {
 	done [][]frame.Window
 }
 
-// newExecutor validates the graph, lowers it into the execution plan
-// and wires the engine; readyCap > 0 selects streaming mode with that
-// many buffered frame results.
+// newExecutor validates the graph and lowers it into the execution
+// plan; readyCap > 0 selects streaming mode with that many buffered
+// frame results.
 func newExecutor(g *graph.Graph, opts Options, readyCap int) (*executor, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("runtime: invalid graph: %w", err)
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = goruntime.GOMAXPROCS(0)
-	}
 	ex := &executor{opts: opts, stop: make(chan struct{})}
-	switch opts.Executor {
-	case "", ExecGoroutines:
-		ex.eng = &goroutineEngine{ex: ex}
-	case ExecWorkers:
-		ex.eng = &workerEngine{ex: ex, workers: opts.Workers}
-	default:
-		return nil, fmt.Errorf("runtime: unknown executor %q", opts.Executor)
-	}
-	ex.plan = buildPlan(g, opts.ChannelCap, opts.Executor == ExecWorkers)
+	ex.plan = buildPlan(g, opts.ringCap)
 	ex.boxes = make([]inbox, len(ex.plan.nodes))
 	for i := range ex.boxes {
 		ex.boxes[i].init(ex, &ex.plan.nodes[i])
@@ -235,7 +192,39 @@ func newExecutor(g *graph.Graph, opts Options, readyCap int) (*executor, error) 
 	return ex, nil
 }
 
-func (ex *executor) start() chan struct{} { return ex.eng.start() }
+// start launches one goroutine per node and returns a channel closed
+// when all of them have exited.
+func (ex *executor) start() chan struct{} {
+	for i := range ex.plan.nodes {
+		ex.wg.Add(1)
+		go ex.nodeGoroutine(&ex.plan.nodes[i])
+	}
+	done := make(chan struct{})
+	go func() {
+		ex.wg.Wait()
+		close(done)
+	}()
+	return done
+}
+
+// nodeGoroutine runs one node to completion and retires it: in
+// streaming mode a kernel panic becomes the session's error instead of
+// crashing the process.
+func (ex *executor) nodeGoroutine(pn *planNode) {
+	defer func() {
+		if ex.stream {
+			if r := recover(); r != nil {
+				ex.fail(fmt.Errorf("node %q panicked: %v", pn.node.Name(), r))
+			}
+		}
+		// This node will consume and produce nothing more.
+		ex.nodeDone(pn)
+		ex.wg.Done()
+	}()
+	if err := ex.runNode(pn); err != nil && err != graph.ErrHalt {
+		ex.fail(fmt.Errorf("node %q: %w", pn.node.Name(), err))
+	}
+}
 
 // runErr returns the first error recorded by fail, if any.
 func (ex *executor) runErr() error {
@@ -452,23 +441,20 @@ func (c *runCtx) Recv(input string) (graph.Item, bool) {
 
 // emitFrame chunks one frame into scan-order items with end-of-line
 // and end-of-frame tokens (paper §II-C: these two tokens are generated
-// automatically by the data inputs). With zero-copy enabled the chunks
-// are stride-aware views of img — zero allocations per item — so img
-// must stay immutable while the frame is in flight.
+// automatically by the data inputs). The chunks are stride-aware views
+// of img — zero allocations per item — so img must stay immutable while
+// the frame is in flight.
 //
 // emitFrame takes ownership of img when it is pooled (a frame decoded
 // off the cluster wire, for instance): each emitted view carries its
 // own reference to the shared backing — the chunk count minus one
 // retained here plus the caller's original — so the standard
 // release-after-consume protocol returns the storage to the arena
-// exactly when the last chunk has been consumed. In copy mode the
-// chunks are independent, and the caller's reference is released once
-// the frame has been chunked.
+// exactly when the last chunk has been consumed.
 func (ex *executor) emitFrame(pn *planNode, fw, fh, cw, ch int, img frame.Window, f int64) {
 	const out = 0 // an application input's one port
-	zero := frame.ZeroCopy()
 	cols, rows := fw/cw, fh/ch
-	if zero && cols > 1 {
+	if cols > 1 {
 		// Row-batched chunking: one physical item per chunk row instead
 		// of one per chunk. Each batch carries one reference; send
 		// retains whatever extra its fan-out (or per-edge splitting)
@@ -487,23 +473,13 @@ func (ex *executor) emitFrame(pn *planNode, fw, fh, cw, ch int, img frame.Window
 		ex.send(pn, out, graph.TokenItem(token.EOF(f)))
 		return
 	}
-	if zero {
-		if chunks := (fh / ch) * (fw / cw); chunks > 1 {
-			img.Retain(chunks - 1)
-		}
-	} else {
-		defer img.Release()
+	if chunks := rows * cols; chunks > 1 {
+		img.Retain(chunks - 1)
 	}
-	row := f * int64(fh/ch)
+	row := f * int64(rows)
 	for y := 0; y+ch <= fh; y += ch {
 		for x := 0; x+cw <= fw; x += cw {
-			var w frame.Window
-			if zero {
-				w = img.View(x, y, cw, ch)
-			} else {
-				w = img.Sub(x, y, cw, ch)
-			}
-			ex.send(pn, out, graph.DataItem(w))
+			ex.send(pn, out, graph.DataItem(img.View(x, y, cw, ch)))
 		}
 		ex.send(pn, out, graph.TokenItem(token.EOL(row)))
 		row++

@@ -425,32 +425,25 @@ func TestBayerPipelineMatchesGolden(t *testing.T) {
 	}
 }
 
-func TestFeedbackAccumulator(t *testing.T) {
-	const W = 6
-	g := graph.New("feedback")
-	in := g.AddInput("Input", geom.Sz(W, 1), geom.Sz(1, 1), geom.FInt(10))
-	acc := g.Add(kernel.Accumulator("Acc"))
-	fb := g.Add(kernel.Feedback("FB", geom.Sz(1, 1), []frame.Window{frame.Scalar(0)}))
-	out := g.AddOutput("Output", geom.Sz(1, 1))
-	g.Connect(in, "out", acc, "in")
-	g.Connect(fb, "out", acc, "state")
-	g.Connect(acc, "loop", fb, "in")
-	g.Connect(acc, "out", out, "in")
+// countingSources fills every frame of Input with 1, 2, 3, ...
+var countingSources = map[string]frame.Generator{
+	"Input": func(seq int64, w, h int) frame.Window {
+		f := frame.NewWindow(w, h)
+		for i := range f.Pix {
+			f.Pix[i] = float64(i + 1)
+		}
+		return f
+	},
+}
 
-	res, err := Run(g, Options{Frames: 1, Sources: map[string]frame.Generator{
-		"Input": func(seq int64, w, h int) frame.Window {
-			f := frame.NewWindow(w, h)
-			for i := range f.Pix {
-				f.Pix[i] = float64(i + 1)
-			}
-			return f
-		},
-	}})
+func TestFeedbackAccumulator(t *testing.T) {
+	res, err := Run(feedbackGraph(6, 1), Options{Frames: 2, Sources: countingSources})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := scalars(t, res.DataWindows("Output"))
-	want := []float64{1, 3, 6, 10, 15, 21} // prefix sums
+	// Prefix sums; the loop state carries across the frame boundary.
+	want := []float64{1, 3, 6, 10, 15, 21, 22, 24, 27, 31, 36, 42}
 	compareScan(t, got, want, "feedback accumulator")
 }
 
@@ -483,9 +476,9 @@ func TestRunRejectsInvalidGraph(t *testing.T) {
 	}
 }
 
-func TestRunSurfacesBehaviorErrors(t *testing.T) {
-	// A buffer with the wrong plan width errors out mid-stream; the
-	// run must return the error rather than hang.
+// badBufferGraph holds a buffer whose plan width is wrong, so it errors
+// out mid-stream.
+func badBufferGraph() *graph.Graph {
 	g := graph.New("bad-buffer")
 	in := g.AddInput("Input", geom.Sz(8, 4), geom.Sz(1, 1), geom.FInt(10))
 	buf := g.Add(kernel.Buffer("Buf", kernel.BufferPlan{
@@ -494,7 +487,12 @@ func TestRunSurfacesBehaviorErrors(t *testing.T) {
 	out := g.AddOutput("Output", geom.Sz(3, 3))
 	g.Connect(in, "out", buf, "in")
 	g.Connect(buf, "out", out, "in")
-	if _, err := Run(g, Options{Frames: 1}); err == nil {
+	return g
+}
+
+func TestRunSurfacesBehaviorErrors(t *testing.T) {
+	// The run must return the buffer's error rather than hang.
+	if _, err := Run(badBufferGraph(), Options{Frames: 1}); err == nil {
 		t.Fatal("buffer overflow not reported")
 	}
 }

@@ -30,8 +30,6 @@ var (
 
 // SessionOptions configures a streaming session.
 type SessionOptions struct {
-	// ChannelCap overrides every input ring's capacity (see Options).
-	ChannelCap int
 	// MaxInFlight bounds the frames fed but not yet collected; TryFeed
 	// fails with ErrQueueFull at the bound (default 4).
 	MaxInFlight int
@@ -39,10 +37,6 @@ type SessionOptions struct {
 	// Feed (coefficient and bin inputs, typically). Inputs without an
 	// entry fall back to frame.Gradient, like the batch runtime.
 	Sources map[string]frame.Generator
-	// Executor selects the scheduling engine (see Options.Executor).
-	Executor ExecutorKind
-	// Workers sizes the ExecWorkers pool (default GOMAXPROCS).
-	Workers int
 }
 
 // StreamResult is the output of one completed frame: for every
@@ -94,11 +88,7 @@ func NewSession(g *graph.Graph, opts SessionOptions) (*Session, error) {
 				n.Name(), n.FrameSize, chunk)
 		}
 	}
-	ex, err := newExecutor(g, Options{
-		ChannelCap: opts.ChannelCap,
-		Executor:   opts.Executor,
-		Workers:    opts.Workers,
-	}, opts.MaxInFlight)
+	ex, err := newExecutor(g, Options{}, opts.MaxInFlight)
 	if err != nil {
 		return nil, err
 	}

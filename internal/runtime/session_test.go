@@ -199,9 +199,8 @@ func (panicBehavior) Invoke(method string, ctx graph.ExecContext) error {
 	panic("kernel bug")
 }
 
-// TestSessionPanicRecovery checks a panicking kernel surfaces as a
-// session error instead of crashing the process.
-func TestSessionPanicRecovery(t *testing.T) {
+// panicGraph feeds every pixel to a kernel running panicBehavior.
+func panicGraph() *graph.Graph {
 	g := graph.New("boom")
 	g.AddInput("Input", geom.Sz(4, 2), geom.Sz(1, 1), geom.FInt(50))
 	n := graph.NewNode("Boom", graph.KindKernel)
@@ -215,8 +214,13 @@ func TestSessionPanicRecovery(t *testing.T) {
 	out := g.AddOutput("Output", geom.Sz(1, 1))
 	g.Connect(g.Node("Input"), "out", n, "in")
 	g.Connect(n, "out", out, "in")
+	return g
+}
 
-	sess, err := NewSession(g, SessionOptions{})
+// TestSessionPanicRecovery checks a panicking kernel surfaces as a
+// session error instead of crashing the process.
+func TestSessionPanicRecovery(t *testing.T) {
+	sess, err := NewSession(panicGraph(), SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

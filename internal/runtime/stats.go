@@ -26,9 +26,8 @@ type RingStats struct {
 	// capacity"); the ring was allocated at this size.
 	Capacity int
 	// HighWater is the largest occupancy seen. It exceeds Capacity only
-	// if the ring had to grow: the deadlock detector found the planned
-	// capacity too small for the graph's skew, or — on the worker
-	// engine — a pool task, which may not block, outran its consumer.
+	// if the ring had to grow, which only the deadlock detector does:
+	// the planned capacity was too small for the graph's skew.
 	HighWater int
 }
 

@@ -100,17 +100,10 @@ type ReadinessReporter interface {
 
 // localBackend executes sessions in-process, preserving the original
 // single-binary behavior.
-type localBackend struct {
-	executor runtime.ExecutorKind
-	workers  int
-}
+type localBackend struct{}
 
-func (b localBackend) Open(p *Pipeline, opts OpenOptions) (SessionHandle, error) {
-	return p.NewSession(runtime.SessionOptions{
-		MaxInFlight: opts.MaxInFlight,
-		Executor:    b.executor,
-		Workers:     b.workers,
-	})
+func (localBackend) Open(p *Pipeline, opts OpenOptions) (SessionHandle, error) {
+	return p.NewSession(runtime.SessionOptions{MaxInFlight: opts.MaxInFlight})
 }
 
 // releaseOutputs ends the caller's reference on every collected window

@@ -29,14 +29,8 @@ type Options struct {
 	// MaxSessions caps concurrent sessions; opening more yields HTTP
 	// 429 (default 64).
 	MaxSessions int
-	// Executor selects the runtime engine for every session the
-	// server opens (default: one goroutine per kernel); Workers sizes
-	// the worker-pool engine when ExecWorkers is selected.
-	Executor runtime.ExecutorKind
-	Workers  int
-	// Backend decides where sessions execute: nil runs them in-process
-	// with the Executor/Workers settings above; a cluster dispatcher
-	// places them on remote bpworker processes.
+	// Backend decides where sessions execute: nil runs them in-process;
+	// a cluster dispatcher places them on remote bpworker processes.
 	Backend Backend
 	// SessionDeadline, when positive, bounds every session's total
 	// wall-clock lifetime. It propagates through the backend (the
@@ -87,7 +81,7 @@ func NewServer(reg *Registry, opts Options) *Server {
 	}
 	s.backend = s.opts.Backend
 	if s.backend == nil {
-		s.backend = localBackend{executor: s.opts.Executor, workers: s.opts.Workers}
+		s.backend = localBackend{}
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /healthz/live", s.handleLiveness)

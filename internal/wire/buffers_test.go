@@ -184,7 +184,6 @@ func TestConnReadBufferGrowsToLargestFrame(t *testing.T) {
 // independently releasable — while an output mixing shapes falls back
 // to a buffer per window. Either way nothing stays live once released.
 func TestResultWindowsShareOneSlab(t *testing.T) {
-	defer frame.SetZeroCopy(frame.SetZeroCopy(true))
 	scalars := make([]frame.Window, 720)
 	for i := range scalars {
 		scalars[i] = frame.Scalar(float64(i))

@@ -406,7 +406,6 @@ type Register struct {
 	Name         string
 	Addr         string
 	CyclesPerSec float64
-	Executor     string
 	Pipelines    []string
 }
 
@@ -415,7 +414,6 @@ func (m *Register) append(b []byte) []byte {
 	b = appendStr(b, m.Name)
 	b = appendStr(b, m.Addr)
 	b = appendF64(b, m.CyclesPerSec)
-	b = appendStr(b, m.Executor)
 	b = appendU32(b, uint32(len(m.Pipelines)))
 	for _, p := range m.Pipelines {
 		b = appendStr(b, p)
@@ -426,7 +424,6 @@ func (m *Register) decode(r *reader) {
 	m.Name = r.str("register name")
 	m.Addr = r.str("register addr")
 	m.CyclesPerSec = r.f64("register capacity")
-	m.Executor = r.str("register executor")
 	n := int(r.u32("register pipeline count"))
 	if r.err != nil {
 		return

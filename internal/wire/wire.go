@@ -42,14 +42,14 @@ import (
 const Magic uint32 = 0x42505702 // "BPW\x02"
 
 // Version is the protocol version spoken by this build. A peer with a
-// different version is rejected at handshake. In v8 a session has one
-// shape on the wire: OpenPartition places (or, with its resume
+// different version is rejected at handshake. Since v8 a session has
+// one shape on the wire: OpenPartition places (or, with its resume
 // watermarks set, re-places) one partition of the session's plan, and a
 // session that runs whole is the one-partition plan. Windows are tagged
 // with their element kind and carry samples at native width; an edge
 // item may carry a row-batch descriptor; Heartbeat carries a
-// drain-intent bit.
-const Version uint16 = 8
+// drain-intent bit. v9 drops the executor name from Register.
+const Version uint16 = 9
 
 // MaxFrame bounds a single frame's encoded size; a length prefix past
 // it is treated as corruption and kills the connection before any

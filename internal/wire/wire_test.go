@@ -179,7 +179,7 @@ func sampleMsgs() []Msg {
 		&EdgeFrame{SID: 7, Edge: 1, EOS: true},
 		&EdgeCredit{SID: 7, Edge: 1, N: 2},
 		&Register{Name: "w0", Addr: "10.0.0.7:9000", CyclesPerSec: 8 * 20e6,
-			Executor: "workers", Pipelines: []string{"1", "edges"}},
+			Pipelines: []string{"1", "edges"}},
 		&RegisterAck{LeaseMs: 5_000},
 		&RegisterAck{Err: "name already registered"},
 		&Heartbeat{Sessions: 3, CyclesPerSec: 1.5e6},
