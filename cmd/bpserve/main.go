@@ -122,13 +122,18 @@ func run(cfg serveConfig) error {
 		fmt.Printf("compiled %-14s %-16s %3d nodes in %v\n", p.ID, p.Name, p.Nodes, p.CompileTime.Round(time.Millisecond))
 	}
 
-	var backend serve.Backend
+	// One dispatcher whichever membership source feeds it: a fixed
+	// -cluster list, or workers self-registering at -registry.
+	var d *cluster.Dispatcher
+	dopts := cluster.DispatcherOptions{
+		ReplayBudget: cfg.replayBudget,
+		StallTimeout: cfg.stallTimeout,
+		Partitions:   cfg.partitions,
+	}
 	switch {
 	case cfg.registryAddr != "" && clusterAddrs != "":
-		return fmt.Errorf("-registry and -cluster are mutually exclusive: membership comes from self-registration or a static list, not both")
+		return fmt.Errorf("-registry and -cluster are mutually exclusive: membership comes from self-registration or a fixed list, not both")
 	case cfg.registryAddr != "":
-		// Self-registered fleet: host the registration listener, follow
-		// its membership events with a ring-placing dispatcher.
 		fleet := registry.NewFleet(registry.FleetOptions{
 			Frontend: addr,
 			Lease:    cfg.lease,
@@ -142,34 +147,26 @@ func run(cfg serveConfig) error {
 			return err
 		}
 		fleet.Serve(rln)
-		d := cluster.NewRegisteredDispatcher(fleet, cluster.DispatcherOptions{
-			ReplayBudget: cfg.replayBudget,
-			StallTimeout: cfg.stallTimeout,
-			Partitions:   cfg.partitions,
-		})
-		defer d.Close()
-		backend = d
+		d = cluster.NewRegisteredDispatcher(fleet, dopts)
 		fmt.Printf("bpserve registry listening on %s (workers self-register; sessions 503 until one joins)\n", cfg.registryAddr)
-	}
-	if clusterAddrs != "" {
+	case clusterAddrs != "":
 		addrs := strings.Split(clusterAddrs, ",")
-		d := cluster.NewDispatcher(addrs, cluster.DispatcherOptions{
-			ReplayBudget: cfg.replayBudget,
-			StallTimeout: cfg.stallTimeout,
-			Partitions:   cfg.partitions,
-		})
-		defer d.Close()
+		d = cluster.NewDispatcher(addrs, dopts)
 		// Workers may still be starting; warn rather than fail, since
 		// the dispatcher reconnects in the background.
 		if err := d.WaitReady(5 * time.Second); err != nil {
 			fmt.Fprintf(os.Stderr, "bpserve: %v (continuing; sessions 503 until a worker connects)\n", err)
 		}
-		backend = d
 		if cfg.partitions > 1 {
 			fmt.Printf("bpserve partitioning sessions across %d cluster workers (up to %d partitions each)\n", len(addrs), cfg.partitions)
 		} else {
 			fmt.Printf("bpserve placing sessions on %d cluster workers\n", len(addrs))
 		}
+	}
+	var backend serve.Backend
+	if d != nil {
+		defer d.Close()
+		backend = d
 	}
 
 	srv := serve.NewServer(reg, serve.Options{

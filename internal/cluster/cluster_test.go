@@ -15,24 +15,23 @@ import (
 	"blockpar/internal/core"
 	"blockpar/internal/frame"
 	"blockpar/internal/machine"
+	"blockpar/internal/registry"
 	"blockpar/internal/runtime"
 	"blockpar/internal/serve"
 	"blockpar/internal/transform"
 	"blockpar/internal/wire"
 )
 
-// fastOpts shrinks every interval so reconnection, health checks, and
-// breaker transitions happen within test patience.
+// fastOpts shrinks every interval so reconnection and health checks
+// happen within test patience.
 func fastOpts() DispatcherOptions {
 	return DispatcherOptions{
-		PingInterval:    25 * time.Millisecond,
-		PingTimeout:     3 * time.Second,
-		ReconnectMin:    10 * time.Millisecond,
-		ReconnectMax:    50 * time.Millisecond,
-		BreakerFailures: 3,
-		BreakerCooldown: 300 * time.Millisecond,
-		OpenTimeout:     30 * time.Second,
-		CloseTimeout:    30 * time.Second,
+		PingInterval: 25 * time.Millisecond,
+		PingTimeout:  3 * time.Second,
+		ReconnectMin: 10 * time.Millisecond,
+		ReconnectMax: 50 * time.Millisecond,
+		OpenTimeout:  30 * time.Second,
+		CloseTimeout: 30 * time.Second,
 	}
 }
 
@@ -212,8 +211,8 @@ func TestClusterSuiteGoldens(t *testing.T) {
 		t.Fatalf("got %d worker rows, want 1", len(stats))
 	}
 	s := stats[0]
-	if s.State != "connected" || s.Breaker != "closed" {
-		t.Errorf("worker row %+v, want connected/closed", s)
+	if s.State != "connected" {
+		t.Errorf("worker row %+v, want connected", s)
 	}
 	if s.FramesRouted == 0 || s.ResultsReceived == 0 {
 		t.Errorf("worker row %+v, want nonzero traffic counters", s)
@@ -425,8 +424,8 @@ func workerRows(d *Dispatcher) map[string]WorkerStats {
 // over two workers, killing one mid-stream fails exactly its own
 // sessions — with a typed serve.ErrSessionLost naming the worker — the
 // frontend keeps serving and placing on the survivor, the dead worker's
-// breaker opens, and a worker rejoining at the same address is accepted
-// and used again. (Failover-enabled recovery is covered in
+// row reads down, and a worker rejoining at the same address is
+// accepted and used again. (Failover-enabled recovery is covered in
 // failover_test.go.)
 func TestClusterWorkerFailureIsolated(t *testing.T) {
 	reg1 := suiteRegistry(t, "5")
@@ -541,9 +540,9 @@ func TestClusterWorkerFailureIsolated(t *testing.T) {
 	}
 	hC.Close()
 
-	// The dead worker's breaker opens after repeated reconnect failures.
-	waitCondition(t, "breaker open on dead worker", func() bool {
-		return workerRows(d)[addrA].Breaker == "open"
+	// The dead worker reads down while its redials fail.
+	waitCondition(t, "dead worker down", func() bool {
+		return workerRows(d)[addrA].State == "down"
 	})
 
 	// Rejoin at the same address: the dispatcher reconnects and places
@@ -559,8 +558,7 @@ func TestClusterWorkerFailureIsolated(t *testing.T) {
 	go w3.Serve(ln3)
 	defer w3.Close()
 	waitCondition(t, "rejoined worker connected", func() bool {
-		r := workerRows(d)[addrA]
-		return r.State == "connected" && r.Breaker == "closed"
+		return workerRows(d)[addrA].State == "connected"
 	})
 	if rows := workerRows(d); rows[addrA].Reconnects == 0 {
 		t.Errorf("rejoined worker row %+v, want nonzero reconnects", rows[addrA])
@@ -876,7 +874,9 @@ func TestClusterUnsolicitedCloseDuringOpen(t *testing.T) {
 }
 
 // TestDispatcherUnavailable checks placement failure maps to
-// serve.ErrUnavailable (HTTP 503) when no worker is reachable.
+// serve.ErrUnavailable (HTTP 503) and counts in shed_total whenever
+// nothing can place: a listed worker that is unreachable, or a fleet
+// nobody has joined.
 func TestDispatcherUnavailable(t *testing.T) {
 	reg := suiteRegistry(t, "5")
 	p, _ := reg.Get("5")
@@ -884,13 +884,25 @@ func TestDispatcherUnavailable(t *testing.T) {
 	opts.Dial = func(addr string) (net.Conn, error) {
 		return nil, errors.New("synthetic dial failure")
 	}
-	d := NewDispatcher([]string{"127.0.0.1:1"}, opts)
-	defer d.Close()
-	if _, err := openN(d, p, 1); !errors.Is(err, serve.ErrUnavailable) {
-		t.Fatalf("open with no workers: got %v, want ErrUnavailable", err)
-	}
-	if err := d.WaitReady(30 * time.Millisecond); err == nil {
-		t.Fatal("WaitReady succeeded with no reachable worker")
+	fleet := registry.NewFleet(registry.FleetOptions{Frontend: "empty"})
+	defer fleet.Close()
+	for name, d := range map[string]*Dispatcher{
+		"unreachable list": NewDispatcher([]string{"127.0.0.1:1"}, opts),
+		"empty fleet":      NewRegisteredDispatcher(fleet, opts),
+	} {
+		defer d.Close()
+		if _, err := openN(d, p, 1); !errors.Is(err, serve.ErrUnavailable) {
+			t.Fatalf("%s: open got %v, want ErrUnavailable", name, err)
+		}
+		if n := d.BackendStats().(map[string]any)["shed_total"].(int64); n != 1 {
+			t.Errorf("%s: shed_total = %d, want 1", name, n)
+		}
+		if r := d.Readiness(); r.Status != "unavailable" {
+			t.Errorf("%s: readiness %+v, want unavailable", name, r)
+		}
+		if err := d.WaitReady(30 * time.Millisecond); err == nil {
+			t.Fatalf("%s: WaitReady succeeded with nothing placeable", name)
+		}
 	}
 }
 

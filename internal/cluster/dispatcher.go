@@ -29,11 +29,6 @@ type DispatcherOptions struct {
 	// attempts (defaults 100ms and 5s).
 	ReconnectMin time.Duration
 	ReconnectMax time.Duration
-	// BreakerFailures consecutive connection-level failures open a
-	// worker's circuit breaker (default 3); after BreakerCooldown
-	// (default 5s) it goes half-open and one placement may probe it.
-	BreakerFailures int
-	BreakerCooldown time.Duration
 	// OpenTimeout bounds pipeline-ensure and session-open round trips,
 	// which may include a worker-side compile (default 30s).
 	OpenTimeout time.Duration
@@ -88,12 +83,6 @@ func (o *DispatcherOptions) defaults() {
 	if o.ReconnectMax <= 0 {
 		o.ReconnectMax = 5 * time.Second
 	}
-	if o.BreakerFailures <= 0 {
-		o.BreakerFailures = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 5 * time.Second
-	}
 	if o.OpenTimeout <= 0 {
 		o.OpenTimeout = 30 * time.Second
 	}
@@ -118,23 +107,17 @@ type Dispatcher struct {
 	opts    DispatcherOptions
 	nextSID atomic.Uint64
 
-	// Membership. Static dispatchers fix it at construction; registered
-	// dispatchers mutate it as fleet events arrive, so every reader
-	// goes through snapshot().
-	wmu     sync.RWMutex
-	workers []*workerRef
-	byName  map[string]*workerRef // member name → ref
-	ring    *registry.Ring        // non-nil in registered mode
-
-	// registered marks a dispatcher whose membership follows a
-	// registry.Fleet: placement consults the consistent-hash ring for
-	// keyed sessions, bin-packs keyless ones by analysis cycles/sec,
-	// and admission control gates opens on fleet capacity.
-	registered  bool
+	// Membership, changed only by AddWorker/RemoveWorker (a fixed list
+	// adds its members once; a fleet subscription as events arrive), so
+	// every reader goes through snapshot().
+	wmu         sync.RWMutex
+	workers     []*workerRef
+	byName      map[string]*workerRef // member name → ref
+	ring        *registry.Ring        // consistent-hash order for keyed sessions
 	unsubscribe func()
 
-	// Admission accounting (registered mode): cycles/sec admitted by
-	// this frontend, compared against the fleet's registered capacity.
+	// Admission accounting: cycles/sec admitted by this frontend,
+	// compared against the members' declared capacity.
 	admitMu      sync.Mutex
 	admittedCyc  float64
 	admitRejects atomic.Int64
@@ -156,17 +139,24 @@ type Dispatcher struct {
 	closed    chan struct{}
 }
 
-// NewDispatcher starts one connection manager per worker address. The
-// managers connect in the background; use WaitReady to block until the
-// cluster can place sessions.
-func NewDispatcher(addrs []string, opts DispatcherOptions) *Dispatcher {
+func newDispatcher(opts DispatcherOptions) *Dispatcher {
 	opts.defaults()
-	d := &Dispatcher{
+	return &Dispatcher{
 		opts:   opts,
 		byName: make(map[string]*workerRef),
+		ring:   registry.NewRing(0),
 		plans:  make(map[string]*placement.Plan),
 		closed: make(chan struct{}),
 	}
+}
+
+// NewDispatcher builds a dispatcher over a fixed worker list: a fleet
+// whose membership never changes, each member named by its address
+// and declaring no capacity, so admission accounts demand but never
+// refuses. The managers connect in the background; use WaitReady to
+// block until the cluster can place sessions.
+func NewDispatcher(addrs []string, opts DispatcherOptions) *Dispatcher {
+	d := newDispatcher(opts)
 	for _, addr := range addrs {
 		d.AddWorker(addr, addr, 0)
 	}
@@ -175,20 +165,12 @@ func NewDispatcher(addrs []string, opts DispatcherOptions) *Dispatcher {
 
 // NewRegisteredDispatcher builds a dispatcher whose membership follows
 // a registry.Fleet: a worker registering adds a managed connection and
-// a ring member, a deregistration or lease expiry removes both — and
-// cancels the reconnect loop, so a drained worker is never pinged at a
-// dead address. Breakers, recovery, and replay all work
-// exactly as with a static list; only membership and placement differ.
+// a ring member with its declared capacity, a deregistration or lease
+// expiry removes both — and cancels the reconnect loop, so a drained
+// worker is never pinged at a dead address. Placement, admission,
+// recovery and replay are those of a fixed list.
 func NewRegisteredDispatcher(fleet *registry.Fleet, opts DispatcherOptions) *Dispatcher {
-	opts.defaults()
-	d := &Dispatcher{
-		opts:       opts,
-		byName:     make(map[string]*workerRef),
-		ring:       registry.NewRing(0),
-		registered: true,
-		plans:      make(map[string]*placement.Plan),
-		closed:     make(chan struct{}),
-	}
+	d := newDispatcher(opts)
 	ch, cancel := fleet.Subscribe()
 	d.unsubscribe = cancel
 	go func() {
@@ -236,9 +218,7 @@ func (d *Dispatcher) AddWorker(member, addr string, capacityCyc float64) {
 	w := &workerRef{d: d, addr: addr, member: member, capacity: capacityCyc, stop: make(chan struct{})}
 	d.workers = append(d.workers, w)
 	d.byName[member] = w
-	if d.ring != nil {
-		d.ring.Add(member)
-	}
+	d.ring.Add(member)
 	d.wmu.Unlock()
 	go w.manage()
 }
@@ -263,9 +243,9 @@ func (d *Dispatcher) RemoveWorker(member string) {
 // placements land on it and every resident session migrates to a
 // survivor (falling back to a quiesce-and-close when it cannot). The
 // worker process itself keeps running — this is the frontend half of a
-// planned drain, reached from a draining heartbeat in registered mode,
-// the worker's own Goaway, or the /drain-worker admin endpoint. In
-// static mode the member name is the worker's address.
+// planned drain, reached from a draining fleet heartbeat, the worker's
+// own Goaway, or the /drain-worker admin endpoint. A fixed list names
+// each member by its address.
 func (d *Dispatcher) DrainWorker(member string) error {
 	d.wmu.RLock()
 	w := d.byName[member]
@@ -287,9 +267,7 @@ func (d *Dispatcher) removeLocked(w *workerRef) {
 			break
 		}
 	}
-	if d.ring != nil {
-		d.ring.Remove(w.member)
-	}
+	d.ring.Remove(w.member)
 }
 
 // PlaceableWorkers reports how many members can take a session right
@@ -305,29 +283,30 @@ func (d *Dispatcher) PlaceableWorkers() int {
 }
 
 // PlacementFor reports the ring's preference order for a session key —
-// every frontend sharing the fleet computes the same answer. Empty in
-// static mode.
+// every frontend with the same members computes the same answer.
 func (d *Dispatcher) PlacementFor(key string) []string {
 	d.wmu.RLock()
 	defer d.wmu.RUnlock()
-	if d.ring == nil {
-		return nil
-	}
 	return d.ring.LookupN(key, d.ring.Len())
 }
 
-// WaitReady blocks until at least one worker is connected, or the
+// WaitReady blocks until at least one worker is placeable, or the
 // timeout expires.
 func (d *Dispatcher) WaitReady(timeout time.Duration) error {
+	return d.waitPlaceable(1, timeout)
+}
+
+// waitPlaceable blocks until at least n members are placeable, the
+// timeout expires, or the dispatcher closes.
+func (d *Dispatcher) waitPlaceable(n int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		for _, w := range d.snapshot() {
-			if w.placeable() {
-				return nil
-			}
+		up := d.PlaceableWorkers()
+		if up >= n {
+			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("cluster: no worker reachable within %v", timeout)
+			return fmt.Errorf("cluster: %d/%d workers placeable within %v", up, n, timeout)
 		}
 		select {
 		case <-d.closed:
@@ -339,8 +318,8 @@ func (d *Dispatcher) WaitReady(timeout time.Duration) error {
 
 // Readiness implements serve.ReadinessReporter: "ok" with every worker
 // placeable, "degraded" while sessions still place but capacity is
-// reduced (workers down, draining, or breaker-open), "unavailable"
-// when nothing can place.
+// reduced (workers down or draining), "unavailable" when nothing can
+// place.
 func (d *Dispatcher) Readiness() serve.Readiness {
 	workers := d.snapshot()
 	up := 0
@@ -350,13 +329,9 @@ func (d *Dispatcher) Readiness() serve.Readiness {
 		}
 	}
 	total := len(workers)
-	if d.registered && total == 0 {
-		return serve.Readiness{
-			Status: "unavailable",
-			Detail: "no workers registered with the fleet",
-		}
-	}
 	switch {
+	case total == 0:
+		return serve.Readiness{Status: "unavailable", Detail: "no cluster workers"}
 	case up == 0:
 		return serve.Readiness{
 			Status: "unavailable",
@@ -397,7 +372,6 @@ type WorkerStats struct {
 	Name            string  `json:"name,omitempty"`
 	Member          string  `json:"member,omitempty"`
 	State           string  `json:"state"`
-	Breaker         string  `json:"breaker"`
 	Draining        bool    `json:"draining,omitempty"`
 	Sessions        int     `json:"sessions"`
 	CapacityCyc     float64 `json:"capacity_cycles_per_sec,omitempty"`
@@ -449,7 +423,10 @@ func (d *Dispatcher) BackendStats() any {
 		}
 		return sessions[i].Partitions < sessions[j].Partitions
 	})
-	out := map[string]any{
+	d.admitMu.Lock()
+	admitted := d.admittedCyc
+	d.admitMu.Unlock()
+	return map[string]any{
 		"workers":                rows,
 		"sessions":               sessions,
 		"sessions_failed_over":   d.sessionsFailedOver.Load(),
@@ -457,17 +434,11 @@ func (d *Dispatcher) BackendStats() any {
 		"sessions_migrated":      d.sessionsMigrated.Load(),
 		"frames_replayed":        d.framesReplayed.Load(),
 		"shed_total":             d.shedTotal.Load(),
-	}
-	if d.registered {
-		d.admitMu.Lock()
-		admitted := d.admittedCyc
-		d.admitMu.Unlock()
-		out["fleet"] = map[string]any{
+		"fleet": map[string]any{
 			"members":                 len(workers),
 			"capacity_cycles_per_sec": d.fleetCapacity(),
 			"admitted_cycles_per_sec": admitted,
 			"admission_rejects":       d.admitRejects.Load(),
-		}
+		},
 	}
-	return out
 }

@@ -9,28 +9,14 @@ import (
 	"blockpar/internal/registry"
 )
 
-// Loopback starts a worker on a loopback TCP listener and a
-// single-worker dispatcher connected to it — the in-process harness the
-// conformance driver, the cluster tests, and BenchmarkClusterLoopback
-// use to exercise the full wire path without spawning processes. The
-// returned stop function tears both down.
+// Loopback is LoopbackFleet's one-worker case: w on a loopback TCP
+// listener and a dispatcher connected to it — the in-process harness
+// the conformance driver, the cluster tests, and
+// BenchmarkClusterLoopback use to exercise the full wire path without
+// spawning processes. The returned stop function tears both down.
 func Loopback(w *Worker, dopts DispatcherOptions) (*Dispatcher, func(), error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, err
-	}
-	go w.Serve(ln)
-	d := NewDispatcher([]string{ln.Addr().String()}, dopts)
-	if err := d.WaitReady(5 * time.Second); err != nil {
-		d.Close()
-		w.Close()
-		return nil, nil, err
-	}
-	stop := func() {
-		d.Close()
-		w.Close()
-	}
-	return d, stop, nil
+	d, _, stop, err := LoopbackFleet(1, dopts, func(int) *Worker { return w })
+	return d, stop, err
 }
 
 // LoopbackFleet starts n workers, each on its own loopback listener,
@@ -67,23 +53,10 @@ func LoopbackFleet(n int, dopts DispatcherOptions, mk func(i int) *Worker) (*Dis
 		go w.Serve(ln)
 	}
 	d := NewDispatcher(addrs, dopts)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		up := 0
-		for _, w := range d.snapshot() {
-			if w.placeable() {
-				up++
-			}
-		}
-		if up == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			d.Close()
-			cleanup()
-			return nil, nil, nil, fmt.Errorf("cluster: %d/%d workers reachable within 5s", up, n)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := d.waitPlaceable(n, 5*time.Second); err != nil {
+		d.Close()
+		cleanup()
+		return nil, nil, nil, err
 	}
 	stop := func() {
 		d.Close()
@@ -249,22 +222,12 @@ func (c *RegisteredCluster) JoinWorker(w *Worker, capacity float64) (*Registered
 // WaitPlaceable blocks until every dispatcher can place on n workers.
 func (c *RegisteredCluster) WaitPlaceable(n int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for {
-		ready := true
-		for _, d := range c.Dispatchers {
-			if d.PlaceableWorkers() < n {
-				ready = false
-				break
-			}
+	for _, d := range c.Dispatchers {
+		if err := d.waitPlaceable(n, time.Until(deadline)); err != nil {
+			return err
 		}
-		if ready {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("cluster: fleet not fully placeable within %v", timeout)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
+	return nil
 }
 
 // Close tears everything down: joiners, workers, dispatchers, fleets.

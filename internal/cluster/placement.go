@@ -1,7 +1,7 @@
 package cluster
 
-// Placement and admission: Open prices a session against the fleet's
-// registered capacity, plans the pipeline's compiled graph onto as many
+// Placement and admission: Open prices a session against the members'
+// declared capacity, plans the pipeline's compiled graph onto as many
 // partitions as the fleet and DispatcherOptions.Partitions allow, and
 // co-schedules partition i on the i-th distinct candidate worker,
 // all-or-nothing. A session that runs whole is the one-partition plan.
@@ -15,8 +15,8 @@ import (
 )
 
 // Open implements serve.Backend. With no placeable worker it sheds with
-// serve.ErrUnavailable (HTTP 503); a healthy-but-full registered fleet
-// rejects with serve.ErrOverloaded (HTTP 429).
+// serve.ErrUnavailable (HTTP 503); a healthy fleet whose declared
+// capacity is spoken for rejects with serve.ErrOverloaded (HTTP 429).
 func (d *Dispatcher) Open(p *serve.Pipeline, opts serve.OpenOptions) (serve.SessionHandle, error) {
 	select {
 	case <-d.closed:
@@ -35,26 +35,19 @@ func (d *Dispatcher) Open(p *serve.Pipeline, opts serve.OpenOptions) (serve.Sess
 	return ps, nil
 }
 
-// admit is admission control (registered mode): the new session's
-// projected demand — Σ over its nodes of analysis cycles/sec — must fit
-// in the fleet's registered capacity alongside everything this frontend
-// already admitted. It returns the cycles/sec now held for the session;
+// admit is admission control: the new session's projected demand — Σ
+// over its nodes of analysis cycles/sec — is held against everything
+// this frontend already admitted. When members declare capacity it must
+// fit in what is free; members that declare none (a fixed worker list)
+// are never full. It returns the cycles/sec now held for the session;
 // whoever ends the session (or fails to place it) returns them through
 // releaseAdmission.
 func (d *Dispatcher) admit(p *serve.Pipeline) (float64, error) {
-	if !d.registered {
-		return 0, nil
-	}
-	if len(d.snapshot()) == 0 {
-		// An empty fleet is unavailable, not full: the 503 retry
-		// contract, matching Readiness, not the 429 one.
-		return 0, fmt.Errorf("%w: no workers registered with the fleet", serve.ErrUnavailable)
-	}
 	demand := p.CyclesPerSec
 	capacity := d.fleetCapacity()
 	d.admitMu.Lock()
 	defer d.admitMu.Unlock()
-	if demand > 0 && d.admittedCyc+demand > capacity {
+	if capacity > 0 && demand > 0 && d.admittedCyc+demand > capacity {
 		d.admitRejects.Add(1)
 		return 0, fmt.Errorf("%w: pipeline %s needs %.3g cycles/s, fleet has %.3g of %.3g free",
 			serve.ErrOverloaded, p.ID, demand, capacity-d.admittedCyc, capacity)
@@ -73,9 +66,9 @@ func (d *Dispatcher) releaseAdmission(cyc float64) {
 	d.admitMu.Unlock()
 }
 
-// fleetCapacity sums the registered cycles/sec of every current
-// member. Membership — not momentary connectivity — defines capacity:
-// a worker mid-reconnect still holds its lease and its share.
+// fleetCapacity sums the declared cycles/sec of every current member.
+// Membership — not momentary connectivity — defines capacity: a worker
+// mid-reconnect still holds its lease and its share.
 func (d *Dispatcher) fleetCapacity() float64 {
 	total := 0.0
 	for _, w := range d.snapshot() {
@@ -184,55 +177,46 @@ func (d *Dispatcher) plan(p *serve.Pipeline, n int) (*placement.Plan, error) {
 }
 
 // candidates orders the placeable workers for one open. Keyed sessions
-// in registered mode walk the consistent-hash ring, so every frontend
-// sharing the fleet agrees where a key lives; keyless registered
-// sessions bin-pack by analysis cycles/sec (best fit: the busiest
-// worker the session still fits on, the paper's Section V greedy
-// multiplexing lifted from PEs to workers); everything else tries
-// least-loaded first, the static behavior.
+// walk the consistent-hash ring, so every frontend with the same
+// members agrees where a key lives. Keyless sessions bin-pack by
+// analysis cycles/sec — best fit: the busiest worker the session still
+// fits on, the paper's Section V greedy multiplexing lifted from PEs to
+// workers; when nothing fits, most headroom first — with ties going to
+// the worker hosting fewer partitions. A member declaring no capacity
+// has minus its placed demand left, so on a fixed list this is
+// least-loaded first.
 func (d *Dispatcher) candidates(p *serve.Pipeline, opts serve.OpenOptions) []*workerRef {
-	if d.registered && opts.Key != "" {
+	var refs []*workerRef
+	if opts.Key != "" {
 		d.wmu.RLock()
-		order := d.ring.LookupN(opts.Key, d.ring.Len())
-		refs := make([]*workerRef, 0, len(order))
-		for _, name := range order {
-			if w := d.byName[name]; w != nil {
-				refs = append(refs, w)
-			}
+		for _, name := range d.ring.LookupN(opts.Key, d.ring.Len()) {
+			refs = append(refs, d.byName[name])
 		}
 		d.wmu.RUnlock()
-		placeable := refs[:0]
-		for _, w := range refs {
-			if w.placeable() {
-				placeable = append(placeable, w)
-			}
-		}
-		return placeable
+	} else {
+		refs = d.snapshot()
 	}
-
-	var cands []*workerRef
-	for _, w := range d.snapshot() {
+	cands := refs[:0]
+	for _, w := range refs {
 		if w.placeable() {
 			cands = append(cands, w)
 		}
 	}
-	if d.registered && p.CyclesPerSec > 0 {
-		demand := p.CyclesPerSec
-		sort.SliceStable(cands, func(i, j int) bool {
-			ri := cands[i].remainingCyc()
-			rj := cands[j].remainingCyc()
-			fi, fj := ri >= demand, rj >= demand
-			if fi != fj {
-				return fi // workers the session fits on come first
-			}
-			if fi {
-				return ri < rj // tightest fit first packs sessions together
-			}
-			return ri > rj // nothing fits: most headroom first
-		})
+	if opts.Key != "" {
 		return cands
 	}
+	demand := p.CyclesPerSec
 	sort.SliceStable(cands, func(i, j int) bool {
+		ri, rj := cands[i].remainingCyc(), cands[j].remainingCyc()
+		fi, fj := ri >= demand, rj >= demand
+		switch {
+		case fi != fj:
+			return fi // workers the session fits on come first
+		case ri != rj && fi:
+			return ri < rj // tightest fit first packs sessions together
+		case ri != rj:
+			return ri > rj // nothing fits: most headroom first
+		}
 		return cands[i].sessionCount() < cands[j].sessionCount()
 	})
 	return cands

@@ -37,53 +37,77 @@ func startRegistered(t *testing.T, frontends, workers int, cfg RegisteredCluster
 }
 
 // TestRegisteredPlacementAgreement is the multi-frontend acceptance
-// check: two frontends that never talk to each other, fed only by the
-// workers' own registrations, must compute identical ring placement for
-// every session key — and a keyed session opened on either frontend
-// must land on the ring's first choice.
+// check: two frontends that never talk to each other must compute
+// identical ring placement for every session key — and a keyed session
+// opened on either frontend must land on the ring's first choice —
+// whether membership comes from the workers' own registrations or from
+// the same fixed address list.
 func TestRegisteredPlacementAgreement(t *testing.T) {
 	c := startRegistered(t, 2, 3, RegisteredClusterConfig{})
-
-	for i := 0; i < 64; i++ {
-		key := fmt.Sprintf("session-%d", i)
-		a := c.Dispatchers[0].PlacementFor(key)
-		b := c.Dispatchers[1].PlacementFor(key)
-		if len(a) != 3 || len(b) != 3 {
-			t.Fatalf("key %q: placement lengths %d/%d, want 3", key, len(a), len(b))
+	// A worker address's ring member name: its registration name in the
+	// fleet, the address itself on a fixed list.
+	byName, byAddr := make(map[string]string), make(map[string]string)
+	var addrs []string
+	for _, rw := range c.Workers {
+		byName[rw.Addr] = rw.Name
+		byAddr[rw.Addr] = rw.Addr
+		addrs = append(addrs, rw.Addr)
+	}
+	var static []*Dispatcher
+	for i := 0; i < 2; i++ {
+		d := NewDispatcher(addrs, fastOpts())
+		t.Cleanup(func() { d.Close() })
+		if err := d.waitPlaceable(len(addrs), 10*time.Second); err != nil {
+			t.Fatal(err)
 		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("key %q: frontends disagree on placement: %v vs %v", key, a, b)
-			}
-		}
+		static = append(static, d)
 	}
 
-	// A keyed open on each frontend independently lands on the ring's
-	// first choice, and the stream is byte-identical to the batch golden.
 	app, err := apps.ByID("5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const frames = 4
 	want := batchFrames(t, app, frames)
-	byAddr := make(map[string]string, len(c.Workers))
-	for _, rw := range c.Workers {
-		byAddr[rw.Addr] = rw.Name
-	}
-	for fe, d := range c.Dispatchers {
-		frontend := suiteRegistry(t, "5")
-		p, _ := frontend.Get("5")
-		key := "agreement-key"
-		h, err := d.Open(p, serve.OpenOptions{MaxInFlight: frames, Key: key})
-		if err != nil {
-			t.Fatalf("frontend %d: open: %v", fe, err)
+	for _, tc := range []struct {
+		name   string
+		ds     []*Dispatcher
+		member map[string]string
+	}{
+		{"registered", c.Dispatchers, byName},
+		{"static", static, byAddr},
+	} {
+		for i := 0; i < 64; i++ {
+			key := fmt.Sprintf("session-%d", i)
+			a := tc.ds[0].PlacementFor(key)
+			b := tc.ds[1].PlacementFor(key)
+			if len(a) != 3 || len(b) != 3 {
+				t.Fatalf("%s key %q: placement lengths %d/%d, want 3", tc.name, key, len(a), len(b))
+			}
+			for j := range a {
+				if a[j] != b[j] {
+					t.Fatalf("%s key %q: frontends disagree on placement: %v vs %v", tc.name, key, a, b)
+				}
+			}
 		}
-		got := byAddr[hostAddr(d, h)]
-		if first := d.PlacementFor(key)[0]; got != first {
-			t.Fatalf("frontend %d: keyed session placed on %q, ring says %q", fe, got, first)
-		}
-		if err := streamSession(h, frames, want); err != nil {
-			t.Fatalf("frontend %d: %v", fe, err)
+
+		// A keyed open on each frontend independently lands on the ring's
+		// first choice, and the stream is byte-identical to the batch golden.
+		for fe, d := range tc.ds {
+			frontend := suiteRegistry(t, "5")
+			p, _ := frontend.Get("5")
+			key := "agreement-key"
+			h, err := d.Open(p, serve.OpenOptions{MaxInFlight: frames, Key: key})
+			if err != nil {
+				t.Fatalf("%s frontend %d: open: %v", tc.name, fe, err)
+			}
+			got := tc.member[hostAddr(d, h)]
+			if first := d.PlacementFor(key)[0]; got != first {
+				t.Fatalf("%s frontend %d: keyed session placed on %q, ring says %q", tc.name, fe, got, first)
+			}
+			if err := streamSession(h, frames, want); err != nil {
+				t.Fatalf("%s frontend %d: %v", tc.name, fe, err)
+			}
 		}
 	}
 }
@@ -156,9 +180,10 @@ func TestRegisteredDrainCancelsReconnect(t *testing.T) {
 }
 
 // TestRegisteredAdmissionControl verifies analysis-driven admission:
-// once the fleet's registered cycles/sec are spoken for, Open returns
+// once the fleet's declared cycles/sec are spoken for, Open returns
 // serve.ErrOverloaded (the 429 contract) instead of oversubscribing —
-// and closing a session returns its cycles to the pool.
+// and closing a session returns its cycles to the pool. A fixed list
+// declares no capacity: it accounts the same demand but never refuses.
 func TestRegisteredAdmissionControl(t *testing.T) {
 	frontend := suiteRegistry(t, "5")
 	p, _ := frontend.Get("5")
@@ -170,31 +195,63 @@ func TestRegisteredAdmissionControl(t *testing.T) {
 	c := startRegistered(t, 1, 1, RegisteredClusterConfig{
 		Capacity: func(int) float64 { return 1.5 * p.CyclesPerSec },
 	})
-	d := c.Dispatchers[0]
-
-	h1, err := openN(d, p, 2)
+	unpriced, stop, err := Loopback(NewWorker(suiteRegistry(t, "5"), WorkerOptions{}), fastOpts())
 	if err != nil {
-		t.Fatalf("first open within capacity: %v", err)
+		t.Fatal(err)
 	}
-	if _, err := openN(d, p, 2); !errors.Is(err, serve.ErrOverloaded) {
-		t.Fatalf("second open got %v, want serve.ErrOverloaded", err)
-	}
-	stats := d.BackendStats().(map[string]any)
-	fleet := stats["fleet"].(map[string]any)
-	if rejects := fleet["admission_rejects"].(int64); rejects != 1 {
-		t.Fatalf("admission_rejects = %d, want 1", rejects)
-	}
+	defer stop()
 
-	// Closing the admitted session releases its cycles; the next open
-	// succeeds.
-	if err := h1.Close(); err != nil {
-		t.Fatalf("close: %v", err)
+	for _, tc := range []struct {
+		name    string
+		d       *Dispatcher
+		fits    int  // sessions opened while capacity lasts
+		refuses bool // the open after them is refused
+	}{
+		{"priced fleet", c.Dispatchers[0], 1, true},
+		{"unpriced list", unpriced, 2, false},
+	} {
+		d := tc.d
+		admitted := func(want float64) {
+			t.Helper()
+			if got := fleetGauge(d, "admitted_cycles_per_sec").(float64); got != want {
+				t.Errorf("%s: admitted %v cycles/s, want %v", tc.name, got, want)
+			}
+		}
+		var open []serve.SessionHandle
+		for len(open) < tc.fits {
+			h, err := openN(d, p, 2)
+			if err != nil {
+				t.Fatalf("%s: open %d within capacity: %v", tc.name, len(open), err)
+			}
+			open = append(open, h)
+			admitted(float64(len(open)) * p.CyclesPerSec)
+		}
+		var rejects int64
+		if tc.refuses {
+			if _, err := openN(d, p, 2); !errors.Is(err, serve.ErrOverloaded) {
+				t.Fatalf("%s: second open got %v, want serve.ErrOverloaded", tc.name, err)
+			}
+			rejects = 1
+		}
+		if n := fleetGauge(d, "admission_rejects").(int64); n != rejects {
+			t.Fatalf("%s: admission_rejects = %d, want %d", tc.name, n, rejects)
+		}
+
+		// Closing the admitted sessions releases their cycles; the next
+		// open succeeds.
+		for len(open) > 0 {
+			if err := open[0].Close(); err != nil {
+				t.Fatalf("%s: close: %v", tc.name, err)
+			}
+			open = open[1:]
+			admitted(float64(len(open)) * p.CyclesPerSec)
+		}
+		h, err := openN(d, p, 2)
+		if err != nil {
+			t.Fatalf("%s: open after release: %v", tc.name, err)
+		}
+		h.Close()
 	}
-	h2, err := openN(d, p, 2)
-	if err != nil {
-		t.Fatalf("open after release: %v", err)
-	}
-	h2.Close()
 }
 
 // fleetGauge reads one value of the /metrics "fleet" block.

@@ -843,7 +843,7 @@ func (h *partitionHalf) creditsOut() int {
 }
 
 // demandCyc weights each half with the whole pipeline's demand — the
-// bin-packing weight in registered mode. A split session's kernels span
+// keyless bin-packing weight. A split session's kernels span
 // workers, but the analysis prices the graph as a unit and conservative
 // packing beats overcommit. Must not block: it is called under the
 // owning worker's lock.

@@ -8,7 +8,7 @@
 // sessions on behalf of remote frontends — and Dispatcher, the frontend
 // side implementing serve.Backend: membership and stats
 // (dispatcher.go), one managed connection per worker with health
-// checks, reconnection and a circuit breaker (workerref.go), placement
+// checks and reconnection (workerref.go), placement
 // and admission (placement.go), the session (session.go), and its
 // recovery (recover.go).
 //

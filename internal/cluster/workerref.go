@@ -2,9 +2,9 @@ package cluster
 
 // The connection manager: one workerRef per fleet member owns its
 // connection lifecycle (dial, handshake, health pings, read loop,
-// jittered reconnect, circuit breaker) and the table of partitions
-// currently placed over it. Everything session-shaped the read loop
-// sees is routed to the partitionHalf registered under the frame's SID.
+// jittered reconnect) and the table of partitions currently placed over
+// it. Everything session-shaped the read loop sees is routed to the
+// partitionHalf registered under the frame's SID.
 
 import (
 	"errors"
@@ -19,12 +19,12 @@ import (
 )
 
 // workerRef is the dispatcher's view of one worker: a managed
-// connection with reconnection, health pings, and a circuit breaker,
-// plus the sessions currently placed on it.
+// connection with reconnection and health pings, plus the sessions
+// currently placed on it.
 type workerRef struct {
 	d      *Dispatcher
 	addr   string
-	member string // ring identity (registration name; the address in static mode)
+	member string // ring identity (registration name; the address on a fixed list)
 
 	// stop cancels the manage loop: closed when the member deregisters
 	// (or the dispatcher closes it out of the fleet), so a removed
@@ -33,7 +33,7 @@ type workerRef struct {
 	stopOnce sync.Once
 
 	mu       sync.Mutex
-	capacity float64    // registered cycles/sec (0 in static mode)
+	capacity float64    // declared cycles/sec (0 on a fixed list)
 	conn     *wire.Conn // nil while disconnected
 	name     string     // from Welcome
 	draining bool       // saw Goaway
@@ -42,10 +42,7 @@ type workerRef struct {
 	pending  map[uint64]chan *wire.SessionOpened
 	ensure   map[string][]chan *wire.PipelineReady
 
-	consecFails int
-	openUntil   time.Time // breaker open until this instant
-	lastPong    atomic.Int64
-
+	lastPong     atomic.Int64
 	framesRouted atomic.Int64
 	resultsRecv  atomic.Int64
 	reconnects   atomic.Int64
@@ -72,9 +69,7 @@ func (w *workerRef) halted() bool {
 // manage owns the connection lifecycle: dial + handshake with
 // exponential backoff, then read until the connection dies, failing
 // that connection's sessions and starting over. Deregistration (halt)
-// cancels the loop: a removed worker's address is never redialed —
-// previously a drained worker was pinged forever, holding its breaker
-// half-open.
+// cancels the loop: a removed worker's address is never redialed.
 func (w *workerRef) manage() {
 	backoff := w.d.opts.ReconnectMin
 	connected := false
@@ -88,7 +83,6 @@ func (w *workerRef) manage() {
 		}
 		conn, welcome, err := w.dial()
 		if err != nil {
-			w.recordFailure()
 			select {
 			case <-w.d.closed:
 				return
@@ -115,7 +109,6 @@ func (w *workerRef) manage() {
 		close(pingStop)
 		conn.Close()
 		w.detach(conn, err)
-		w.recordFailure()
 	}
 }
 
@@ -151,9 +144,6 @@ func (w *workerRef) attach(conn *wire.Conn, welcome *wire.Welcome) {
 	w.sessions = make(map[uint64]*partitionHalf)
 	w.pending = make(map[uint64]chan *wire.SessionOpened)
 	w.ensure = make(map[string][]chan *wire.PipelineReady)
-	// A successful handshake is the breaker's probe: it closes.
-	w.consecFails = 0
-	w.openUntil = time.Time{}
 	w.lastPong.Store(time.Now().UnixNano())
 }
 
@@ -193,48 +183,20 @@ func (w *workerRef) detach(conn *wire.Conn, cause error) {
 	}
 }
 
-func (w *workerRef) recordFailure() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.consecFails++
-	if w.consecFails >= w.d.opts.BreakerFailures {
-		w.openUntil = time.Now().Add(w.d.opts.BreakerCooldown)
-	}
-}
-
-// breakerState reports "closed", "open", or "half-open". Half-open
-// means the cooldown elapsed: the next placement may probe the worker,
-// and a handshake success closes the breaker again.
-func (w *workerRef) breakerState() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.breakerStateLocked()
-}
-
-func (w *workerRef) breakerStateLocked() string {
-	if w.consecFails < w.d.opts.BreakerFailures {
-		return "closed"
-	}
-	if time.Now().Before(w.openUntil) {
-		return "open"
-	}
-	return "half-open"
-}
-
 // placeable reports whether new sessions may land here: connected, not
-// draining, not removed from the fleet, breaker not open.
+// draining, not removed from the fleet.
 func (w *workerRef) placeable() bool {
 	if w.halted() {
 		return false
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.conn != nil && !w.draining && w.breakerStateLocked() != "open"
+	return w.conn != nil && !w.draining
 }
 
-// remainingCyc reports the capacity left after the analysis-priced
-// demand of every session currently placed here — the bin-packing
-// signal in registered mode.
+// remainingCyc reports the declared capacity left after the
+// analysis-priced demand of every session currently placed here — the
+// keyless placement signal.
 func (w *workerRef) remainingCyc() float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -608,16 +570,11 @@ func (w *workerRef) stats() WorkerStats {
 		credits += h.creditsOut()
 		demand += h.demandCyc()
 	}
-	member := w.member
-	if member == w.addr {
-		member = "" // static mode: the member column adds nothing
-	}
 	s := WorkerStats{
 		Addr:            w.addr,
 		Name:            w.name,
-		Member:          member,
+		Member:          w.member,
 		State:           state,
-		Breaker:         w.breakerStateLocked(),
 		Draining:        w.draining,
 		Sessions:        len(w.sessions),
 		CapacityCyc:     w.capacity,

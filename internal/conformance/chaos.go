@@ -52,6 +52,20 @@ func chaosProfile(mode string) (fault.Profile, error) {
 	}
 }
 
+// chaosDispatcher tunes every chaos campaign's dispatchers: fast pings
+// and redials, and a stall timeout well under the collect bound, so a
+// silent stall fails over instead of hanging.
+var chaosDispatcher = cluster.DispatcherOptions{
+	PingInterval:    25 * time.Millisecond,
+	PingTimeout:     2 * time.Second,
+	ReconnectMin:    10 * time.Millisecond,
+	ReconnectMax:    100 * time.Millisecond,
+	OpenTimeout:     5 * time.Second,
+	CloseTimeout:    5 * time.Second,
+	FailoverTimeout: 10 * time.Second,
+	StallTimeout:    2 * time.Second,
+}
+
 // typedChaosError reports whether a stream failure belongs to the
 // documented error vocabulary — the outcomes a client can program
 // against. Anything else (a hang, a raw I/O error, wrong bytes) is a
@@ -142,20 +156,10 @@ func CheckChaos(c *Case, seed uint64, mode string) error {
 		return err
 	}
 
-	opts := cluster.DispatcherOptions{
-		Dial: inj.WrapDial(func(addr string) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, 5*time.Second)
-		}),
-		PingInterval:    25 * time.Millisecond,
-		PingTimeout:     2 * time.Second,
-		ReconnectMin:    10 * time.Millisecond,
-		ReconnectMax:    100 * time.Millisecond,
-		OpenTimeout:     5 * time.Second,
-		CloseTimeout:    5 * time.Second,
-		FailoverTimeout: 10 * time.Second,
-		StallTimeout:    2 * time.Second, // well under the collect bound: a silent stall must fail over, not hang
-		BreakerFailures: 1024,            // chaos faults are transient; keep probing
-	}
+	opts := chaosDispatcher
+	opts.Dial = inj.WrapDial(func(addr string) (net.Conn, error) {
+		return net.DialTimeout("tcp", addr, 5*time.Second)
+	})
 	if mode == "partition-kill" {
 		opts.Partitions = 2
 	}
@@ -226,7 +230,7 @@ func CheckChaos(c *Case, seed uint64, mode string) error {
 		}
 	}
 
-	outcome := runChaosStream(d, p, c, want, strike)
+	outcome := runChaosStream(d, p, c, want, 1, strike, "")
 	if outcome != nil {
 		switch mode {
 		case "kill", "partition-kill":
@@ -268,16 +272,17 @@ func CheckChaos(c *Case, seed uint64, mode string) error {
 	return nil
 }
 
-// runChaosStream drives the session: feed/collect all frames with
-// bounded waits, comparing every delivered frame against the oracle,
-// firing strike (if any) with frame 1 freshly fed and in flight. A
-// typed failure is returned for the caller to judge; wrong bytes and
-// hangs are returned as distinctive errors typedChaosError rejects.
+// runChaosStream drives a session opened under key (empty: keyless):
+// feed/collect all frames with bounded waits, comparing every delivered
+// frame against the oracle, firing strike (if any) with frame `at`
+// freshly fed and in flight. A typed failure is returned for the caller
+// to judge; wrong bytes and hangs are returned as distinctive errors
+// typedChaosError rejects.
 func runChaosStream(d *cluster.Dispatcher, p *serve.Pipeline, c *Case,
-	want []map[string][]frame.Window, strike func() error) error {
+	want []map[string][]frame.Window, at int, strike func() error, key string) error {
 
 	deadline := time.Now().Add(90 * time.Second)
-	h, err := d.Open(p, serve.OpenOptions{MaxInFlight: 2, Deadline: 2 * time.Minute})
+	h, err := d.Open(p, serve.OpenOptions{MaxInFlight: 2, Deadline: 2 * time.Minute, Key: key})
 	if err != nil {
 		return err
 	}
@@ -298,7 +303,7 @@ func runChaosStream(d *cluster.Dispatcher, p *serve.Pipeline, c *Case,
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
-		if strike != nil && f == 1 {
+		if strike != nil && f == at {
 			// The frame just fed is in flight on the victim; the strike
 			// must be invisible (recovery replays it on a survivor).
 			if err := strike(); err != nil {
@@ -369,18 +374,8 @@ func checkChaosRegistered(c *Case, seed uint64, mode string) error {
 		return cluster.NewWorker(reg, cluster.WorkerOptions{Name: name})
 	}
 	fleet, err := cluster.StartRegisteredCluster(2, 2, cluster.RegisteredClusterConfig{
-		Lease: 500 * time.Millisecond,
-		Dispatcher: cluster.DispatcherOptions{
-			PingInterval:    25 * time.Millisecond,
-			PingTimeout:     2 * time.Second,
-			ReconnectMin:    10 * time.Millisecond,
-			ReconnectMax:    100 * time.Millisecond,
-			OpenTimeout:     5 * time.Second,
-			CloseTimeout:    5 * time.Second,
-			FailoverTimeout: 10 * time.Second,
-			StallTimeout:    2 * time.Second,
-			BreakerFailures: 1024,
-		},
+		Lease:      500 * time.Millisecond,
+		Dispatcher: chaosDispatcher,
 		MakeWorker: func(i int) *cluster.Worker { return mkWorker(fmt.Sprintf("flap-w%d", i)) },
 	})
 	if err != nil {
@@ -425,7 +420,7 @@ func checkChaosRegistered(c *Case, seed uint64, mode string) error {
 		return fmt.Errorf("chaos: unknown registered mode %q", mode)
 	}
 
-	if err := streamChaosRegistered(d, p, c, want, fault.At(seed, frames), strike, key); err != nil {
+	if err := runChaosStream(d, p, c, want, fault.At(seed, frames), strike, key); err != nil {
 		return fmt.Errorf("chaos %s with a healthy path must be invisible: %w", mode, err)
 	}
 
@@ -437,67 +432,6 @@ func checkChaosRegistered(c *Case, seed uint64, mode string) error {
 			frame.Stats().Live, baseline, mode, seed)
 	}
 	return nil
-}
-
-// streamChaosRegistered drives a keyed session, firing strike after
-// feeding frame `at`, and holds every delivered frame to the oracle.
-func streamChaosRegistered(d *cluster.Dispatcher, p *serve.Pipeline, c *Case,
-	want []map[string][]frame.Window, at int, strike func() error, key string) error {
-
-	deadline := time.Now().Add(90 * time.Second)
-	h, err := d.Open(p, serve.OpenOptions{MaxInFlight: 2, Deadline: 2 * time.Minute, Key: key})
-	if err != nil {
-		return err
-	}
-	defer h.Close()
-
-	outputs := c.Graph.Outputs()
-	for f := 0; f < len(want); f++ {
-		for {
-			if _, err := h.TryFeed(nil); err == nil {
-				break
-			} else if !errors.Is(err, runtime.ErrQueueFull) {
-				return err
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("hang: feed %d stuck in backpressure past the chaos deadline", f)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		if f == at {
-			if err := strike(); err != nil {
-				return err
-			}
-		}
-		res, err := h.Collect(30 * time.Second)
-		if err != nil {
-			if strings.Contains(err.Error(), "timed out") {
-				return fmt.Errorf("hang: collect %d timed out without a terminal session error", f)
-			}
-			return err
-		}
-		cmpErr := func() error {
-			if res.Seq != int64(f) {
-				return fmt.Errorf("chaos delivered frame %d, want %d (at-most-once broken)", res.Seq, f)
-			}
-			for _, out := range outputs {
-				name := out.Name()
-				if err := compareWindows(res.Outputs[name], want[f][name]); err != nil {
-					return fmt.Errorf("silent corruption: output %q frame %d: %w", name, f, err)
-				}
-			}
-			return nil
-		}()
-		for _, ws := range res.Outputs {
-			for _, w := range ws {
-				w.Release()
-			}
-		}
-		if cmpErr != nil {
-			return cmpErr
-		}
-	}
-	return h.Close()
 }
 
 // waitChaos polls cond until true or the timeout expires.

@@ -85,7 +85,7 @@ type StatsReporter interface {
 // Readiness summarizes whether a backend can currently place sessions.
 type Readiness struct {
 	// Status is "ok", "degraded" (capacity reduced but sessions still
-	// place, e.g. some cluster workers down or breaker-open), or
+	// place, e.g. some cluster workers down or draining), or
 	// "unavailable" (no placement possible).
 	Status string `json:"status"`
 	// Detail explains a non-ok status for humans.

@@ -109,7 +109,7 @@ type WorkerDrainer interface {
 // handleDrainWorker quiesces one cluster worker: no further placements
 // land on it and its resident sessions live-migrate to survivors. The
 // worker name comes from the "worker" query or form parameter (the
-// worker's address in static-list mode).
+// worker's address on a fixed list).
 func (s *Server) handleDrainWorker(w http.ResponseWriter, r *http.Request) {
 	d, ok := s.backend.(WorkerDrainer)
 	if !ok {
@@ -237,7 +237,7 @@ func (s *Server) handleLiveness(w http.ResponseWriter, r *http.Request) {
 
 // handleReadiness reports whether the server should receive new
 // sessions: "ok", "degraded" (capacity reduced — some cluster workers
-// down or breaker-open — but placement still possible, answered 200 so
+// down or draining — but placement still possible, answered 200 so
 // load balancers keep routing), or 503 for draining/unavailable.
 func (s *Server) handleReadiness(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
