@@ -101,8 +101,23 @@ func TestMethodUnknownInputPanics(t *testing.T) {
 	n.RegisterMethodInput("m", "nope")
 }
 
-func TestMethodForTrigger(t *testing.T) {
-	n := NewNode("hist", KindKernel)
+// testHeads is a Heads over fixed queue contents.
+type testHeads [][]token.Token
+
+func (h testHeads) Head(in int32) *token.Token {
+	if len(h[in]) == 0 {
+		return nil
+	}
+	return &h[in][0]
+}
+
+// TestRuleNext checks the lowered firing rule on a histogram-shaped
+// kernel: data fires the data method, end-of-frame the token method
+// that handles it, and an end-of-line no method takes is forwarded
+// (here to no output: the data method emits nothing) and bumps nothing.
+func TestRuleNext(t *testing.T) {
+	g := New("rule")
+	n := g.Add(NewNode("hist", KindKernel))
 	n.CreateInput("in", geom.Sz(1, 1), geom.St(1, 1), geom.Off(0, 0))
 	n.CreateOutput("out", geom.Sz(32, 1), geom.St(32, 1))
 	n.RegisterMethod("count", 15, 16)
@@ -110,15 +125,29 @@ func TestMethodForTrigger(t *testing.T) {
 	n.RegisterMethod("finishCount", 6, 96)
 	n.RegisterMethodInputToken("finishCount", "in", token.EndOfFrame, "")
 	n.RegisterMethodOutput("finishCount", "out")
+	r := LowerRule(g, n)
+	s := r.NewState()
 
-	if m := n.MethodForTrigger("in", token.None, ""); m == nil || m.Name != "count" {
-		t.Errorf("data trigger -> %v", m)
+	for _, c := range []struct {
+		head   token.Token
+		method int32
+		bump   bool
+	}{
+		{token.Token{}, 0, false},
+		{token.EOF(0), 1, true},
+		{token.EOL(0), -1, false},
+	} {
+		act, change, ok := r.Next(testHeads{{c.head}}, &s)
+		if !ok || act.Method != c.method || change.Bump != c.bump {
+			t.Errorf("head %v: action %+v, change %+v, ok %v; want method %d, bump %v",
+				c.head, act, change, ok, c.method, c.bump)
+		}
 	}
-	if m := n.MethodForTrigger("in", token.EndOfFrame, ""); m == nil || m.Name != "finishCount" {
-		t.Errorf("EOF trigger -> %v", m)
+	if in := r.Ins[0]; len(in.Group) != 1 || len(in.Fwd) != 0 {
+		t.Errorf("EOL forwards from group %v to %v, want [0] to none", in.Group, in.Fwd)
 	}
-	if m := n.MethodForTrigger("in", token.EndOfLine, ""); m != nil {
-		t.Errorf("EOL should be unhandled, got %v", m)
+	if _, _, ok := r.Next(testHeads{nil}, &s); ok {
+		t.Error("fired on an empty queue")
 	}
 }
 

@@ -394,27 +394,6 @@ func (n *Node) Memory() int64 {
 	return state + ports
 }
 
-// MethodForTrigger returns the first method triggered by the given
-// input and token kind/name, or nil if the token is unhandled (in
-// which case the runtime forwards it downstream, paper §II-C).
-func (n *Node) MethodForTrigger(input string, kind token.Kind, tokenName string) *Method {
-	for _, m := range n.methods {
-		for _, t := range m.Triggers {
-			if t.Input != input {
-				continue
-			}
-			if t.Token != kind {
-				continue
-			}
-			if kind == token.Custom && t.TokenName != tokenName {
-				continue
-			}
-			return m
-		}
-	}
-	return nil
-}
-
 func (n *Node) String() string {
 	return fmt.Sprintf("%s(%s)", n.name, n.Kind)
 }

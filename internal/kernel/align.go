@@ -30,15 +30,9 @@ func Inset(name string, plan InsetPlan, item geom.Size) *graph.Node {
 }
 
 type insetBehavior struct {
-	plan BufferlessPlan
+	plan InsetPlan
 	x, y int
 	row  int64
-}
-
-// BufferlessPlan is the interface shared by inset plans; declared to
-// keep insetBehavior testable with alternative plans.
-type BufferlessPlan interface {
-	Keep(x, y int) (keep, rowEnd bool)
 }
 
 func (b *insetBehavior) Clone() graph.Behavior {
@@ -138,8 +132,7 @@ func InsetPlanOf(n *graph.Node) (InsetPlan, bool) {
 	if !ok {
 		return InsetPlan{}, false
 	}
-	p, ok := b.plan.(InsetPlan)
-	return p, ok
+	return b.plan, true
 }
 
 // Pad builds the zero-padding kernel, the alignment pass's alternative

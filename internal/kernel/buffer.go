@@ -40,12 +40,18 @@ func Buffer(name string, plan BufferPlan) *graph.Node {
 	n.RegisterMethodInput("buffer", "in")
 	n.RegisterMethodOutput("buffer", "out")
 	n.Attrs["label"] = plan.Label()
-	n.Behavior = &bufferBehavior{plan: plan}
+	n.Behavior = &bufferBehavior{plan: plan, outs: []string{"out"}}
 	return n
 }
 
+// bufferBehavior is the one window-buffer FSM, behind both Buffer and
+// ShareBuffer: every output carries the same scan-order window stream.
 type bufferBehavior struct {
 	plan BufferPlan
+	// ways is a ShareBuffer's fan-out, zero for a Buffer; outs names the
+	// outputs ("out", or out0..out{ways-1}).
+	ways int
+	outs []string
 	// ring holds the last WinH input rows (modular by row index) as one
 	// dense window of the stream's element kind, allocated on the first
 	// data item.
@@ -53,25 +59,29 @@ type bufferBehavior struct {
 	x, y int
 }
 
-func (b *bufferBehavior) Clone() graph.Behavior { return &bufferBehavior{plan: b.plan} }
+func (b *bufferBehavior) Clone() graph.Behavior {
+	return &bufferBehavior{plan: b.plan, ways: b.ways, outs: b.outs}
+}
 
 // AcceptsBatch implements graph.BatchAware: sample rows arrive whole.
 func (b *bufferBehavior) AcceptsBatch(input string) bool { return input == "in" }
 
-// Plan exposes the buffer parameterization to the transformer and the
-// simulator.
-func (b *bufferBehavior) Plan() BufferPlan { return b.plan }
-
 func (b *bufferBehavior) reset() {
 	b.x, b.y = 0, 0
-	if b.ring.W > 0 {
-		raw := b.ring.RowBytes(0)[:0]
-		for y := 0; y < b.ring.H; y++ {
-			raw = b.ring.RowBytes(y)
-			for i := range raw {
-				raw[i] = 0
-			}
-		}
+	for y := 0; y < b.ring.H; y++ {
+		clear(b.ring.RowBytes(y))
+	}
+}
+
+// send delivers one item to every output. A data window gains one
+// retained reference per extra consumer; the held reference covers the
+// first.
+func (b *bufferBehavior) send(ctx graph.RunContext, it graph.Item) {
+	if !it.IsToken && len(b.outs) > 1 {
+		it.Win.Retain(len(b.outs) - 1)
+	}
+	for _, out := range b.outs {
+		ctx.Send(out, it)
 	}
 }
 
@@ -99,10 +109,10 @@ func (b *bufferBehavior) Run(ctx graph.RunContext) error {
 						ctx.Node().Name(), b.y, p.DataH)
 				}
 				b.reset()
-				ctx.Send("out", graph.TokenItem(it.Tok))
+				b.send(ctx, it)
 			default:
 				// Custom tokens pass through in order.
-				ctx.Send("out", it)
+				b.send(ctx, it)
 			}
 			continue
 		}
@@ -187,11 +197,11 @@ func (b *bufferBehavior) emitCompleted(ctx graph.RunContext, x0, x1 int) {
 		src := b.ring.RowBytes((wy + dy) % p.WinH)
 		copy(win.RowBytes(dy), src[first*es:(first+spanW)*es])
 	}
-	ctx.Send("out", graph.BatchItem(win, graph.Batch{
+	b.send(ctx, graph.BatchItem(win, graph.Batch{
 		N: int32(count), Sx: int32(p.StepX), Bw: int32(p.WinW),
 	}))
 	if last == (nwin-1)*p.StepX {
-		ctx.Send("out", graph.TokenItem(token.EOL(int64(wy/p.StepY))))
+		b.send(ctx, graph.TokenItem(token.EOL(int64(wy/p.StepY))))
 	}
 }
 
@@ -199,7 +209,7 @@ func (b *bufferBehavior) emitCompleted(ctx graph.RunContext, x0, x1 int) {
 // transform and simulator introspection.
 func BufferPlanOf(n *graph.Node) (BufferPlan, bool) {
 	b, ok := n.Behavior.(*bufferBehavior)
-	if !ok {
+	if !ok || b.ways > 0 {
 		return BufferPlan{}, false
 	}
 	return b.plan, true

@@ -4,15 +4,13 @@ import (
 	"fmt"
 
 	"blockpar/internal/conn"
-	"blockpar/internal/frame"
 	"blockpar/internal/geom"
 	"blockpar/internal/graph"
-	"blockpar/internal/token"
 )
 
 // ShareBuffer builds the windowed-sharing buffer of the generalized-
-// connection subsystem: one 2-D circular ring (identical FSM to Buffer)
-// whose completed windows are delivered to N consumers at once. Each
+// connection subsystem: Buffer's 2-D circular ring and FSM, whose
+// completed windows are delivered to N consumers at once. Each
 // consumer output carries the same scan-order window stream; every
 // emitted span is one arena allocation with one retained reference per
 // extra consumer, so sharing N ways costs no copies and one ring instead
@@ -29,170 +27,22 @@ func ShareBuffer(name string, plan BufferPlan, ways int) *graph.Node {
 	n.CreateInput("in", geom.Sz(1, 1), geom.St(1, 1), geom.Off(0, 0))
 	n.RegisterMethod("share", fsmPerItem, plan.MemoryWords())
 	n.RegisterMethodInput("share", "in")
-	for i := 0; i < ways; i++ {
-		out := fmt.Sprintf("out%d", i)
+	outs := indexedNames("out", ways)
+	for _, out := range outs {
 		n.CreateOutput(out, geom.Sz(plan.WinW, plan.WinH), geom.St(plan.StepX, plan.StepY))
 		n.RegisterMethodOutput("share", out)
 	}
 	n.Attrs["label"] = fmt.Sprintf("share ×%d %s", ways, plan.Label())
 	n.Attrs["conn"] = conn.Share.String()
-	n.Behavior = &shareBehavior{plan: plan, ways: ways}
+	n.Behavior = &bufferBehavior{plan: plan, ways: ways, outs: outs}
 	return n
-}
-
-type shareBehavior struct {
-	plan BufferPlan
-	ways int
-	outs []string
-	ring frame.Window
-	x, y int
-}
-
-func (b *shareBehavior) Clone() graph.Behavior {
-	return &shareBehavior{plan: b.plan, ways: b.ways}
-}
-
-// AcceptsBatch implements graph.BatchAware: sample rows arrive whole.
-func (b *shareBehavior) AcceptsBatch(input string) bool { return input == "in" }
-
-func (b *shareBehavior) reset() {
-	b.x, b.y = 0, 0
-	if b.ring.W > 0 {
-		for y := 0; y < b.ring.H; y++ {
-			raw := b.ring.RowBytes(y)
-			for i := range raw {
-				raw[i] = 0
-			}
-		}
-	}
-}
-
-// sendAll delivers one item to every consumer output. Data windows gain
-// one retained reference per extra consumer; the held reference covers
-// the first.
-func (b *shareBehavior) sendAll(ctx graph.RunContext, it graph.Item) {
-	if !it.IsToken && b.ways > 1 {
-		it.Win.Retain(b.ways - 1)
-	}
-	for i := range b.outs {
-		ctx.Send(b.outs[i], it)
-	}
-}
-
-func (b *shareBehavior) Run(ctx graph.RunContext) error {
-	if b.outs == nil {
-		b.outs = indexedNames("out", b.ways)
-	}
-	p := b.plan
-	for {
-		it, ok := ctx.Recv("in")
-		if !ok {
-			return nil
-		}
-		if it.IsToken {
-			switch it.Tok.Kind {
-			case token.EndOfLine:
-				if b.x != p.DataW {
-					return fmt.Errorf("kernel: share buffer %q got EOL after %d of %d samples",
-						ctx.Node().Name(), b.x, p.DataW)
-				}
-				b.x = 0
-				b.y++
-			case token.EndOfFrame:
-				if b.y != p.DataH {
-					return fmt.Errorf("kernel: share buffer %q got EOF after %d of %d rows",
-						ctx.Node().Name(), b.y, p.DataH)
-				}
-				b.reset()
-				b.sendAll(ctx, it)
-			default:
-				b.sendAll(ctx, it)
-			}
-			continue
-		}
-		n := it.BatchN()
-		if it.Win.H != 1 || (n == 1 && it.Win.W != 1) || (n > 1 && it.B.Bw != 1) {
-			return fmt.Errorf("kernel: share buffer %q expects 1x1 samples, got %v",
-				ctx.Node().Name(), it)
-		}
-		if b.x+n > p.DataW || b.y >= p.DataH {
-			return fmt.Errorf("kernel: share buffer %q overflow at (%d,%d)+%d for %dx%d region",
-				ctx.Node().Name(), b.x, b.y, n, p.DataW, p.DataH)
-		}
-		if b.ring.W == 0 {
-			b.ring = frame.NewWindowKind(it.Win.Kind, p.DataW, p.WinH)
-		} else if b.ring.Kind != it.Win.Kind {
-			return fmt.Errorf("kernel: share buffer %q element kind changed mid-stream (%v -> %v)",
-				ctx.Node().Name(), b.ring.Kind, it.Win.Kind)
-		}
-		x0 := b.x
-		b.ingest(it, n)
-		it.Win.Release()
-		b.emitCompleted(ctx, x0, b.x)
-	}
-}
-
-func (b *shareBehavior) ingest(it graph.Item, n int) {
-	es := b.ring.Kind.Bytes()
-	dst := b.ring.RowBytes(b.y % b.plan.WinH)
-	if n == 1 || int(it.B.Sx) == 1 {
-		copy(dst[b.x*es:(b.x+n)*es], it.Win.RowBytes(0))
-	} else {
-		for j := 0; j < n; j++ {
-			copy(dst[(b.x+j)*es:(b.x+j+1)*es], it.B.Window(it.Win, j).RowBytes(0))
-		}
-	}
-	b.x += n
-}
-
-// emitCompleted mirrors bufferBehavior.emitCompleted: one dense span per
-// completed window range, delivered to every consumer as the same item.
-func (b *shareBehavior) emitCompleted(ctx graph.RunContext, x0, x1 int) {
-	p := b.plan
-	wy := b.y - p.WinH + 1
-	if wy < 0 || wy%p.StepY != 0 || wy/p.StepY >= p.OutputRows() {
-		return
-	}
-	nwin := p.WindowsPerRow()
-	if nwin == 0 {
-		return
-	}
-	first := x0 - p.WinW + 1
-	if first < 0 {
-		first = 0
-	}
-	if r := first % p.StepX; r != 0 {
-		first += p.StepX - r
-	}
-	last := x1 - p.WinW
-	if m := (nwin - 1) * p.StepX; last > m {
-		last = m
-	}
-	if first > last {
-		return
-	}
-	last -= (last - first) % p.StepX
-	count := (last-first)/p.StepX + 1
-	spanW := (count-1)*p.StepX + p.WinW
-	win := frame.AllocKind(b.ring.Kind, spanW, p.WinH)
-	es := b.ring.Kind.Bytes()
-	for dy := 0; dy < p.WinH; dy++ {
-		src := b.ring.RowBytes((wy + dy) % p.WinH)
-		copy(win.RowBytes(dy), src[first*es:(first+spanW)*es])
-	}
-	b.sendAll(ctx, graph.BatchItem(win, graph.Batch{
-		N: int32(count), Sx: int32(p.StepX), Bw: int32(p.WinW),
-	}))
-	if last == (nwin-1)*p.StepX {
-		b.sendAll(ctx, graph.TokenItem(token.EOL(int64(wy/p.StepY))))
-	}
 }
 
 // SharePlanOf returns the plan and fan-out of a ShareBuffer node,
 // distinguishing it from the compiler's single-consumer Buffer.
 func SharePlanOf(n *graph.Node) (BufferPlan, int, bool) {
-	b, ok := n.Behavior.(*shareBehavior)
-	if !ok {
+	b, ok := n.Behavior.(*bufferBehavior)
+	if !ok || b.ways == 0 {
 		return BufferPlan{}, 0, false
 	}
 	return b.plan, b.ways, true

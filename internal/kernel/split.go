@@ -19,14 +19,13 @@ func SplitRR(name string, n int, item geom.Size) *graph.Node {
 	}
 	node := graph.NewNode(name, graph.KindSplit)
 	node.CreateInput("in", item, geom.St(item.W, item.H), geom.Off(0, 0))
-	m := node.RegisterMethod("split", fsmPerItem, 2)
+	node.RegisterMethod("split", fsmPerItem, 2)
 	node.RegisterMethodInput("split", "in")
 	for i := 0; i < n; i++ {
 		out := fmt.Sprintf("out%d", i)
 		node.CreateOutput(out, item, geom.St(item.W, item.H))
 		node.RegisterMethodOutput("split", out)
 	}
-	_ = m
 	node.Behavior = &splitRRBehavior{n: n}
 	return node
 }

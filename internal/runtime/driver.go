@@ -8,18 +8,19 @@ import (
 	"blockpar/internal/token"
 )
 
-// driver runs an Invoker kernel with the generic method-trigger rules
-// described in the package comment, over the node's plan tables and
-// input rings. One locked section per firing retires the previous
-// firing's inputs, picks the next action and — when there is none —
-// parks; the method itself runs unlocked and reads its inputs in place
-// in the ring slots, so an item is copied once, into its ring, on its
-// whole way through a kernel.
+// driver runs an Invoker kernel by the node's lowered firing rule
+// (graph.Rule, the same rule the timing simulator steps) over its input
+// rings. One locked section per firing retires the previous firing's
+// inputs, lets the rule pick the next action over the ring heads read
+// in place and — when there is none — parks; the method itself runs
+// unlocked and reads its inputs in place in the ring slots, so an item
+// is copied once, into its ring, on its whole way through a kernel.
 type driver struct {
-	ex  *executor
-	pn  *planNode
-	ib  *inbox
-	inv graph.Invoker
+	ex   *executor
+	pn   *planNode
+	ib   *inbox
+	inv  graph.Invoker
+	rule *graph.Rule
 
 	// ctx is reused across firings: a method invocation may not retain
 	// its ExecContext.
@@ -31,42 +32,24 @@ type driver struct {
 	held     int32
 	released bool
 
-	// tokScratch is the consumed-token buffer reused across firings.
+	// tokScratch is the consumed-token buffer reused across firings; fwd
+	// is the token a forward action took off its group, for run to send.
 	tokScratch []token.Token
+	fwd        token.Token
 
-	// Configuration methods (all triggers on replicated inputs) are
-	// frame-synchronized: each fires exactly once per frame, before
-	// the frame's data methods. frameIdx counts end-of-frame tokens
-	// consumed from non-replicated inputs; configFired counts firings
-	// per config method (indexed like pn.config). A config method is
-	// ready only while configFired == frameIdx, and data methods wait
-	// until every config method has fired for the current frame. This
-	// makes coefficient/bin reloads deterministic: the frame-f
-	// configuration applies to frame f exactly.
-	frameIdx    int64
-	configFired []int64
-}
-
-// action is what one locked section decided to do next: fire method
-// (>= 0), or forward tok — already popped from its group — to the
-// outputs in input in's forwarding table, or nothing further (an
-// absorbed token).
-type action struct {
-	method  int32
-	forward bool
-	in      int32
-	tok     token.Token
+	// state is the rule's frame index and configuration counts.
+	state graph.RuleState
 }
 
 func newDriver(ex *executor, pn *planNode) *driver {
 	d := &driver{
-		ex: ex, pn: pn, ib: &ex.boxes[pn.id], inv: pn.invoker,
-		held:        -1,
-		configFired: make([]int64, len(pn.config)),
+		ex: ex, pn: pn, ib: &ex.boxes[pn.id], inv: pn.invoker, rule: pn.rule,
+		held:  -1,
+		state: pn.rule.NewState(),
 	}
 	maxTrig := 0
-	for i := range pn.methods {
-		maxTrig = max(maxTrig, len(pn.methods[i].trig))
+	for i := range pn.rule.Methods {
+		maxTrig = max(maxTrig, len(pn.rule.Methods[i].Trig))
 	}
 	d.ctx = invokeCtx{d: d, in: make([]*graph.Item, maxTrig)}
 	return d
@@ -95,64 +78,49 @@ func (d *driver) loop() error {
 	}
 }
 
-// next retires the previous firing and picks the next action, in
-// priority order: configuration methods, token-triggered and data
-// methods, then unhandled-token forwarding. ok is false when the
-// kernel is quiescent. Called with ib.mu held.
-func (d *driver) next() (act action, ok bool) {
-	d.retire()
-	for ci, mi := range d.pn.config {
-		if d.configFired[ci] == d.frameIdx && d.ready(&d.pn.methods[mi]) {
-			d.configFired[ci]++
-			return d.hold(mi), true
-		}
+// Head implements graph.Heads over the node's rings (a data item's Tok
+// is the zero token).
+func (ib *inbox) Head(in int32) *token.Token {
+	r := &ib.rings[in]
+	if r.n == 0 {
+		return nil
 	}
-	configured := true
-	for _, fired := range d.configFired {
-		if fired <= d.frameIdx {
-			configured = false
-			break
-		}
-	}
-	for _, mi := range d.pn.other {
-		m := &d.pn.methods[mi]
-		if (configured || !m.data) && d.ready(m) {
-			return d.hold(mi), true
-		}
-	}
-	return d.forwardUnhandled()
+	return &r.peek().Tok
 }
 
-// ready reports whether every trigger input's ring head matches.
-func (d *driver) ready(m *planMethod) bool {
-	for i := range m.trig {
-		t := &m.trig[i]
-		r := &d.ib.rings[t.in]
-		if r.n == 0 {
-			return false
-		}
-		it := r.peek()
-		if t.tok == token.None {
-			if it.IsToken {
-				return false
-			}
-		} else if !it.IsToken || !it.Tok.Matches(t.tok, t.tokName) {
-			return false
-		}
+// next retires the previous firing, lets the rule decide the next
+// action and applies it: a method firing holds its trigger heads, a
+// forwarded or absorbed token is dropped from its group's rings. ok is
+// false when the kernel is quiescent. Called with ib.mu held.
+func (d *driver) next() (graph.RuleAction, bool) {
+	d.retire()
+	act, change, ok := d.rule.Next(d.ib, &d.state)
+	if !ok {
+		return act, false
 	}
-	return true
+	d.state.Apply(change)
+	if act.Method >= 0 {
+		d.hold(act.Method)
+		return act, true
+	}
+	d.fwd = d.ib.rings[act.In].peek().Tok
+	for _, g := range d.rule.Ins[act.In].Group {
+		r := &d.ib.rings[g]
+		r.drop()
+		d.ib.freed(r)
+	}
+	return act, true
 }
 
 // hold points the invocation context at method mi's trigger heads,
 // which stay in their rings until retire.
-func (d *driver) hold(mi int32) action {
-	m := &d.pn.methods[mi]
-	for i := range m.trig {
-		d.ctx.in[i] = d.ib.rings[m.trig[i].in].peek()
+func (d *driver) hold(mi int32) {
+	m := &d.rule.Methods[mi]
+	for i := range m.Trig {
+		d.ctx.in[i] = d.ib.rings[m.Trig[i].In].peek()
 	}
-	d.ctx.m = m
+	d.ctx.m, d.ctx.trig = d.pn.node.Methods()[mi], m.Trig
 	d.held, d.released = mi, false
-	return action{method: mi}
 }
 
 // retire drops the slots the last firing read in place and wakes any
@@ -161,9 +129,8 @@ func (d *driver) retire() {
 	if d.held < 0 {
 		return
 	}
-	m := &d.pn.methods[d.held]
-	for i := range m.trig {
-		r := &d.ib.rings[m.trig[i].in]
+	for i := range d.ctx.trig {
+		r := &d.ib.rings[d.ctx.trig[i].In]
 		if it := r.peek(); !d.released && !it.IsToken {
 			// The firing never finished (a kernel panic): the window is
 			// still ours to give back.
@@ -175,66 +142,15 @@ func (d *driver) retire() {
 	d.held = -1
 }
 
-// forwardUnhandled handles control tokens no method consumes (paper
-// §II-C): the token is forwarded to the outputs of the methods
-// data-triggered by that input, once the same token heads every data
-// input of those methods. Tokens on inputs whose methods have no
-// outputs are absorbed. Both tables are precomputed (plan.go).
-func (d *driver) forwardUnhandled() (action, bool) {
-	rings := d.ib.rings
-	for k := range d.pn.ins {
-		in := &d.pn.ins[k]
-		r := &rings[k]
-		if r.n == 0 || !r.peek().IsToken {
-			continue
-		}
-		tok := r.peek().Tok
-		if in.consumes(tok) {
-			continue // a token-triggered method will take it
-		}
-		if in.absorb {
-			// Tokens arriving through a feedback loop have no defined
-			// forwarding position.
-			r.drop()
-			d.ib.freed(r)
-			return action{method: -1}, true
-		}
-		all := true
-		for _, g := range in.group {
-			gr := &rings[g]
-			if gr.n == 0 || !gr.peek().IsToken || gr.peek().Tok != tok {
-				all = false
-				break
-			}
-		}
-		if !all {
-			continue
-		}
-		bump := false
-		for _, g := range in.group {
-			rings[g].drop()
-			d.ib.freed(&rings[g])
-			if tok.Kind == token.EndOfFrame && d.pn.ins[g].bumpsFrame {
-				bump = true
-			}
-		}
-		if bump {
-			d.frameIdx++
-		}
-		return action{method: -1, forward: true, in: int32(k), tok: tok}, true
+// run carries out an action picked by next, outside the lock: fire the
+// method, or send the forwarded token on (an absorbed token has no
+// outputs to go to).
+func (d *driver) run(act graph.RuleAction) error {
+	if act.Method >= 0 {
+		return d.fire(act.Method)
 	}
-	return action{}, false
-}
-
-// run carries out an action picked by next, outside the lock.
-func (d *driver) run(act action) error {
-	if act.method >= 0 {
-		return d.fire(act.method)
-	}
-	if act.forward {
-		for _, o := range d.pn.ins[act.in].fwd {
-			d.ex.send(d.pn, o, graph.TokenItem(act.tok))
-		}
+	for _, o := range d.rule.Ins[act.In].Fwd {
+		d.ex.send(d.pn, o, graph.TokenItem(d.fwd))
 	}
 	return nil
 }
@@ -244,17 +160,13 @@ func (d *driver) run(act action) error {
 // follows the results downstream (e.g. the end-of-frame token follows
 // the histogram's final counts to the merge kernel).
 func (d *driver) fire(mi int32) error {
-	m, ctx := &d.pn.methods[mi], &d.ctx
+	ctx := &d.ctx
 	tokens := d.tokScratch[:0]
 	logical := int64(1)
-	bump := false
-	for i := range m.trig {
+	for i := range ctx.trig {
 		it := ctx.in[i]
 		if it.IsToken {
 			tokens = append(tokens, it.Tok)
-			if it.Tok.Kind == token.EndOfFrame && d.pn.ins[m.trig[i].in].bumpsFrame {
-				bump = true
-			}
 		} else if n := int64(it.B.N); n > logical {
 			// A batched firing stands for its batch's N logical
 			// invocations (batch-aware kernels have a single data
@@ -262,17 +174,14 @@ func (d *driver) fire(mi int32) error {
 			logical = n
 		}
 	}
-	if bump {
-		d.frameIdx++
-	}
 	d.tokScratch = tokens
 	d.ib.fired[mi].Add(logical)
-	err := d.inv.Invoke(m.name, ctx)
+	err := d.inv.Invoke(ctx.m.Name, ctx)
 	// The firing consumed its data inputs: release their pool
 	// references. Anything the kernel emitted from shared storage was
 	// re-retained by Emit, and anything it keeps across firings it must
 	// Clone (ownership protocol, DESIGN.md "Memory model").
-	for i := range m.trig {
+	for i := range ctx.trig {
 		if it := ctx.in[i]; !it.IsToken {
 			it.Win.Release()
 		}
@@ -282,7 +191,7 @@ func (d *driver) fire(mi int32) error {
 		return err
 	}
 	for _, tok := range dedupeTokens(tokens) {
-		for _, o := range m.fwd {
+		for _, o := range d.rule.Methods[mi].Fwd {
 			d.ex.send(d.pn, o, graph.TokenItem(tok))
 		}
 	}
@@ -316,18 +225,19 @@ func dedupeTokens(ts []token.Token) []token.Token {
 }
 
 // invokeCtx implements graph.ExecContext for one method invocation:
-// in[i] is the item consumed by trigger i of method m, read in place in
-// its ring slot. Names resolve by scanning the method's own triggers
-// and the node's outputs.
+// in[i] is the item consumed by trigger i of method m (trig[i] in the
+// rule), read in place in its ring slot. Names resolve by scanning the
+// method's own triggers and the node's outputs.
 type invokeCtx struct {
-	d  *driver
-	m  *planMethod
-	in []*graph.Item
+	d    *driver
+	m    *graph.Method
+	trig []graph.RuleTrigger
+	in   []*graph.Item
 }
 
 func (c *invokeCtx) item(name string) *graph.Item {
-	for i := range c.m.trig {
-		if c.m.trig[i].name == name {
+	for i := range c.m.Triggers {
+		if c.m.Triggers[i].Input == name {
 			return c.in[i]
 		}
 	}
@@ -371,7 +281,7 @@ func (c *invokeCtx) passThrough(w frame.Window) {
 	if !w.Pooled() {
 		return
 	}
-	for i := range c.m.trig {
+	for i := range c.trig {
 		if it := c.in[i]; !it.IsToken && w.SharesStorage(it.Win) {
 			w.Retain(1)
 			return

@@ -3,7 +3,6 @@ package runtime
 import (
 	"blockpar/internal/analysis"
 	"blockpar/internal/graph"
-	"blockpar/internal/token"
 )
 
 // plan is the executable form of a validated graph, built once by
@@ -25,16 +24,14 @@ type planNode struct {
 	node *graph.Node
 	id   int32
 	io   int
-	// invoker is non-nil for kernels fired by the generic method-trigger
-	// driver.
+	// invoker and rule are set for kernels fired by the method-trigger
+	// driver: the behavior and the node's lowered §II-C firing rule,
+	// whose port and method indices are the plan's.
 	invoker graph.Invoker
+	rule    *graph.Rule
 
-	ins     []planInput
-	outs    []planOutput
-	methods []planMethod
-	// config and other partition the method indices by firing priority:
-	// frame-synchronized configuration methods first (see driver).
-	config, other []int32
+	ins  []planInput
+	outs []planOutput
 
 	// producers counts the distinct upstream nodes; consumers lists the
 	// distinct downstream ones. Both drive inbox closing.
@@ -50,34 +47,6 @@ type planInput struct {
 	// validated graph connects every input).
 	producer int32
 	edge     *planEdge
-	// bumpsFrame: an end-of-frame consumed here advances the driver's
-	// frame index (the input is not replicated).
-	bumpsFrame bool
-
-	// Token forwarding (§II-C), resolved for driver-run kernels.
-	// handled lists the tokens some method consumes on this input;
-	// anything else is forwarded once it heads every input of group, to
-	// fwd. absorb marks a feedback-fed input, whose unhandled tokens
-	// have no forwarding position and are dropped (§III-D).
-	handled []tokenMatch
-	group   []int32
-	fwd     []int32
-	absorb  bool
-}
-
-type tokenMatch struct {
-	kind token.Kind
-	name string
-}
-
-// consumes reports whether a token-triggered method takes tok.
-func (in *planInput) consumes(tok token.Token) bool {
-	for _, h := range in.handled {
-		if tok.Matches(h.kind, h.name) {
-			return true
-		}
-	}
-	return false
 }
 
 type planOutput struct {
@@ -91,25 +60,6 @@ type planEdge struct {
 	// batchOK: the consumer takes row batches whole; elsewhere send
 	// splits a batch into its logical view items.
 	batchOK bool
-}
-
-type planMethod struct {
-	name string
-	trig []planTrigger
-	// fwd lists the outputs that receive the tokens a firing consumed:
-	// the method's Outputs, then its ForwardOnly ports.
-	fwd []int32
-	// data: some trigger fires on data, so the method waits for the
-	// frame's configuration methods.
-	data bool
-}
-
-type planTrigger struct {
-	name string
-	in   int32
-	// tok is token.None for a data trigger.
-	tok     token.Kind
-	tokName string
 }
 
 func (pn *planNode) inIndex(name string) int32 {
@@ -152,12 +102,14 @@ func buildPlan(g *graph.Graph, ringCap int) *plan {
 			pl.outputs = append(pl.outputs, pn.id)
 		default:
 			if _, runner := graph.RunnerBehavior(n); !runner {
-				pn.invoker, _ = n.Behavior.(graph.Invoker)
+				if pn.invoker, _ = n.Behavior.(graph.Invoker); pn.invoker != nil {
+					pn.rule = graph.LowerRule(g, n)
+				}
 			}
 		}
 		pn.ins = make([]planInput, len(n.Inputs()))
 		for k, p := range n.Inputs() {
-			pn.ins[k] = planInput{name: p.Name, cap: caps(p), bumpsFrame: !p.Replicated}
+			pn.ins[k] = planInput{name: p.Name, cap: caps(p)}
 		}
 		pn.outs = make([]planOutput, len(n.Outputs()))
 		for k, p := range n.Outputs() {
@@ -189,113 +141,7 @@ func buildPlan(g *graph.Graph, ringCap int) *plan {
 			}
 		}
 	}
-
-	for i := range pl.nodes {
-		if pn := &pl.nodes[i]; pn.invoker != nil {
-			pl.lowerMethods(pn)
-		}
-	}
 	return pl
-}
-
-// lowerMethods resolves a driver-run kernel's trigger, output and
-// token-forwarding tables.
-func (pl *plan) lowerMethods(pn *planNode) {
-	n := pn.node
-	// Control tokens cannot travel around a feedback loop (the loop's
-	// first token would have to produce itself), so loop inputs are
-	// excluded from forwarding groups and loop outputs never receive
-	// forwarded tokens (§III-D).
-	loopOut := make([]bool, len(pn.outs))
-	for o := range pn.outs {
-		for _, e := range pn.outs[o].edges {
-			if pl.nodes[e.node].node.Kind == graph.KindFeedback {
-				loopOut[o] = true
-			}
-		}
-	}
-	for k := range pn.ins {
-		in := &pn.ins[k]
-		in.absorb = pl.nodes[in.producer].node.Kind == graph.KindFeedback
-	}
-
-	pn.methods = make([]planMethod, len(n.Methods()))
-	for mi, m := range n.Methods() {
-		pm := &pn.methods[mi]
-		pm.name = m.Name
-		// Method registration only accepts ports the node has, so every
-		// name below resolves.
-		config := len(m.Triggers) > 0
-		for _, t := range m.Triggers {
-			in := pn.inIndex(t.Input)
-			pm.trig = append(pm.trig, planTrigger{name: t.Input, in: in, tok: t.Token, tokName: t.TokenName})
-			if !n.Input(t.Input).Replicated {
-				config = false
-			}
-			if t.IsData() {
-				pm.data = true
-			} else {
-				pn.ins[in].handled = append(pn.ins[in].handled, tokenMatch{t.Token, t.TokenName})
-			}
-		}
-		for _, names := range [][]string{m.Outputs, m.ForwardOnly} {
-			for _, name := range names {
-				pm.fwd = append(pm.fwd, pn.outIndex(name))
-			}
-		}
-		if config {
-			pn.config = append(pn.config, int32(mi))
-		} else {
-			pn.other = append(pn.other, int32(mi))
-		}
-	}
-
-	// Forwarding groups: an unhandled token on input k is forwarded to
-	// the outputs of the methods data-triggered by k, once it heads
-	// every data input of those methods ("in the case where two inputs
-	// trigger the same method, the same control token must arrive on
-	// both inputs for it to be passed to the output").
-	for k := range pn.ins {
-		in := &pn.ins[k]
-		if in.absorb {
-			continue
-		}
-		inGroup := make([]bool, len(pn.ins))
-		toOut := make([]bool, len(pn.outs))
-		inGroup[k] = true
-		for mi := range pn.methods {
-			pm := &pn.methods[mi]
-			dataOnK := false
-			for _, t := range pm.trig {
-				if t.tok == token.None && t.in == int32(k) {
-					dataOnK = true
-				}
-			}
-			if !dataOnK {
-				continue
-			}
-			for _, t := range pm.trig {
-				if t.tok == token.None && !pn.ins[t.in].absorb {
-					inGroup[t.in] = true
-				}
-			}
-			for _, name := range n.Methods()[mi].Outputs {
-				if o := pn.outIndex(name); !loopOut[o] {
-					toOut[o] = true
-				}
-			}
-		}
-		for i, ok := range inGroup {
-			if ok {
-				in.group = append(in.group, int32(i))
-			}
-		}
-		for o, ok := range toOut {
-			if ok {
-				in.fwd = append(in.fwd, int32(o))
-			}
-		}
-	}
 }
 
 // ringCaps returns the ring-capacity rule for g's input ports.

@@ -19,15 +19,16 @@ import (
 // dynamicForward is the token-forwarding rule as the driver used to
 // evaluate it per token, straight from the graph: the group of inputs
 // that must all head the token, and the outputs it is forwarded to,
-// for an unhandled token on input p. It is the reference the plan's
-// precomputed tables are checked against.
+// for an unhandled token on input p (a feedback-fed input absorbs it,
+// alone). It is the reference the lowered rule's tables are checked
+// against.
 func dynamicForward(g *graph.Graph, n *graph.Node, p *graph.Port) (group, outs []string, absorb bool) {
 	fedBack := func(in string) bool {
 		e := g.EdgeTo(n.Input(in))
 		return e != nil && e.From.Node().Kind == graph.KindFeedback
 	}
 	if fedBack(p.Name) {
-		return nil, nil, true
+		return []string{p.Name}, nil, true
 	}
 	inGroup := map[string]bool{p.Name: true}
 	toOut := map[string]bool{}
@@ -82,18 +83,18 @@ func checkForwardTables(t *testing.T, g *graph.Graph) {
 		}
 		for k, p := range pn.node.Inputs() {
 			wantGroup, wantOuts, wantAbsorb := dynamicForward(g, pn.node, p)
-			in := &pn.ins[k]
+			in := &pn.rule.Ins[k]
 			var group, outs []string
-			for _, gi := range in.group {
+			for _, gi := range in.Group {
 				group = append(group, pn.ins[gi].name)
 			}
 			sort.Strings(group)
-			for _, o := range in.fwd {
+			for _, o := range in.Fwd {
 				outs = append(outs, pn.outs[o].name)
 			}
-			if in.absorb != wantAbsorb || !reflect.DeepEqual(group, wantGroup) || !reflect.DeepEqual(outs, wantOuts) {
+			if in.Absorb != wantAbsorb || !reflect.DeepEqual(group, wantGroup) || !reflect.DeepEqual(outs, wantOuts) {
 				t.Errorf("%s.%s: plan forwards group %v to %v (absorb %v); dynamic rule says %v to %v (absorb %v)",
-					pn.node.Name(), p.Name, group, outs, in.absorb, wantGroup, wantOuts, wantAbsorb)
+					pn.node.Name(), p.Name, group, outs, in.Absorb, wantGroup, wantOuts, wantAbsorb)
 			}
 		}
 	}

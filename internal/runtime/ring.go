@@ -149,7 +149,9 @@ func (ib *inbox) init(ex *executor, pn *planNode) {
 	ib.producersLeft = pn.producers
 	ib.closed = pn.producers == 0
 	ib.want = anyInput
-	ib.fired = make([]atomic.Int64, len(pn.methods))
+	if pn.rule != nil {
+		ib.fired = make([]atomic.Int64, len(pn.rule.Methods))
+	}
 }
 
 // publish announces that the node is about to wait.

@@ -42,12 +42,12 @@ func (ex *executor) stats() []NodeStats {
 		ib, pn := &ex.boxes[i], &ex.plan.nodes[i]
 		st := &out[i]
 		st.Node = pn.node.Name()
-		for mi := range pn.methods {
+		for mi := range ib.fired {
 			if n := ib.fired[mi].Load(); n > 0 {
 				if st.Firings == nil {
 					st.Firings = make(map[string]int64)
 				}
-				st.Firings[pn.methods[mi].name] = n
+				st.Firings[pn.node.Methods()[mi].Name] = n
 			}
 		}
 		st.Rings = make([]RingStats, len(ib.rings))

@@ -5,37 +5,69 @@ import (
 
 	"blockpar/internal/apps"
 	"blockpar/internal/core"
+	"blockpar/internal/frame"
+	"blockpar/internal/geom"
+	"blockpar/internal/graph"
+	"blockpar/internal/kernel"
 	"blockpar/internal/machine"
 	"blockpar/internal/mapping"
 	"blockpar/internal/runtime"
 	"blockpar/internal/token"
 )
 
+// feedbackGraph is the §III-D loop of the runtime's token-order test:
+// Input → Accumulator ⇄ Feedback → Output, where the accumulator's
+// loop-fed input must stay out of its token-forwarding group and its
+// loop output must receive no tokens.
+func feedbackGraph(w, h int) *graph.Graph {
+	g := graph.New("feedback")
+	in := g.AddInput("Input", geom.Sz(w, h), geom.Sz(1, 1), geom.FInt(10))
+	acc := g.Add(kernel.Accumulator("Acc"))
+	fb := g.Add(kernel.Feedback("FB", geom.Sz(1, 1), []frame.Window{frame.Scalar(0)}))
+	out := g.AddOutput("Output", geom.Sz(1, 1))
+	g.Connect(in, "out", acc, "in")
+	g.Connect(fb, "out", acc, "state")
+	g.Connect(acc, "loop", fb, "in")
+	g.Connect(acc, "out", out, "in")
+	return g
+}
+
 // TestSimMatchesRuntimeStreamStructure is the engine-consistency
-// property: for every compiled suite benchmark, the value-free timing
-// simulation and the value-carrying functional runtime must deliver
-// exactly the same number of data items, end-of-line, and end-of-frame
-// tokens at every application output. A divergence means one engine's
-// firing rules drifted from the other's.
+// property: for every compiled suite benchmark, and for a feedback
+// loop, the value-free timing simulation and the value-carrying
+// functional runtime must deliver exactly the same number of data
+// items, end-of-line, and end-of-frame tokens at every application
+// output. A divergence means one engine's firing rules drifted from the
+// other's.
 func TestSimMatchesRuntimeStreamStructure(t *testing.T) {
 	const frames = 2
+	type input struct {
+		id      string
+		g       *graph.Graph
+		sources map[string]frame.Generator
+	}
+	var inputs []input
 	for _, b := range apps.Figure13Suite() {
-		b := b
-		t.Run(b.ID, func(t *testing.T) {
-			c, err := core.Compile(b.App.Graph, core.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			simRes, err := Simulate(c.Graph, mapping.OneToOne(c.Graph),
+		c, err := core.Compile(b.App.Graph, core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{b.ID, c.Graph, b.App.Sources})
+	}
+	const fbW, fbH = 4, 3
+	inputs = append(inputs, input{"feedback", feedbackGraph(fbW, fbH), nil})
+	for _, in := range inputs {
+		t.Run(in.id, func(t *testing.T) {
+			simRes, err := Simulate(in.g, mapping.OneToOne(in.g),
 				Options{Machine: machine.Embedded(), Frames: frames})
 			if err != nil {
 				t.Fatal(err)
 			}
-			runRes, err := runtime.Run(c.Graph, runtime.Options{Frames: frames, Sources: b.App.Sources})
+			runRes, err := runtime.Run(in.g, runtime.Options{Frames: frames, Sources: in.sources})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, out := range c.Graph.Outputs() {
+			for _, out := range in.g.Outputs() {
 				var rt OutputCount
 				for _, it := range runRes.Outputs[out.Name()] {
 					switch {
@@ -49,8 +81,21 @@ func TestSimMatchesRuntimeStreamStructure(t *testing.T) {
 				}
 				sm := simRes.OutputCounts[out.Name()]
 				if sm != rt {
-					t.Errorf("%s output %q: sim %+v vs runtime %+v",
-						b.ID, out.Name(), sm, rt)
+					t.Errorf("%s output %q: sim %+v vs runtime %+v", in.id, out.Name(), sm, rt)
+				}
+			}
+			if in.id != "feedback" {
+				return
+			}
+			// Only data circulates: the feedback kernel fires once for its
+			// initial value and once per sample, and receives one item per
+			// sample.
+			if got, want := simRes.Nodes["FB"].Firings, int64(1+frames*fbW*fbH); got != want {
+				t.Errorf("sim fired the feedback kernel %d times, want %d", got, want)
+			}
+			for _, st := range runRes.Stats {
+				if st.Node == "FB" && st.Deliveries != frames*fbW*fbH {
+					t.Errorf("runtime delivered %d items to the feedback kernel, want %d", st.Deliveries, frames*fbW*fbH)
 				}
 			}
 		})

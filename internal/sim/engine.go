@@ -166,32 +166,35 @@ func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
 func (h *eventHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
+// dest is one fan-out delivery: the consumer and its input index.
 type dest struct {
-	node  *graph.Node
-	input string
+	ns *nodeState
+	in int
 }
 
 type nodeState struct {
 	node *graph.Node
 	auto automaton
-	qs   map[string]*queue
-	// outs maps output port name to destinations.
-	outs map[string][]dest
-	pe   int
+	// qs holds one queue per input and outs the destinations of each
+	// output, both in port order.
+	qs   []queue
+	outs [][]dest
+	// f is the node's firing, rebuilt for every proposal.
+	f firing
 }
 
 type peState struct {
 	kernels []*nodeState
 	rr      int
 	busy    bool
-	// pending is the firing in flight and its source node.
-	pending     *firing
-	pendingNode *nodeState
-	stats       PEStats
+	// pending is the node whose firing is in flight.
+	pending *nodeState
+	stats   PEStats
 }
 
 type inputState struct {
-	node *graph.Node
+	ns  *nodeState
+	idx int
 	// cursor
 	x, y, frame int
 	chunkW      int
@@ -283,18 +286,12 @@ func Simulate(g *graph.Graph, assign *mapping.Assignment, opts Options) (*Result
 	for _, n := range g.Nodes() {
 		ns := &nodeState{
 			node: n,
-			qs:   make(map[string]*queue),
-			outs: make(map[string][]dest),
-			pe:   -1,
+			qs:   make([]queue, len(n.Inputs())),
+			outs: make([][]dest, len(n.Outputs())),
+			f:    newFiring(len(n.Inputs()), len(n.Outputs())),
 		}
-		for _, p := range n.Inputs() {
-			ns.qs[p.Name] = &queue{cap: opts.QueueCap}
-		}
-		for _, p := range n.Outputs() {
-			for _, edge := range g.EdgesFrom(p) {
-				ns.outs[p.Name] = append(ns.outs[p.Name],
-					dest{node: edge.To.Node(), input: edge.To.Name})
-			}
+		for k := range ns.qs {
+			ns.qs[k].cap = opts.QueueCap
 		}
 		e.nodes[n] = ns
 		switch n.Kind {
@@ -302,14 +299,14 @@ func Simulate(g *graph.Graph, assign *mapping.Assignment, opts Options) (*Result
 			chunk := n.Output("out").Size
 			chunksPerFrame := float64((n.FrameSize.W / chunk.W) * (n.FrameSize.H / chunk.H))
 			ins := &inputState{
-				node: n, chunkW: chunk.W, chunkH: chunk.H,
+				ns: ns, idx: len(e.ins), chunkW: chunk.W, chunkH: chunk.H,
 				interval: 1 / (n.Rate.Float() * chunksPerFrame),
 			}
 			e.ins = append(e.ins, ins)
 		case graph.KindOutput:
 			e.outs[n] = 0
 		default:
-			auto, err := newAutomaton(n)
+			auto, err := newAutomaton(g, n)
 			if err != nil {
 				return nil, err
 			}
@@ -318,16 +315,20 @@ func Simulate(g *graph.Graph, assign *mapping.Assignment, opts Options) (*Result
 			if !ok {
 				return nil, fmt.Errorf("sim: node %q has no PE assignment", n.Name())
 			}
-			ns.pe = pe
 			e.pes[pe].kernels = append(e.pes[pe].kernels, ns)
 		}
+	}
+	for _, edge := range g.Edges() {
+		from, to := e.nodes[edge.From.Node()], e.nodes[edge.To.Node()]
+		o := portIndex(from.node.Outputs(), edge.From.Name)
+		from.outs[o] = append(from.outs[o], dest{ns: to, in: portIndex(to.node.Inputs(), edge.To.Name)})
 	}
 	// Frame start times from the first input's schedule, for latency
 	// accounting.
 	if len(e.ins) > 0 {
 		first := e.ins[0]
-		chunksPerFrame := float64((first.node.FrameSize.W / first.chunkW) *
-			(first.node.FrameSize.H / first.chunkH))
+		fs := first.ns.node.FrameSize
+		chunksPerFrame := float64((fs.W / first.chunkW) * (fs.H / first.chunkH))
 		period := first.interval * chunksPerFrame
 		for f := 0; f < opts.Frames; f++ {
 			e.frameStart = append(e.frameStart, float64(f)*period)
@@ -404,7 +405,7 @@ func (e *engine) run() error {
 		case 0:
 			e.tryEmit(e.ins[ev.idx])
 		case 1:
-			e.complete(e.pes[ev.idx], ev.idx)
+			e.complete(e.pes[ev.idx])
 		}
 		e.sweep()
 		if e.done() {
@@ -423,8 +424,8 @@ func (e *engine) queueDump() string {
 	s := "stuck queues:\n"
 	for _, n := range e.g.Nodes() {
 		ns := e.nodes[n]
-		for _, p := range n.Inputs() {
-			q := ns.qs[p.Name]
+		for k, p := range n.Inputs() {
+			q := &ns.qs[k]
 			if q.len() == 0 {
 				continue
 			}
@@ -472,8 +473,7 @@ func (e *engine) sweep() {
 }
 
 func (e *engine) drainOutput(n *graph.Node) bool {
-	ns := e.nodes[n]
-	q := ns.qs["in"]
+	q := &e.nodes[n].qs[0]
 	progress := false
 	oc := e.outCounts[n.Name()]
 	if oc == nil {
@@ -519,7 +519,7 @@ func (e *engine) drainOutput(n *graph.Node) bool {
 func (in *inputState) emission() []item {
 	chunkWords := int64(in.chunkW) * int64(in.chunkH)
 	items := []item{dataItem(chunkWords)}
-	fs := in.node.FrameSize
+	fs := in.ns.node.FrameSize
 	lastX := in.x+in.chunkW >= fs.W
 	lastY := in.y+in.chunkH >= fs.H
 	if lastX {
@@ -532,7 +532,7 @@ func (in *inputState) emission() []item {
 }
 
 func (in *inputState) advance() {
-	fs := in.node.FrameSize
+	fs := in.ns.node.FrameSize
 	in.x += in.chunkW
 	if in.x+in.chunkW > fs.W {
 		in.x = 0
@@ -551,11 +551,9 @@ func (e *engine) tryEmit(in *inputState) bool {
 	if in.done {
 		return false
 	}
-	ns := e.nodes[in.node]
 	items := in.emission()
-	for _, d := range ns.outs["out"] {
-		dq := e.nodes[d.node].qs[d.input]
-		if dq.space() < len(items) {
+	for _, d := range in.ns.outs[0] {
+		if d.ns.qs[d.in].space() < len(items) {
 			if !in.stalled {
 				in.stalled = true
 			}
@@ -567,8 +565,8 @@ func (e *engine) tryEmit(in *inputState) bool {
 		e.stallTime += e.now - in.due
 		in.stalled = false
 	}
-	for _, d := range ns.outs["out"] {
-		dq := e.nodes[d.node].qs[d.input]
+	for _, d := range in.ns.outs[0] {
+		dq := &d.ns.qs[d.in]
 		for _, it := range items {
 			dq.push(it)
 		}
@@ -583,17 +581,8 @@ func (e *engine) tryEmit(in *inputState) bool {
 	if next < e.now {
 		next = e.now
 	}
-	e.push(event{t: next, kind: 0, idx: indexOfInput(e.ins, in)})
+	e.push(event{t: next, kind: 0, idx: in.idx})
 	return true
-}
-
-func indexOfInput(ins []*inputState, in *inputState) int {
-	for i, x := range ins {
-		if x == in {
-			return i
-		}
-	}
-	panic("sim: unknown input")
 }
 
 // startWork picks the PE's next runnable kernel round-robin and starts
@@ -603,30 +592,26 @@ func (e *engine) startWork(pe *peState, peIdx int) bool {
 	n := len(pe.kernels)
 	for off := 0; off < n; off++ {
 		ns := pe.kernels[(pe.rr+off)%n]
-		f := ns.auto.next(ns.qs)
-		if f == nil {
-			continue
-		}
-		if !e.hasSpace(ns, f) {
+		f := &ns.f
+		f.reset()
+		if !ns.auto.next(ns.qs, f) || !ns.hasSpace() {
 			continue
 		}
 		// Consume inputs and commit state now.
+		var readW int64
 		for in, cnt := range f.consume {
-			q := ns.qs[in]
-			for i := 0; i < cnt; i++ {
-				q.pop()
+			for ; cnt > 0; cnt-- {
+				readW += ns.qs[in].pop().words
 			}
 		}
-		readW := readWordsOf(f)
-		ns.auto.commit(f)
+		ns.auto.commit()
 		if f.exceeded {
 			e.exceptions[ns.node.Name()]++
 		}
 		m := e.opts.Machine.PE
 		dur := float64(readW*m.ReadCost+f.cycles+f.writeWords()*m.WriteCost) / float64(m.CyclesPerSec)
 		pe.busy = true
-		pe.pending = f
-		pe.pendingNode = ns
+		pe.pending = ns
 		pe.rr = (pe.rr + off + 1) % n
 		if e.measuring {
 			pe.stats.Firings++
@@ -660,31 +645,12 @@ func (e *engine) startWork(pe *peState, peIdx int) bool {
 	return false
 }
 
-// readWordsOf sums the words a firing consumes. Called after next() but
-// before the queues are popped it could use the queue contents; to keep
-// it simple the firing records only counts, so we approximate token
-// reads as one word and data reads by the consumed queue heads — which
-// startWork captures by summing before popping.
-func readWordsOf(f *firing) int64 {
-	// Set by hasSpace/startWork path via closure below; see note.
-	return f.readWordsCache
-}
-
-func (e *engine) hasSpace(ns *nodeState, f *firing) bool {
-	// Compute read words while heads are still queued.
-	var readW int64
-	for in, cnt := range f.consume {
-		q := ns.qs[in]
-		for i := 0; i < cnt; i++ {
-			readW += q.items[i].words
-		}
-	}
-	f.readWordsCache = readW
-
-	for out, items := range f.produce {
-		for _, d := range ns.outs[out] {
-			dq := e.nodes[d.node].qs[d.input]
-			if dq.space() < len(items) {
+// hasSpace reports whether every destination of the node's proposed
+// firing has room for what it produces.
+func (ns *nodeState) hasSpace() bool {
+	for o, items := range ns.f.produce {
+		for _, d := range ns.outs[o] {
+			if d.ns.qs[d.in].space() < len(items) {
 				return false
 			}
 		}
@@ -693,17 +659,24 @@ func (e *engine) hasSpace(ns *nodeState, f *firing) bool {
 }
 
 // complete delivers the finished firing's outputs.
-func (e *engine) complete(pe *peState, peIdx int) {
-	f, ns := pe.pending, pe.pendingNode
-	pe.busy = false
-	pe.pending, pe.pendingNode = nil, nil
-	for out, items := range f.produce {
-		for _, d := range ns.outs[out] {
-			dq := e.nodes[d.node].qs[d.input]
+func (e *engine) complete(pe *peState) {
+	ns := pe.pending
+	pe.busy, pe.pending = false, nil
+	for o, items := range ns.f.produce {
+		for _, d := range ns.outs[o] {
+			dq := &d.ns.qs[d.in]
 			for _, it := range items {
 				dq.push(it)
 			}
 		}
 	}
-	_ = peIdx
+}
+
+func portIndex(ports []*graph.Port, name string) int {
+	for i, p := range ports {
+		if p.Name == name {
+			return i
+		}
+	}
+	return -1
 }

@@ -7,10 +7,11 @@
 //
 // The simulation is value-free: items carry only their shape (token or
 // data, word count), and each node runs a count-only automaton that
-// mirrors the functional runtime's firing rules — the generic
-// method-trigger rules for ordinary kernels and the plan-driven FSMs
-// for buffers, splits, joins, insets, and pads. The functional runtime
-// (internal/runtime) verifies values; the simulator verifies time.
+// fires by the functional runtime's rules: ordinary kernels step the
+// very graph.Rule the runtime's driver steps, and buffers, splits,
+// joins, insets, pads and feedback kernels run count-only models of
+// their plan-driven FSMs. The functional runtime (internal/runtime)
+// verifies values; the simulator verifies time.
 package sim
 
 import (
@@ -68,30 +69,42 @@ func (q *queue) pop() item {
 }
 
 // firing is one schedulable unit of work on a node: the items it will
-// consume from each input (in FIFO order from the head) and produce on
-// each output, plus its compute cycles. Read/write costs are derived
-// from the consumed/produced words by the engine.
+// take from the head of each input queue and deliver on each output,
+// both indexed like the node's ports, plus its compute cycles.
+// Read/write costs are derived from the consumed/produced words by the
+// engine. Each node owns one firing and rebuilds it for every proposal
+// (a node has at most one firing in flight: its PE is busy until the
+// firing completes).
 type firing struct {
 	label   string
-	consume map[string]int
-	produce map[string][]item
+	consume []int
+	produce [][]item
 	cycles  int64
 	// exceeded marks a dynamic invocation whose actual cost hit its
 	// declared bound: the engine records a resource exception (§VII).
 	exceeded bool
-	// readWordsCache is filled by the engine while the consumed heads
-	// are still queued.
-	readWordsCache int64
 }
 
-func (f *firing) readWords(qs map[string]*queue) int64 {
-	var w int64
-	for in, cnt := range f.consume {
-		for i := 0; i < cnt; i++ {
-			w += qs[in].items[i].words
-		}
+func newFiring(ins, outs int) firing {
+	return firing{consume: make([]int, ins), produce: make([][]item, outs)}
+}
+
+// reset empties the firing for the next proposal, keeping its storage.
+func (f *firing) reset() {
+	clear(f.consume)
+	for o := range f.produce {
+		f.produce[o] = f.produce[o][:0]
 	}
-	return w
+	f.label, f.cycles, f.exceeded = "", 0, false
+}
+
+func (f *firing) emit(out int, it item) { f.produce[out] = append(f.produce[out], it) }
+
+// emitAll delivers it on every output.
+func (f *firing) emitAll(it item) {
+	for o := range f.produce {
+		f.emit(o, it)
+	}
 }
 
 func (f *firing) writeWords() int64 {
@@ -105,12 +118,12 @@ func (f *firing) writeWords() int64 {
 }
 
 // automaton decides a node's next firing from its input queue heads.
-// Implementations must be pure with respect to the queues (no
-// mutation); state advances in commit, called when the engine starts
-// the firing.
+// next fills a reset firing and must not change the queues or the
+// automaton's state; the state advances in commit, called when the
+// engine starts the firing next proposed last.
 type automaton interface {
-	// next returns the next firing, or nil if the node cannot fire.
-	next(qs map[string]*queue) *firing
-	// commit informs the automaton its proposed firing was started.
-	commit(f *firing)
+	// next proposes the next firing, reporting false if the node cannot
+	// fire.
+	next(qs []queue, f *firing) bool
+	commit()
 }
