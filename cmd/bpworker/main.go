@@ -8,11 +8,11 @@
 //
 // With -join, the worker registers itself with one or more frontends'
 // registration listeners instead of waiting to be listed on their
-// command line: it advertises its data-plane address, PE capacity (for
-// admission control), and compiled-pipeline inventory, heartbeats to
-// keep its membership lease, announces drains in those heartbeats so
-// frontends live-migrate its sessions to survivors, and deregisters
-// once empty so placement drops it immediately.
+// command line: it advertises its data-plane address and PE capacity
+// (for admission control) and heartbeats to keep its membership lease.
+// On SIGTERM it drains: Goaway on every data connection makes frontends
+// live-migrate its sessions to survivors, and once it is empty it
+// deregisters so placement drops it immediately.
 //
 // Usage:
 //
@@ -118,8 +118,7 @@ func run(cfg workerConfig) error {
 	fmt.Printf("bpworker %s listening on %s (%d pipelines)\n", w.Name(), cfg.addr, len(reg.List()))
 
 	// Self-registration: dial every frontend's registration listener,
-	// advertise identity + capacity + pipeline inventory, heartbeat to
-	// keep the lease alive.
+	// advertise identity + capacity, heartbeat to keep the lease alive.
 	var joiner *registry.Joiner
 	if cfg.join != "" {
 		advertise, err := advertiseAddr(cfg.advertise, ln.Addr())
@@ -137,16 +136,6 @@ func run(cfg workerConfig) error {
 				Name:         w.Name(),
 				Addr:         advertise,
 				CyclesPerSec: capacity,
-			},
-			Pipelines: func() []string {
-				var ids []string
-				for _, p := range reg.List() {
-					ids = append(ids, p.ID)
-				}
-				return ids
-			},
-			Load: func() (uint32, float64) {
-				return uint32(w.OpenSessions()), 0
 			},
 			Logf: func(format string, args ...any) {
 				fmt.Printf("bpworker: "+format+"\n", args...)
@@ -171,23 +160,9 @@ func run(cfg workerConfig) error {
 		fmt.Printf("bpworker: %v: draining sessions...\n", sig)
 	}
 
-	// Announce the drain first: the flagged heartbeat makes frontends
-	// stop placing here and live-migrate resident sessions to survivors
-	// while this worker keeps serving them. Shutdown's Goaway then
-	// catches any frontend that missed the heartbeat (or static-list
-	// frontends, which have no registration channel) and waits for the
-	// last session to leave; only after the worker is empty does Leave
-	// drop the membership.
-	if joiner != nil {
-		joiner.SetDraining()
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.drain)
 	defer cancel()
-	err = w.Shutdown(ctx)
-	if joiner != nil {
-		joiner.Leave("drained")
-	}
-	return err
+	return cluster.DrainAndLeave(ctx, w, joiner)
 }
 
 // advertiseAddr resolves the data-plane address registered with

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -142,11 +143,12 @@ type Dispatcher struct {
 func newDispatcher(opts DispatcherOptions) *Dispatcher {
 	opts.defaults()
 	return &Dispatcher{
-		opts:   opts,
-		byName: make(map[string]*workerRef),
-		ring:   registry.NewRing(0),
-		plans:  make(map[string]*placement.Plan),
-		closed: make(chan struct{}),
+		opts:        opts,
+		byName:      make(map[string]*workerRef),
+		ring:        registry.NewRing(0),
+		plans:       make(map[string]*placement.Plan),
+		closed:      make(chan struct{}),
+		unsubscribe: func() {},
 	}
 }
 
@@ -168,27 +170,25 @@ func NewDispatcher(addrs []string, opts DispatcherOptions) *Dispatcher {
 // a ring member with its declared capacity, a deregistration or lease
 // expiry removes both — and cancels the reconnect loop, so a drained
 // worker is never pinged at a dead address. Placement, admission,
-// recovery and replay are those of a fixed list.
+// recovery and replay are those of a fixed list; a drain arrives as
+// the worker's own Goaway, exactly as on a fixed list.
 func NewRegisteredDispatcher(fleet *registry.Fleet, opts DispatcherOptions) *Dispatcher {
 	d := newDispatcher(opts)
-	ch, cancel := fleet.Subscribe()
-	d.unsubscribe = cancel
-	go func() {
-		for ev := range ch {
-			switch ev.Kind {
-			case registry.EventJoin:
-				d.AddWorker(ev.Member.Name, ev.Member.Addr, ev.Member.CyclesPerSec)
-			case registry.EventLeave:
-				d.RemoveWorker(ev.Member.Name)
-			case registry.EventDrain:
-				// The worker announced planned maintenance in a heartbeat:
-				// stop placing here and migrate its sessions off before
-				// its Goaway lands.
-				d.DrainWorker(ev.Member.Name)
-			}
-		}
-	}()
+	d.unsubscribe = fleet.Subscribe(d.onMembership)
 	return d
+}
+
+// onMembership applies one fleet event under the fleet's lock. Neither
+// AddWorker nor RemoveWorker blocks — each touches only the member
+// table and starts or halts a manager — and no dispatcher path calls
+// the fleet, so the only lock order is fleet, then d.wmu.
+func (d *Dispatcher) onMembership(ev registry.Event) {
+	switch ev.Kind {
+	case registry.EventJoin:
+		d.AddWorker(ev.Member.Name, ev.Member.Addr, ev.Member.CyclesPerSec)
+	case registry.EventLeave:
+		d.RemoveWorker(ev.Member.Name)
+	}
 }
 
 // snapshot returns the current worker set; safe to iterate without the
@@ -199,27 +199,20 @@ func (d *Dispatcher) snapshot() []*workerRef {
 	return append([]*workerRef(nil), d.workers...)
 }
 
-// AddWorker adds a member and starts its connection manager. Adding an
-// existing member with an unchanged address refreshes nothing (the
-// manager is already running); a changed address replaces the ref.
+// AddWorker adds a member and starts its connection manager. A member
+// already present is left alone: a fleet announces a changed identity
+// as Leave then Join, and a fixed list names each member by its
+// address.
 func (d *Dispatcher) AddWorker(member, addr string, capacityCyc float64) {
 	d.wmu.Lock()
-	if old, ok := d.byName[member]; ok {
-		if old.addr == addr {
-			old.mu.Lock()
-			old.capacity = capacityCyc
-			old.mu.Unlock()
-			d.wmu.Unlock()
-			return
-		}
-		d.removeLocked(old)
-		old.halt()
+	defer d.wmu.Unlock()
+	if d.byName[member] != nil {
+		return
 	}
 	w := &workerRef{d: d, addr: addr, member: member, capacity: capacityCyc, stop: make(chan struct{})}
 	d.workers = append(d.workers, w)
 	d.byName[member] = w
 	d.ring.Add(member)
-	d.wmu.Unlock()
 	go w.manage()
 }
 
@@ -229,23 +222,24 @@ func (d *Dispatcher) AddWorker(member, addr string, capacityCyc float64) {
 // but once the connection ends the manager exits instead of redialing.
 func (d *Dispatcher) RemoveWorker(member string) {
 	d.wmu.Lock()
+	defer d.wmu.Unlock()
 	w := d.byName[member]
-	if w != nil {
-		d.removeLocked(w)
+	if w == nil {
+		return
 	}
-	d.wmu.Unlock()
-	if w != nil {
-		w.halt()
-	}
+	delete(d.byName, member)
+	d.workers = slices.DeleteFunc(d.workers, func(x *workerRef) bool { return x == w })
+	d.ring.Remove(member)
+	w.halt()
 }
 
 // DrainWorker quiesces one worker from the frontend side: no further
 // placements land on it and every resident session migrates to a
 // survivor (falling back to a quiesce-and-close when it cannot). The
 // worker process itself keeps running — this is the frontend half of a
-// planned drain, reached from a draining fleet heartbeat, the worker's
-// own Goaway, or the /drain-worker admin endpoint. A fixed list names
-// each member by its address.
+// planned drain, reached from the worker's own Goaway or the
+// /drain-worker admin endpoint. A fixed list names each member by its
+// address.
 func (d *Dispatcher) DrainWorker(member string) error {
 	d.wmu.RLock()
 	w := d.byName[member]
@@ -255,19 +249,6 @@ func (d *Dispatcher) DrainWorker(member string) error {
 	}
 	w.drain()
 	return nil
-}
-
-// removeLocked unlinks w from the membership structures. Caller holds
-// d.wmu.
-func (d *Dispatcher) removeLocked(w *workerRef) {
-	delete(d.byName, w.member)
-	for i, x := range d.workers {
-		if x == w {
-			d.workers = append(d.workers[:i], d.workers[i+1:]...)
-			break
-		}
-	}
-	d.ring.Remove(w.member)
 }
 
 // PlaceableWorkers reports how many members can take a session right
@@ -350,9 +331,7 @@ func (d *Dispatcher) Readiness() serve.Readiness {
 func (d *Dispatcher) Close() error {
 	d.closeOnce.Do(func() {
 		close(d.closed)
-		if d.unsubscribe != nil {
-			d.unsubscribe()
-		}
+		d.unsubscribe()
 		for _, w := range d.snapshot() {
 			w.halt()
 			w.mu.Lock()

@@ -87,14 +87,10 @@ func (rw *RegisteredWorker) Kill() {
 	rw.ln.Close()
 }
 
-// Drain leaves gracefully: Deregister first — frontends stop placing
-// and cancel the reconnect loop — then the cooperative Shutdown that
-// flushes every accepted frame.
+// Drain leaves gracefully, exactly as bpworker does on SIGTERM: see
+// DrainAndLeave.
 func (rw *RegisteredWorker) Drain(ctx context.Context) error {
-	rw.Joiner.Leave("draining")
-	err := rw.Worker.Shutdown(ctx)
-	rw.ln.Close()
-	return err
+	return DrainAndLeave(ctx, rw.Worker, rw.Joiner)
 }
 
 // RegisteredClusterConfig parameterizes StartRegisteredCluster.
@@ -182,23 +178,12 @@ func (c *RegisteredCluster) JoinWorker(w *Worker, capacity float64) (*Registered
 		return nil, err
 	}
 	go w.Serve(ln)
-	pipelines := func() []string {
-		var ids []string
-		for _, p := range w.Registry().List() {
-			ids = append(ids, p.ID)
-		}
-		return ids
-	}
 	j, err := registry.Join(registry.JoinConfig{
 		Frontends: c.RegAddrs,
 		Self: registry.Member{
 			Name:         w.Name(),
 			Addr:         ln.Addr().String(),
 			CyclesPerSec: capacity,
-		},
-		Pipelines: pipelines,
-		Load: func() (uint32, float64) {
-			return uint32(w.OpenSessions()), 0
 		},
 		RetryMin: 10 * time.Millisecond,
 		Logf:     c.cfg.Logf,
@@ -233,9 +218,7 @@ func (c *RegisteredCluster) WaitPlaceable(n int, timeout time.Duration) error {
 // Close tears everything down: joiners, workers, dispatchers, fleets.
 func (c *RegisteredCluster) Close() {
 	for _, rw := range c.Workers {
-		rw.Joiner.Close()
-		rw.Worker.Close()
-		rw.ln.Close()
+		rw.Kill()
 	}
 	for _, d := range c.Dispatchers {
 		d.Close()

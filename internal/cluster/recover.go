@@ -116,11 +116,11 @@ func (h *partitionHalf) drainClose() {
 	dest := ps.pickRecoveryWorker(h.idx)
 	ps.mu.Lock()
 	if !h.current() || ps.closeSent || ps.recovering {
-		// Closing already, or a recovery is already detaching the session
-		// from a worker — possibly this very migration, when the drain
-		// heartbeat races the worker's own Goaway. Closing here would end
-		// the client's stream early; migrateNextDraining picks this
-		// partition up once the running recovery lands.
+		// Closing already, or a recovery is in flight — another
+		// partition's, or this one's when /drain-worker and the worker's
+		// Goaway both land. Closing here would end the client's stream
+		// early; migrateNextDraining picks this partition up once the
+		// running recovery lands.
 		ps.mu.Unlock()
 		return
 	}

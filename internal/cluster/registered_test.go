@@ -113,7 +113,7 @@ func TestRegisteredPlacementAgreement(t *testing.T) {
 }
 
 // TestRegisteredDrainCancelsReconnect is the regression test for the
-// reconnect-loop bug: draining a worker (Deregister, then shutdown)
+// reconnect-loop bug: draining a worker (shutdown, then Deregister)
 // must cancel the dispatcher's reconnect loop so the dead address is
 // never redialed — and a later rejoin under the same name starts a
 // fresh manager that places again.
@@ -176,6 +176,87 @@ func TestRegisteredDrainCancelsReconnect(t *testing.T) {
 	p, _ := frontend.Get("5")
 	if err := streamCluster(d, p, frames, want); err != nil {
 		t.Fatalf("stream after rejoin: %v", err)
+	}
+}
+
+// TestRegisteredDrainMidStream runs the shipped drain sequence —
+// DrainAndLeave, as bpworker does on SIGTERM — under a live keyed
+// stream on a two-frontend fleet. The worker's Goaway alone migrates
+// the session off the ring host with the stream byte-identical and no
+// client error, the drain abandons nothing, and the Leave drops the
+// member from both fleets and both dispatchers.
+func TestRegisteredDrainMidStream(t *testing.T) {
+	const frames = 8
+	app, err := apps.ByID("5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := batchFrames(t, app, frames)
+	frontend := suiteRegistry(t, "5")
+	p, _ := frontend.Get("5")
+
+	c := startRegistered(t, 2, 3, RegisteredClusterConfig{})
+	d := c.Dispatchers[0]
+	const key = "drain-key"
+	h, err := d.Open(p, serve.OpenOptions{MaxInFlight: 4, Key: key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := d.PlacementFor(key)[0]
+	var victim *RegisteredWorker
+	for _, rw := range c.Workers {
+		if rw.Name == host {
+			victim = rw
+		}
+	}
+	if victim == nil || hostAddr(d, h) != victim.Addr {
+		t.Fatalf("keyed session not on ring host %q", host)
+	}
+
+	for f := 0; f < 2; f++ {
+		feedRetry(t, h, nil)
+		collectCompare(t, h, int64(f), want)
+	}
+	feedRetry(t, h, nil)
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		drained <- DrainAndLeave(ctx, victim.Worker, victim.Joiner)
+	}()
+	collectCompare(t, h, 2, want)
+	for f := 3; f < frames; f++ {
+		feedRetry(t, h, nil)
+		collectCompare(t, h, int64(f), want)
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("drain abandoned work: %v", err)
+	}
+	waitCondition(t, "migration counter to tick", func() bool {
+		return dispatcherCounter(d, "sessions_migrated") >= 1
+	})
+	if n := dispatcherCounter(d, "sessions_migrated"); n != 1 {
+		t.Errorf("sessions_migrated = %d, want 1", n)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatalf("close after drain: %v", err)
+	}
+
+	for i, f := range c.Fleets {
+		f := f
+		waitCondition(t, fmt.Sprintf("fleet %d drops the drained member", i), func() bool {
+			for _, m := range f.Members() {
+				if m.Name == host {
+					return false
+				}
+			}
+			return true
+		})
+	}
+	for i, df := range c.Dispatchers {
+		if n := df.PlaceableWorkers(); n != 2 {
+			t.Errorf("frontend %d: %d placeable workers after the drain, want 2", i, n)
+		}
 	}
 }
 
@@ -375,7 +456,7 @@ func TestRegisteredAdmissionFailedCoSchedule(t *testing.T) {
 		}
 	}
 	waitCondition(t, "worker 0 to drop the abandoned partition", func() bool {
-		return c.Workers[0].Worker.OpenSessions() == 0
+		return c.Workers[0].Worker.openSessions() == 0
 	})
 }
 

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"blockpar/internal/frame"
+	"blockpar/internal/registry"
 	"blockpar/internal/runtime"
 	"blockpar/internal/serve"
 	"blockpar/internal/wire"
@@ -82,14 +83,6 @@ func NewWorker(reg *serve.Registry, opts WorkerOptions) *Worker {
 
 // Name returns the worker's handshake identity.
 func (w *Worker) Name() string { return w.opts.Name }
-
-// Registry returns the worker's pipeline registry; joiners inventory
-// it when registering the compiled-pipeline cache with a fleet.
-func (w *Worker) Registry() *serve.Registry { return w.reg }
-
-// OpenSessions reports the worker's live session count — the heartbeat
-// load signal.
-func (w *Worker) OpenSessions() int { return w.openSessions() }
 
 // Serve accepts frontend connections on ln until the listener closes.
 // Each connection is independent: a frontend failure tears down only
@@ -187,6 +180,21 @@ wait:
 		}
 	}
 	w.Close()
+	return err
+}
+
+// DrainAndLeave is a worker's one drain sequence. Shutdown announces
+// Goaway on every data connection, so each frontend migrates the
+// worker's sessions to survivors and hangs up once nothing is left;
+// then Leave deregisters, so fleets drop the member at once instead of
+// waiting out its lease. A nil j (a worker on a fixed -cluster list)
+// skips the Leave. The error is Shutdown's: non-nil when work was
+// abandoned.
+func DrainAndLeave(ctx context.Context, w *Worker, j *registry.Joiner) error {
+	err := w.Shutdown(ctx)
+	if j != nil {
+		j.Leave("drained")
+	}
 	return err
 }
 

@@ -356,8 +356,8 @@ func (w *workerRef) residents() []*partitionHalf {
 
 // drain stops placing here and moves every resident partition to a
 // survivor (falling back to a quiesce-and-close when migration is
-// impossible) — the reaction to the worker's Goaway, a draining
-// heartbeat, and the /drain-worker admin endpoint alike.
+// impossible) — the reaction to the worker's Goaway and the
+// /drain-worker admin endpoint alike.
 func (w *workerRef) drain() {
 	w.mu.Lock()
 	w.draining = true

@@ -3,26 +3,19 @@ package registry
 import (
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 	"time"
 
 	"blockpar/internal/wire"
 )
 
-// Member is one registered worker as the fleet sees it.
+// Member is one registered worker as the fleet sees it: exactly the
+// fields of wire.Register, which converts to and from it.
 type Member struct {
 	Name         string
-	Addr         string   // data-plane address frontends dial for sessions
-	CyclesPerSec float64  // capacity in machine-model cycles/sec (PEs × PE clock)
-	Pipelines    []string // compiled-pipeline cache inventory at registration
-
-	// Last heartbeat-reported load; zero until the first heartbeat.
-	Sessions         uint32
-	LoadCyclesPerSec float64
-
-	// Draining marks a worker that announced planned maintenance:
-	// placement skips it and frontends migrate its sessions off.
-	Draining bool
+	Addr         string  // data-plane address frontends dial for sessions
+	CyclesPerSec float64 // capacity in machine-model cycles/sec (PEs × PE clock)
 }
 
 // EventKind tags a membership event.
@@ -33,10 +26,6 @@ const (
 	EventJoin EventKind = iota + 1
 	// EventLeave announces a deregistered, evicted, or replaced member.
 	EventLeave
-	// EventDrain announces a member that began draining for planned
-	// maintenance: stop placing there and migrate its sessions off. The
-	// member stays in the fleet until it deregisters or its lease lapses.
-	EventDrain
 )
 
 func (k EventKind) String() string {
@@ -45,8 +34,6 @@ func (k EventKind) String() string {
 		return "join"
 	case EventLeave:
 		return "leave"
-	case EventDrain:
-		return "drain"
 	default:
 		return fmt.Sprintf("event(%d)", uint8(k))
 	}
@@ -77,15 +64,16 @@ type FleetOptions struct {
 const DefaultLease = 5 * time.Second
 
 // Fleet tracks registered workers for one frontend. Workers register
-// over the wire (Serve) or directly (Register); membership changes
-// fan out to subscribers, which is how the dispatcher learns about
+// over the wire (Serve) or directly (Register); membership changes are
+// handed to subscribers, which is how the dispatcher learns about
 // join/leave churn.
 type Fleet struct {
 	opts FleetOptions
 
 	mu      sync.Mutex
 	members map[string]*fleetMember
-	subs    map[*subscription]struct{}
+	subs    map[uint64]func(Event)
+	nextSub uint64
 	conns   map[*wire.Conn]struct{}
 	closed  bool
 
@@ -110,7 +98,7 @@ func NewFleet(opts FleetOptions) *Fleet {
 	f := &Fleet{
 		opts:    opts,
 		members: make(map[string]*fleetMember),
-		subs:    make(map[*subscription]struct{}),
+		subs:    make(map[uint64]func(Event)),
 		conns:   make(map[*wire.Conn]struct{}),
 		stop:    make(chan struct{}),
 	}
@@ -119,11 +107,8 @@ func NewFleet(opts FleetOptions) *Fleet {
 	return f
 }
 
-// Lease reports the configured membership lease.
-func (f *Fleet) Lease() time.Duration { return f.opts.Lease }
-
 // Close stops the sweeper, hangs up registration connections, and
-// closes every subscription channel.
+// drops every subscriber.
 func (f *Fleet) Close() {
 	f.stopOnce.Do(func() { close(f.stop) })
 	f.mu.Lock()
@@ -132,22 +117,15 @@ func (f *Fleet) Close() {
 		c.Close()
 	}
 	f.conns = map[*wire.Conn]struct{}{}
-	subs := make([]*subscription, 0, len(f.subs))
-	for s := range f.subs {
-		subs = append(subs, s)
-	}
-	f.subs = map[*subscription]struct{}{}
+	f.subs = map[uint64]func(Event){}
 	f.mu.Unlock()
-	for _, s := range subs {
-		s.close()
-	}
 	f.wg.Wait()
 }
 
 // Register adds or replaces a member and starts its lease. A
-// re-registration with unchanged placement identity (addr, capacity)
-// just refreshes the lease and pipeline inventory; a changed
-// identity is announced as Leave then Join so consumers re-dial.
+// re-registration with unchanged identity (addr, capacity) just
+// refreshes the lease; a changed identity is announced as Leave then
+// Join so consumers re-dial.
 func (f *Fleet) Register(m Member) error {
 	if m.Name == "" {
 		return fmt.Errorf("registry: member name required")
@@ -165,40 +143,29 @@ func (f *Fleet) Register(m Member) error {
 	f.members[m.Name] = fm
 	switch {
 	case !exists:
-		f.opts.Logf("registry: %s joined (addr=%s capacity=%.3g cyc/s, %d pipelines cached)",
-			m.Name, m.Addr, m.CyclesPerSec, len(m.Pipelines))
+		f.opts.Logf("registry: %s joined (addr=%s capacity=%.3g cyc/s)", m.Name, m.Addr, m.CyclesPerSec)
 		f.publishLocked(Event{Kind: EventJoin, Member: m})
-	case old.Addr != m.Addr || old.CyclesPerSec != m.CyclesPerSec:
+	case old.Member != m:
 		f.opts.Logf("registry: %s re-registered with new identity (addr %s -> %s)", m.Name, old.Addr, m.Addr)
 		f.publishLocked(Event{Kind: EventLeave, Member: old.Member})
 		f.publishLocked(Event{Kind: EventJoin, Member: m})
 	default:
-		// Same placement identity: silent lease + inventory refresh.
+		// Same identity: silent lease refresh.
 	}
 	return nil
 }
 
-// Heartbeat renews a member's lease and records its reported load and
-// drain intent; the false→true drain transition publishes an
-// EventDrain so frontends migrate the member's sessions off. It
-// reports false when the member is unknown (lease already expired),
-// which tells the worker to re-register.
-func (f *Fleet) Heartbeat(name string, sessions uint32, load float64, draining bool) bool {
+// Heartbeat renews a member's lease. It reports false when the member
+// is unknown (lease already expired), which tells the worker to
+// re-register.
+func (f *Fleet) Heartbeat(name string) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	fm, ok := f.members[name]
-	if !ok {
-		return false
+	if ok {
+		fm.expires = time.Now().Add(f.opts.Lease)
 	}
-	fm.expires = time.Now().Add(f.opts.Lease)
-	fm.Sessions = sessions
-	fm.LoadCyclesPerSec = load
-	if draining && !fm.Draining {
-		fm.Draining = true
-		f.opts.Logf("registry: %s draining for maintenance", name)
-		f.publishLocked(Event{Kind: EventDrain, Member: fm.Member})
-	}
-	return true
+	return ok
 }
 
 // Deregister removes a member immediately and publishes its Leave.
@@ -220,59 +187,44 @@ func (f *Fleet) Deregister(name, reason string) {
 func (f *Fleet) Members() []Member {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.membersLocked()
+}
+
+func (f *Fleet) membersLocked() []Member {
 	out := make([]Member, 0, len(f.members))
 	for _, fm := range f.members {
 		out = append(out, fm.Member)
 	}
-	sortMembers(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-func sortMembers(ms []Member) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && ms[j].Name < ms[j-1].Name; j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
-		}
-	}
-}
-
-// Subscribe returns a channel of membership events, starting with a
-// Join per current member, and a cancel function. Events are queued
-// per subscriber without bounds, so a slow consumer delays only
-// itself; cancel (or Fleet.Close) closes the channel.
-func (f *Fleet) Subscribe() (<-chan Event, func()) {
-	s := newSubscription()
+// Subscribe hands fn a Join for every current member, sorted by name,
+// before it returns, then every membership change in order until
+// cancel (or Close). fn runs synchronously under the fleet's lock, so
+// it must not block or call back into the fleet.
+func (f *Fleet) Subscribe(fn func(Event)) (cancel func()) {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.closed {
-		f.mu.Unlock()
-		s.close()
-		return s.ch, func() {}
+		return func() {}
 	}
-	snapshot := make([]Member, 0, len(f.members))
-	for _, fm := range f.members {
-		snapshot = append(snapshot, fm.Member)
+	for _, m := range f.membersLocked() {
+		fn(Event{Kind: EventJoin, Member: m})
 	}
-	sortMembers(snapshot)
-	for _, m := range snapshot {
-		s.push(Event{Kind: EventJoin, Member: m})
-	}
-	f.subs[s] = struct{}{}
-	f.mu.Unlock()
-	cancel := func() {
+	id := f.nextSub
+	f.nextSub++
+	f.subs[id] = fn
+	return func() {
 		f.mu.Lock()
-		_, live := f.subs[s]
-		delete(f.subs, s)
+		delete(f.subs, id)
 		f.mu.Unlock()
-		if live {
-			s.close()
-		}
 	}
-	return s.ch, cancel
 }
 
 func (f *Fleet) publishLocked(ev Event) {
-	for s := range f.subs {
-		s.push(ev)
+	for _, fn := range f.subs {
+		fn(ev)
 	}
 }
 
@@ -371,13 +323,7 @@ func (f *Fleet) handleConn(conn *wire.Conn) {
 		}
 		switch msg := m.(type) {
 		case *wire.Register:
-			mem := Member{
-				Name:         msg.Name,
-				Addr:         msg.Addr,
-				CyclesPerSec: msg.CyclesPerSec,
-				Pipelines:    msg.Pipelines,
-			}
-			if err := f.Register(mem); err != nil {
+			if err := f.Register(Member(*msg)); err != nil {
 				conn.Write(&wire.RegisterAck{Err: err.Error()})
 				return
 			}
@@ -390,7 +336,7 @@ func (f *Fleet) handleConn(conn *wire.Conn) {
 				conn.Write(&wire.Error{Msg: "heartbeat before register"})
 				return
 			}
-			if !f.Heartbeat(name, msg.Sessions, msg.CyclesPerSec, msg.Draining) {
+			if !f.Heartbeat(name) {
 				// Lease expired while the connection stayed up (e.g. a
 				// long stall): make the worker re-register.
 				conn.Write(&wire.Error{Msg: "membership lease expired, re-register"})
@@ -403,68 +349,6 @@ func (f *Fleet) handleConn(conn *wire.Conn) {
 			return
 		default:
 			f.opts.Logf("registry: unexpected %s on registration conn from %s", m.Type(), conn.RemoteAddr())
-			return
-		}
-	}
-}
-
-// subscription is an unbounded event queue pumped into a channel, so
-// fleet mutations never block on a slow subscriber.
-type subscription struct {
-	ch   chan Event
-	quit chan struct{}
-	mu   sync.Mutex
-	cond *sync.Cond
-	q    []Event
-	done bool
-}
-
-func newSubscription() *subscription {
-	s := &subscription{ch: make(chan Event), quit: make(chan struct{})}
-	s.cond = sync.NewCond(&s.mu)
-	go s.pump()
-	return s
-}
-
-func (s *subscription) push(ev Event) {
-	s.mu.Lock()
-	if !s.done {
-		s.q = append(s.q, ev)
-		s.cond.Signal()
-	}
-	s.mu.Unlock()
-}
-
-func (s *subscription) close() {
-	s.mu.Lock()
-	if !s.done {
-		s.done = true
-		close(s.quit)
-		s.cond.Signal()
-	}
-	s.mu.Unlock()
-}
-
-func (s *subscription) pump() {
-	for {
-		s.mu.Lock()
-		for len(s.q) == 0 && !s.done {
-			s.cond.Wait()
-		}
-		if s.done {
-			// Cancellation drops queued events: the consumer has
-			// already stopped listening.
-			s.mu.Unlock()
-			close(s.ch)
-			return
-		}
-		ev := s.q[0]
-		s.q = s.q[1:]
-		s.mu.Unlock()
-		select {
-		case s.ch <- ev:
-		case <-s.quit:
-			close(s.ch)
 			return
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"blockpar/internal/wire"
@@ -20,13 +19,6 @@ type JoinConfig struct {
 	// Self describes this worker. Name and Addr are required; Addr is
 	// the data-plane address frontends dial back for sessions.
 	Self Member
-	// Load, if set, is sampled at each heartbeat to report current
-	// session count and projected cycles/sec load.
-	Load func() (sessions uint32, cyclesPerSec float64)
-	// Pipelines, if set, is sampled at each (re-)registration to
-	// inventory the compiled-pipeline cache; otherwise Self.Pipelines
-	// is sent as-is.
-	Pipelines func() []string
 	// Dial overrides net.Dial, e.g. for fault injection. Nil uses a
 	// 5-second-timeout TCP dial.
 	Dial func(network, addr string) (net.Conn, error)
@@ -43,10 +35,6 @@ type JoinConfig struct {
 // lost. Leave sends a graceful Deregister everywhere before stopping.
 type Joiner struct {
 	cfg JoinConfig
-
-	// draining, once set, rides every heartbeat so frontends stop
-	// placing sessions here and migrate resident ones off.
-	draining atomic.Bool
 
 	mu    sync.Mutex
 	conns map[string]*wire.Conn // live registration conn per frontend
@@ -104,30 +92,6 @@ func (j *Joiner) Leave(reason string) {
 	j.Close()
 }
 
-// SetDraining announces planned maintenance: every subsequent
-// heartbeat carries the draining flag, telling frontends to stop
-// placing sessions here and migrate resident ones to survivors before
-// the worker's Goaway lands. One immediate heartbeat goes out on each
-// live registration so the fleet reacts before the next scheduled
-// beat.
-func (j *Joiner) SetDraining() {
-	j.draining.Store(true)
-	var sessions uint32
-	var load float64
-	if j.cfg.Load != nil {
-		sessions, load = j.cfg.Load()
-	}
-	j.mu.Lock()
-	conns := make([]*wire.Conn, 0, len(j.conns))
-	for _, c := range j.conns {
-		conns = append(conns, c)
-	}
-	j.mu.Unlock()
-	for _, c := range conns {
-		c.Write(&wire.Heartbeat{Sessions: sessions, CyclesPerSec: load, Draining: true})
-	}
-}
-
 // Close stops all loops without deregistering; frontends see the
 // conn drop and let the lease expire.
 func (j *Joiner) Close() {
@@ -181,16 +145,8 @@ func (j *Joiner) session(frontend string) error {
 	if _, err := conn.Handshake(); err != nil {
 		return err
 	}
-	self := j.cfg.Self
-	if j.cfg.Pipelines != nil {
-		self.Pipelines = j.cfg.Pipelines()
-	}
-	if err := conn.Write(&wire.Register{
-		Name:         self.Name,
-		Addr:         self.Addr,
-		CyclesPerSec: self.CyclesPerSec,
-		Pipelines:    self.Pipelines,
-	}); err != nil {
+	reg := wire.Register(j.cfg.Self)
+	if err := conn.Write(&reg); err != nil {
 		return err
 	}
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
@@ -214,18 +170,6 @@ func (j *Joiner) session(frontend string) error {
 	j.mu.Lock()
 	j.conns[frontend] = conn
 	j.mu.Unlock()
-	// A drain announced while this frontend was unreachable must not
-	// wait out a third of the lease: flag it on a beat right away.
-	if j.draining.Load() {
-		var sessions uint32
-		var load float64
-		if j.cfg.Load != nil {
-			sessions, load = j.cfg.Load()
-		}
-		if err := conn.Write(&wire.Heartbeat{Sessions: sessions, CyclesPerSec: load, Draining: true}); err != nil {
-			return err
-		}
-	}
 	defer func() {
 		j.mu.Lock()
 		if j.conns[frontend] == conn {
@@ -262,16 +206,7 @@ func (j *Joiner) session(frontend string) error {
 			j.cfg.Logf("registry: connection to %s lost: %v", frontend, err)
 			return err
 		case <-beat.C:
-			var sessions uint32
-			var load float64
-			if j.cfg.Load != nil {
-				sessions, load = j.cfg.Load()
-			}
-			if err := conn.Write(&wire.Heartbeat{
-				Sessions:     sessions,
-				CyclesPerSec: load,
-				Draining:     j.draining.Load(),
-			}); err != nil {
+			if err := conn.Write(&wire.Heartbeat{}); err != nil {
 				return err
 			}
 		}

@@ -1,8 +1,7 @@
 // Package registry is the fleet-membership layer for multi-frontend
-// scale-out: workers dial into a frontend's Fleet and register
-// (capabilities, analysis-derived capacity, compiled-pipeline cache),
-// renew their membership with heartbeat leases, and deregister on
-// drain. Placement goes through a consistent-hash Ring so any frontend
+// scale-out: workers dial into a frontend's Fleet and register (name,
+// data-plane address, analysis-derived capacity), renew their
+// membership lease with heartbeats, and deregister once drained. Placement goes through a consistent-hash Ring so any frontend
 // that sees the same member set computes the same worker for a given
 // session key — no coordination between frontends required.
 package registry

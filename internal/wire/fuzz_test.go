@@ -39,6 +39,9 @@ func FuzzWire(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(TypeFeed)})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	// A v9 heartbeat (sessions, load, drain flag): v10's is empty, so
+	// the payload is trailing bytes.
+	f.Add(append([]byte{byte(TypeHeartbeat)}, make([]byte, 4+8+1)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Corrupt decodes must release every pooled window they

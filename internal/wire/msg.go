@@ -400,41 +400,24 @@ func (m *Goaway) decode(r *reader)       { m.Reason = r.str("goaway reason") }
 // for sessions; CyclesPerSec is the worker's execution capacity in the
 // machine model's cycles/sec (PEs × PE clock), the unit the analysis
 // prices pipelines in, so admission control can compare fleet capacity
-// against projected pipeline load directly. Pipelines inventories the
-// worker's compiled-pipeline cache.
+// against projected pipeline load directly. The worker's pipeline
+// inventory travels on the data plane, in Welcome.
 type Register struct {
 	Name         string
 	Addr         string
 	CyclesPerSec float64
-	Pipelines    []string
 }
 
 func (*Register) Type() MsgType { return TypeRegister }
 func (m *Register) append(b []byte) []byte {
 	b = appendStr(b, m.Name)
 	b = appendStr(b, m.Addr)
-	b = appendF64(b, m.CyclesPerSec)
-	b = appendU32(b, uint32(len(m.Pipelines)))
-	for _, p := range m.Pipelines {
-		b = appendStr(b, p)
-	}
-	return b
+	return appendF64(b, m.CyclesPerSec)
 }
 func (m *Register) decode(r *reader) {
 	m.Name = r.str("register name")
 	m.Addr = r.str("register addr")
 	m.CyclesPerSec = r.f64("register capacity")
-	n := int(r.u32("register pipeline count"))
-	if r.err != nil {
-		return
-	}
-	if n > maxStr {
-		r.err = corruptf("register pipeline count %d out of range", n)
-		return
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Pipelines = append(m.Pipelines, r.str("register pipeline"))
-	}
 }
 
 // RegisterAck answers Register. LeaseMs is the membership lease the
@@ -455,38 +438,15 @@ func (m *RegisterAck) decode(r *reader) {
 	m.LeaseMs = r.u32("register-ack lease-ms")
 }
 
-// Heartbeat renews a registration lease (worker → frontend) and
-// reports the worker's current load, so /metrics can show fleet
-// utilization without a second connection. Draining (protocol v7)
-// announces planned maintenance: the frontend stops placing new
-// sessions on the worker and migrates resident ones off it, while the
-// lease keeps renewing until the drain completes.
-type Heartbeat struct {
-	Sessions     uint32
-	CyclesPerSec float64 // projected load of the sessions currently placed here
-	Draining     bool
-}
+// Heartbeat renews a registration lease (worker → frontend). It has no
+// payload: a drain is announced by the worker's Goaway on each data
+// connection, and a worker's load is the sessions the frontend itself
+// placed there.
+type Heartbeat struct{}
 
-func (*Heartbeat) Type() MsgType { return TypeHeartbeat }
-func (m *Heartbeat) append(b []byte) []byte {
-	b = appendU32(b, m.Sessions)
-	b = appendF64(b, m.CyclesPerSec)
-	var flags byte
-	if m.Draining {
-		flags = 1
-	}
-	return append(b, flags)
-}
-func (m *Heartbeat) decode(r *reader) {
-	m.Sessions = r.u32("heartbeat sessions")
-	m.CyclesPerSec = r.f64("heartbeat load")
-	flags := r.u8("heartbeat flags")
-	if r.err == nil && flags > 1 {
-		r.err = corruptf("heartbeat flags %#x out of range", flags)
-		return
-	}
-	m.Draining = flags == 1
-}
+func (*Heartbeat) Type() MsgType          { return TypeHeartbeat }
+func (*Heartbeat) append(b []byte) []byte { return b }
+func (*Heartbeat) decode(*reader)         {}
 
 // Deregister removes the worker from the fleet immediately (worker →
 // frontend, on graceful drain). The frontend stops placing sessions on

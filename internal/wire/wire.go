@@ -47,9 +47,10 @@ const Magic uint32 = 0x42505702 // "BPW\x02"
 // watermarks set, re-places) one partition of the session's plan, and a
 // session that runs whole is the one-partition plan. Windows are tagged
 // with their element kind and carry samples at native width; an edge
-// item may carry a row-batch descriptor; Heartbeat carries a
-// drain-intent bit. v9 drops the executor name from Register.
-const Version uint16 = 9
+// item may carry a row-batch descriptor. v9 drops the executor name
+// from Register; v10 drops its pipeline inventory (Welcome carries it)
+// and empties Heartbeat to a bare lease renewal.
+const Version uint16 = 10
 
 // MaxFrame bounds a single frame's encoded size; a length prefix past
 // it is treated as corruption and kills the connection before any

@@ -178,12 +178,10 @@ func sampleMsgs() []Msg {
 		}},
 		&EdgeFrame{SID: 7, Edge: 1, EOS: true},
 		&EdgeCredit{SID: 7, Edge: 1, N: 2},
-		&Register{Name: "w0", Addr: "10.0.0.7:9000", CyclesPerSec: 8 * 20e6,
-			Pipelines: []string{"1", "edges"}},
+		&Register{Name: "w0", Addr: "10.0.0.7:9000", CyclesPerSec: 8 * 20e6},
 		&RegisterAck{LeaseMs: 5_000},
 		&RegisterAck{Err: "name already registered"},
-		&Heartbeat{Sessions: 3, CyclesPerSec: 1.5e6},
-		&Heartbeat{Sessions: 1, CyclesPerSec: 4e5, Draining: true},
+		&Heartbeat{},
 		&Deregister{Reason: "draining"},
 		// The same partition resuming on a survivor.
 		&OpenPartition{SID: 7, Pipeline: "1", Partition: 1, MaxInFlight: 8, DeadlineMs: 30_000,
