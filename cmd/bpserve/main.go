@@ -52,6 +52,7 @@ func main() {
 	partitions := flag.Int("partitions", 0, "split each cluster session across up to N workers via the placement layer (0 = whole sessions)")
 	registryAddr := flag.String("registry", "", "registration listen address; workers self-register (bpworker -join) instead of being listed with -cluster")
 	lease := flag.Duration("lease", 0, "membership lease granted to self-registered workers (0 = 5s default)")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this separate listen address (empty = off)")
 	flag.Parse()
 
 	cfg := serveConfig{
@@ -65,6 +66,7 @@ func main() {
 		partitions:      *partitions,
 		registryAddr:    *registryAddr,
 		lease:           *lease,
+		pprofAddr:       *pprofAddr,
 	}
 	// A drain that abandons work exits nonzero so orchestration (and CI)
 	// can tell a clean drain from frames thrown away.
@@ -90,6 +92,7 @@ type serveConfig struct {
 	partitions      int
 	registryAddr    string
 	lease           time.Duration
+	pprofAddr       string
 }
 
 func run(cfg serveConfig) error {
@@ -181,6 +184,14 @@ func run(cfg serveConfig) error {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Printf("bpserve listening on %s (%d pipelines)\n", addr, len(reg.List()))
+	if cfg.pprofAddr != "" {
+		pln, err := net.Listen("tcp", cfg.pprofAddr)
+		if err != nil {
+			return err
+		}
+		go http.Serve(pln, serve.ProfileHandler())
+		fmt.Printf("bpserve profiles on http://%s/debug/pprof/\n", pln.Addr())
+	}
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

@@ -29,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	goruntime "runtime"
@@ -55,11 +56,13 @@ func main() {
 	var drain time.Duration
 	flag.DurationVar(&drain, "drain", 30*time.Second, "graceful-shutdown drain budget: in-flight sessions finish before exit")
 	flag.DurationVar(&drain, "drain-timeout", 30*time.Second, "alias for -drain")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this separate listen address (empty = off)")
 	flag.Parse()
 
 	cfg := workerConfig{
 		addr: *addr, appIDs: *appIDs, descFiles: descFiles, name: *name,
 		join: *join, advertise: *advertise, pes: *pes, drain: drain,
+		pprofAddr: *pprofAddr,
 	}
 	// A drain that abandons work exits nonzero so orchestration (and CI)
 	// can tell a clean drain from frames thrown away.
@@ -79,6 +82,7 @@ type workerConfig struct {
 	advertise string
 	pes       int
 	drain     time.Duration
+	pprofAddr string
 }
 
 func run(cfg workerConfig) error {
@@ -116,6 +120,14 @@ func run(cfg workerConfig) error {
 	errc := make(chan error, 1)
 	go func() { errc <- w.Serve(ln) }()
 	fmt.Printf("bpworker %s listening on %s (%d pipelines)\n", w.Name(), cfg.addr, len(reg.List()))
+	if cfg.pprofAddr != "" {
+		pln, err := net.Listen("tcp", cfg.pprofAddr)
+		if err != nil {
+			return err
+		}
+		go http.Serve(pln, serve.ProfileHandler())
+		fmt.Printf("bpworker profiles on http://%s/debug/pprof/\n", pln.Addr())
+	}
 
 	// Self-registration: dial every frontend's registration listener,
 	// advertise identity + capacity, heartbeat to keep the lease alive.

@@ -458,10 +458,13 @@ type ElemTyped interface {
 // BatchAware is implemented by Behaviors whose listed inputs accept row
 // batches (Batch descriptors with N > 1): the executor delivers whole
 // row batches to them instead of splitting at the edge, and the kernel
-// runs one firing covering the batch's N logical invocations. A
-// behavior that accepts batches on an input must produce, per batch,
-// the exact logical output stream that N scalar firings would — the
-// conformance suite diffs the two.
+// runs one firing covering N logical invocations. A method fires on the
+// common prefix of its data heads: N is the fewest windows any of them
+// carries, and a longer head keeps its remaining windows for the next
+// firing. An input that does not accept batches receives single
+// windows, which pins N to 1. A behavior that accepts batches on an
+// input must produce, per batch, the exact logical output stream that N
+// scalar firings would — the conformance suite diffs the two.
 type BatchAware interface {
 	// AcceptsBatch reports whether the named input handles batches.
 	AcceptsBatch(input string) bool

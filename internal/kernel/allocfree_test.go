@@ -34,11 +34,14 @@ func (c *allocCtx) EmitBatch(_ string, w frame.Window, _ graph.Batch) {
 // span builds an arena-free input window of the given kind filled with
 // a deterministic ramp — plain storage, so the firing loop's only pool
 // traffic is its own outputs.
-func span(k frame.Kind, w, h int) frame.Window {
+func span(k frame.Kind, w, h int) frame.Window { return rampOff(k, w, h, 0) }
+
+// rampOff is span's ramp shifted by off, for a kernel's second input.
+func rampOff(k frame.Kind, w, h, off int) frame.Window {
 	win := frame.NewWindowKind(k, w, h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			win.Set(x, y, float64((x*7+y*13)%256))
+			win.Set(x, y, float64((x*7+y*13+off)%256))
 		}
 	}
 	return win
@@ -47,14 +50,19 @@ func span(k frame.Kind, w, h int) frame.Window {
 func assertAllocFree(t *testing.T, what string, fire func()) {
 	t.Helper()
 	fire() // warm-up: size scratch, populate the pool bucket
-	if avg := testing.AllocsPerRun(100, fire); avg != 0 {
+	avg := testing.AllocsPerRun(100, fire)
+	if raceEnabled {
+		return
+	}
+	if avg != 0 {
 		t.Errorf("%s: %.1f allocs per batched firing, want 0", what, avg)
 	}
 }
 
-// TestDenseLoopsAllocFree pins the app-1/app-4 hot paths (bayer
-// demosaic and k×k convolution row loops) at zero steady-state heap
-// allocations per batched firing.
+// TestDenseLoopsAllocFree pins the batched kernel loops — the app-1/app-4
+// hot paths (bayer demosaic and k×k convolution row loops) and every
+// per-sample kernel's span loop — at zero steady-state heap allocations
+// per batched firing.
 func TestDenseLoopsAllocFree(t *testing.T) {
 	const k, n = 3, 61 // 61 overlapping 3×3 windows in one row span
 
@@ -97,4 +105,27 @@ func TestDenseLoopsAllocFree(t *testing.T) {
 	t.Run("conv-f32", func(t *testing.T) { assertAllocFree(t, "conv f32 row loop", convFire(frame.F32)) })
 	t.Run("bayer-u8", func(t *testing.T) { assertAllocFree(t, "bayer u8 span loop", bayerFire(frame.U8)) })
 	t.Run("bayer-f64", func(t *testing.T) { assertAllocFree(t, "bayer f64 span loop", bayerFire(frame.F64)) })
+
+	for _, c := range pointwiseCases() {
+		t.Run(c.name, func(t *testing.T) {
+			inv := c.node().Behavior.(graph.Invoker)
+			ctx := &allocCtx{in: map[string]frame.Window{}, batch: map[string]graph.Batch{}}
+			for _, s := range c.setup {
+				ctx.in[s.input] = s.win
+				if err := inv.Invoke(s.method, ctx); err != nil {
+					t.Fatalf("%s: %v", s.method, err)
+				}
+			}
+			b := graph.Batch{N: n, Sx: int32(c.sx), Bw: int32(c.bw)}
+			for i, in := range c.ins {
+				ctx.in[in] = rampOff(frame.F64, b.SpanW(), c.bh, 11*i)
+				ctx.batch[in] = b
+			}
+			assertAllocFree(t, c.name+" span loop", func() {
+				if err := inv.Invoke(c.method, ctx); err != nil {
+					t.Fatalf("%s: %v", c.method, err)
+				}
+			})
+		})
+	}
 }

@@ -55,13 +55,7 @@ func (bb *bayerBehavior) Invoke(method string, ctx graph.ExecContext) error {
 		return fmt.Errorf("kernel: bayer has no method %q", method)
 	}
 	in := ctx.Input("in")
-	n, sx := 1, 2
-	bc, _ := ctx.(graph.BatchContext)
-	if bc != nil {
-		if bt := bc.Batch("in"); bt.IsBatch() {
-			n, sx = int(bt.N), int(bt.Sx)
-		}
-	}
+	n, sx := spanIn(ctx, "in", 2)
 	// The window's top-left is at even absolute coordinates (step 2,2
 	// from an even origin), so within-window position (1,1) has odd-odd
 	// absolute parity, (2,2) even-even, matching RGGB via quadParity.
@@ -82,16 +76,9 @@ func (bb *bayerBehavior) Invoke(method string, ctx graph.ExecContext) error {
 			}
 		}
 	}
-	if n > 1 {
-		bb := graph.Batch{N: int32(n), Sx: 2, Bw: 2}
-		bc.EmitBatch("r", r, bb)
-		bc.EmitBatch("g", g, bb)
-		bc.EmitBatch("b", b, bb)
-	} else {
-		ctx.Emit("r", r)
-		ctx.Emit("g", g)
-		ctx.Emit("b", b)
-	}
+	emitSpan(ctx, "r", r, n, 2)
+	emitSpan(ctx, "g", g, n, 2)
+	emitSpan(ctx, "b", b, n, 2)
 	return nil
 }
 

@@ -117,13 +117,7 @@ func (b *convBehavior) Invoke(method string, ctx graph.ExecContext) error {
 			return fmt.Errorf("kernel: %dx%d convolution fired before loadCoeff", b.k, b.k)
 		}
 		in := ctx.Input("in")
-		n, sx := 1, 1
-		bc, _ := ctx.(graph.BatchContext)
-		if bc != nil {
-			if bt := bc.Batch("in"); bt.IsBatch() {
-				n, sx = int(bt.N), int(bt.Sx)
-			}
-		}
+		n, sx := spanIn(ctx, "in", 1)
 		var out frame.Window
 		switch in.Kind {
 		case frame.F32:
@@ -131,11 +125,7 @@ func (b *convBehavior) Invoke(method string, ctx graph.ExecContext) error {
 		default:
 			out = b.convolveF64(in, n, sx)
 		}
-		if n > 1 {
-			bc.EmitBatch("out", out, graph.Batch{N: int32(n), Sx: 1, Bw: 1})
-		} else {
-			ctx.Emit("out", out)
-		}
+		emitSpan(ctx, "out", out, n, 1)
 		return nil
 	default:
 		return fmt.Errorf("kernel: convolution has no method %q", method)

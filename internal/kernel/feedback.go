@@ -62,7 +62,10 @@ func (b *feedbackBehavior) Run(ctx graph.RunContext) error {
 
 // Accumulator builds a 1×1 running-sum kernel with a state input, used
 // by the feedback example: out = in + state, and the new sum is also
-// emitted on the "loop" output that closes the feedback cycle.
+// emitted on the "loop" output that closes the feedback cycle. Unlike
+// the other per-sample kernels it stays scalar: its state input is fed
+// by its own previous firing, so that input never holds more than one
+// item and a firing could never cover more than one sample.
 func Accumulator(name string) *graph.Node {
 	n := graph.NewNode(name, graph.KindKernel)
 	n.CreateInput("in", geom.Sz(1, 1), geom.St(1, 1), geom.Off(0, 0))

@@ -14,7 +14,8 @@ import (
 // end-of-frame token on the same input, emits the bin counts, and
 // resets; configureBins fires on the replicated "bins" input. Under
 // parallelization each instance accumulates a partial histogram which
-// the Merge kernel combines (Figure 1(b)).
+// the Merge kernel combines (Figure 1(b)). The data input accepts row
+// spans: one count firing bins a whole span of samples.
 func Histogram(name string, bins int) *graph.Node {
 	if bins < 1 {
 		panic("kernel: histogram needs at least one bin")
@@ -51,22 +52,31 @@ type histogramBehavior struct {
 
 func (b *histogramBehavior) Clone() graph.Behavior { return &histogramBehavior{bins: b.bins} }
 
+// AcceptsBatch implements graph.BatchAware: samples arrive in row spans.
+func (b *histogramBehavior) AcceptsBatch(input string) bool { return input == "in" }
+
 func (b *histogramBehavior) Invoke(method string, ctx graph.ExecContext) error {
 	switch method {
 	case "configureBins":
 		in := ctx.Input("bins")
-		b.edges = make([]float64, b.bins)
-		for i := 0; i < b.bins; i++ {
+		if len(b.edges) != b.bins {
+			b.edges = make([]float64, b.bins)
+			b.counts = make([]float64, b.bins)
+		}
+		for i := range b.edges {
 			b.edges[i] = in.At(i, 0)
 		}
-		b.counts = make([]float64, b.bins)
+		clear(b.counts)
 		return nil
 	case "count":
 		if b.edges == nil {
 			return fmt.Errorf("kernel: histogram counted before configureBins")
 		}
-		v := ctx.Input("in").Value()
-		b.counts[frame.FindBin(v, b.edges)]++
+		in := rowOf(ctx.Input("in"))
+		n, sx := spanIn(ctx, "in", 1)
+		for j := 0; j < n; j++ {
+			b.counts[frame.FindBin(in.at(j*sx), b.edges)]++
+		}
 		return nil
 	case "finishCount":
 		out := frame.Alloc(b.bins, 1)

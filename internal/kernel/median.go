@@ -51,13 +51,7 @@ func (b *medianBehavior) Invoke(method string, ctx graph.ExecContext) error {
 		return fmt.Errorf("kernel: median has no method %q", method)
 	}
 	in := ctx.Input("in")
-	n, sx := 1, 1
-	bc, _ := ctx.(graph.BatchContext)
-	if bc != nil {
-		if bt := bc.Batch("in"); bt.IsBatch() {
-			n, sx = int(bt.N), int(bt.Sx)
-		}
-	}
+	n, sx := spanIn(ctx, "in", 1)
 	var out frame.Window
 	if b.k == 3 {
 		switch in.Kind {
@@ -71,11 +65,7 @@ func (b *medianBehavior) Invoke(method string, ctx graph.ExecContext) error {
 	} else {
 		out = b.medianSpanSort(in, n, sx)
 	}
-	if n > 1 {
-		bc.EmitBatch("out", out, graph.Batch{N: int32(n), Sx: 1, Bw: 1})
-	} else {
-		ctx.Emit("out", out)
-	}
+	emitSpan(ctx, "out", out, n, 1)
 	return nil
 }
 
@@ -158,6 +148,8 @@ func med9[T cmp.Ordered](p0, p1, p2, p3, p4, p5, p6, p7, p8 T) T {
 
 // Subtract builds the per-pixel difference kernel of Figure 1: two 1×1
 // inputs "in0", "in1" triggering one method, and output out = in0-in1.
+// Both inputs accept row spans: a firing subtracts the common prefix of
+// the two heads in one loop and emits the differences as one row.
 func Subtract(name string) *graph.Node {
 	n := graph.NewNode(name, graph.KindKernel)
 	n.CreateInput("in0", geom.Sz(1, 1), geom.St(1, 1), geom.Off(0, 0))
@@ -176,16 +168,19 @@ type subtractBehavior struct{ elemToF64 }
 
 func (subtractBehavior) Clone() graph.Behavior { return subtractBehavior{} }
 
+// AcceptsBatch implements graph.BatchAware: samples arrive in row spans.
+func (subtractBehavior) AcceptsBatch(input string) bool { return input == "in0" || input == "in1" }
+
 func (subtractBehavior) Invoke(method string, ctx graph.ExecContext) error {
 	if method != "subtract" {
 		return fmt.Errorf("kernel: subtract has no method %q", method)
 	}
-	ctx.Emit("out", frame.PooledScalar(ctx.Input("in0").Value()-ctx.Input("in1").Value()))
-	return nil
+	return zipSpan(ctx, "in0", "in1", func(a, b float64) float64 { return a - b })
 }
 
 // Gain builds a 1×1 scale-by-constant kernel, the simplest possible
-// data-parallel kernel; used by tests and the quickstart example.
+// data-parallel kernel; used by tests and the quickstart example. Its
+// input accepts row spans.
 func Gain(name string, factor float64) *graph.Node {
 	n := graph.NewNode(name, graph.KindKernel)
 	n.CreateInput("in", geom.Sz(1, 1), geom.St(1, 1), geom.Off(0, 0))
@@ -206,17 +201,21 @@ type gainBehavior struct {
 
 func (b gainBehavior) Clone() graph.Behavior { return b }
 
+// AcceptsBatch implements graph.BatchAware: samples arrive in row spans.
+func (gainBehavior) AcceptsBatch(input string) bool { return input == "in" }
+
 func (b gainBehavior) Invoke(method string, ctx graph.ExecContext) error {
 	if method != "runGain" {
 		return fmt.Errorf("kernel: gain has no method %q", method)
 	}
-	ctx.Emit("out", frame.PooledScalar(ctx.Input("in").Value()*b.factor))
+	mapSpan(ctx, "in", func(v float64) float64 { return v * b.factor })
 	return nil
 }
 
 // Downsample builds a k×k decimation kernel keeping the top-left sample
 // of each block. Its offset is fractional for even k, exercising the
-// paper's fractional-offset parameterization (§II-A footnote 2).
+// paper's fractional-offset parameterization (§II-A footnote 2). Its
+// input accepts row spans of blocks, k columns apart.
 func Downsample(name string, k int) *graph.Node {
 	if k < 1 {
 		panic("kernel: downsample factor must be positive")
@@ -238,10 +237,13 @@ type downsampleBehavior struct{ elemToF64 }
 
 func (downsampleBehavior) Clone() graph.Behavior { return downsampleBehavior{} }
 
+// AcceptsBatch implements graph.BatchAware: blocks arrive in row spans.
+func (downsampleBehavior) AcceptsBatch(input string) bool { return input == "in" }
+
 func (downsampleBehavior) Invoke(method string, ctx graph.ExecContext) error {
 	if method != "runDownsample" {
 		return fmt.Errorf("kernel: downsample has no method %q", method)
 	}
-	ctx.Emit("out", frame.PooledScalar(ctx.Input("in").At(0, 0)))
+	mapSpan(ctx, "in", func(v float64) float64 { return v })
 	return nil
 }

@@ -60,13 +60,8 @@ func (b morphBehavior) Invoke(method string, ctx graph.ExecContext) error {
 		return fmt.Errorf("kernel: morphology has no method %q", method)
 	}
 	in := ctx.Input("in")
-	n, sx, bw := 1, 1, in.W
-	bc, _ := ctx.(graph.BatchContext)
-	if bc != nil {
-		if bt := bc.Batch("in"); bt.IsBatch() {
-			n, sx, bw = int(bt.N), int(bt.Sx), int(bt.Bw)
-		}
-	}
+	n, sx := spanIn(ctx, "in", 1)
+	bw := in.W - (n-1)*sx
 	var out frame.Window
 	switch in.Kind {
 	case frame.U8:
@@ -76,11 +71,7 @@ func (b morphBehavior) Invoke(method string, ctx graph.ExecContext) error {
 	default:
 		out = morphSpan[float64](b.op, in, n, sx, bw)
 	}
-	if n > 1 {
-		bc.EmitBatch("out", out, graph.Batch{N: int32(n), Sx: 1, Bw: 1})
-	} else {
-		ctx.Emit("out", out)
-	}
+	emitSpan(ctx, "out", out, n, 1)
 	return nil
 }
 

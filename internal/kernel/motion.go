@@ -97,24 +97,14 @@ func (b *motionBehavior) Invoke(method string, ctx graph.ExecContext) error {
 		return fmt.Errorf("kernel: motion search has no method %q", method)
 	}
 	in := ctx.Input("in")
-	n, sx := 1, b.k
-	bc, _ := ctx.(graph.BatchContext)
-	if bc != nil {
-		if bt := bc.Batch("in"); bt.IsBatch() {
-			n, sx = int(bt.N), int(bt.Sx)
-		}
-	}
+	n, sx := spanIn(ctx, "in", b.k)
 	mv := frame.Alloc(2*n, 1)
 	for j := 0; j < n; j++ {
 		offset, iters := b.searchBlock(in.View(j*sx, 0, b.k, b.k))
 		mv.Set(2*j, 0, offset)
 		mv.Set(2*j+1, 0, float64(iters))
 	}
-	if n > 1 {
-		bc.EmitBatch("mv", mv, graph.Batch{N: int32(n), Sx: 2, Bw: 2})
-	} else {
-		ctx.Emit("mv", mv)
-	}
+	emitSpan(ctx, "mv", mv, n, 2)
 	return nil
 }
 

@@ -12,7 +12,8 @@ import (
 // FIR builds a 1-D finite-impulse-response filter: a taps-wide window
 // sliding along each row (the paper's parameterization covers
 // one-dimensional signal handling with h=1 windows, §II-A). Taps load
-// on a replicated input like convolution coefficients.
+// on a replicated input like convolution coefficients. The data input
+// accepts row spans of overlapping windows, like convolution's.
 func FIR(name string, taps int) *graph.Node {
 	if taps < 1 {
 		panic(fmt.Sprintf("kernel: FIR needs at least one tap, got %d", taps))
@@ -45,6 +46,9 @@ type firBehavior struct {
 
 func (b *firBehavior) Clone() graph.Behavior { return &firBehavior{taps: b.taps} }
 
+// AcceptsBatch implements graph.BatchAware: windows arrive in row spans.
+func (b *firBehavior) AcceptsBatch(input string) bool { return input == "in" }
+
 func (b *firBehavior) Invoke(method string, ctx graph.ExecContext) error {
 	switch method {
 	case "loadTaps":
@@ -54,12 +58,17 @@ func (b *firBehavior) Invoke(method string, ctx graph.ExecContext) error {
 		if b.coefs.W != b.taps {
 			return fmt.Errorf("kernel: FIR fired before loadTaps")
 		}
-		in := ctx.Input("in")
-		var acc float64
-		for i := 0; i < b.taps; i++ {
-			acc += in.At(i, 0) * b.coefs.At(b.taps-i-1, 0)
+		in, coefs := rowOf(ctx.Input("in")), rowOf(b.coefs)
+		n, sx := spanIn(ctx, "in", 1)
+		out := frame.AllocUninit(frame.F64, n, 1)
+		for j := range out.Pix {
+			var acc float64
+			for i := 0; i < b.taps; i++ {
+				acc += in.at(j*sx+i) * coefs.at(b.taps-i-1)
+			}
+			out.Pix[j] = acc
 		}
-		ctx.Emit("out", frame.PooledScalar(acc))
+		emitSpan(ctx, "out", out, n, 1)
 		return nil
 	default:
 		return fmt.Errorf("kernel: FIR has no method %q", method)
@@ -68,7 +77,8 @@ func (b *firBehavior) Invoke(method string, ctx graph.ExecContext) error {
 
 // Upsample builds a k×k nearest-neighbor upsampler: each input sample
 // produces a k×k block, demonstrating outputs larger than inputs (the
-// item grid stays the input's; the region grows k-fold).
+// item grid stays the input's; the region grows k-fold). A row span of
+// n samples leaves as one (n·k)×k span of blocks.
 func Upsample(name string, k int) *graph.Node {
 	if k < 1 {
 		panic("kernel: upsample factor must be positive")
@@ -92,21 +102,32 @@ type upsampleBehavior struct {
 
 func (b upsampleBehavior) Clone() graph.Behavior { return b }
 
+// AcceptsBatch implements graph.BatchAware: samples arrive in row spans.
+func (upsampleBehavior) AcceptsBatch(input string) bool { return input == "in" }
+
 func (b upsampleBehavior) Invoke(method string, ctx graph.ExecContext) error {
 	if method != "runUpsample" {
 		return fmt.Errorf("kernel: upsample has no method %q", method)
 	}
-	v := ctx.Input("in").Value()
-	out := frame.Alloc(b.k, b.k)
-	for i := range out.Pix {
-		out.Pix[i] = v
+	in := rowOf(ctx.Input("in"))
+	n, sx := spanIn(ctx, "in", 1)
+	out := frame.AllocUninit(frame.F64, n*b.k, b.k)
+	for j := 0; j < n; j++ {
+		v := in.at(j * sx)
+		for y := 0; y < b.k; y++ {
+			block := out.Pix[y*n*b.k+j*b.k:][:b.k]
+			for i := range block {
+				block[i] = v
+			}
+		}
 	}
-	ctx.Emit("out", out)
+	emitSpan(ctx, "out", out, n, b.k)
 	return nil
 }
 
 // Magnitude builds the two-input gradient-magnitude kernel
 // out = sqrt(gx² + gy²), a second multi-input example beyond Subtract.
+// Like Subtract, both inputs accept row spans.
 func Magnitude(name string) *graph.Node {
 	n := graph.NewNode(name, graph.KindKernel)
 	n.CreateInput("gx", geom.Sz(1, 1), geom.St(1, 1), geom.Off(0, 0))
@@ -125,18 +146,18 @@ type magnitudeBehavior struct{ elemToF64 }
 
 func (magnitudeBehavior) Clone() graph.Behavior { return magnitudeBehavior{} }
 
+// AcceptsBatch implements graph.BatchAware: samples arrive in row spans.
+func (magnitudeBehavior) AcceptsBatch(input string) bool { return input == "gx" || input == "gy" }
+
 func (magnitudeBehavior) Invoke(method string, ctx graph.ExecContext) error {
 	if method != "magnitude" {
 		return fmt.Errorf("kernel: magnitude has no method %q", method)
 	}
-	gx := ctx.Input("gx").Value()
-	gy := ctx.Input("gy").Value()
-	ctx.Emit("out", frame.PooledScalar(math.Hypot(gx, gy)))
-	return nil
+	return zipSpan(ctx, "gx", "gy", math.Hypot)
 }
 
 // Threshold builds a 1×1 binarization kernel: out = high if in >= t,
-// else low.
+// else low. Its input accepts row spans.
 func Threshold(name string, t, low, high float64) *graph.Node {
 	n := graph.NewNode(name, graph.KindKernel)
 	n.CreateInput("in", geom.Sz(1, 1), geom.St(1, 1), geom.Off(0, 0))
@@ -157,15 +178,18 @@ type thresholdBehavior struct {
 
 func (b thresholdBehavior) Clone() graph.Behavior { return b }
 
+// AcceptsBatch implements graph.BatchAware: samples arrive in row spans.
+func (thresholdBehavior) AcceptsBatch(input string) bool { return input == "in" }
+
 func (b thresholdBehavior) Invoke(method string, ctx graph.ExecContext) error {
 	if method != "runThreshold" {
 		return fmt.Errorf("kernel: threshold has no method %q", method)
 	}
-	v := ctx.Input("in").Value()
-	out := b.low
-	if v >= b.t {
-		out = b.high
-	}
-	ctx.Emit("out", frame.PooledScalar(out))
+	mapSpan(ctx, "in", func(v float64) float64 {
+		if v >= b.t {
+			return b.high
+		}
+		return b.low
+	})
 	return nil
 }

@@ -27,10 +27,16 @@ type driver struct {
 	ctx invokeCtx
 
 	// held is the method whose trigger heads ctx.in points at, -1 when
-	// none; the next locked section drops those slots. released records
-	// that the firing got far enough to give up their windows.
+	// none; the next locked section retires those heads. released records
+	// that the firing got far enough to give up their windows. n is the
+	// held firing's logical count: the common prefix of its data heads.
 	held     int32
 	released bool
+	n        int32
+
+	// prefix holds, per trigger, the item a firing reads when it takes
+	// only the first n windows of a wider batch head (see hold).
+	prefix []graph.Item
 
 	// tokScratch is the consumed-token buffer reused across firings; fwd
 	// is the token a forward action took off its group, for run to send.
@@ -52,6 +58,7 @@ func newDriver(ex *executor, pn *planNode) *driver {
 		maxTrig = max(maxTrig, len(pn.rule.Methods[i].Trig))
 	}
 	d.ctx = invokeCtx{d: d, in: make([]*graph.Item, maxTrig)}
+	d.prefix = make([]graph.Item, maxTrig)
 	return d
 }
 
@@ -113,25 +120,58 @@ func (d *driver) next() (graph.RuleAction, bool) {
 }
 
 // hold points the invocation context at method mi's trigger heads,
-// which stay in their rings until retire.
+// which stay in their rings until retire. The firing covers n logical
+// invocations, the fewest windows any data head carries (tokens do not
+// count); a head batching more lends the firing its first n windows as
+// a prefix item holding one reference of its own, and keeps the rest.
+// Heads on inputs that do not accept batches are single windows (the
+// sender splits batches for them), so such a method fires once per
+// window.
 func (d *driver) hold(mi int32) {
 	m := &d.rule.Methods[mi]
+	n := int32(0)
 	for i := range m.Trig {
-		d.ctx.in[i] = d.ib.rings[m.Trig[i].In].peek()
+		it := d.ib.rings[m.Trig[i].In].peek()
+		d.ctx.in[i] = it
+		if w := spanN(it); !it.IsToken && (n == 0 || w < n) {
+			n = w
+		}
+	}
+	n = max(n, 1)
+	for i := range m.Trig {
+		if it := d.ctx.in[i]; !it.IsToken && spanN(it) > n {
+			p := &d.prefix[i]
+			*p = graph.BatchItem(it.Win.View(0, 0, spanW(it.B, n), it.Win.H), batchOf(it.B, n))
+			p.Win.Retain(1)
+			d.ctx.in[i] = p
+		}
 	}
 	d.ctx.m, d.ctx.trig = d.pn.node.Methods()[mi], m.Trig
-	d.held, d.released = mi, false
+	d.held, d.released, d.n = mi, false, n
 }
 
 // retire drops the slots the last firing read in place and wakes any
-// producer waiting for the room. Called with ib.mu held.
+// producer waiting for the room; a head the firing took only a prefix
+// of shrinks in place to its remaining windows instead. Called with
+// ib.mu held.
 func (d *driver) retire() {
 	if d.held < 0 {
 		return
 	}
 	for i := range d.ctx.trig {
 		r := &d.ib.rings[d.ctx.trig[i].In]
-		if it := r.peek(); !d.released && !it.IsToken {
+		it := r.peek()
+		if p := &d.prefix[i]; d.ctx.in[i] == p {
+			if !d.released {
+				p.Win.Release()
+			}
+			*p = graph.Item{}
+			x := int(d.n * it.B.Sx)
+			it.Win = it.Win.View(x, 0, it.Win.W-x, it.Win.H)
+			it.B = batchOf(it.B, it.B.N-d.n)
+			continue
+		}
+		if !d.released && !it.IsToken {
 			// The firing never finished (a kernel panic): the window is
 			// still ours to give back.
 			it.Win.Release()
@@ -141,6 +181,21 @@ func (d *driver) retire() {
 	}
 	d.held = -1
 }
+
+// spanN returns the number of logical windows a data item carries.
+func spanN(it *graph.Item) int32 { return max(it.B.N, 1) }
+
+// batchOf returns the descriptor of n windows of batch b's shape: plain
+// for a single window.
+func batchOf(b graph.Batch, n int32) graph.Batch {
+	if n <= 1 {
+		return graph.Batch{}
+	}
+	return graph.Batch{N: n, Sx: b.Sx, Bw: b.Bw}
+}
+
+// spanW returns the width of the first n windows of batch b.
+func spanW(b graph.Batch, n int32) int { return int((n-1)*b.Sx + b.Bw) }
 
 // run carries out an action picked by next, outside the lock: fire the
 // method, or send the forwarded token on (an absorbed token has no
@@ -162,20 +217,14 @@ func (d *driver) run(act graph.RuleAction) error {
 func (d *driver) fire(mi int32) error {
 	ctx := &d.ctx
 	tokens := d.tokScratch[:0]
-	logical := int64(1)
 	for i := range ctx.trig {
-		it := ctx.in[i]
-		if it.IsToken {
+		if it := ctx.in[i]; it.IsToken {
 			tokens = append(tokens, it.Tok)
-		} else if n := int64(it.B.N); n > logical {
-			// A batched firing stands for its batch's N logical
-			// invocations (batch-aware kernels have a single data
-			// trigger, so one batch determines the count).
-			logical = n
 		}
 	}
 	d.tokScratch = tokens
-	d.ib.fired[mi].Add(logical)
+	// A batched firing stands for the n logical invocations hold chose.
+	d.ib.fired[mi].Add(int64(d.n))
 	err := d.inv.Invoke(ctx.m.Name, ctx)
 	// The firing consumed its data inputs: release their pool
 	// references. Anything the kernel emitted from shared storage was

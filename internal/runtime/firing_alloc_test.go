@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"testing"
 
 	"blockpar/internal/frame"
@@ -28,13 +29,18 @@ func (spanPass) Invoke(_ string, ctx graph.ExecContext) error {
 }
 
 // firstOf emits its first input and ignores the second: a two-trigger
-// method.
+// batch-aware method, so it fires on the common prefix of its heads.
 type firstOf struct{}
 
-func (firstOf) Clone() graph.Behavior { return firstOf{} }
+func (firstOf) Clone() graph.Behavior       { return firstOf{} }
+func (firstOf) AcceptsBatch(in string) bool { return true }
 func (firstOf) Invoke(_ string, ctx graph.ExecContext) error {
+	bc := ctx.(graph.BatchContext)
+	if a, b := bc.Batch("in0"), bc.Batch("in1"); max(a.N, 1) != max(b.N, 1) {
+		return fmt.Errorf("fired on spans of %d and %d windows", a.N, b.N)
+	}
 	_ = ctx.Input("in1")
-	ctx.Emit("out", ctx.Input("in0"))
+	bc.EmitBatch("out", ctx.Input("in0"), bc.Batch("in0"))
 	return nil
 }
 
@@ -56,9 +62,9 @@ func quiesce(t *testing.T, d *driver) {
 // TestFiringPathAllocFree is the steady-state gate on the executor:
 // deliver → ready check → fire → emit makes zero heap allocations
 // (testing.AllocsPerRun == 0) on a one-trigger and a two-trigger
-// method, for plain data items, row batches (delivered whole to the
-// batch-aware kernel, split into views for the other) and a forwarded
-// end-of-line token. The executor is built and never started, so the
+// method, for plain data items, row batches, a prefix firing (one
+// 8-wide span against spans of 3 and 5: two firings, the first on the
+// span's first 3 windows) and a forwarded end-of-line token. The executor is built and never started, so the
 // rings capture every delivery and the code under test is the only
 // code that could touch the heap.
 func TestFiringPathAllocFree(t *testing.T) {
@@ -99,13 +105,14 @@ func TestFiringPathAllocFree(t *testing.T) {
 	dTwo := newDriver(ex, planNodeOf(t, ex, "Two"))
 	sink := &ex.boxes[planNodeOf(t, ex, "Out").id].rings[0]
 
-	// drain empties the output ring, returning the data and token counts.
+	// drain empties the output ring, returning the logical data and token
+	// counts.
 	drain := func() (data, tokens int) {
 		for sink.n > 0 {
 			if it := sink.peek(); it.IsToken {
 				tokens++
 			} else {
-				data++
+				data += it.BatchN()
 				it.Win.Release()
 			}
 			sink.drop()
@@ -135,6 +142,11 @@ func TestFiringPathAllocFree(t *testing.T) {
 			ex.send(srcA, 0, graph.BatchItem(frame.Alloc(width, 1), batch))
 			ex.send(srcB, 0, graph.BatchItem(frame.Alloc(width, 1), batch))
 		})},
+		{"prefix", run(width, 0, func() {
+			ex.send(srcA, 0, graph.BatchItem(frame.Alloc(width, 1), batch))
+			ex.send(srcB, 0, graph.BatchItem(frame.Alloc(3, 1), graph.Batch{N: 3, Sx: 1, Bw: 1}))
+			ex.send(srcB, 0, graph.BatchItem(frame.Alloc(width-3, 1), graph.Batch{N: width - 3, Sx: 1, Bw: 1}))
+		})},
 		{"forwarded EOL", run(0, 1, func() {
 			ex.send(srcA, 0, graph.TokenItem(token.EOL(7)))
 			ex.send(srcB, 0, graph.TokenItem(token.EOL(7)))
@@ -154,8 +166,8 @@ func TestFiringPathAllocFree(t *testing.T) {
 	}
 	// Each case ran 102 times (our warm-up, AllocsPerRun's own, and its
 	// 100 measured runs); the counter block must have seen every logical
-	// firing of the data and batch cases.
-	if fired := ex.boxes[dTwo.pn.id].fired[0].Load(); fired != 102*(1+width) {
-		t.Errorf("two-trigger method counted %d firings, want %d", fired, 102*(1+width))
+	// firing of the data, batch and prefix cases.
+	if fired := ex.boxes[dTwo.pn.id].fired[0].Load(); fired != 102*(1+2*width) {
+		t.Errorf("two-trigger method counted %d firings, want %d", fired, 102*(1+2*width))
 	}
 }
