@@ -295,9 +295,10 @@ func checkSim(template *graph.Graph, m machine.Machine, frames int, run *runtime
 // checkCounters holds a run's per-node counter blocks to the compiler's
 // numbers. Firing counts must equal the analysis' predicted iteration
 // grids — the §III-A numbers every buffer size and parallel degree is
-// derived from (kernels fed by round-robin flattened streams are
-// skipped: their per-instance share is modeled as a flat total, not a
-// grid). And no input ring may have held more than the capacity the
+// derived from — for ordinary kernels and for FSM kernels alike, whose
+// one method counts the data items it took (nodes fed by round-robin
+// flattened streams are skipped: their per-instance share is modeled
+// as a flat total, not a grid). And no input ring may have held more than the capacity the
 // execution plan derived for it from the same analysis: a higher mark
 // means the ring grew, i.e. the plan-time bound was wrong for this
 // graph.
@@ -313,11 +314,8 @@ func checkCounters(compiled *core.Compiled, stats []runtime.NodeStats, frames in
 		}
 	}
 	for _, n := range compiled.Graph.Nodes() {
-		if n.Kind != graph.KindKernel {
-			continue
-		}
-		if _, ok := n.Behavior.(graph.Invoker); !ok {
-			continue
+		if len(n.Methods()) == 0 {
+			continue // inputs and outputs
 		}
 		flat := false
 		for _, p := range n.Inputs() {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"blockpar/internal/apps"
-	"blockpar/internal/graph"
 	"blockpar/internal/runtime"
 )
 
@@ -12,8 +11,8 @@ import (
 // consistency property: for every compiled suite benchmark, the
 // data-flow analysis' predicted per-method invocation counts (§III-A's
 // iteration sizes) must equal the functional runtime's actual firing
-// counts, method by method, for every generic kernel in the transformed
-// graph. A mismatch means the static model and the execution semantics
+// counts, method by method, for every kernel in the transformed graph —
+// an FSM kernel's one method counting the data items it took. A mismatch means the static model and the execution semantics
 // disagree — exactly the kind of drift that would silently break the
 // real-time guarantees.
 func TestAnalysisPredictsRuntimeFirings(t *testing.T) {
@@ -30,11 +29,8 @@ func TestAnalysisPredictsRuntimeFirings(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, n := range c.Graph.Nodes() {
-				if _, isRunner := graph.RunnerBehavior(n); isRunner {
-					continue // FSM kernels fire per their own loops
-				}
-				if n.Kind != graph.KindKernel {
-					continue
+				if len(n.Methods()) == 0 {
+					continue // inputs and outputs
 				}
 				ni := c.Analysis.NodeInfoOf(n)
 				actual := res.Firings[n.Name()]

@@ -85,22 +85,6 @@ func TestRegisterMethodForward(t *testing.T) {
 	n.RegisterMethodForward("m", "nope")
 }
 
-func TestRunnerBehaviorDetection(t *testing.T) {
-	n := NewNode("K", KindKernel)
-	if _, ok := RunnerBehavior(n); ok {
-		t.Error("nil behavior detected as runner")
-	}
-	n.Behavior = fakeRunner{}
-	if _, ok := RunnerBehavior(n); !ok {
-		t.Error("runner behavior not detected")
-	}
-}
-
-type fakeRunner struct{}
-
-func (fakeRunner) Clone() Behavior          { return fakeRunner{} }
-func (fakeRunner) Run(ctx RunContext) error { return nil }
-
 func TestValidateRejectsBadPortsAndMethods(t *testing.T) {
 	g := New("bad-ports")
 	in := g.AddInput("Input", geom.Sz(4, 4), geom.Sz(1, 1), geom.FInt(1))

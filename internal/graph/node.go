@@ -61,8 +61,9 @@ const (
 	// KindBoundary terminates a cut edge when a graph is partitioned
 	// across workers: a boundary source (one output, no inputs) injects
 	// the item stream arriving from the peer partition, and a boundary
-	// sink (one input, no outputs) drains the stream headed to it. Both
-	// carry a Runner behavior supplied by the transport.
+	// sink (one input, no outputs) drains the stream headed to it. The
+	// runtime runs both as endpoints over callbacks the transport
+	// supplies.
 	KindBoundary
 )
 
@@ -401,9 +402,9 @@ func (n *Node) String() string {
 // Behavior is the functional implementation of a kernel, executed by
 // the goroutine runtime. Methods of a kernel share the Behavior
 // instance's private state; parallel instances get fresh state via
-// Clone. A Behavior implements either Invoker (ordinary kernels driven
-// by the generic method-trigger loop) or Runner (FSM kernels that
-// drive their own stream loop; see runner.go).
+// Clone. A Behavior implements either Invoker (ordinary kernels fired
+// by their lowered Rule) or Step (the compiler's FSM kernels; see
+// step.go).
 type Behavior interface {
 	// Clone returns a Behavior with fresh private state for a new
 	// parallel instance of the kernel.

@@ -130,14 +130,14 @@ func (g *Graph) validateNode(n *Node, report func(string, ...any)) {
 		}
 	case KindBoundary:
 		// A boundary shim is a pure endpoint: exactly one port, driven by
-		// a Runner rather than triggered methods.
+		// its transport rather than triggered methods.
 		src := len(n.Outputs()) == 1 && len(n.Inputs()) == 0
 		sink := len(n.Inputs()) == 1 && len(n.Outputs()) == 0
 		if !src && !sink {
 			report("boundary %q must have exactly one port", n.Name())
 		}
-		if _, ok := RunnerBehavior(n); !ok {
-			report("boundary %q has no Runner behavior", n.Name())
+		if n.Behavior == nil {
+			report("boundary %q has no behavior", n.Name())
 		}
 	default:
 		if len(n.Methods()) == 0 {

@@ -30,9 +30,16 @@ func Inset(name string, plan InsetPlan, item geom.Size) *graph.Node {
 }
 
 type insetBehavior struct {
-	plan InsetPlan
+	plan      InsetPlan
+	cur, pend gridPos
+}
+
+// gridPos is a trim or pad kernel's position in its item grid and its
+// output row count.
+type gridPos struct {
 	x, y int
 	row  int64
+	top  bool
 }
 
 func (b *insetBehavior) Clone() graph.Behavior {
@@ -44,86 +51,57 @@ func (b *insetBehavior) Clone() graph.Behavior {
 // incoming storage instead of per-item traffic.
 func (b *insetBehavior) AcceptsBatch(input string) bool { return input == "in" }
 
-func (b *insetBehavior) Run(ctx graph.RunContext) error {
-	for {
-		it, ok := ctx.Recv("in")
-		if !ok {
-			return nil
-		}
-		if it.IsToken {
-			switch it.Tok.Kind {
-			case token.EndOfLine:
-				b.x = 0
-				b.y++
-			case token.EndOfFrame:
-				b.x, b.y, b.row = 0, 0, 0
-				ctx.Send("out", it)
-			default:
-				ctx.Send("out", it)
-			}
-			continue
-		}
-		n := it.BatchN()
-		if n == 1 {
-			keep, rowEnd := b.plan.Keep(b.x, b.y)
-			if keep {
-				ctx.Send("out", it)
-				if rowEnd {
-					ctx.Send("out", graph.TokenItem(token.EOL(b.row)))
-					b.row++
-				}
-			} else {
-				// Trimmed: this kernel was the item's only consumer.
-				it.Win.Release()
-			}
-			b.x++
-			continue
-		}
-		b.insetSpan(ctx, it, n)
+// Next implements graph.Step. A data head covers grid columns
+// [x, x+n) of row y: each maximal run of kept items leaves as one view
+// as the scan finds it, the regenerated end-of-line after the run that
+// ends a kept row, and trimmed items are dropped. Input end-of-line is
+// consumed; end-of-frame and custom tokens pass.
+func (b *insetBehavior) Next(h graph.StepHeads, p *graph.StepPlan) (bool, error) {
+	tok := h.Head(0)
+	if tok == nil {
+		return false, nil
 	}
+	b.pend = b.cur
+	p.Take[0] = true
+	switch tok.Kind {
+	case token.None:
+		n, j0 := h.Span(0), -1
+		for j := 0; j < n; j++ {
+			keep, rowEnd := b.plan.Keep(b.cur.x+j, b.cur.y)
+			if keep && j0 < 0 {
+				j0 = j
+			}
+			if j0 >= 0 && (!keep || rowEnd) {
+				p.View(0, 0, j0, j+btoi(keep))
+				j0 = -1
+			}
+			if rowEnd {
+				p.Token(0, token.EOL(b.pend.row))
+				b.pend.row++
+			}
+		}
+		if j0 >= 0 {
+			p.View(0, 0, j0, n)
+		}
+		b.pend.x += n
+	case token.EndOfLine:
+		b.pend.x, b.pend.y = 0, b.cur.y+1
+	case token.EndOfFrame:
+		p.View(0, 0, 0, 1)
+		b.pend = gridPos{}
+	default:
+		p.View(0, 0, 0, 1)
+	}
+	return true, nil
 }
 
-// insetSpan applies the trim to a span of n grid items at columns
-// [b.x, b.x+n) of item row b.y: each maximal run of kept items is
-// forwarded as one sub-span view, trimmed items are dropped with the
-// storage reference, and the regenerated end-of-line follows the item
-// that ends a kept row. Emission order matches the scalar path exactly.
-func (b *insetBehavior) insetSpan(ctx graph.RunContext, it graph.Item, n int) {
-	type run struct {
-		j0, j1 int // kept item range [j0, j1)
-		rowEnd bool
+func (b *insetBehavior) Apply() { b.cur = b.pend }
+
+func btoi(b bool) int {
+	if b {
+		return 1
 	}
-	var runs []run
-	for j := 0; j < n; j++ {
-		keep, rowEnd := b.plan.Keep(b.x+j, b.y)
-		if !keep {
-			continue
-		}
-		if len(runs) > 0 && runs[len(runs)-1].j1 == j && !runs[len(runs)-1].rowEnd {
-			runs[len(runs)-1].j1 = j + 1
-			runs[len(runs)-1].rowEnd = rowEnd
-		} else {
-			runs = append(runs, run{j0: j, j1: j + 1, rowEnd: rowEnd})
-		}
-	}
-	b.x += n
-	if len(runs) == 0 {
-		it.Win.Release()
-		return
-	}
-	it.Win.Retain(len(runs) - 1)
-	sx, bw := int(it.B.Sx), int(it.B.Bw)
-	for _, r := range runs {
-		m := r.j1 - r.j0
-		sub := it.Win.View(r.j0*sx, 0, (m-1)*sx+bw, it.Win.H)
-		ctx.Send("out", graph.BatchItem(sub, graph.Batch{
-			N: int32(m), Sx: int32(sx), Bw: int32(bw),
-		}))
-		if r.rowEnd {
-			ctx.Send("out", graph.TokenItem(token.EOL(b.row)))
-			b.row++
-		}
-	}
+	return 0
 }
 
 // InsetPlanOf exposes the plan of an Inset node.
@@ -154,12 +132,10 @@ func Pad(name string, plan PadPlan) *graph.Node {
 }
 
 type padBehavior struct {
-	plan    PadPlan
-	x, y    int
-	row     int64
-	topDone bool
-	// kind is the stream's element kind, latched from the first data
-	// item so inserted zero samples match (zero is exact in every kind).
+	plan      PadPlan
+	cur, pend gridPos
+	// kind is the stream's element kind, latched from the data items so
+	// inserted zero samples match (zero is exact in every kind).
 	kind frame.Kind
 }
 
@@ -174,63 +150,71 @@ func PadPlanOf(n *graph.Node) (PadPlan, bool) {
 	return b.plan, true
 }
 
-func (b *padBehavior) zero() frame.Window {
-	return frame.AllocKind(b.kind, 1, 1)
+// Next implements graph.Step: the first data item of a frame is
+// preceded by plan.T zero rows, every row's first by plan.L zeros; an
+// input end-of-line gains plan.R zeros and the regenerated end-of-line,
+// and end-of-frame follows plan.B zero rows.
+func (b *padBehavior) Next(h graph.StepHeads, p *graph.StepPlan) (bool, error) {
+	tok := h.Head(0)
+	if tok == nil {
+		return false, nil
+	}
+	pl := b.plan
+	b.pend = b.cur
+	p.Take[0] = true
+	switch tok.Kind {
+	case token.None:
+		if !b.cur.top {
+			for i := 0; i < pl.T; i++ {
+				b.zeros(p, pl.OutW(), true)
+			}
+			b.pend.top = true
+		}
+		if b.cur.x == 0 {
+			b.zeros(p, pl.L, false)
+		}
+		p.View(0, 0, 0, 1)
+		b.pend.x++
+	case token.EndOfLine:
+		if b.cur.x != pl.InW {
+			return false, fmt.Errorf("kernel: pad %q EOL after %d of %d samples",
+				h.Node().Name(), b.cur.x, pl.InW)
+		}
+		b.zeros(p, pl.R, true)
+		b.pend.x, b.pend.y = 0, b.cur.y+1
+	case token.EndOfFrame:
+		for i := 0; i < pl.B; i++ {
+			b.zeros(p, pl.OutW(), true)
+		}
+		p.View(0, 0, 0, 1)
+		b.pend = gridPos{}
+	default:
+		p.View(0, 0, 0, 1)
+	}
+	return true, nil
 }
 
-func (b *padBehavior) emitZeroRow(ctx graph.RunContext) {
-	for i := 0; i < b.plan.OutW(); i++ {
-		ctx.Send("out", graph.DataItem(b.zero()))
+// zeros plans n zero samples and, with eol, the end of their row.
+func (b *padBehavior) zeros(p *graph.StepPlan, n int, eol bool) {
+	if n > 0 {
+		p.Fresh(0, 0, n)
 	}
-	ctx.Send("out", graph.TokenItem(token.EOL(b.row)))
-	b.row++
+	if eol {
+		p.Token(0, token.EOL(b.pend.row))
+		b.pend.row++
+	}
 }
 
-func (b *padBehavior) Run(ctx graph.RunContext) error {
-	p := b.plan
-	for {
-		it, ok := ctx.Recv("in")
-		if !ok {
-			return nil
-		}
-		if it.IsToken {
-			switch it.Tok.Kind {
-			case token.EndOfLine:
-				if b.x != p.InW {
-					return fmt.Errorf("kernel: pad %q EOL after %d of %d samples",
-						ctx.Node().Name(), b.x, p.InW)
-				}
-				for i := 0; i < p.R; i++ {
-					ctx.Send("out", graph.DataItem(b.zero()))
-				}
-				ctx.Send("out", graph.TokenItem(token.EOL(b.row)))
-				b.row++
-				b.x = 0
-				b.y++
-			case token.EndOfFrame:
-				for i := 0; i < p.B; i++ {
-					b.emitZeroRow(ctx)
-				}
-				ctx.Send("out", it)
-				b.x, b.y, b.row, b.topDone = 0, 0, 0, false
-			default:
-				ctx.Send("out", it)
-			}
-			continue
-		}
-		if !b.topDone {
-			b.kind = it.Win.Kind
-			for i := 0; i < p.T; i++ {
-				b.emitZeroRow(ctx)
-			}
-			b.topDone = true
-		}
-		if b.x == 0 {
-			for i := 0; i < p.L; i++ {
-				ctx.Send("out", graph.DataItem(b.zero()))
-			}
-		}
-		ctx.Send("out", it)
-		b.x++
-	}
+func (b *padBehavior) Apply() { b.cur = b.pend }
+
+// Take implements graph.StepValues: it latches the element kind.
+func (b *padBehavior) Take(_ *graph.Node, _ int32, it *graph.Item) error {
+	b.kind = it.Win.Kind
+	return nil
+}
+
+// Fresh implements graph.StepValues: a run of zero samples.
+func (b *padBehavior) Fresh(e *graph.StepEmit) graph.Item {
+	n := int(e.J1 - e.J0)
+	return graph.BatchItem(frame.AllocKind(b.kind, n, 1), graph.Batch{N: int32(n), Sx: 1, Bw: 1})
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"blockpar/internal/frame"
+	"blockpar/internal/geom"
 	"blockpar/internal/graph"
 	"blockpar/internal/token"
 )
@@ -128,4 +129,59 @@ func TestDenseLoopsAllocFree(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestFSMStepsAllocFree pins the compiler FSM steps at zero steady-state
+// heap allocations per step, value phase included: an inset row arriving
+// as two spans that each keep a run, a column split and a column join of
+// a row span, and a warm buffer completing a row of windows from the
+// arena. Each pass replays one frame's script through the step harness.
+func TestFSMStepsAllocFree(t *testing.T) {
+	const w = 12
+	row := span(frame.F64, w, 1)
+	half := func(x0 int) graph.Item { return rowSpan(row.View(x0, 0, w/2, 1)) }
+	eol, eof := graph.TokenItem(token.EOL(0)), graph.TokenItem(token.EOF(0))
+	replay := func(n *graph.Node, script map[string][]graph.Item) func() {
+		h := newStepHarness(t, n)
+		h.discard = true
+		ins := make([][]graph.Item, len(h.in))
+		for name, items := range script {
+			ins[h.port(n.Inputs(), name)] = items
+		}
+		return func() {
+			copy(h.in, ins)
+			if err := h.run(); err != nil {
+				t.Fatal(err)
+			}
+			for k := range h.in {
+				if len(h.in[k]) != 0 {
+					t.Fatalf("%s left %d items on input %d", n.Name(), len(h.in[k]), k)
+				}
+			}
+		}
+	}
+	frameOf := func(r ...graph.Item) []graph.Item {
+		var items []graph.Item
+		for y := 0; y < 3; y++ {
+			items = append(append(items, r...), eol)
+		}
+		return append(items, eof)
+	}
+
+	inset := Inset("I", InsetPlan{InW: w, InH: 3, L: 2, R: 3, T: 1, B: 1}, geom.Sz(1, 1))
+	assertAllocFree(t, "inset spans", replay(inset, map[string][]graph.Item{"in": frameOf(half(0), half(w/2))}))
+
+	stripes := ColumnStripes(w, 3, 1, 2)
+	split := SplitColumns("S", stripes, w)
+	assertAllocFree(t, "column split", replay(split, map[string][]graph.Item{"in": frameOf(rowSpan(row))}))
+
+	a, b := stripes[0].InWidth(), stripes[1].InWidth()
+	join := JoinColumns("J", []int{a, b}, geom.Sz(1, 1))
+	assertAllocFree(t, "column join", replay(join, map[string][]graph.Item{
+		"in0": frameOf(rowSpan(row.View(0, 0, a, 1))),
+		"in1": frameOf(rowSpan(row.View(0, 0, b, 1))),
+	}))
+
+	buf := Buffer("B", BufferPlan{DataW: w, DataH: 3, WinW: 3, WinH: 3, StepX: 1, StepY: 1})
+	assertAllocFree(t, "buffer row", replay(buf, map[string][]graph.Item{"in": frameOf(rowSpan(row))}))
 }

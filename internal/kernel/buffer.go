@@ -40,169 +40,146 @@ func Buffer(name string, plan BufferPlan) *graph.Node {
 	n.RegisterMethodInput("buffer", "in")
 	n.RegisterMethodOutput("buffer", "out")
 	n.Attrs["label"] = plan.Label()
-	n.Behavior = &bufferBehavior{plan: plan, outs: []string{"out"}}
+	n.Behavior = &bufferBehavior{plan: plan}
 	return n
 }
 
-// bufferBehavior is the one window-buffer FSM, behind both Buffer and
+// bufferBehavior is the one window-buffer step, behind both Buffer and
 // ShareBuffer: every output carries the same scan-order window stream.
 type bufferBehavior struct {
 	plan BufferPlan
-	// ways is a ShareBuffer's fan-out, zero for a Buffer; outs names the
-	// outputs ("out", or out0..out{ways-1}).
+	// ways is a ShareBuffer's fan-out, zero for a Buffer.
 	ways int
-	outs []string
 	// ring holds the last WinH input rows (modular by row index) as one
 	// dense window of the stream's element kind, allocated on the first
 	// data item.
 	ring frame.Window
 	x, y int
+	// pend is the step proposed last: where its samples land (column x0
+	// of row y), the cursor it leaves, and the window row it completes.
+	pend struct{ x0, y, nx, ny, wy int }
 }
 
 func (b *bufferBehavior) Clone() graph.Behavior {
-	return &bufferBehavior{plan: b.plan, ways: b.ways, outs: b.outs}
+	return &bufferBehavior{plan: b.plan, ways: b.ways}
 }
 
 // AcceptsBatch implements graph.BatchAware: sample rows arrive whole.
 func (b *bufferBehavior) AcceptsBatch(input string) bool { return input == "in" }
 
-func (b *bufferBehavior) reset() {
-	b.x, b.y = 0, 0
-	for y := 0; y < b.ring.H; y++ {
-		clear(b.ring.RowBytes(y))
+// Next implements graph.Step. A data head of n samples lands at
+// columns [x, x+n) of the current row; every window whose bottom-right
+// sample lies in that range leaves as one fresh span (a scalar head
+// completes at most one), followed by the row's end-of-line when the
+// range completes the window row. Input end-of-line is consumed (the
+// buffer regenerates its own); end-of-frame and custom tokens pass.
+func (b *bufferBehavior) Next(h graph.StepHeads, p *graph.StepPlan) (bool, error) {
+	tok := h.Head(0)
+	if tok == nil {
+		return false, nil
 	}
+	pl := b.plan
+	b.pend.x0, b.pend.y, b.pend.nx, b.pend.ny = b.x, b.y, b.x, b.y
+	switch tok.Kind {
+	case token.None:
+		n := h.Span(0)
+		if b.x+n > pl.DataW || b.y >= pl.DataH {
+			return false, fmt.Errorf("kernel: buffer %q overflow at (%d,%d)+%d for %dx%d region",
+				h.Node().Name(), b.x, b.y, n, pl.DataW, pl.DataH)
+		}
+		p.Take[0] = true
+		b.pend.nx = b.x + n
+		b.completed(p, b.x, b.x+n)
+	case token.EndOfLine:
+		if b.x != pl.DataW {
+			return false, fmt.Errorf("kernel: buffer %q got EOL after %d of %d samples",
+				h.Node().Name(), b.x, pl.DataW)
+		}
+		p.Take[0] = true
+		b.pend.nx, b.pend.ny = 0, b.y+1
+	case token.EndOfFrame:
+		if b.y != pl.DataH {
+			return false, fmt.Errorf("kernel: buffer %q got EOF after %d of %d rows",
+				h.Node().Name(), b.y, pl.DataH)
+		}
+		p.View(graph.AllOutputs, 0, 0, 1)
+		b.pend.nx, b.pend.ny = 0, 0
+	default:
+		p.View(graph.AllOutputs, 0, 0, 1)
+	}
+	return true, nil
 }
 
-// send delivers one item to every output. A data window gains one
-// retained reference per extra consumer; the held reference covers the
-// first.
-func (b *bufferBehavior) send(ctx graph.RunContext, it graph.Item) {
-	if !it.IsToken && len(b.outs) > 1 {
-		it.Win.Retain(len(b.outs) - 1)
-	}
-	for _, out := range b.outs {
-		ctx.Send(out, it)
-	}
-}
-
-func (b *bufferBehavior) Run(ctx graph.RunContext) error {
-	p := b.plan
-	for {
-		it, ok := ctx.Recv("in")
-		if !ok {
-			return nil
-		}
-		if it.IsToken {
-			switch it.Tok.Kind {
-			case token.EndOfLine:
-				// Input row boundary: consumed silently; the buffer
-				// regenerates EOL at its own output-row boundaries.
-				if b.x != p.DataW {
-					return fmt.Errorf("kernel: buffer %q got EOL after %d of %d samples",
-						ctx.Node().Name(), b.x, p.DataW)
-				}
-				b.x = 0
-				b.y++
-			case token.EndOfFrame:
-				if b.y != p.DataH {
-					return fmt.Errorf("kernel: buffer %q got EOF after %d of %d rows",
-						ctx.Node().Name(), b.y, p.DataH)
-				}
-				b.reset()
-				b.send(ctx, it)
-			default:
-				// Custom tokens pass through in order.
-				b.send(ctx, it)
-			}
-			continue
-		}
-		n := it.BatchN()
-		if it.Win.H != 1 || (n == 1 && it.Win.W != 1) || (n > 1 && it.B.Bw != 1) {
-			return fmt.Errorf("kernel: buffer %q expects 1x1 samples, got %v",
-				ctx.Node().Name(), it)
-		}
-		if b.x+n > p.DataW || b.y >= p.DataH {
-			return fmt.Errorf("kernel: buffer %q overflow at (%d,%d)+%d for %dx%d region",
-				ctx.Node().Name(), b.x, b.y, n, p.DataW, p.DataH)
-		}
-		if b.ring.W == 0 {
-			b.ring = frame.NewWindowKind(it.Win.Kind, p.DataW, p.WinH)
-		} else if b.ring.Kind != it.Win.Kind {
-			return fmt.Errorf("kernel: buffer %q element kind changed mid-stream (%v -> %v)",
-				ctx.Node().Name(), b.ring.Kind, it.Win.Kind)
-		}
-		x0 := b.x
-		b.ingest(it, n)
-		it.Win.Release()
-		b.emitCompleted(ctx, x0, b.x)
-	}
-}
-
-// ingest copies the item's n samples into the ring row at columns
-// [b.x, b.x+n) and advances the column cursor.
-func (b *bufferBehavior) ingest(it graph.Item, n int) {
-	es := b.ring.Kind.Bytes()
-	dst := b.ring.RowBytes(b.y % b.plan.WinH)
-	if n == 1 || int(it.B.Sx) == 1 {
-		copy(dst[b.x*es:(b.x+n)*es], it.Win.RowBytes(0))
-	} else {
-		// Strided batch of 1×1 samples (does not occur on the standard
-		// producers, but the descriptor allows it).
-		for j := 0; j < n; j++ {
-			copy(dst[(b.x+j)*es:(b.x+j+1)*es], it.B.Window(it.Win, j).RowBytes(0))
-		}
-	}
-	b.x += n
-}
-
-// emitCompleted emits every window whose bottom-right sample lies in
-// the just-ingested column range [x0, x1) of row b.y — as one batched
-// span item (one window degrades to a plain item) — plus the row's
-// end-of-line token when the range completes the window row. For
-// scalar ingest (x1 == x0+1) this reproduces the per-sample emission
-// of the unbatched buffer exactly.
-func (b *bufferBehavior) emitCompleted(ctx graph.RunContext, x0, x1 int) {
-	p := b.plan
-	wy := b.y - p.WinH + 1
-	if wy < 0 || wy%p.StepY != 0 || wy/p.StepY >= p.OutputRows() {
+// completed plans the windows whose bottom-right sample lies in the
+// column range [x0, x1) of row b.y. Window wx completes at sample
+// x = wx+WinW-1, so the completed range is step-aligned wx in
+// [x0-WinW+1, x1-WinW], clamped to the row's window positions.
+func (b *bufferBehavior) completed(p *graph.StepPlan, x0, x1 int) {
+	pl := b.plan
+	wy := b.y - pl.WinH + 1
+	nwin := pl.WindowsPerRow()
+	if wy < 0 || wy%pl.StepY != 0 || wy/pl.StepY >= pl.OutputRows() || nwin == 0 {
 		return
 	}
-	nwin := p.WindowsPerRow()
-	if nwin == 0 {
-		return
+	first := max(x0-pl.WinW+1, 0)
+	if r := first % pl.StepX; r != 0 {
+		first += pl.StepX - r
 	}
-	// Window wx completes at sample x = wx+WinW-1, so the completed
-	// range is step-aligned wx in [x0-WinW+1, x1-WinW], clamped to the
-	// row's window positions.
-	first := x0 - p.WinW + 1
-	if first < 0 {
-		first = 0
-	}
-	if r := first % p.StepX; r != 0 {
-		first += p.StepX - r
-	}
-	last := x1 - p.WinW
-	if m := (nwin - 1) * p.StepX; last > m {
-		last = m
-	}
+	last := min(x1-pl.WinW, (nwin-1)*pl.StepX)
 	if first > last {
 		return
 	}
-	last -= (last - first) % p.StepX
-	count := (last-first)/p.StepX + 1
-	spanW := (count-1)*p.StepX + p.WinW
-	win := frame.AllocKind(b.ring.Kind, spanW, p.WinH)
+	last -= (last - first) % pl.StepX
+	b.pend.wy = wy
+	p.Fresh(graph.AllOutputs, first/pl.StepX, last/pl.StepX+1)
+	if last == (nwin-1)*pl.StepX {
+		p.Token(graph.AllOutputs, token.EOL(int64(wy/pl.StepY)))
+	}
+}
+
+func (b *bufferBehavior) Apply() { b.x, b.y = b.pend.nx, b.pend.ny }
+
+// Take implements graph.StepValues: the head's samples are copied into
+// the ring row at the columns the step placed them.
+func (b *bufferBehavior) Take(n *graph.Node, _ int32, it *graph.Item) error {
+	k := it.BatchN()
+	if it.Win.H != 1 || (k == 1 && it.Win.W != 1) || (k > 1 && it.B.Bw != 1) {
+		return fmt.Errorf("kernel: buffer %q expects 1x1 samples, got %v", n.Name(), *it)
+	}
+	if b.ring.W == 0 {
+		b.ring = frame.NewWindowKind(it.Win.Kind, b.plan.DataW, b.plan.WinH)
+	} else if b.ring.Kind != it.Win.Kind {
+		return fmt.Errorf("kernel: buffer %q element kind changed mid-stream (%v -> %v)",
+			n.Name(), b.ring.Kind, it.Win.Kind)
+	}
+	es, x := b.ring.Kind.Bytes(), b.pend.x0
+	dst := b.ring.RowBytes(b.pend.y % b.plan.WinH)
+	if k == 1 || int(it.B.Sx) == 1 {
+		copy(dst[x*es:(x+k)*es], it.Win.RowBytes(0))
+		return nil
+	}
+	// Strided batch of 1×1 samples (does not occur on the standard
+	// producers, but the descriptor allows it).
+	for j := 0; j < k; j++ {
+		copy(dst[(x+j)*es:(x+j+1)*es], it.B.Window(it.Win, j).RowBytes(0))
+	}
+	return nil
+}
+
+// Fresh implements graph.StepValues: windows e.J0..e.J1-1 of the
+// completed window row, copied out of the ring as one dense span.
+func (b *bufferBehavior) Fresh(e *graph.StepEmit) graph.Item {
+	pl := b.plan
+	count := int(e.J1 - e.J0)
+	first := int(e.J0) * pl.StepX
+	spanW := (count-1)*pl.StepX + pl.WinW
+	win := frame.AllocKind(b.ring.Kind, spanW, pl.WinH)
 	es := b.ring.Kind.Bytes()
-	for dy := 0; dy < p.WinH; dy++ {
-		src := b.ring.RowBytes((wy + dy) % p.WinH)
+	for dy := 0; dy < pl.WinH; dy++ {
+		src := b.ring.RowBytes((b.pend.wy + dy) % pl.WinH)
 		copy(win.RowBytes(dy), src[first*es:(first+spanW)*es])
 	}
-	b.send(ctx, graph.BatchItem(win, graph.Batch{
-		N: int32(count), Sx: int32(p.StepX), Bw: int32(p.WinW),
-	}))
-	if last == (nwin-1)*p.StepX {
-		b.send(ctx, graph.TokenItem(token.EOL(int64(wy/p.StepY))))
-	}
+	return graph.BatchItem(win, graph.Batch{N: int32(count), Sx: int32(pl.StepX), Bw: int32(pl.WinW)})
 }
 
 // BufferPlanOf returns the plan of a buffer node built by Buffer, for

@@ -32,6 +32,7 @@ func Feedback(name string, item geom.Size, initial []frame.Window) *graph.Node {
 
 type feedbackBehavior struct {
 	initial []frame.Window
+	emitted bool
 }
 
 func (b *feedbackBehavior) Clone() graph.Behavior {
@@ -47,17 +48,30 @@ func FeedbackInitial(n *graph.Node) ([]frame.Window, bool) {
 	return b.initial, true
 }
 
-func (b *feedbackBehavior) Run(ctx graph.RunContext) error {
-	for _, w := range b.initial {
-		ctx.Send("out", graph.DataItem(w.Clone()))
-	}
-	for {
-		it, ok := ctx.Recv("in")
-		if !ok {
-			return nil
+// Next implements graph.Step: the first step sends the initial values
+// and takes nothing; every later one passes its head through.
+func (b *feedbackBehavior) Next(h graph.StepHeads, p *graph.StepPlan) (bool, error) {
+	if !b.emitted {
+		for i := range b.initial {
+			p.Fresh(0, i, i+1)
 		}
-		ctx.Send("out", it)
+		return true, nil
 	}
+	if h.Head(0) == nil {
+		return false, nil
+	}
+	p.View(0, 0, 0, h.Span(0))
+	return true, nil
+}
+
+func (b *feedbackBehavior) Apply() { b.emitted = true }
+
+// Take implements graph.StepValues; the feedback kernel keeps nothing.
+func (b *feedbackBehavior) Take(*graph.Node, int32, *graph.Item) error { return nil }
+
+// Fresh implements graph.StepValues: a copy of initial value e.J0.
+func (b *feedbackBehavior) Fresh(e *graph.StepEmit) graph.Item {
+	return graph.DataItem(b.initial[e.J0].Clone())
 }
 
 // Accumulator builds a 1×1 running-sum kernel with a state input, used

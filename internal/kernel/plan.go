@@ -4,10 +4,10 @@
 // demosaic, gain, downsample) and the compiler-inserted kernels
 // (buffer, split, join, replicate, inset, pad, feedback).
 //
-// The stream state machines of the compiler-inserted kernels are
-// factored into value-free "plans" so the timing simulator
-// (internal/sim) and the functional runtime (internal/runtime) execute
-// the same firing rules from one definition.
+// The compiler-inserted kernels are value-free FSM steps
+// (graph.Step) configured by the plans below: the functional runtime
+// (internal/runtime) and the timing simulator (internal/sim) both run
+// the same step, so each kernel's firing rule has one definition.
 package kernel
 
 import "fmt"
@@ -36,23 +36,6 @@ func (p BufferPlan) OutputRows() int {
 		return 0
 	}
 	return (p.DataH-p.WinH)/p.StepY + 1
-}
-
-// OnSample reports what the buffer emits when the sample at scan
-// position (x, y) arrives: whether a window completes, the window's
-// top-left position (wx, wy), and whether that window is the last of
-// its output row (after which the buffer emits an end-of-line token).
-func (p BufferPlan) OnSample(x, y int) (emit bool, wx, wy int, rowEnd bool) {
-	wx = x - p.WinW + 1
-	wy = y - p.WinH + 1
-	if wx < 0 || wy < 0 || wx%p.StepX != 0 || wy%p.StepY != 0 {
-		return false, 0, 0, false
-	}
-	n := p.WindowsPerRow()
-	if n == 0 || wx/p.StepX >= n || p.OutputRows() == 0 || wy/p.StepY >= p.OutputRows() {
-		return false, 0, 0, false
-	}
-	return true, wx, wy, wx == (n-1)*p.StepX
 }
 
 // MemoryWords returns the buffer kernel's storage requirement: the

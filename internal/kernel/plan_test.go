@@ -1,8 +1,12 @@
 package kernel
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"blockpar/internal/frame"
+	"blockpar/internal/token"
 )
 
 func TestBufferPlanCounts(t *testing.T) {
@@ -20,31 +24,61 @@ func TestBufferPlanCounts(t *testing.T) {
 	}
 }
 
-func TestBufferPlanOnSampleScanOrder(t *testing.T) {
-	p := BufferPlan{DataW: 5, DataH: 4, WinW: 3, WinH: 3, StepX: 1, StepY: 1}
-	// Walk the input in scan order; collect emissions.
-	type emission struct {
-		wx, wy int
-		rowEnd bool
-	}
-	var got []emission
+// emission is one window a buffer emits: its top-left position, and
+// whether the buffer's end-of-line follows it.
+type emission struct {
+	wx, wy int
+	rowEnd bool
+}
+
+// bufferEmissions runs the buffer step over one frame of p's region
+// whose sample at (x, y) is y*1000+x, fed as single samples or, with
+// spans, as one row span per row, and reads each emitted window's
+// position back from its top-left sample.
+func bufferEmissions(t testing.TB, p BufferPlan, spans bool) []emission {
+	t.Helper()
+	img := frame.NewWindow(p.DataW, p.DataH)
 	for y := 0; y < p.DataH; y++ {
 		for x := 0; x < p.DataW; x++ {
-			if emit, wx, wy, re := p.OnSample(x, y); emit {
-				got = append(got, emission{wx, wy, re})
-			}
+			img.Set(x, y, float64(y*1000+x))
 		}
 	}
+	h := newStepHarness(t, Buffer("B", p))
+	if spans {
+		h.feedRows("in", img, 0)
+	} else {
+		h.feedFrame("in", img, 0)
+	}
+	if err := h.run(); err != nil {
+		t.Fatal(err)
+	}
+	var got []emission
+	for _, it := range h.output("out") {
+		switch {
+		case !it.IsToken:
+			for j := 0; j < it.BatchN(); j++ {
+				v := int(it.Windows(j, j+1).Win.At(0, 0))
+				got = append(got, emission{v % 1000, v / 1000, false})
+			}
+		case it.Tok.Kind == token.EndOfLine:
+			got[len(got)-1].rowEnd = true
+		}
+	}
+	return got
+}
+
+// TestBufferPlanOnSampleScanOrder walks the buffer step over a frame in
+// scan order, sample by sample and row span by row span: both must emit
+// the same windows, in scan order, each row ended once.
+func TestBufferPlanOnSampleScanOrder(t *testing.T) {
+	p := BufferPlan{DataW: 5, DataH: 4, WinW: 3, WinH: 3, StepX: 1, StepY: 1}
 	want := []emission{
 		{0, 0, false}, {1, 0, false}, {2, 0, true},
 		{0, 1, false}, {1, 1, false}, {2, 1, true},
 	}
-	if len(got) != len(want) {
-		t.Fatalf("emissions = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("emission %d = %v, want %v", i, got[i], want[i])
+	for _, spans := range []bool{false, true} {
+		if got := bufferEmissions(t, p, spans); !reflect.DeepEqual(got, want) {
+			t.Errorf("spans=%v: emissions = %v, want %v", spans, got, want)
 		}
 	}
 }
@@ -52,14 +86,10 @@ func TestBufferPlanOnSampleScanOrder(t *testing.T) {
 func TestBufferPlanStride(t *testing.T) {
 	p := BufferPlan{DataW: 8, DataH: 4, WinW: 2, WinH: 2, StepX: 2, StepY: 2}
 	var count, rowEnds int
-	for y := 0; y < p.DataH; y++ {
-		for x := 0; x < p.DataW; x++ {
-			if emit, _, _, re := p.OnSample(x, y); emit {
-				count++
-				if re {
-					rowEnds++
-				}
-			}
+	for _, e := range bufferEmissions(t, p, false) {
+		count++
+		if e.rowEnd {
+			rowEnds++
 		}
 	}
 	if count != p.WindowsPerRow()*p.OutputRows() {
@@ -77,18 +107,18 @@ func TestBufferPlanEmissionTotalsQuick(t *testing.T) {
 			WinW: int(ww%5) + 1, WinH: int(wh%5) + 1,
 			StepX: int(sx%3) + 1, StepY: int(sy%3) + 1,
 		}
+		scalar := bufferEmissions(t, p, false)
+		if !reflect.DeepEqual(bufferEmissions(t, p, true), scalar) {
+			return false // spans and samples disagree
+		}
 		var count, rowEnds int
-		for y := 0; y < p.DataH; y++ {
-			for x := 0; x < p.DataW; x++ {
-				if emit, wx, wy, re := p.OnSample(x, y); emit {
-					count++
-					if re {
-						rowEnds++
-					}
-					if wx < 0 || wy < 0 || wx+p.WinW > p.DataW || wy+p.WinH > p.DataH {
-						return false // window out of bounds
-					}
-				}
+		for _, e := range scalar {
+			count++
+			if e.rowEnd {
+				rowEnds++
+			}
+			if e.wx+p.WinW > p.DataW || e.wy+p.WinH > p.DataH {
+				return false // window out of bounds
 			}
 		}
 		wantRowEnds := p.OutputRows()

@@ -6,6 +6,7 @@ import (
 	"blockpar/internal/conn"
 	"blockpar/internal/geom"
 	"blockpar/internal/graph"
+	"blockpar/internal/token"
 )
 
 // Scatter builds the programmer-level strided distribution kernel of the
@@ -34,46 +35,57 @@ func Scatter(name string, sched conn.Schedule, item geom.Size) *graph.Node {
 	node.Attrs["conn"] = conn.Scatter.String()
 	node.Attrs["ktype"] = "scatter"
 	node.Attrs["kparams"] = fmt.Sprintf("%d,%d,%d,%d", sched.Ways, sched.Stride, item.W, item.H)
-	node.Behavior = &scatterBehavior{sched: sched}
+	node.Behavior = &dealBehavior{sched: sched, scatter: true}
 	return node
 }
 
-type scatterBehavior struct {
-	sched conn.Schedule
-	outs  []string
-	b, k  int // current branch and items dealt to it this turn
+// schedCursor is a position in a conn.Schedule: branch b has taken k
+// items of its current turn.
+type schedCursor struct{ b, k int }
+
+func (c schedCursor) step(s conn.Schedule) schedCursor {
+	if c.k++; c.k == s.Stride {
+		c.k, c.b = 0, (c.b+1)%s.Ways
+	}
+	return c
 }
 
-func (s *scatterBehavior) Clone() graph.Behavior { return &scatterBehavior{sched: s.sched} }
-
-func (s *scatterBehavior) Run(ctx graph.RunContext) error {
-	if s.outs == nil {
-		s.outs = indexedNames("out", s.sched.Ways)
-	}
-	for {
-		it, ok := ctx.Recv("in")
-		if !ok {
-			return nil
-		}
-		if it.IsToken {
-			for i := range s.outs {
-				ctx.Send(s.outs[i], it)
-			}
-			continue
-		}
-		ctx.Send(s.outs[s.b], it)
-		if s.k++; s.k == s.sched.Stride {
-			s.k = 0
-			s.b = (s.b + 1) % s.sched.Ways
-		}
-	}
+// dealBehavior is the one deal step, behind SplitRR (the stride-1
+// schedule) and Scatter: data goes to the outputs on the schedule,
+// tokens to every output.
+type dealBehavior struct {
+	sched     conn.Schedule
+	scatter   bool
+	cur, pend schedCursor
 }
+
+func (d *dealBehavior) Clone() graph.Behavior {
+	return &dealBehavior{sched: d.sched, scatter: d.scatter}
+}
+
+// Next implements graph.Step.
+func (d *dealBehavior) Next(h graph.StepHeads, p *graph.StepPlan) (bool, error) {
+	tok := h.Head(0)
+	if tok == nil {
+		return false, nil
+	}
+	d.pend = d.cur
+	if tok.Kind != token.None {
+		p.View(graph.AllOutputs, 0, 0, 1)
+		return true, nil
+	}
+	p.View(int32(d.cur.b), 0, 0, 1)
+	d.pend = d.cur.step(d.sched)
+	return true, nil
+}
+
+func (d *dealBehavior) Apply() { d.cur = d.pend }
 
 // ScatterSched returns the schedule of a Scatter node, distinguishing
 // programmer-level scatters from the compiler's SplitRR/SplitColumns.
 func ScatterSched(n *graph.Node) (conn.Schedule, bool) {
-	b, ok := n.Behavior.(*scatterBehavior)
-	if !ok {
+	b, ok := n.Behavior.(*dealBehavior)
+	if !ok || !b.scatter {
 		return conn.Schedule{}, false
 	}
 	return b.sched, true
@@ -103,65 +115,70 @@ func Gather(name string, sched conn.Schedule, item geom.Size) *graph.Node {
 	node.Attrs["conn"] = conn.Gather.String()
 	node.Attrs["ktype"] = "gather"
 	node.Attrs["kparams"] = fmt.Sprintf("%d,%d,%d,%d", sched.Ways, sched.Stride, item.W, item.H)
-	node.Behavior = &gatherBehavior{sched: sched}
+	node.Behavior = &collectBehavior{sched: sched, what: "gather"}
 	return node
 }
 
-type gatherBehavior struct {
-	sched conn.Schedule
-	ins   []string
-	b, k  int
+// collectBehavior is the one collect step, behind JoinRR (the stride-1
+// schedule) and Gather: data is drained from the inputs on the
+// schedule; a token must head every input, at a schedule-cycle
+// boundary, and leaves once. what names the kernel in errors.
+type collectBehavior struct {
+	sched     conn.Schedule
+	what      string
+	cur, pend schedCursor
 }
 
-func (g *gatherBehavior) Clone() graph.Behavior { return &gatherBehavior{sched: g.sched} }
-
-func (g *gatherBehavior) Run(ctx graph.RunContext) error {
-	if g.ins == nil {
-		g.ins = indexedNames("in", g.sched.Ways)
-	}
-	for {
-		it, ok := ctx.Recv(g.ins[g.b])
-		if !ok {
-			return nil
-		}
-		if !it.IsToken {
-			ctx.Send("out", it)
-			if g.k++; g.k == g.sched.Stride {
-				g.k = 0
-				g.b = (g.b + 1) % g.sched.Ways
-			}
-			continue
-		}
-		// A token at the head of the current branch must sit at a
-		// schedule-cycle boundary (otherwise the stream entering the
-		// scatter violated the row-divisibility rule) and every other
-		// branch's next item must be the same token.
-		if g.k != 0 {
-			return fmt.Errorf("kernel: gather %q token %v inside a stride run (%d of %d)",
-				ctx.Node().Name(), it.Tok, g.k, g.sched.Stride)
-		}
-		for i := range g.ins {
-			if i == g.b {
-				continue
-			}
-			other, ok := ctx.Recv(g.ins[i])
-			if !ok {
-				return fmt.Errorf("kernel: gather %q branch %d closed mid-token", ctx.Node().Name(), i)
-			}
-			if !other.IsToken || other.Tok != it.Tok {
-				return fmt.Errorf("kernel: gather %q token skew: branch %d has %v, expected %v",
-					ctx.Node().Name(), i, other, it.Tok)
-			}
-		}
-		ctx.Send("out", it)
-	}
+func (c *collectBehavior) Clone() graph.Behavior {
+	return &collectBehavior{sched: c.sched, what: c.what}
 }
+
+// Next implements graph.Step. A token at the head of the current
+// branch must sit at a schedule-cycle boundary (otherwise the stream
+// entering the split violated the row-divisibility rule), and every
+// other branch's next item must be the same token: the split broadcast
+// its copies at one stream position.
+func (c *collectBehavior) Next(h graph.StepHeads, p *graph.StepPlan) (bool, error) {
+	c.pend = c.cur
+	b := int32(c.cur.b)
+	tok := h.Head(b)
+	if tok == nil {
+		return false, nil
+	}
+	if tok.Kind == token.None {
+		p.View(0, b, 0, 1)
+		c.pend = c.cur.step(c.sched)
+		return true, nil
+	}
+	name := h.Node().Name()
+	if c.cur.k != 0 {
+		return false, fmt.Errorf("kernel: %s %q token %v inside a stride run (%d of %d)",
+			c.what, name, *tok, c.cur.k, c.sched.Stride)
+	}
+	for i := range p.Take {
+		other := h.Head(int32(i))
+		switch {
+		case other == nil && h.Ended():
+			return false, fmt.Errorf("kernel: %s %q branch %d closed mid-token", c.what, name, i)
+		case other == nil:
+			return false, nil
+		case *other != *tok:
+			return false, fmt.Errorf("kernel: %s %q token skew: branch %d has %v, expected %v",
+				c.what, name, i, h.Show(int32(i)), *tok)
+		}
+		p.Take[i] = true
+	}
+	p.View(0, b, 0, 1)
+	return true, nil
+}
+
+func (c *collectBehavior) Apply() { c.cur = c.pend }
 
 // GatherSched returns the schedule of a Gather node, distinguishing
 // programmer-level gathers from the compiler's JoinRR/JoinColumns.
 func GatherSched(n *graph.Node) (conn.Schedule, bool) {
-	b, ok := n.Behavior.(*gatherBehavior)
-	if !ok {
+	b, ok := n.Behavior.(*collectBehavior)
+	if !ok || b.what != "gather" {
 		return conn.Schedule{}, false
 	}
 	return b.sched, true

@@ -27,14 +27,14 @@ func ShareBuffer(name string, plan BufferPlan, ways int) *graph.Node {
 	n.CreateInput("in", geom.Sz(1, 1), geom.St(1, 1), geom.Off(0, 0))
 	n.RegisterMethod("share", fsmPerItem, plan.MemoryWords())
 	n.RegisterMethodInput("share", "in")
-	outs := indexedNames("out", ways)
-	for _, out := range outs {
+	for i := 0; i < ways; i++ {
+		out := fmt.Sprintf("out%d", i)
 		n.CreateOutput(out, geom.Sz(plan.WinW, plan.WinH), geom.St(plan.StepX, plan.StepY))
 		n.RegisterMethodOutput("share", out)
 	}
 	n.Attrs["label"] = fmt.Sprintf("share ×%d %s", ways, plan.Label())
 	n.Attrs["conn"] = conn.Share.String()
-	n.Behavior = &bufferBehavior{plan: plan, ways: ways, outs: outs}
+	n.Behavior = &bufferBehavior{plan: plan, ways: ways}
 	return n
 }
 

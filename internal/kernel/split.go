@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 
+	"blockpar/internal/conn"
 	"blockpar/internal/geom"
 	"blockpar/internal/graph"
 	"blockpar/internal/token"
@@ -26,46 +27,8 @@ func SplitRR(name string, n int, item geom.Size) *graph.Node {
 		node.CreateOutput(out, item, geom.St(item.W, item.H))
 		node.RegisterMethodOutput("split", out)
 	}
-	node.Behavior = &splitRRBehavior{n: n}
+	node.Behavior = &dealBehavior{sched: conn.Schedule{Ways: n, Stride: 1}}
 	return node
-}
-
-// indexedNames builds the "prefix0".."prefixN-1" port-name table once,
-// so Run loops address branches without a fmt.Sprintf per item.
-func indexedNames(prefix string, n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("%s%d", prefix, i)
-	}
-	return out
-}
-
-type splitRRBehavior struct {
-	n    int
-	next int
-	outs []string
-}
-
-func (b *splitRRBehavior) Clone() graph.Behavior { return &splitRRBehavior{n: b.n} }
-
-func (b *splitRRBehavior) Run(ctx graph.RunContext) error {
-	if b.outs == nil {
-		b.outs = indexedNames("out", b.n)
-	}
-	for {
-		it, ok := ctx.Recv("in")
-		if !ok {
-			return nil
-		}
-		if it.IsToken {
-			for i := 0; i < b.n; i++ {
-				ctx.Send(b.outs[i], it)
-			}
-			continue
-		}
-		ctx.Send(b.outs[b.next], it)
-		b.next = (b.next + 1) % b.n
-	}
 }
 
 // JoinRR builds the matching round-robin join kernel: data is collected
@@ -86,50 +49,8 @@ func JoinRR(name string, n int, item geom.Size) *graph.Node {
 		node.CreateInput(in, item, geom.St(item.W, item.H), geom.Off(0, 0))
 		node.RegisterMethodInput("join", in)
 	}
-	node.Behavior = &joinRRBehavior{n: n}
+	node.Behavior = &collectBehavior{sched: conn.Schedule{Ways: n, Stride: 1}, what: "join"}
 	return node
-}
-
-type joinRRBehavior struct {
-	n    int
-	next int
-	ins  []string
-}
-
-func (b *joinRRBehavior) Clone() graph.Behavior { return &joinRRBehavior{n: b.n} }
-
-func (b *joinRRBehavior) Run(ctx graph.RunContext) error {
-	if b.ins == nil {
-		b.ins = indexedNames("in", b.n)
-	}
-	for {
-		it, ok := ctx.Recv(b.ins[b.next])
-		if !ok {
-			return nil
-		}
-		if !it.IsToken {
-			ctx.Send("out", it)
-			b.next = (b.next + 1) % b.n
-			continue
-		}
-		// A token at the head of the current branch: every other
-		// branch's next item must be the same token (split broadcast
-		// them at one stream position). Collect and forward once.
-		for i := 0; i < b.n; i++ {
-			if i == b.next {
-				continue
-			}
-			other, ok := ctx.Recv(b.ins[i])
-			if !ok {
-				return fmt.Errorf("kernel: join %q branch %d closed mid-token", ctx.Node().Name(), i)
-			}
-			if !other.IsToken || other.Tok != it.Tok {
-				return fmt.Errorf("kernel: join %q token skew: branch %d has %v, expected %v",
-					ctx.Node().Name(), i, other, it.Tok)
-			}
-		}
-		ctx.Send("out", it)
-	}
 }
 
 // Replicate builds the broadcast kernel used for replicated inputs
@@ -149,36 +70,24 @@ func Replicate(name string, n int, item geom.Size) *graph.Node {
 		node.CreateOutput(out, item, geom.St(item.W, item.H))
 		node.RegisterMethodOutput("replicate", out)
 	}
-	node.Behavior = &replicateBehavior{n: n}
+	node.Behavior = replicateBehavior{}
 	return node
 }
 
-type replicateBehavior struct {
-	n    int
-	outs []string
+type replicateBehavior struct{}
+
+func (replicateBehavior) Clone() graph.Behavior { return replicateBehavior{} }
+
+// Next implements graph.Step: every item goes to every branch.
+func (replicateBehavior) Next(h graph.StepHeads, p *graph.StepPlan) (bool, error) {
+	if h.Head(0) == nil {
+		return false, nil
+	}
+	p.View(graph.AllOutputs, 0, 0, 1)
+	return true, nil
 }
 
-func (b *replicateBehavior) Clone() graph.Behavior { return &replicateBehavior{n: b.n} }
-
-func (b *replicateBehavior) Run(ctx graph.RunContext) error {
-	if b.outs == nil {
-		b.outs = indexedNames("out", b.n)
-	}
-	for {
-		it, ok := ctx.Recv("in")
-		if !ok {
-			return nil
-		}
-		if !it.IsToken {
-			// n branches consume the same item; the held reference
-			// covers the first.
-			it.Win.Retain(b.n - 1)
-		}
-		for i := 0; i < b.n; i++ {
-			ctx.Send(b.outs[i], it)
-		}
-	}
-}
+func (replicateBehavior) Apply() {}
 
 // SplitColumns builds the column-range split kernel used when buffers
 // are parallelized (paper §IV-C, Figure 10): each incoming sample of a
@@ -204,10 +113,9 @@ func SplitColumns(name string, stripes []Stripe, dataW int) *graph.Node {
 }
 
 type splitColumnsBehavior struct {
-	stripes []Stripe
-	dataW   int
-	x       int
-	outs    []string
+	stripes  []Stripe
+	dataW    int
+	x, pendX int
 }
 
 func (b *splitColumnsBehavior) Clone() graph.Behavior {
@@ -218,66 +126,40 @@ func (b *splitColumnsBehavior) Clone() graph.Behavior {
 // and each stripe receives its column range as one sub-span view.
 func (b *splitColumnsBehavior) AcceptsBatch(input string) bool { return input == "in" }
 
-func (b *splitColumnsBehavior) Run(ctx graph.RunContext) error {
-	if b.outs == nil {
-		b.outs = indexedNames("out", len(b.stripes))
+// Next implements graph.Step. A data head covers sample columns
+// [x, x+n): every stripe whose input range overlaps gets the overlap as
+// a view of the head. Tokens go to every stripe.
+func (b *splitColumnsBehavior) Next(h graph.StepHeads, p *graph.StepPlan) (bool, error) {
+	tok := h.Head(0)
+	if tok == nil {
+		return false, nil
 	}
-	for {
-		it, ok := ctx.Recv("in")
-		if !ok {
-			return nil
-		}
-		if it.IsToken {
-			switch it.Tok.Kind {
-			case token.EndOfLine:
-				if b.x != b.dataW {
-					return fmt.Errorf("kernel: column split %q EOL after %d of %d samples",
-						ctx.Node().Name(), b.x, b.dataW)
-				}
-				b.x = 0
-			case token.EndOfFrame:
-				b.x = 0
-			}
-			for i := range b.stripes {
-				ctx.Send(b.outs[i], it)
-			}
-			continue
-		}
-		// The item covers sample columns [b.x, b.x+n). Every stripe whose
-		// input range overlaps gets the overlap as one view sharing the
-		// item's storage; each such view is one consumer and the held
-		// reference covers the first (or is dropped if no stripe overlaps,
-		// e.g. a sample outside every range).
-		n := it.BatchN()
-		sent := 0
-		for _, s := range b.stripes {
-			if b.x < s.InEnd && b.x+n > s.InStart {
-				sent++
-			}
-		}
-		if sent == 0 {
-			it.Win.Release()
-			b.x += n
-			continue
-		}
-		it.Win.Retain(sent - 1)
+	b.pendX = b.x
+	switch tok.Kind {
+	case token.None:
+		n := h.Span(0)
+		p.Take[0] = true
 		for i, s := range b.stripes {
-			lo, hi := max(b.x, s.InStart), min(b.x+n, s.InEnd)
-			if lo >= hi {
-				continue
+			if lo, hi := max(b.x, s.InStart), min(b.x+n, s.InEnd); lo < hi {
+				p.View(int32(i), 0, lo-b.x, hi-b.x)
 			}
-			if lo == b.x && hi == b.x+n {
-				ctx.Send(b.outs[i], it)
-				continue
-			}
-			sub := it.Win.View(lo-b.x, 0, hi-lo, it.Win.H)
-			ctx.Send(b.outs[i], graph.BatchItem(sub, graph.Batch{
-				N: int32(hi - lo), Sx: 1, Bw: 1,
-			}))
 		}
-		b.x += n
+		b.pendX = b.x + n
+		return true, nil
+	case token.EndOfLine:
+		if b.x != b.dataW {
+			return false, fmt.Errorf("kernel: column split %q EOL after %d of %d samples",
+				h.Node().Name(), b.x, b.dataW)
+		}
+		b.pendX = 0
+	case token.EndOfFrame:
+		b.pendX = 0
 	}
+	p.View(graph.AllOutputs, 0, 0, 1)
+	return true, nil
 }
+
+func (b *splitColumnsBehavior) Apply() { b.x = b.pendX }
 
 // SplitColumnsStripes exposes the stripe table of a SplitColumns node.
 func SplitColumnsStripes(n *graph.Node) ([]Stripe, bool) {
@@ -314,7 +196,14 @@ func JoinColumns(name string, counts []int, item geom.Size) *graph.Node {
 
 type joinColumnsBehavior struct {
 	counts []int
-	ins    []string
+	// The cursor: the branch being drained, the data items it has
+	// given to the current row, and the output row index.
+	cur, pend joinPos
+}
+
+type joinPos struct {
+	branch, got int
+	row         int64
 }
 
 func (b *joinColumnsBehavior) Clone() graph.Behavior {
@@ -335,65 +224,61 @@ func JoinColumnsCounts(n *graph.Node) ([]int, bool) {
 	return b.counts, true
 }
 
-func (b *joinColumnsBehavior) Run(ctx graph.RunContext) error {
-	if b.ins == nil {
-		b.ins = indexedNames("in", len(b.counts))
-	}
-	name := func(i int) string { return b.ins[i] }
-	var row int64
-	for {
-		// One output row: drain each branch's row segment in order.
-		for i, want := range b.counts {
-			got := 0
-			for got < want {
-				it, ok := ctx.Recv(name(i))
-				if !ok {
-					if i == 0 && got == 0 && row >= 0 {
-						return nil // clean shutdown between rows
-					}
-					return fmt.Errorf("kernel: column join %q branch %d closed mid-row", ctx.Node().Name(), i)
-				}
-				if it.IsToken {
-					if it.Tok.Kind == token.EndOfFrame && i == 0 && got == 0 {
-						// Frame boundary instead of a new row: collect
-						// EOF from the remaining branches and forward.
-						for j := 1; j < len(b.counts); j++ {
-							other, ok := ctx.Recv(name(j))
-							if !ok || !other.IsToken || other.Tok.Kind != token.EndOfFrame {
-								return fmt.Errorf("kernel: column join %q EOF skew on branch %d", ctx.Node().Name(), j)
-							}
-						}
-						ctx.Send("out", it)
-						row = 0
-						// Restart the row loop for the next frame.
-						got = -1
-						break
-					}
-					return fmt.Errorf("kernel: column join %q unexpected %v on branch %d",
-						ctx.Node().Name(), it, i)
-				}
-				if got+it.BatchN() > want {
-					return fmt.Errorf("kernel: column join %q branch %d span of %d overruns row (%d of %d)",
-						ctx.Node().Name(), i, it.BatchN(), got, want)
-				}
-				ctx.Send("out", it)
-				got += it.BatchN()
-			}
-			if got == -1 {
-				break
-			}
-			if got == want {
-				// The branch's own end-of-line must follow.
-				eol, ok := ctx.Recv(name(i))
-				if !ok || !eol.IsToken || eol.Tok.Kind != token.EndOfLine {
-					return fmt.Errorf("kernel: column join %q missing EOL on branch %d (got %v)",
-						ctx.Node().Name(), i, eol)
-				}
-				if i == len(b.counts)-1 {
-					ctx.Send("out", graph.TokenItem(token.EOL(row)))
-					row++
-				}
-			}
+// Next implements graph.Step. One output row drains each branch's
+// row segment in branch order — counts[i] data items, then that
+// branch's own end-of-line — and the last branch's end-of-line leaves
+// as the row's. End-of-frame, met at the start of a row, must head
+// every branch and leaves once. Any other token is an error.
+func (b *joinColumnsBehavior) Next(h graph.StepHeads, p *graph.StepPlan) (bool, error) {
+	b.pend = b.cur
+	i, got := int32(b.cur.branch), b.cur.got
+	want := b.counts[i]
+	name := h.Node().Name()
+	tok := h.Head(i)
+	switch {
+	case tok == nil && !h.Ended():
+		return false, nil
+	case got == want && (tok == nil || tok.Kind != token.EndOfLine):
+		return false, fmt.Errorf("kernel: column join %q missing EOL on branch %d (got %v)",
+			name, i, h.Show(i))
+	case tok == nil && i == 0 && got == 0:
+		return false, nil // clean shutdown between rows
+	case tok == nil:
+		return false, fmt.Errorf("kernel: column join %q branch %d closed mid-row", name, i)
+	case got == want:
+		p.Take[i] = true
+		if int(i) == len(b.counts)-1 {
+			p.Token(0, token.EOL(b.cur.row))
+			b.pend.row++
 		}
+		b.pend.branch, b.pend.got = (int(i)+1)%len(b.counts), 0
+		return true, nil
+	case tok.Kind == token.None:
+		n := h.Span(i)
+		if got+n > want {
+			return false, fmt.Errorf("kernel: column join %q branch %d span of %d overruns row (%d of %d)",
+				name, i, n, got, want)
+		}
+		p.View(0, i, 0, n)
+		b.pend.got += n
+		return true, nil
+	case tok.Kind != token.EndOfFrame || i != 0 || got != 0:
+		return false, fmt.Errorf("kernel: column join %q unexpected %v on branch %d", name, h.Show(i), i)
 	}
+	// A frame boundary instead of a new row.
+	for j := int32(1); j < int32(len(b.counts)); j++ {
+		other := h.Head(j)
+		if other == nil && !h.Ended() {
+			return false, nil
+		}
+		if other == nil || other.Kind != token.EndOfFrame {
+			return false, fmt.Errorf("kernel: column join %q EOF skew on branch %d", name, j)
+		}
+		p.Take[j] = true
+	}
+	p.View(0, 0, 0, 1)
+	b.pend.row = 0
+	return true, nil
 }
+
+func (b *joinColumnsBehavior) Apply() { b.cur = b.pend }

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"fmt"
+
 	"blockpar/internal/graph"
 )
 
@@ -13,10 +15,11 @@ import (
 // layer supplies the callbacks and owns credits, batching, and
 // end-of-stream signalling.
 
-// BoundarySource is the Runner behavior of a cut edge's consuming
-// endpoint (graph.KindBoundary, one output "out"): it pulls the
-// inbound item stream from the transport and forwards it downstream in
-// order, preserving data windows and control tokens alike.
+// BoundarySource is the behavior of a cut edge's consuming endpoint
+// (graph.KindBoundary, one output "out"): the executor runs it like an
+// application input, pulling the inbound item stream from the
+// transport and forwarding it downstream in order, data windows and
+// control tokens alike.
 type BoundarySource struct {
 	// Pull blocks for the next inbound item; ok is false at
 	// end-of-stream or transport abort. Ownership of a data window
@@ -31,23 +34,10 @@ type BoundarySource struct {
 // already-cloned graph, never on the shared template.
 func (b *BoundarySource) Clone() graph.Behavior { return b }
 
-// Run forwards the inbound stream until it ends.
-func (b *BoundarySource) Run(ctx graph.RunContext) error {
-	for {
-		it, ok := b.Pull()
-		if !ok {
-			return nil
-		}
-		ctx.Send("out", it)
-		if b.Ack != nil {
-			b.Ack()
-		}
-	}
-}
-
-// BoundarySink is the Runner behavior of a cut edge's producing
-// endpoint (graph.KindBoundary, one input "in"): it drains the item
-// stream headed across the cut into the transport.
+// BoundarySink is the behavior of a cut edge's producing endpoint
+// (graph.KindBoundary, one input "in"): the executor runs it like an
+// application output, draining the item stream headed across the cut
+// into the transport.
 type BoundarySink struct {
 	// Push hands one item to the transport. It may block for credit
 	// backpressure; on transport abort it must release the item and
@@ -66,18 +56,34 @@ func (b *BoundarySink) Clone() graph.Behavior { return b }
 // producing partition never unbatches at the boundary.
 func (b *BoundarySink) AcceptsBatch(input string) bool { return true }
 
-// Run drains the edge until the upstream ends.
-func (b *BoundarySink) Run(ctx graph.RunContext) error {
-	defer func() {
+// runBoundary runs a boundary shim on its own goroutine: a source
+// forwards what its transport pulls until the stream ends, a sink
+// pushes what its ring receives until the upstream ends.
+func (ex *executor) runBoundary(pn *planNode) error {
+	switch b := pn.node.Behavior.(type) {
+	case *BoundarySource:
+		for {
+			it, ok := b.Pull()
+			if !ok {
+				return nil
+			}
+			ex.send(pn, 0, it)
+			if b.Ack != nil {
+				b.Ack()
+			}
+		}
+	case *BoundarySink:
 		if b.Close != nil {
-			b.Close()
+			defer b.Close()
 		}
-	}()
-	for {
-		it, ok := ctx.Recv("in")
-		if !ok {
-			return nil
+		ib := &ex.boxes[pn.id]
+		for {
+			it, ok := ib.take()
+			if !ok {
+				return nil
+			}
+			b.Push(it)
 		}
-		b.Push(it)
 	}
+	return fmt.Errorf("runtime: boundary %q has no boundary behavior", pn.node.Name())
 }

@@ -8,13 +8,53 @@ import (
 	"blockpar/internal/token"
 )
 
-// driver runs an Invoker kernel by the node's lowered firing rule
-// (graph.Rule, the same rule the timing simulator steps) over its input
-// rings. One locked section per firing retires the previous firing's
-// inputs, lets the rule pick the next action over the ring heads read
-// in place and — when there is none — parks; the method itself runs
-// unlocked and reads its inputs in place in the ring slots, so an item
-// is copied once, into its ring, on its whole way through a kernel.
+// nodeDriver is how the executor runs a kernel over its input rings:
+// decide under the inbox lock, act outside it, and retire what the
+// action read at the next locked section. driver fires an Invoker by
+// its lowered graph.Rule; stepper steps an FSM kernel's graph.Step.
+// Both are the very rules the timing simulator steps.
+type nodeDriver interface {
+	// next retires the last action and decides the next; ok is false
+	// when the kernel is quiescent. Called with the inbox lock held.
+	next() (ok bool, err error)
+	// run carries out the action decided, outside the lock.
+	run() error
+	// close retires the last action of a kernel that will act no more.
+	close()
+}
+
+// drive runs d on the node's goroutine: act until quiescent, park for
+// the next delivery, repeat. Once the inputs are exhausted it acts on
+// whatever remains, then stops.
+func (ex *executor) drive(ib *inbox, d nodeDriver) error {
+	defer d.close()
+	for {
+		ib.mu.Lock()
+		ok, err := d.next()
+		for !ok && err == nil {
+			if ib.closed || ex.stopped.Load() {
+				ib.mu.Unlock()
+				return nil
+			}
+			ib.park()
+			ok, err = d.next()
+		}
+		ib.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		if err := d.run(); err != nil {
+			return err
+		}
+	}
+}
+
+// driver runs an Invoker kernel by the node's lowered firing rule over
+// its input rings. One locked section per firing retires the previous
+// firing's inputs and lets the rule pick the next action over the ring
+// heads read in place; the method itself runs unlocked and reads its
+// inputs in place in the ring slots, so an item is copied once, into
+// its ring, on its whole way through a kernel.
 type driver struct {
 	ex   *executor
 	pn   *planNode
@@ -38,9 +78,11 @@ type driver struct {
 	// only the first n windows of a wider batch head (see hold).
 	prefix []graph.Item
 
-	// tokScratch is the consumed-token buffer reused across firings; fwd
-	// is the token a forward action took off its group, for run to send.
+	// tokScratch is the consumed-token buffer reused across firings; act
+	// is the action next decided, and fwd the token a forward action took
+	// off its group, for run to send.
 	tokScratch []token.Token
+	act        graph.RuleAction
 	fwd        token.Token
 
 	// state is the rule's frame index and configuration counts.
@@ -62,29 +104,6 @@ func newDriver(ex *executor, pn *planNode) *driver {
 	return d
 }
 
-// loop drives the kernel on its own goroutine: fire until quiescent,
-// park for the next delivery, repeat. Once the inputs are exhausted it
-// fires whatever remains, then stops.
-func (d *driver) loop() error {
-	ib := d.ib
-	for {
-		ib.mu.Lock()
-		act, ok := d.next()
-		for !ok {
-			if ib.closed || d.ex.stopped.Load() {
-				ib.mu.Unlock()
-				return nil
-			}
-			ib.park(anyInput)
-			act, ok = d.next()
-		}
-		ib.mu.Unlock()
-		if err := d.run(act); err != nil {
-			return err
-		}
-	}
-}
-
 // Head implements graph.Heads over the node's rings (a data item's Tok
 // is the zero token).
 func (ib *inbox) Head(in int32) *token.Token {
@@ -97,18 +116,18 @@ func (ib *inbox) Head(in int32) *token.Token {
 
 // next retires the previous firing, lets the rule decide the next
 // action and applies it: a method firing holds its trigger heads, a
-// forwarded or absorbed token is dropped from its group's rings. ok is
-// false when the kernel is quiescent. Called with ib.mu held.
-func (d *driver) next() (graph.RuleAction, bool) {
+// forwarded or absorbed token is dropped from its group's rings.
+func (d *driver) next() (bool, error) {
 	d.retire()
 	act, change, ok := d.rule.Next(d.ib, &d.state)
 	if !ok {
-		return act, false
+		return false, nil
 	}
 	d.state.Apply(change)
+	d.act = act
 	if act.Method >= 0 {
 		d.hold(act.Method)
-		return act, true
+		return true, nil
 	}
 	d.fwd = d.ib.rings[act.In].peek().Tok
 	for _, g := range d.rule.Ins[act.In].Group {
@@ -116,7 +135,7 @@ func (d *driver) next() (graph.RuleAction, bool) {
 		r.drop()
 		d.ib.freed(r)
 	}
-	return act, true
+	return true, nil
 }
 
 // hold points the invocation context at method mi's trigger heads,
@@ -133,15 +152,15 @@ func (d *driver) hold(mi int32) {
 	for i := range m.Trig {
 		it := d.ib.rings[m.Trig[i].In].peek()
 		d.ctx.in[i] = it
-		if w := spanN(it); !it.IsToken && (n == 0 || w < n) {
+		if w := int32(it.BatchN()); !it.IsToken && (n == 0 || w < n) {
 			n = w
 		}
 	}
 	n = max(n, 1)
 	for i := range m.Trig {
-		if it := d.ctx.in[i]; !it.IsToken && spanN(it) > n {
+		if it := d.ctx.in[i]; !it.IsToken && int32(it.BatchN()) > n {
 			p := &d.prefix[i]
-			*p = graph.BatchItem(it.Win.View(0, 0, spanW(it.B, n), it.Win.H), batchOf(it.B, n))
+			*p = it.Windows(0, int(n))
 			p.Win.Retain(1)
 			d.ctx.in[i] = p
 		}
@@ -166,9 +185,7 @@ func (d *driver) retire() {
 				p.Win.Release()
 			}
 			*p = graph.Item{}
-			x := int(d.n * it.B.Sx)
-			it.Win = it.Win.View(x, 0, it.Win.W-x, it.Win.H)
-			it.B = batchOf(it.B, it.B.N-d.n)
+			*it = it.Windows(int(d.n), it.BatchN())
 			continue
 		}
 		if !d.released && !it.IsToken {
@@ -182,29 +199,13 @@ func (d *driver) retire() {
 	d.held = -1
 }
 
-// spanN returns the number of logical windows a data item carries.
-func spanN(it *graph.Item) int32 { return max(it.B.N, 1) }
-
-// batchOf returns the descriptor of n windows of batch b's shape: plain
-// for a single window.
-func batchOf(b graph.Batch, n int32) graph.Batch {
-	if n <= 1 {
-		return graph.Batch{}
+// run carries out the action next picked: fire the method, or send the
+// forwarded token on (an absorbed token has no outputs to go to).
+func (d *driver) run() error {
+	if d.act.Method >= 0 {
+		return d.fire(d.act.Method)
 	}
-	return graph.Batch{N: n, Sx: b.Sx, Bw: b.Bw}
-}
-
-// spanW returns the width of the first n windows of batch b.
-func spanW(b graph.Batch, n int32) int { return int((n-1)*b.Sx + b.Bw) }
-
-// run carries out an action picked by next, outside the lock: fire the
-// method, or send the forwarded token on (an absorbed token has no
-// outputs to go to).
-func (d *driver) run(act graph.RuleAction) error {
-	if act.Method >= 0 {
-		return d.fire(act.Method)
-	}
-	for _, o := range d.rule.Ins[act.In].Fwd {
+	for _, o := range d.rule.Ins[d.act.In].Fwd {
 		d.ex.send(d.pn, o, graph.TokenItem(d.fwd))
 	}
 	return nil

@@ -44,16 +44,20 @@ func (firstOf) Invoke(_ string, ctx graph.ExecContext) error {
 	return nil
 }
 
-// quiesce fires d until nothing is ready, exactly as driver.loop would.
+// quiesce fires d until nothing is ready, exactly as executor.drive
+// would.
 func quiesce(t *testing.T, d *driver) {
 	for {
 		d.ib.mu.Lock()
-		act, ok := d.next()
+		ok, err := d.next()
 		d.ib.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !ok {
 			return
 		}
-		if err := d.run(act); err != nil {
+		if err := d.run(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,8 +9,8 @@ import (
 // newExecutor: dense node, port and method indices with every table the
 // firing path consults already resolved, so delivering and firing an
 // item performs no map operation and no name lookup beyond a scan of a
-// method's own handful of port names (the name-based ExecContext and
-// RunContext APIs resolve through those tables). It is the same
+// method's own handful of port names (the name-based ExecContext API
+// resolves through those tables). It is the same
 // lowering to fixed actor/FIFO tables the compiler's analysis assumes:
 // the runtime discovers nothing per item.
 type plan struct {
@@ -24,11 +24,12 @@ type planNode struct {
 	node *graph.Node
 	id   int32
 	io   int
-	// invoker and rule are set for kernels fired by the method-trigger
-	// driver: the behavior and the node's lowered §II-C firing rule,
-	// whose port and method indices are the plan's.
+	// invoker and rule are set for ordinary kernels: the behavior and
+	// the node's lowered §II-C firing rule, whose port and method indices
+	// are the plan's. step is set for FSM kernels instead.
 	invoker graph.Invoker
 	rule    *graph.Rule
+	step    graph.Step
 
 	ins  []planInput
 	outs []planOutput
@@ -101,7 +102,7 @@ func buildPlan(g *graph.Graph, ringCap int) *plan {
 			pn.io = len(pl.outputs)
 			pl.outputs = append(pl.outputs, pn.id)
 		default:
-			if _, runner := graph.RunnerBehavior(n); !runner {
+			if pn.step, _ = n.Behavior.(graph.Step); pn.step == nil {
 				if pn.invoker, _ = n.Behavior.(graph.Invoker); pn.invoker != nil {
 					pn.rule = graph.LowerRule(g, n)
 				}

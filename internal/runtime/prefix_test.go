@@ -12,6 +12,7 @@ import (
 	"blockpar/internal/geom"
 	"blockpar/internal/graph"
 	"blockpar/internal/kernel"
+	"blockpar/internal/token"
 )
 
 // rechunk re-splits every row span it receives into consecutive pieces
@@ -23,54 +24,67 @@ type rechunk struct{ widths []int }
 
 func (c rechunk) Clone() graph.Behavior     { return c }
 func (rechunk) AcceptsBatch(in string) bool { return true }
-func (c rechunk) Run(ctx graph.RunContext) error {
-	for {
-		it, ok := ctx.Recv("in")
-		if !ok {
-			return nil
-		}
-		if it.IsToken || !it.B.IsBatch() {
-			ctx.Send("out", it)
-			continue
-		}
-		var pieces []graph.Item
-		for j, k := 0, 0; j < int(it.B.N); k++ {
-			n := min(c.widths[k%len(c.widths)], int(it.B.N)-j)
-			b := graph.Batch{N: int32(n), Sx: it.B.Sx, Bw: it.B.Bw}
-			win := it.Win.View(j*int(it.B.Sx), 0, b.SpanW(), it.Win.H)
-			pieces = append(pieces, graph.BatchItem(win, b))
-			j += n
-		}
-		it.Win.Retain(len(pieces) - 1)
-		for _, p := range pieces {
-			ctx.Send("out", p)
-		}
+func (c rechunk) Invoke(_ string, ctx graph.ExecContext) error {
+	bc := ctx.(graph.BatchContext)
+	w, b := ctx.Input("in"), bc.Batch("in")
+	if !b.IsBatch() {
+		ctx.Emit("out", w)
+		return nil
 	}
-}
-
-// lag is a non-batch-aware Runner that holds back the last depth items
-// it received, flushing them at end of stream: a branch whose latency
-// exceeds what a one-item ring holds.
-type lag struct{ depth int }
-
-func (l lag) Clone() graph.Behavior { return l }
-func (l lag) Run(ctx graph.RunContext) error {
-	var held []graph.Item
-	for {
-		it, ok := ctx.Recv("in")
-		if !ok {
-			break
-		}
-		held = append(held, it)
-		if len(held) > l.depth {
-			ctx.Send("out", held[0])
-			held = held[1:]
-		}
-	}
-	for _, it := range held {
-		ctx.Send("out", it)
+	for j, k := 0, 0; j < int(b.N); k++ {
+		n := min(c.widths[k%len(c.widths)], int(b.N)-j)
+		piece := graph.Batch{N: int32(n), Sx: b.Sx, Bw: b.Bw}
+		bc.EmitBatch("out", w.View(j*int(b.Sx), 0, piece.SpanW(), w.H), piece)
+		j += n
 	}
 	return nil
+}
+
+// lag is a non-batch-aware kernel that holds back the last depth items
+// it received, end-of-line tokens included, as clones, and flushes them
+// from its end-of-frame method: a branch whose latency exceeds what a
+// one-item ring holds.
+type lag struct {
+	depth int
+	held  []graph.Item
+}
+
+func (l *lag) Clone() graph.Behavior { return &lag{depth: l.depth} }
+func (l *lag) Invoke(method string, ctx graph.ExecContext) error {
+	switch method {
+	case "pass":
+		l.held = append(l.held, graph.DataItem(ctx.Input("in").Clone()))
+	case "eol":
+		l.held = append(l.held, graph.TokenItem(ctx.Token("in")))
+	}
+	for len(l.held) > l.depth || (method == "eof" && len(l.held) > 0) {
+		if it := l.held[0]; it.IsToken {
+			ctx.EmitToken("out", it.Tok)
+		} else {
+			ctx.Emit("out", it.Win)
+		}
+		l.held = l.held[1:]
+	}
+	return nil
+}
+
+// lagNode declares a lag kernel: data and end-of-line are held (the
+// eol method has no outputs, so the token is not forwarded on its
+// own), and end-of-frame follows the flush.
+func lagNode(name string, depth int) *graph.Node {
+	n := graph.NewNode(name, graph.KindKernel)
+	n.CreateInput("in", geom.Sz(1, 1), geom.St(1, 1), geom.Off(0, 0))
+	n.CreateOutput("out", geom.Sz(1, 1), geom.St(1, 1))
+	n.RegisterMethod("pass", 1, 0)
+	n.RegisterMethodInput("pass", "in")
+	n.RegisterMethodOutput("pass", "out")
+	n.RegisterMethod("eol", 1, 0)
+	n.RegisterMethodInputToken("eol", "in", token.EndOfLine, "")
+	n.RegisterMethod("eof", 1, 0)
+	n.RegisterMethodInputToken("eof", "in", token.EndOfFrame, "")
+	n.RegisterMethodOutput("eof", "out")
+	n.Behavior = &lag{depth: depth}
+	return n
 }
 
 // passNode declares a one-in, one-out 1×1 kernel node around behavior b.
@@ -108,7 +122,7 @@ func subtractOf(name string, w, h int, a, b graph.Behavior) *graph.Graph {
 func lagDiamond() *graph.Graph {
 	g := graph.New("lag-diamond")
 	in := g.AddInput("A", geom.Sz(6, 3), geom.Sz(1, 1), geom.FInt(10))
-	l := g.Add(passNode("Lag", lag{depth: 2}))
+	l := g.Add(lagNode("Lag", 2))
 	k := g.Add(kernel.Subtract("K"))
 	out := g.AddOutput("Out", geom.Sz(1, 1))
 	g.Connect(in, "out", l, "in")

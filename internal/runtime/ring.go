@@ -77,8 +77,7 @@ func (r *ring) grow() {
 // an external wait as a deadlock.
 const (
 	waitRunning uint64 = iota
-	// waitStarved: parked until an input delivers; the word names the
-	// one input waited for, or anyInput.
+	// waitStarved: parked until any input delivers.
 	waitStarved
 	// waitBlocked: parked on a full ring; the word names the consumer
 	// node and its input.
@@ -92,12 +91,12 @@ const (
 // epoch makes every park a distinct word, so a detector that re-reads
 // the word it started from knows the node never moved in between.
 const (
-	anyInput  = 1<<20 - 1
+	idMask    = 1<<20 - 1
 	epochMask = 1<<22 - 1
 )
 
 func unpackWait(s uint64) (kind uint64, node, in int32) {
-	return s >> 62, int32(s >> 20 & anyInput), int32(s & anyInput)
+	return s >> 62, int32(s >> 20 & idMask), int32(s & idMask)
 }
 
 // inbox is one node's receive side and live counter block: a ring per
@@ -121,10 +120,8 @@ type inbox struct {
 	// done is set when the consumer exits: later deliveries are dropped,
 	// which is indistinguishable from queueing them forever.
 	done bool
-	// starved is true while the consumer sleeps on avail; want is the
-	// single input a parking Runner's Recv waits for, else anyInput.
+	// starved is true while the consumer sleeps on avail.
 	starved bool
-	want    int32
 	// spaceWaiters counts producers in space.Wait.
 	spaceWaiters int
 	deliveries   int64
@@ -135,7 +132,8 @@ type inbox struct {
 	wait  atomic.Uint64
 	epoch uint64
 
-	// fired counts logical method invocations, by method index.
+	// fired counts logical method invocations, by method index: an FSM
+	// kernel's one method counts the data items its steps take.
 	fired []atomic.Int64
 }
 
@@ -148,10 +146,7 @@ func (ib *inbox) init(ex *executor, pn *planNode) {
 	}
 	ib.producersLeft = pn.producers
 	ib.closed = pn.producers == 0
-	ib.want = anyInput
-	if pn.rule != nil {
-		ib.fired = make([]atomic.Int64, len(pn.rule.Methods))
-	}
+	ib.fired = make([]atomic.Int64, len(pn.node.Methods()))
 }
 
 // publish announces that the node is about to wait.
@@ -187,17 +182,14 @@ func (ex *executor) put(from int32, e *planEdge, it *graph.Item) {
 	// Readiness depends only on ring heads, so only a push into an
 	// empty ring can make a parked consumer runnable.
 	if r.n == 1 {
-		ib.wake(e.in)
+		ib.wake()
 	}
 	ib.mu.Unlock()
 }
 
-// wake makes a parked consumer runnable after input in changed (or,
-// with anyInput, after a close). Called with ib.mu held.
-func (ib *inbox) wake(in int32) {
-	if ib.want != anyInput && in != anyInput && ib.want != in {
-		return // a Runner's Recv is waiting on another input
-	}
+// wake makes a parked consumer runnable after an input changed or
+// closed. Called with ib.mu held.
+func (ib *inbox) wake() {
 	// The consumer may be between publishing its wait state and
 	// waiting (park's detection window): it will look again either way,
 	// so it reads as running from here on. Every writer of a starved
@@ -239,16 +231,14 @@ func (ex *executor) waitForSpace(from int32, e *planEdge, ib *inbox) {
 	me.wait.Store(waitRunning)
 }
 
-// park blocks the consumer until a delivery it waits for (input want,
-// or anyInput), a close, or the stop. Called with ib.mu held right
-// after a ready check found nothing to do; returns with it held, and
-// the caller must re-check.
-func (ib *inbox) park(want int32) {
+// park blocks the consumer until a delivery, a close, or the stop.
+// Called with ib.mu held right after a ready check found nothing to do;
+// returns with it held, and the caller must re-check.
+func (ib *inbox) park() {
 	ex := ib.ex
 	// Publish, then look for blocked producers (they publish, then look
 	// at us): whichever of the two parks last sees the other.
-	ib.want = want
-	ib.publish(waitStarved, 0, want)
+	ib.publish(waitStarved, 0, 0)
 	if ex.blocked.Load() > 0 {
 		// This park may complete a wait-for cycle; the last party to
 		// park must break it.
@@ -257,14 +247,13 @@ func (ib *inbox) park(want int32) {
 		ex.unwedge(ib.pn.id)
 		ib.mu.Lock()
 		if ib.deliveries != seen || ib.closed || ex.stopped.Load() {
-			ib.want = anyInput
 			ib.wait.Store(waitRunning)
 			return
 		}
 	}
 	ib.starved = true
 	ib.avail.Wait()
-	ib.starved, ib.want = false, anyInput
+	ib.starved = false
 	ib.wait.Store(waitRunning)
 }
 
@@ -279,19 +268,19 @@ func (ib *inbox) freed(r *ring) {
 	}
 }
 
-// take pops the next item of input in for a blocking consumer (Runner
-// kernels and output collectors). ok is false once every producer has
+// take pops the next item for a one-input endpoint (an application
+// output or a boundary sink). ok is false once every producer has
 // finished and the ring is drained, or the run is stopping with nothing
 // left to drain.
-func (ib *inbox) take(in int32) (graph.Item, bool) {
+func (ib *inbox) take() (graph.Item, bool) {
 	ib.mu.Lock()
-	r := &ib.rings[in]
+	r := &ib.rings[0]
 	for r.n == 0 {
 		if ib.closed || ib.ex.stopped.Load() {
 			ib.mu.Unlock()
 			return graph.Item{}, false
 		}
-		ib.park(in)
+		ib.park()
 	}
 	it := *r.peek()
 	r.drop()
@@ -307,7 +296,7 @@ func (ib *inbox) producerDone() {
 	ib.producersLeft--
 	if ib.producersLeft == 0 {
 		ib.closed = true
-		ib.wake(anyInput)
+		ib.wake()
 	}
 	ib.mu.Unlock()
 }
@@ -421,15 +410,9 @@ func (w *wedgeSearch) wedged(node int32) bool {
 		var few [8]int32
 		waitsOn := few[:0]
 		ib.mu.Lock()
-		if in != anyInput {
-			if ib.rings[in].n == 0 {
-				waitsOn = append(waitsOn, ib.pn.ins[in].producer)
-			}
-		} else {
-			for i := range ib.rings {
-				if ib.rings[i].n == 0 {
-					waitsOn = append(waitsOn, ib.pn.ins[i].producer)
-				}
+		for i := range ib.rings {
+			if ib.rings[i].n == 0 {
+				waitsOn = append(waitsOn, ib.pn.ins[i].producer)
 			}
 		}
 		ib.mu.Unlock()

@@ -5,16 +5,23 @@
 // graph here and comparing with the untransformed golden output
 // (DESIGN.md §5).
 //
-// Two execution styles exist, mirroring graph.Behavior:
+// Every kernel runs by one execution model: a rule decides, over its
+// input ring heads and under the node's lock, what the next action
+// takes and sends, and the action runs outside the lock (driver.go).
+// The rules are the ones the timing simulator steps:
 //
-//   - Invoker kernels are driven by the generic method-trigger loop:
-//     a method fires when every trigger input's queue head matches
-//     (data for data triggers, the right token for token triggers).
-//     Unhandled control tokens are forwarded in order to the outputs of
-//     the methods fed by that input, once the token has arrived on all
-//     of those methods' data inputs (paper §II-C).
-//   - Runner kernels (buffers, splits, joins, insets, pads, feedback)
-//     drive their own stream FSM.
+//   - Invoker kernels fire by their lowered graph.Rule: a method fires
+//     when every trigger input's queue head matches (data for data
+//     triggers, the right token for token triggers). Unhandled control
+//     tokens are forwarded in order to the outputs of the methods fed
+//     by that input, once the token has arrived on all of those
+//     methods' data inputs (paper §II-C).
+//   - The compiler's FSM kernels (buffers, splits, joins, replicates,
+//     insets, pads, feedback) step their graph.Step (step.go).
+//
+// Application inputs and outputs and the cluster's boundary shims are
+// endpoints: each runs its own loop over the feed, the result
+// collection or the transport.
 //
 // Replicated inputs act as a configuration barrier: a kernel's data
 // methods do not fire until every replicated input has delivered at
@@ -72,8 +79,8 @@ type Result struct {
 	// Outputs maps output node name to the full item stream received,
 	// tokens included, in arrival order.
 	Outputs map[string][]graph.Item
-	// Firings counts method invocations per kernel (generic Invoker
-	// kernels only; FSM runners drive their own loops). Used to
+	// Firings counts logical method invocations per kernel: an FSM
+	// kernel's one method counts the data items it took. Used to
 	// cross-check the data-flow analysis' predicted iteration counts
 	// against actual execution. It is Stats' firing counters keyed by
 	// node and method name.
@@ -221,7 +228,7 @@ func (ex *executor) nodeGoroutine(pn *planNode) {
 		ex.nodeDone(pn)
 		ex.wg.Done()
 	}()
-	if err := ex.runNode(pn); err != nil && err != graph.ErrHalt {
+	if err := ex.runNode(pn); err != nil {
 		ex.fail(fmt.Errorf("node %q: %w", pn.node.Name(), err))
 	}
 }
@@ -250,7 +257,7 @@ func Run(g *graph.Graph, opts Options) (*Result, error) {
 		case <-time.After(opts.Timeout):
 			ex.fail(fmt.Errorf("runtime: watchdog: outputs incomplete after %v", opts.Timeout))
 			// Give unblocked goroutines a moment to notice the stop
-			// signal; a kernel stuck outside Recv/Send is leaked.
+			// signal; a kernel stuck inside a firing is leaked.
 			select {
 			case <-done:
 			case <-time.After(time.Second):
@@ -390,19 +397,18 @@ func (ex *executor) runNode(pn *planNode) error {
 			return ex.runOutputStream(pn)
 		}
 		return ex.runOutput(pn)
+	case graph.KindBoundary:
+		return ex.runBoundary(pn)
 	}
-	if r, ok := graph.RunnerBehavior(n); ok {
-		return r.Run(&runCtx{ex: ex, pn: pn})
-	}
-	if n.Behavior == nil {
+	switch {
+	case pn.step != nil:
+		return ex.drive(&ex.boxes[pn.id], newStepper(ex, pn))
+	case pn.invoker != nil:
+		return ex.drive(&ex.boxes[pn.id], newDriver(ex, pn))
+	case n.Behavior == nil:
 		return fmt.Errorf("runtime: node %q has no behavior", n.Name())
 	}
-	if pn.invoker == nil {
-		return fmt.Errorf("runtime: node %q behavior implements neither Invoker nor Runner", n.Name())
-	}
-	d := newDriver(ex, pn)
-	defer d.close()
-	return d.loop()
+	return fmt.Errorf("runtime: node %q behavior implements neither Invoker nor Step", n.Name())
 }
 
 // nodeDone retires a node that has finished: its own rings are
@@ -412,31 +418,6 @@ func (ex *executor) nodeDone(pn *planNode) {
 	for _, c := range pn.consumers {
 		ex.boxes[c].producerDone()
 	}
-}
-
-// runCtx adapts the executor to graph.RunContext for Runner kernels:
-// port names resolve by scanning the node's own port tables.
-type runCtx struct {
-	ex *executor
-	pn *planNode
-}
-
-func (c *runCtx) Node() *graph.Node { return c.pn.node }
-
-func (c *runCtx) Send(output string, it graph.Item) {
-	o := c.pn.outIndex(output)
-	if o < 0 {
-		panic(fmt.Sprintf("runtime: node %q has no output %q", c.pn.node.Name(), output))
-	}
-	c.ex.send(c.pn, o, it)
-}
-
-func (c *runCtx) Recv(input string) (graph.Item, bool) {
-	in := c.pn.inIndex(input)
-	if in < 0 {
-		panic(fmt.Sprintf("runtime: node %q has no input %q", c.pn.node.Name(), input))
-	}
-	return c.ex.boxes[c.pn.id].take(in)
 }
 
 // emitFrame chunks one frame into scan-order items with end-of-line
@@ -539,7 +520,7 @@ func (ex *executor) runOutput(pn *planNode) error {
 	ib := &ex.boxes[pn.id]
 	o := &ex.outs[pn.io]
 	for {
-		it, ok := ib.take(0)
+		it, ok := ib.take()
 		if !ok {
 			return nil
 		}

@@ -573,8 +573,8 @@ func (swallowBehavior) Invoke(method string, ctx graph.ExecContext) error {
 	return nil // consumes input, never emits
 }
 
-// TestWatchdogAbortsStuckRunner covers the true-hang path: a Runner
-// that blocks outside Recv/Send forever can only be cut loose by the
+// TestWatchdogAbortsStuckRunner covers the true-hang path: a kernel
+// that blocks inside a firing forever can only be cut loose by the
 // watchdog.
 func TestWatchdogAbortsStuckRunner(t *testing.T) {
 	g := graph.New("stuck")
@@ -585,7 +585,7 @@ func TestWatchdogAbortsStuckRunner(t *testing.T) {
 	k.RegisterMethod("m", 1, 0)
 	k.RegisterMethodInput("m", "in")
 	k.RegisterMethodOutput("m", "out")
-	k.Behavior = stuckRunner{}
+	k.Behavior = stuck{}
 	g.Add(k)
 	out := g.AddOutput("Output", geom.Sz(1, 1))
 	g.Connect(in, "out", k, "in")
@@ -601,10 +601,10 @@ func TestWatchdogAbortsStuckRunner(t *testing.T) {
 	}
 }
 
-type stuckRunner struct{}
+type stuck struct{}
 
-func (stuckRunner) Clone() graph.Behavior { return stuckRunner{} }
+func (stuck) Clone() graph.Behavior { return stuck{} }
 
-func (stuckRunner) Run(ctx graph.RunContext) error {
-	select {} // deliberately stuck outside Recv/Send
+func (stuck) Invoke(string, graph.ExecContext) error {
+	select {} // deliberately stuck inside the firing
 }

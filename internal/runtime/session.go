@@ -330,7 +330,7 @@ func (ex *executor) runOutputStream(pn *planNode) error {
 	ib := &ex.boxes[pn.id]
 	o := &ex.outs[pn.io]
 	for {
-		it, ok := ib.take(0)
+		it, ok := ib.take()
 		if !ok {
 			return nil
 		}

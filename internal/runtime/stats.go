@@ -7,11 +7,12 @@ package runtime
 // firing, which is priced separately.
 type NodeStats struct {
 	Node string
-	// Firings counts logical method invocations by method, for kernels
-	// fired by the generic method-trigger loop (FSM runners, inputs and
-	// outputs drive their own loops and report none). A batched firing
-	// counts its batch's N invocations, so the numbers equal the
-	// analysis' predicted iteration counts with batching on or off.
+	// Firings counts logical method invocations by method: an ordinary
+	// kernel's firings, and for an FSM kernel's one method the data items
+	// its steps took (inputs, outputs and boundary shims have no methods
+	// and report none). A batched firing or a step taking a row span
+	// counts its N logical items, so the numbers equal the analysis'
+	// predicted iteration counts with batching on or off.
 	Firings map[string]int64
 	// Deliveries counts the items delivered into the node's rings.
 	Deliveries int64

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"blockpar/internal/apps"
 	"blockpar/internal/core"
@@ -138,6 +140,64 @@ func TestSimMatchesRuntimeSharedBufferVariant(t *testing.T) {
 	}
 	if sm := simRes.OutputCounts["result"]; sm != rt {
 		t.Errorf("sim %+v vs runtime %+v", sm, rt)
+	}
+}
+
+// marker is a test FSM step that passes its stream through and sends
+// a custom token after the first data item it sees.
+type marker struct{ sent, pend bool }
+
+func (m *marker) Clone() graph.Behavior { return &marker{} }
+
+func (m *marker) Next(h graph.StepHeads, p *graph.StepPlan) (bool, error) {
+	tok := h.Head(0)
+	if tok == nil {
+		return false, nil
+	}
+	p.View(0, 0, 0, h.Span(0))
+	m.pend = m.sent || tok.Kind == token.None
+	if m.pend && !m.sent {
+		p.Token(0, token.NewCustom("mark", 0))
+	}
+	return true, nil
+}
+
+func (m *marker) Apply() { m.sent = m.pend }
+
+// TestSimMatchesRuntimeCustomTokenError sends a custom token through a
+// column split and its join. The split broadcasts it to both stripes
+// and the join, which has no rule for a custom token in a row, must
+// fail — in the simulator with the runtime's very error, since both run
+// the join's one step.
+func TestSimMatchesRuntimeCustomTokenError(t *testing.T) {
+	const w, h = 6, 2
+	g := graph.New("custom-token")
+	in := g.AddInput("Input", geom.Sz(w, h), geom.Sz(1, 1), geom.FInt(10))
+	m := graph.NewNode("Mark", graph.KindKernel)
+	m.CreateInput("in", geom.Sz(1, 1), geom.St(1, 1), geom.Off(0, 0))
+	m.CreateOutput("out", geom.Sz(1, 1), geom.St(1, 1))
+	m.RegisterMethod("mark", 2, 0)
+	m.RegisterMethodInput("mark", "in")
+	m.RegisterMethodOutput("mark", "out")
+	m.Behavior = &marker{}
+	g.Add(m)
+	stripes := kernel.ColumnStripes(w, 3, 1, 2)
+	split := g.Add(kernel.SplitColumns("S", stripes, w))
+	join := g.Add(kernel.JoinColumns("J", []int{stripes[0].InWidth(), stripes[1].InWidth()}, geom.Sz(1, 1)))
+	out := g.AddOutput("Output", geom.Sz(1, 1))
+	g.Connect(in, "out", m, "in")
+	g.Connect(m, "out", split, "in")
+	g.Connect(split, "out0", join, "in0")
+	g.Connect(split, "out1", join, "in1")
+	g.Connect(join, "out", out, "in")
+
+	_, runErr := runtime.Run(g.Clone(), runtime.Options{Frames: 1, Timeout: 10 * time.Second})
+	_, simErr := Simulate(g, mapping.OneToOne(g), Options{Machine: machine.Embedded(), Frames: 1})
+	if runErr == nil || !strings.Contains(runErr.Error(), `column join "J" unexpected custom(mark)`) {
+		t.Fatalf("runtime error = %v, want the column join's", runErr)
+	}
+	if simErr == nil || simErr.Error() != runErr.Error() {
+		t.Fatalf("sim error = %v\nwant the runtime's: %v", simErr, runErr)
 	}
 }
 

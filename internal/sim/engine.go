@@ -229,6 +229,8 @@ type engine struct {
 	frameStart []float64
 
 	trace *Trace
+	// err is a kernel's malformed-stream error; it ends the run.
+	err error
 	// measuring turns on statistics accumulation; warmupLeft counts
 	// frames still to complete at the outputs before it flips on.
 	measuring    bool
@@ -306,11 +308,7 @@ func Simulate(g *graph.Graph, assign *mapping.Assignment, opts Options) (*Result
 		case graph.KindOutput:
 			e.outs[n] = 0
 		default:
-			auto, err := newAutomaton(g, n)
-			if err != nil {
-				return nil, err
-			}
-			ns.auto = auto
+			ns.auto = newAutomaton(g, n)
 			pe, ok := assign.PEOf[n]
 			if !ok {
 				return nil, fmt.Errorf("sim: node %q has no PE assignment", n.Name())
@@ -408,6 +406,9 @@ func (e *engine) run() error {
 			e.complete(e.pes[ev.idx])
 		}
 		e.sweep()
+		if e.err != nil {
+			return e.err
+		}
 		if e.done() {
 			return nil
 		}
@@ -466,7 +467,7 @@ func (e *engine) sweep() {
 				progress = true
 			}
 		}
-		if !progress {
+		if !progress || e.err != nil {
 			return
 		}
 	}
@@ -594,7 +595,13 @@ func (e *engine) startWork(pe *peState, peIdx int) bool {
 		ns := pe.kernels[(pe.rr+off)%n]
 		f := &ns.f
 		f.reset()
-		if !ns.auto.next(ns.qs, f) || !ns.hasSpace() {
+		ok, err := ns.auto.next(ns.qs, f)
+		if err != nil {
+			// The runtime's words for the same failure.
+			e.err = fmt.Errorf("node %q: %w", ns.node.Name(), err)
+			return false
+		}
+		if !ok || !ns.hasSpace() {
 			continue
 		}
 		// Consume inputs and commit state now.

@@ -13,10 +13,12 @@ import (
 	"blockpar/internal/token"
 )
 
-// autoHarness drives an automaton directly: feed items into queues,
-// repeatedly fire (checking output space is irrelevant here), and
-// collect produced items per output.
+// autoHarness drives a node's automaton — the shared graph.Step of an
+// FSM kernel, the lowered rule of any other — directly: feed items into
+// queues, repeatedly fire (checking output space is irrelevant here),
+// and collect produced items per output.
 type autoHarness struct {
+	t    *testing.T
 	n    *graph.Node
 	auto automaton
 	qs   []queue
@@ -28,12 +30,8 @@ func newHarness(t *testing.T, n *graph.Node) *autoHarness {
 	t.Helper()
 	g := graph.New("harness")
 	g.Add(n)
-	auto, err := newAutomaton(g, n)
-	if err != nil {
-		t.Fatal(err)
-	}
 	h := &autoHarness{
-		n: n, auto: auto,
+		t: t, n: n, auto: newAutomaton(g, n),
 		qs:  make([]queue, len(n.Inputs())),
 		f:   newFiring(len(n.Inputs()), len(n.Outputs())),
 		out: make([][]item, len(n.Outputs())),
@@ -57,7 +55,11 @@ func (h *autoHarness) feed(input string, items ...item) {
 // propose asks the automaton for its next firing into h.f.
 func (h *autoHarness) propose() bool {
 	h.f.reset()
-	return h.auto.next(h.qs, &h.f)
+	ok, err := h.auto.next(h.qs, &h.f)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	return ok
 }
 
 // drain fires the automaton until it stalls, applying consumes and

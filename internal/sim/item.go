@@ -6,12 +6,12 @@
 // throughput-based application", §IV-D).
 //
 // The simulation is value-free: items carry only their shape (token or
-// data, word count), and each node runs a count-only automaton that
-// fires by the functional runtime's rules: ordinary kernels step the
-// very graph.Rule the runtime's driver steps, and buffers, splits,
-// joins, insets, pads and feedback kernels run count-only models of
-// their plan-driven FSMs. The functional runtime (internal/runtime)
-// verifies values; the simulator verifies time.
+// data, word count), one logical item each, and every node fires by
+// the functional runtime's own rule: ordinary kernels step the very
+// graph.Rule the runtime's driver steps, and the compiler's FSM kernels
+// (buffers, splits, joins, replicates, insets, pads, feedback) the very
+// graph.Step its stepper runs. The functional runtime
+// (internal/runtime) verifies values; the simulator verifies time.
 package sim
 
 import (
@@ -123,7 +123,7 @@ func (f *firing) writeWords() int64 {
 // engine starts the firing next proposed last.
 type automaton interface {
 	// next proposes the next firing, reporting false if the node cannot
-	// fire.
-	next(qs []queue, f *firing) bool
+	// fire, and an error if its input stream is malformed.
+	next(qs []queue, f *firing) (bool, error)
 	commit()
 }
