@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"blockpar/internal/fifo"
 	"blockpar/internal/frame"
 	"blockpar/internal/graph"
 	"blockpar/internal/placement"
@@ -20,76 +21,6 @@ import (
 	"blockpar/internal/token"
 	"blockpar/internal/wire"
 )
-
-// ---- the ring ----
-
-func TestRingWrapsInOrder(t *testing.T) {
-	q := newRing[int](unbounded)
-	next, want := 0, 0
-	// Uneven push/pop bursts walk head around the buffer many times and
-	// force growth while wrapped.
-	for round := 0; round < 200; round++ {
-		for i := 0; i < 1+round%7; i++ {
-			if !q.push(next) {
-				t.Fatal("unbounded ring refused a push")
-			}
-			next++
-		}
-		for i := 0; i < 1+round%5 && q.len() > 0; i++ {
-			if got := q.pop(); got != want {
-				t.Fatalf("pop = %d, want %d", got, want)
-			}
-			want++
-		}
-	}
-	for _, got := range q.popInto(nil, q.len()) {
-		if got != want {
-			t.Fatalf("drain = %d, want %d", got, want)
-		}
-		want++
-	}
-	if want != next || q.len() != 0 {
-		t.Fatalf("drained %d of %d, %d left", want, next, q.len())
-	}
-}
-
-func TestRingGrowthStopsAtLimit(t *testing.T) {
-	const limit = 100 // not a power of two: the last doubling is clamped
-	q := newRing[int](limit)
-	for i := 0; i < limit; i++ {
-		if !q.push(i) {
-			t.Fatalf("push %d refused below the limit", i)
-		}
-		if cap(q.buf) > limit {
-			t.Fatalf("storage grew to %d, past the limit %d", cap(q.buf), limit)
-		}
-	}
-	if q.push(limit) {
-		t.Fatal("push accepted at the limit")
-	}
-	// Full-speed reuse at the limit never reallocates.
-	buf := &q.buf[0]
-	for i := 0; i < 10*limit; i++ {
-		q.pop()
-		q.push(i)
-	}
-	if &q.buf[0] != buf {
-		t.Error("a warm ring reallocated its storage")
-	}
-}
-
-func TestRingPopClearsSlots(t *testing.T) {
-	q := newRing[*int](unbounded)
-	for i := 0; i < 40; i++ {
-		q.push(new(int))
-	}
-	q.popInto(nil, 40)
-	for i, p := range q.buf {
-		if p != nil {
-			t.Fatalf("slot %d still holds its element after pop", i)
-		}
-	}
-}
 
 // ---- cut edges on the ring ----
 
@@ -145,7 +76,7 @@ func TestCutEdgeTeardownReleasesQueuedWindows(t *testing.T) {
 	oe.push(graph.DataItem(frame.PooledScalar(1))) // late push: released
 
 	for _, retire := range []bool{false, true} {
-		h := &partitionHalf{conn: wire.NewConn(&sinkConn{}), w: &workerRef{}, relayq: newRing[wire.Msg](unbounded)}
+		h := &partitionHalf{conn: wire.NewConn(&sinkConn{}), w: &workerRef{}, relayq: fifo.New[wire.Msg](0, fifo.Unbounded)}
 		h.rcond = sync.NewCond(&h.rmu)
 		done := make(chan struct{})
 		h.rmu.Lock() // hold the relay off until everything is queued
@@ -379,7 +310,7 @@ func TestClusterDataPathAllocs(t *testing.T) {
 			// credits as the consumer would.
 			for {
 				oe.mu.Lock()
-				idle := oe.queue.len() == 0
+				idle := oe.queue.Len() == 0
 				oe.mu.Unlock()
 				if idle && sink.writes.Load() > sent {
 					break
@@ -405,7 +336,7 @@ func TestClusterDataPathAllocs(t *testing.T) {
 		sink := &sinkConn{}
 		for i := 0; i < 2; i++ {
 			h := &partitionHalf{ps: ps, idx: i, w: &workerRef{}, sid: uint64(10 + i),
-				conn: wire.NewConn(sink), relayq: newRing[wire.Msg](unbounded)}
+				conn: wire.NewConn(sink), relayq: fifo.New[wire.Msg](0, fifo.Unbounded)}
 			h.rcond = sync.NewCond(&h.rmu)
 			ps.halves = append(ps.halves, h)
 		}

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"blockpar/internal/fifo"
 	"blockpar/internal/graph"
 	"blockpar/internal/runtime"
 	"blockpar/internal/wire"
@@ -269,7 +270,7 @@ type inEdge struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   ring[graph.Item]
+	queue   fifo.Ring[graph.Item]
 	eos     bool
 	aborted bool
 	pending int // consumed items not yet credited back
@@ -280,7 +281,7 @@ type inEdge struct {
 }
 
 func newInEdge(s *workerSession, spec wire.EdgeSpec) *inEdge {
-	ie := &inEdge{s: s, id: spec.ID, credit: int(spec.Credit), queue: newRing[graph.Item](int(spec.Credit))}
+	ie := &inEdge{s: s, id: spec.ID, credit: int(spec.Credit), queue: fifo.New[graph.Item](0, int(spec.Credit))}
 	ie.cond = sync.NewCond(&ie.mu)
 	ie.grant = wire.EdgeCredit{SID: s.sid, Edge: spec.ID}
 	return ie
@@ -300,7 +301,7 @@ func (ie *inEdge) deliver(m *wire.EdgeFrame) {
 	for _, it := range m.Items {
 		// The wire decoder validated the batch descriptor against the
 		// window (protocol v6), so it re-enters the runtime as-is.
-		if !ie.queue.push(graph.Item{
+		if !ie.queue.Push(&graph.Item{
 			IsToken: it.IsToken, Win: it.Win, Tok: it.Tok,
 			B: graph.Batch{N: it.B.N, Sx: it.B.Sx, Bw: it.B.Bw},
 		}) {
@@ -323,14 +324,14 @@ func (ie *inEdge) deliver(m *wire.EdgeFrame) {
 // at end-of-stream or abort.
 func (ie *inEdge) pull() (graph.Item, bool) {
 	ie.mu.Lock()
-	for ie.queue.len() == 0 && !ie.eos && !ie.aborted {
+	for ie.queue.Len() == 0 && !ie.eos && !ie.aborted {
 		ie.cond.Wait()
 	}
-	if ie.aborted || ie.queue.len() == 0 {
+	if ie.aborted || ie.queue.Len() == 0 {
 		ie.mu.Unlock()
 		return graph.Item{}, false
 	}
-	it := ie.queue.pop()
+	it := ie.queue.Pop()
 	ie.mu.Unlock()
 	return it, true
 }
@@ -368,8 +369,8 @@ func (ie *inEdge) abort() {
 	ie.mu.Lock()
 	if !ie.aborted {
 		ie.aborted = true
-		for ie.queue.len() > 0 {
-			if it := ie.queue.pop(); !it.IsToken {
+		for ie.queue.Len() > 0 {
+			if it := ie.queue.Pop(); !it.IsToken {
 				it.Win.Release()
 			}
 		}
@@ -389,7 +390,7 @@ type outEdge struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   ring[wire.Item]
+	queue   fifo.Ring[wire.Item]
 	credits int
 	closed  bool // end-of-stream requested by the sink
 	aborted bool
@@ -409,7 +410,7 @@ type outEdge struct {
 func newOutEdge(s *workerSession, spec wire.EdgeSpec) *outEdge {
 	oe := &outEdge{
 		s: s, id: spec.ID, credits: int(spec.Credit),
-		queue: newRing[wire.Item](unbounded), senderDone: make(chan struct{}),
+		queue: fifo.New[wire.Item](0, fifo.Unbounded), senderDone: make(chan struct{}),
 	}
 	oe.cond = sync.NewCond(&oe.mu)
 	return oe
@@ -438,7 +439,7 @@ func (oe *outEdge) push(it graph.Item) {
 		return
 	}
 	oe.credits--
-	oe.queue.push(wire.Item{
+	oe.queue.Push(&wire.Item{
 		IsToken: it.IsToken, Win: it.Win, Tok: it.Tok,
 		B: wire.Batch{N: it.B.N, Sx: it.B.Sx, Bw: it.B.Bw},
 	})
@@ -466,8 +467,8 @@ func (oe *outEdge) abort() {
 	oe.mu.Lock()
 	if !oe.aborted {
 		oe.aborted = true
-		for oe.queue.len() > 0 {
-			if it := oe.queue.pop(); !it.IsToken {
+		for oe.queue.Len() > 0 {
+			if it := oe.queue.Pop(); !it.IsToken {
 				it.Win.Release()
 			}
 		}
@@ -484,15 +485,15 @@ func (oe *outEdge) sender() {
 	ef := wire.EdgeFrame{SID: oe.s.sid, Edge: oe.id}
 	for {
 		oe.mu.Lock()
-		for oe.queue.len() == 0 && !oe.closed && !oe.aborted {
+		for oe.queue.Len() == 0 && !oe.closed && !oe.aborted {
 			oe.cond.Wait()
 		}
 		if oe.aborted {
 			oe.mu.Unlock()
 			return
 		}
-		ef.Items = oe.queue.popInto(ef.Items[:0], edgeBatchItems)
-		ef.EOS = oe.closed && oe.queue.len() == 0
+		ef.Items = oe.queue.PopInto(ef.Items[:0], edgeBatchItems)
+		ef.EOS = oe.closed && oe.queue.Len() == 0
 		oe.mu.Unlock()
 		if len(ef.Items) > 0 || ef.EOS {
 			oe.s.conn.send(&ef)

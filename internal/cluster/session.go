@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"blockpar/internal/fifo"
 	"blockpar/internal/frame"
 	"blockpar/internal/graph"
 	"blockpar/internal/placement"
@@ -523,7 +524,7 @@ type partitionHalf struct {
 
 	rmu    sync.Mutex
 	rcond  *sync.Cond
-	relayq ring[wire.Msg]
+	relayq fifo.Ring[wire.Msg]
 	rstop  bool
 }
 
@@ -540,7 +541,7 @@ func (h *partitionHalf) enqueueRelay(m wire.Msg) {
 		}
 		return
 	}
-	h.relayq.push(m)
+	h.relayq.Push(&m)
 	h.rcond.Signal()
 	h.rmu.Unlock()
 }
@@ -574,10 +575,10 @@ func (h *partitionHalf) relay() {
 	var batch []wire.Msg
 	for {
 		h.rmu.Lock()
-		for h.relayq.len() == 0 && !h.rstop {
+		for h.relayq.Len() == 0 && !h.rstop {
 			h.rcond.Wait()
 		}
-		batch = h.relayq.popInto(batch[:0], h.relayq.len())
+		batch = h.relayq.PopInto(batch[:0], h.relayq.Len())
 		h.rmu.Unlock()
 		if len(batch) == 0 {
 			return // stopped and drained

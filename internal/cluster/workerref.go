@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"blockpar/internal/fifo"
 	"blockpar/internal/registry"
 	"blockpar/internal/serve"
 	"blockpar/internal/wire"
@@ -412,7 +413,7 @@ func (w *workerRef) placePartition(ps *session, idx int, marks *resumeMarks) (*p
 	sid := w.d.nextSID.Add(1)
 	h := &partitionHalf{
 		ps: ps, idx: idx, w: w, sid: sid, conn: conn, lastProgress: time.Now(),
-		relayq: newRing[wire.Msg](unbounded),
+		relayq: fifo.New[wire.Msg](0, fifo.Unbounded),
 	}
 	h.rcond = sync.NewCond(&h.rmu)
 	reply := make(chan *wire.SessionOpened, 1)

@@ -58,14 +58,14 @@ func TestBroadcastSendAllocFree(t *testing.T) {
 		ex.send(src, 0, graph.DataItem(w))
 		base := &w.Pix[0]
 		for i, r := range rings {
-			if r.n != 1 {
-				t.Fatalf("consumer %d holds %d items, want 1", i, r.n)
+			if r.Len() != 1 {
+				t.Fatalf("consumer %d holds %d items, want 1", i, r.Len())
 			}
-			if &r.peek().Win.Pix[0] != base {
+			if &r.Peek().Win.Pix[0] != base {
 				t.Fatalf("consumer %d received a copy, not a shared reference", i)
 			}
-			r.peek().Win.Release()
-			r.drop()
+			r.Peek().Win.Release()
+			r.Drop()
 		}
 	}
 	fire() // warm-up: populate the pool bucket

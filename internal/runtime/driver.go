@@ -108,10 +108,10 @@ func newDriver(ex *executor, pn *planNode) *driver {
 // is the zero token).
 func (ib *inbox) Head(in int32) *token.Token {
 	r := &ib.rings[in]
-	if r.n == 0 {
+	if r.Len() == 0 {
 		return nil
 	}
-	return &r.peek().Tok
+	return &r.Peek().Tok
 }
 
 // next retires the previous firing, lets the rule decide the next
@@ -129,10 +129,10 @@ func (d *driver) next() (bool, error) {
 		d.hold(act.Method)
 		return true, nil
 	}
-	d.fwd = d.ib.rings[act.In].peek().Tok
+	d.fwd = d.ib.rings[act.In].Peek().Tok
 	for _, g := range d.rule.Ins[act.In].Group {
 		r := &d.ib.rings[g]
-		r.drop()
+		r.Drop()
 		d.ib.freed(r)
 	}
 	return true, nil
@@ -150,7 +150,7 @@ func (d *driver) hold(mi int32) {
 	m := &d.rule.Methods[mi]
 	n := int32(0)
 	for i := range m.Trig {
-		it := d.ib.rings[m.Trig[i].In].peek()
+		it := d.ib.rings[m.Trig[i].In].Peek()
 		d.ctx.in[i] = it
 		if w := int32(it.BatchN()); !it.IsToken && (n == 0 || w < n) {
 			n = w
@@ -179,7 +179,7 @@ func (d *driver) retire() {
 	}
 	for i := range d.ctx.trig {
 		r := &d.ib.rings[d.ctx.trig[i].In]
-		it := r.peek()
+		it := r.Peek()
 		if p := &d.prefix[i]; d.ctx.in[i] == p {
 			if !d.released {
 				p.Win.Release()
@@ -193,7 +193,7 @@ func (d *driver) retire() {
 			// still ours to give back.
 			it.Win.Release()
 		}
-		r.drop()
+		r.Drop()
 		d.ib.freed(r)
 	}
 	d.held = -1

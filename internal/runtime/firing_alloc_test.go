@@ -112,14 +112,14 @@ func TestFiringPathAllocFree(t *testing.T) {
 	// drain empties the output ring, returning the logical data and token
 	// counts.
 	drain := func() (data, tokens int) {
-		for sink.n > 0 {
-			if it := sink.peek(); it.IsToken {
+		for sink.Len() > 0 {
+			if it := sink.Peek(); it.IsToken {
 				tokens++
 			} else {
 				data += it.BatchN()
 				it.Win.Release()
 			}
-			sink.drop()
+			sink.Drop()
 		}
 		return data, tokens
 	}

@@ -4,24 +4,23 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"blockpar/internal/fifo"
 	"blockpar/internal/graph"
 )
 
-// ring is the one FIFO of the runtime: a circular buffer of stream
-// items feeding one input port. Its capacity is fixed when the plan is
-// built (plan.go, "ring capacity"), it is allocated once per session,
-// and a consumed slot is cleared as it is dropped, so a ring never
-// retains items it has handed on. Every ring has one producer (an input
-// port has one edge) and one consumer (the owning node); both reach it
-// under the owning inbox's mutex.
+// ring is one input port's FIFO under the runtime's policy. Its
+// capacity is fixed when the plan is built (plan.go, "ring capacity")
+// and it is allocated once per session. Every ring has one producer (an
+// input port has one edge) and one consumer (the owning node); both
+// reach it under the owning inbox's mutex — except that the driver reads
+// a head it has taken without the lock, which the fifo.Ring keeps
+// readable even if the detector grows the ring meanwhile.
 type ring struct {
-	buf  []graph.Item
-	head int
-	n    int
-	// hw is the occupancy high-water mark.
-	hw int
+	fifo.Ring[graph.Item]
 	// force is set by the deadlock detector: the waiting producer must
-	// proceed, growing the ring if it is full (see executor.unwedge).
+	// proceed, growing the ring if it is full (see executor.unwedge). A
+	// forced growth shows in Stats as a high-water mark above the
+	// planned capacity.
 	force bool
 }
 
@@ -29,47 +28,7 @@ type ring struct {
 // keep waiting: until the consumer has drained half the ring, so a
 // producer that outruns its consumer parks once per half ring, not once
 // per item.
-func (r *ring) held() bool { return r.n > len(r.buf)/2 && !r.force }
-
-func (r *ring) full() bool { return r.n == len(r.buf) }
-
-func (r *ring) push(it *graph.Item) {
-	i := r.head + r.n
-	if i >= len(r.buf) {
-		i -= len(r.buf)
-	}
-	r.buf[i] = *it
-	r.n++
-	if r.n > r.hw {
-		r.hw = r.n
-	}
-}
-
-// peek returns the head slot in place. The pointer stays readable until
-// the slot is dropped, even across a grow: grow copies, it never
-// rewrites the old array.
-func (r *ring) peek() *graph.Item { return &r.buf[r.head] }
-
-// drop consumes the head, clearing the slot so the ring holds no
-// reference to a window it no longer owns.
-func (r *ring) drop() {
-	r.buf[r.head] = graph.Item{}
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-	}
-	r.n--
-}
-
-// grow doubles the ring. It runs only when the deadlock detector found
-// the plan-time capacity too small for the graph's skew; Stats reports
-// it as a high-water mark above the planned capacity.
-func (r *ring) grow() {
-	nb := make([]graph.Item, 2*len(r.buf))
-	k := copy(nb, r.buf[r.head:])
-	copy(nb[k:], r.buf[:r.head])
-	r.buf, r.head = nb, 0
-}
+func (r *ring) held() bool { return r.Len() > r.Limit()/2 && !r.force }
 
 // Wait states a node publishes for the deadlock detector. A node that
 // waits outside the runtime (a feed channel, the result queue, a
@@ -142,7 +101,7 @@ func (ib *inbox) init(ex *executor, pn *planNode) {
 	ib.avail.L, ib.space.L = &ib.mu, &ib.mu
 	ib.rings = make([]ring, len(pn.ins))
 	for i := range ib.rings {
-		ib.rings[i].buf = make([]graph.Item, pn.ins[i].cap)
+		ib.rings[i].Ring = fifo.New[graph.Item](pn.ins[i].cap, pn.ins[i].cap)
 	}
 	ib.producersLeft = pn.producers
 	ib.closed = pn.producers == 0
@@ -163,7 +122,7 @@ func (ex *executor) put(from int32, e *planEdge, it *graph.Item) {
 	ib := &ex.boxes[e.node]
 	ib.mu.Lock()
 	r := &ib.rings[e.in]
-	if r.full() {
+	if r.Len() == r.Limit() {
 		ex.waitForSpace(from, e, ib)
 	}
 	if ib.done || ex.stopped.Load() {
@@ -173,15 +132,15 @@ func (ex *executor) put(from int32, e *planEdge, it *graph.Item) {
 		}
 		return
 	}
-	if r.full() {
-		r.grow() // forced by the deadlock detector
+	if !r.Push(it) {
+		r.Grow() // forced by the deadlock detector
+		r.Push(it)
 	}
 	r.force = false
-	r.push(it)
 	ib.deliveries++
 	// Readiness depends only on ring heads, so only a push into an
 	// empty ring can make a parked consumer runnable.
-	if r.n == 1 {
+	if r.Len() == 1 {
 		ib.wake()
 	}
 	ib.mu.Unlock()
@@ -275,15 +234,14 @@ func (ib *inbox) freed(r *ring) {
 func (ib *inbox) take() (graph.Item, bool) {
 	ib.mu.Lock()
 	r := &ib.rings[0]
-	for r.n == 0 {
+	for r.Len() == 0 {
 		if ib.closed || ib.ex.stopped.Load() {
 			ib.mu.Unlock()
 			return graph.Item{}, false
 		}
 		ib.park()
 	}
-	it := *r.peek()
-	r.drop()
+	it := r.Pop()
 	ib.freed(r)
 	ib.mu.Unlock()
 	return it, true
@@ -310,11 +268,11 @@ func (ib *inbox) finish() {
 	ib.done = true
 	for i := range ib.rings {
 		r := &ib.rings[i]
-		for r.n > 0 {
-			if it := r.peek(); !it.IsToken {
+		for r.Len() > 0 {
+			if it := r.Peek(); !it.IsToken {
 				it.Win.Release()
 			}
-			r.drop()
+			r.Drop()
 		}
 		ib.freed(r)
 	}
@@ -411,7 +369,7 @@ func (w *wedgeSearch) wedged(node int32) bool {
 		waitsOn := few[:0]
 		ib.mu.Lock()
 		for i := range ib.rings {
-			if ib.rings[i].n == 0 {
+			if ib.rings[i].Len() == 0 {
 				waitsOn = append(waitsOn, ib.pn.ins[i].producer)
 			}
 		}

@@ -51,6 +51,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"blockpar/internal/fifo"
 	"blockpar/internal/frame"
 	"blockpar/internal/graph"
 	"blockpar/internal/token"
@@ -166,9 +167,11 @@ type outState struct {
 	// items is the batch-mode stream; eofSeen its end-of-frame count.
 	items   []graph.Item
 	eofSeen int
-	// cur and done are the stream-mode frame assembly.
+	// cur and done are the stream-mode frame assembly: done queues
+	// finished frames until every output has one. A blocking Feed does
+	// not bound the frames in flight, so done may outgrow MaxInFlight.
 	cur  []frame.Window
-	done [][]frame.Window
+	done fifo.Ring[[]frame.Window]
 }
 
 // newExecutor validates the graph and lowers it into the execution
@@ -187,6 +190,7 @@ func newExecutor(g *graph.Graph, opts Options, readyCap int) (*executor, error) 
 	ex.outs = make([]outState, len(ex.plan.outputs))
 	for i, id := range ex.plan.outputs {
 		ex.outs[i].name = ex.plan.nodes[id].node.Name()
+		ex.outs[i].done = fifo.New[[]frame.Window](readyCap, fifo.Unbounded)
 	}
 	if readyCap > 0 {
 		ex.stream = true

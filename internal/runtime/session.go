@@ -348,7 +348,7 @@ func (ex *executor) runOutputStream(pn *planNode) error {
 			continue
 		}
 		ex.outMu.Lock()
-		o.done = append(o.done, o.cur)
+		o.done.Push(&o.cur)
 		// The result owns the finished list. An output's window count
 		// is the same every frame (runOutput relies on it too), so the
 		// next frame's list is sized once instead of grown from nil —
@@ -357,7 +357,7 @@ func (ex *executor) runOutputStream(pn *planNode) error {
 		o.cur = frame.AllocList(len(o.cur))
 		all := true
 		for i := range ex.outs {
-			if len(ex.outs[i].done) == 0 {
+			if ex.outs[i].done.Len() == 0 {
 				all = false
 				break
 			}
@@ -367,8 +367,7 @@ func (ex *executor) runOutputStream(pn *planNode) error {
 			res = StreamResult{Seq: ex.assembled, Outputs: make(map[string][]frame.Window, len(ex.outs))}
 			for i := range ex.outs {
 				q := &ex.outs[i]
-				res.Outputs[q.name] = q.done[0]
-				q.done = q.done[1:]
+				res.Outputs[q.name] = q.done.Pop()
 			}
 			ex.assembled++
 		}

@@ -55,7 +55,7 @@ func (ex *executor) stats() []NodeStats {
 		ib.mu.Lock()
 		st.Deliveries = ib.deliveries
 		for k := range ib.rings {
-			st.Rings[k] = RingStats{Input: pn.ins[k].name, Capacity: pn.ins[k].cap, HighWater: ib.rings[k].hw}
+			st.Rings[k] = RingStats{Input: pn.ins[k].name, Capacity: pn.ins[k].cap, HighWater: ib.rings[k].HighWater()}
 		}
 		ib.mu.Unlock()
 	}

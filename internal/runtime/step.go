@@ -40,7 +40,7 @@ func newStepper(ex *executor, pn *planNode) *stepper {
 }
 
 // Span implements graph.StepHeads: the head's logical item count.
-func (ib *inbox) Span(in int32) int { return ib.rings[in].peek().BatchN() }
+func (ib *inbox) Span(in int32) int { return ib.rings[in].Peek().BatchN() }
 
 // Ended implements graph.StepHeads: no producer is left, or the run is
 // stopping.
@@ -48,8 +48,8 @@ func (ib *inbox) Ended() bool { return ib.closed || ib.ex.stopped.Load() }
 
 // Show implements graph.StepHeads.
 func (ib *inbox) Show(in int32) fmt.Stringer {
-	if r := &ib.rings[in]; r.n > 0 {
-		return *r.peek()
+	if r := &ib.rings[in]; r.Len() > 0 {
+		return *r.Peek()
 	}
 	return graph.Item{}
 }
@@ -70,7 +70,7 @@ func (s *stepper) next() (bool, error) {
 	var n int64
 	for k, take := range s.plan.Take {
 		if take {
-			it := s.ib.rings[k].peek()
+			it := s.ib.rings[k].Peek()
 			s.heads[k] = it
 			if !it.IsToken {
 				n += int64(it.BatchN())
@@ -157,10 +157,10 @@ func (s *stepper) retire() {
 			continue
 		}
 		r := &s.ib.rings[k]
-		if it := r.peek(); !s.released && !it.IsToken {
+		if it := r.Peek(); !s.released && !it.IsToken {
 			it.Win.Release()
 		}
-		r.drop()
+		r.Drop()
 		s.ib.freed(r)
 		s.heads[k] = nil
 	}

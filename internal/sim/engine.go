@@ -1,10 +1,10 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
+	"blockpar/internal/fifo"
 	"blockpar/internal/graph"
 	"blockpar/internal/machine"
 	"blockpar/internal/mapping"
@@ -20,8 +20,6 @@ type Options struct {
 	// analysis-free default generous enough for the pipeline skew of
 	// windowed diamonds (a few input rows).
 	QueueCap int
-	// MaxEvents aborts runaway simulations (default 50M).
-	MaxEvents int64
 	// TraceLimit, when positive, records up to that many firings into
 	// Result.Trace for inspection (CSV export, Gantt rendering).
 	TraceLimit int
@@ -153,18 +151,54 @@ type event struct {
 	idx  int
 }
 
+// eventHeap is a binary min-heap of events in (t, seq) order; seq is
+// unique, so the order is total and the pop sequence deterministic.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].t != h[j].t {
 		return h[i].t < h[j].t
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s.less(i, p) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+// pop removes and returns the earliest event. The heap must be
+// non-empty.
+func (h *eventHeap) pop() event {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s.less(r, c) {
+			c = r
+		}
+		if !s.less(c, i) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return top
+}
 
 // dest is one fan-out delivery: the consumer and its input index.
 type dest struct {
@@ -177,7 +211,7 @@ type nodeState struct {
 	auto automaton
 	// qs holds one queue per input and outs the destinations of each
 	// output, both in port order.
-	qs   []queue
+	qs   []fifo.Ring[item]
 	outs [][]dest
 	// f is the node's firing, rebuilt for every proposal.
 	f firing
@@ -211,7 +245,10 @@ type engine struct {
 	nodes map[*graph.Node]*nodeState
 	pes   []*peState
 	ins   []*inputState
-	outs  map[*graph.Node]int // EOFs seen per output
+	// outNodes lists the application outputs in graph order; eofs
+	// counts the end-of-frame tokens each has received.
+	outNodes []*graph.Node
+	eofs     []int
 
 	events eventHeap
 	seq    int64
@@ -238,6 +275,9 @@ type engine struct {
 	warmupLeft   int
 }
 
+// maxEvents aborts a runaway simulation.
+const maxEvents = 50_000_000
+
 // Simulate runs the mapped application for opts.Frames frames.
 func Simulate(g *graph.Graph, assign *mapping.Assignment, opts Options) (*Result, error) {
 	if err := opts.Machine.Validate(); err != nil {
@@ -248,9 +288,6 @@ func Simulate(g *graph.Graph, assign *mapping.Assignment, opts Options) (*Result
 	}
 	if opts.Frames <= 0 {
 		opts.Frames = 2
-	}
-	if opts.MaxEvents <= 0 {
-		opts.MaxEvents = 50_000_000
 	}
 	if opts.QueueCap <= 0 {
 		maxW := 64
@@ -266,7 +303,7 @@ func Simulate(g *graph.Graph, assign *mapping.Assignment, opts Options) (*Result
 		g:          g,
 		opts:       opts,
 		nodes:      make(map[*graph.Node]*nodeState),
-		outs:       make(map[*graph.Node]int),
+		outNodes:   g.Outputs(),
 		exceptions: make(map[string]int64),
 		nodeStats:  make(map[string]*PEStats),
 		latencies:  make(map[string][]float64),
@@ -280,6 +317,7 @@ func Simulate(g *graph.Graph, assign *mapping.Assignment, opts Options) (*Result
 	if opts.WarmupFrames >= opts.Frames {
 		return nil, fmt.Errorf("sim: warmup %d must be below frames %d", opts.WarmupFrames, opts.Frames)
 	}
+	e.eofs = make([]int, len(e.outNodes))
 	e.pes = make([]*peState, assign.NumPEs)
 	for i := range e.pes {
 		e.pes[i] = &peState{}
@@ -288,12 +326,12 @@ func Simulate(g *graph.Graph, assign *mapping.Assignment, opts Options) (*Result
 	for _, n := range g.Nodes() {
 		ns := &nodeState{
 			node: n,
-			qs:   make([]queue, len(n.Inputs())),
+			qs:   make([]fifo.Ring[item], len(n.Inputs())),
 			outs: make([][]dest, len(n.Outputs())),
 			f:    newFiring(len(n.Inputs()), len(n.Outputs())),
 		}
 		for k := range ns.qs {
-			ns.qs[k].cap = opts.QueueCap
+			ns.qs[k] = fifo.New[item](0, opts.QueueCap)
 		}
 		e.nodes[n] = ns
 		switch n.Kind {
@@ -305,8 +343,7 @@ func Simulate(g *graph.Graph, assign *mapping.Assignment, opts Options) (*Result
 				interval: 1 / (n.Rate.Float() * chunksPerFrame),
 			}
 			e.ins = append(e.ins, ins)
-		case graph.KindOutput:
-			e.outs[n] = 0
+		case graph.KindOutput: // drained by sweep
 		default:
 			ns.auto = newAutomaton(g, n)
 			pe, ok := assign.PEOf[n]
@@ -378,12 +415,12 @@ func Simulate(g *graph.Graph, assign *mapping.Assignment, opts Options) (*Result
 func (e *engine) push(ev event) {
 	ev.seq = e.seq
 	e.seq++
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 }
 
 func (e *engine) done() bool {
-	for _, n := range e.g.Outputs() {
-		if e.outs[n] < e.opts.Frames {
+	for _, c := range e.eofs {
+		if c < e.opts.Frames {
 			return false
 		}
 	}
@@ -391,13 +428,12 @@ func (e *engine) done() bool {
 }
 
 func (e *engine) run() error {
-	heap.Init(&e.events)
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(event)
+		ev := e.events.pop()
 		e.now = ev.t
 		e.processed++
-		if e.processed > e.opts.MaxEvents {
-			return fmt.Errorf("sim: exceeded %d events at t=%g", e.opts.MaxEvents, e.now)
+		if e.processed > maxEvents {
+			return fmt.Errorf("sim: exceeded %d events at t=%g", maxEvents, e.now)
 		}
 		switch ev.kind {
 		case 0:
@@ -417,7 +453,7 @@ func (e *engine) run() error {
 		return nil
 	}
 	return fmt.Errorf("sim: deadlock at t=%g: outputs saw %v of %d frames\n%s",
-		e.now, e.outFrames(), e.opts.Frames, e.queueDump())
+		e.now, e.eofs, e.opts.Frames, e.queueDump())
 }
 
 // queueDump renders the non-empty input queues for deadlock diagnosis.
@@ -427,22 +463,13 @@ func (e *engine) queueDump() string {
 		ns := e.nodes[n]
 		for k, p := range n.Inputs() {
 			q := &ns.qs[k]
-			if q.len() == 0 {
+			if q.Len() == 0 {
 				continue
 			}
-			head, _ := q.head()
-			s += fmt.Sprintf("  %s.%s: %d queued, head %v\n", n.Name(), p.Name, q.len(), head)
+			s += fmt.Sprintf("  %s.%s: %d queued, head %v\n", n.Name(), p.Name, q.Len(), *q.Peek())
 		}
 	}
 	return s
-}
-
-func (e *engine) outFrames() []int {
-	var out []int
-	for _, n := range e.g.Outputs() {
-		out = append(out, e.outs[n])
-	}
-	return out
 }
 
 // sweep drains outputs, retries stalled inputs, and starts work on idle
@@ -450,8 +477,8 @@ func (e *engine) outFrames() []int {
 func (e *engine) sweep() {
 	for {
 		progress := false
-		for _, n := range e.g.Outputs() {
-			if e.drainOutput(n) {
+		for i := range e.outNodes {
+			if e.drainOutput(i) {
 				progress = true
 			}
 		}
@@ -473,7 +500,8 @@ func (e *engine) sweep() {
 	}
 }
 
-func (e *engine) drainOutput(n *graph.Node) bool {
+func (e *engine) drainOutput(i int) bool {
+	n := e.outNodes[i]
 	q := &e.nodes[n].qs[0]
 	progress := false
 	oc := e.outCounts[n.Name()]
@@ -481,8 +509,8 @@ func (e *engine) drainOutput(n *graph.Node) bool {
 		oc = &OutputCount{}
 		e.outCounts[n.Name()] = oc
 	}
-	for q.len() > 0 {
-		it := q.pop()
+	for q.Len() > 0 {
+		it := q.Pop()
 		switch {
 		case !it.isTok:
 			oc.Data++
@@ -490,8 +518,8 @@ func (e *engine) drainOutput(n *graph.Node) bool {
 			oc.EOL++
 		case it.tok.Kind == token.EndOfFrame:
 			oc.EOF++
-			frameIdx := e.outs[n]
-			e.outs[n]++
+			frameIdx := e.eofs[i]
+			e.eofs[i]++
 			start := 0.0
 			if frameIdx < len(e.frameStart) {
 				start = e.frameStart[frameIdx]
@@ -499,8 +527,8 @@ func (e *engine) drainOutput(n *graph.Node) bool {
 			e.latencies[n.Name()] = append(e.latencies[n.Name()], e.now-start)
 			if !e.measuring {
 				done := true
-				for _, o := range e.g.Outputs() {
-					if e.outs[o] < e.warmupLeft {
+				for _, c := range e.eofs {
+					if c < e.warmupLeft {
 						done = false
 						break
 					}
@@ -554,7 +582,7 @@ func (e *engine) tryEmit(in *inputState) bool {
 	}
 	items := in.emission()
 	for _, d := range in.ns.outs[0] {
-		if d.ns.qs[d.in].space() < len(items) {
+		if space(&d.ns.qs[d.in]) < len(items) {
 			if !in.stalled {
 				in.stalled = true
 			}
@@ -567,10 +595,7 @@ func (e *engine) tryEmit(in *inputState) bool {
 		in.stalled = false
 	}
 	for _, d := range in.ns.outs[0] {
-		dq := &d.ns.qs[d.in]
-		for _, it := range items {
-			dq.push(it)
-		}
+		deliver(&d.ns.qs[d.in], items)
 	}
 	in.advance()
 	if in.frame >= e.opts.Frames {
@@ -608,7 +633,7 @@ func (e *engine) startWork(pe *peState, peIdx int) bool {
 		var readW int64
 		for in, cnt := range f.consume {
 			for ; cnt > 0; cnt-- {
-				readW += ns.qs[in].pop().words
+				readW += ns.qs[in].Pop().words
 			}
 		}
 		ns.auto.commit()
@@ -657,7 +682,7 @@ func (e *engine) startWork(pe *peState, peIdx int) bool {
 func (ns *nodeState) hasSpace() bool {
 	for o, items := range ns.f.produce {
 		for _, d := range ns.outs[o] {
-			if d.ns.qs[d.in].space() < len(items) {
+			if space(&d.ns.qs[d.in]) < len(items) {
 				return false
 			}
 		}
@@ -671,10 +696,7 @@ func (e *engine) complete(pe *peState) {
 	pe.busy, pe.pending = false, nil
 	for o, items := range ns.f.produce {
 		for _, d := range ns.outs[o] {
-			dq := &d.ns.qs[d.in]
-			for _, it := range items {
-				dq.push(it)
-			}
+			deliver(&d.ns.qs[d.in], items)
 		}
 	}
 }

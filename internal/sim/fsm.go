@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"blockpar/internal/fifo"
 	"blockpar/internal/graph"
 	"blockpar/internal/token"
 )
@@ -27,16 +28,16 @@ func newAutomaton(g *graph.Graph, n *graph.Node) automaton {
 // queue holds one logical item per entry.
 type heads struct {
 	node *graph.Node
-	qs   []queue
+	qs   []fifo.Ring[item]
 }
 
 // Head implements graph.Heads: a data item's token is the zero token.
 func (h *heads) Head(in int32) *token.Token {
 	q := &h.qs[in]
-	if q.len() == 0 {
+	if q.Len() == 0 {
 		return nil
 	}
-	return &q.items[0].tok
+	return &q.Peek().tok
 }
 
 // Span implements graph.StepHeads: every item is one logical item.
@@ -47,8 +48,10 @@ func (h *heads) Ended() bool { return false }
 
 // Show implements graph.StepHeads.
 func (h *heads) Show(in int32) fmt.Stringer {
-	it, _ := h.qs[in].head()
-	return it
+	if q := &h.qs[in]; q.Len() > 0 {
+		return *q.Peek()
+	}
+	return item{}
 }
 
 // Node implements graph.StepHeads.
@@ -65,7 +68,7 @@ type stepAuto struct {
 	cycles int64
 }
 
-func (a *stepAuto) next(qs []queue, f *firing) (bool, error) {
+func (a *stepAuto) next(qs []fifo.Ring[item], f *firing) (bool, error) {
 	a.qs = qs
 	a.plan.Reset()
 	if ok, err := a.step.Next(a, &a.plan); !ok || err != nil {
@@ -85,7 +88,7 @@ func (a *stepAuto) next(qs []queue, f *firing) (bool, error) {
 			}
 			switch e.Kind {
 			case graph.EmitView:
-				f.emit(o, qs[e.In].items[0])
+				f.emit(o, *qs[e.In].Peek())
 			case graph.EmitToken:
 				f.emit(o, tokenItem(e.Tok))
 			case graph.EmitFresh:
@@ -118,7 +121,7 @@ type ruleAuto struct {
 	invocations []int64
 }
 
-func (a *ruleAuto) next(qs []queue, f *firing) (bool, error) {
+func (a *ruleAuto) next(qs []fifo.Ring[item], f *firing) (bool, error) {
 	a.qs = qs
 	act, change, ok := a.rule.Next(a, &a.state)
 	if !ok {
@@ -127,7 +130,7 @@ func (a *ruleAuto) next(qs []queue, f *firing) (bool, error) {
 	a.change, a.method = change, act.Method
 	if act.Method < 0 {
 		in := &a.rule.Ins[act.In]
-		tok := qs[act.In].items[0]
+		tok := *qs[act.In].Peek()
 		f.label, f.cycles = "forward:"+tok.tok.String(), 1
 		for _, g := range in.Group {
 			f.consume[g]++
@@ -158,7 +161,7 @@ func (a *ruleAuto) next(qs []queue, f *firing) (bool, error) {
 	}
 	// Consumed control tokens follow the results, each once.
 	for i, t := range rm.Trig {
-		h, _ := qs[t.In].head()
+		h := *qs[t.In].Peek()
 		if !h.isTok || a.consumedBefore(rm.Trig[:i], h.tok) {
 			continue
 		}
@@ -172,7 +175,7 @@ func (a *ruleAuto) next(qs []queue, f *firing) (bool, error) {
 // consumedBefore reports whether tok heads the input of one of trig.
 func (a *ruleAuto) consumedBefore(trig []graph.RuleTrigger, tok token.Token) bool {
 	for _, t := range trig {
-		if h, _ := a.qs[t.In].head(); h.isTok && h.tok == tok {
+		if h := a.qs[t.In].Peek(); h.isTok && h.tok == tok {
 			return true
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"blockpar/internal/conn"
+	"blockpar/internal/fifo"
 	"blockpar/internal/frame"
 	"blockpar/internal/geom"
 	"blockpar/internal/graph"
@@ -21,7 +22,7 @@ type autoHarness struct {
 	t    *testing.T
 	n    *graph.Node
 	auto automaton
-	qs   []queue
+	qs   []fifo.Ring[item]
 	f    firing
 	out  [][]item
 }
@@ -32,24 +33,24 @@ func newHarness(t *testing.T, n *graph.Node) *autoHarness {
 	g.Add(n)
 	h := &autoHarness{
 		t: t, n: n, auto: newAutomaton(g, n),
-		qs:  make([]queue, len(n.Inputs())),
+		qs:  make([]fifo.Ring[item], len(n.Inputs())),
 		f:   newFiring(len(n.Inputs()), len(n.Outputs())),
 		out: make([][]item, len(n.Outputs())),
 	}
 	for i := range h.qs {
-		h.qs[i].cap = 1 << 20
+		h.qs[i] = fifo.New[item](0, 1<<20)
 	}
 	return h
 }
 
-func (h *autoHarness) queue(input string) *queue { return &h.qs[portIndex(h.n.Inputs(), input)] }
+func (h *autoHarness) queue(input string) *fifo.Ring[item] {
+	return &h.qs[portIndex(h.n.Inputs(), input)]
+}
 
 func (h *autoHarness) output(name string) []item { return h.out[portIndex(h.n.Outputs(), name)] }
 
 func (h *autoHarness) feed(input string, items ...item) {
-	for _, it := range items {
-		h.queue(input).push(it)
-	}
+	deliver(h.queue(input), items)
 }
 
 // propose asks the automaton for its next firing into h.f.
@@ -68,7 +69,7 @@ func (h *autoHarness) drain() {
 	for h.propose() {
 		for in, cnt := range h.f.consume {
 			for i := 0; i < cnt; i++ {
-				h.qs[in].pop()
+				h.qs[in].Drop()
 			}
 		}
 		h.auto.commit()
@@ -302,7 +303,7 @@ func TestGenericAutoConfigBarrier(t *testing.T) {
 	// Bins arrive: configureBins then count.
 	h.feed("bins", dataItem(4))
 	h.drain()
-	if h.queue("in").len() != 0 {
+	if h.queue("in").Len() != 0 {
 		t.Error("count did not fire after configuration")
 	}
 }

@@ -17,6 +17,7 @@ package sim
 import (
 	"fmt"
 
+	"blockpar/internal/fifo"
 	"blockpar/internal/token"
 )
 
@@ -38,35 +39,17 @@ func (it item) String() string {
 	return fmt.Sprintf("data[%dw]", it.words)
 }
 
-// queue is a bounded FIFO on one input port.
-type queue struct {
-	items []item
-	cap   int
-}
-
-func (q *queue) len() int { return len(q.items) }
-
-func (q *queue) space() int { return q.cap - len(q.items) }
-
-func (q *queue) head() (item, bool) {
-	if len(q.items) == 0 {
-		return item{}, false
+// deliver pushes items onto q, whose space the caller checked.
+func deliver(q *fifo.Ring[item], items []item) {
+	for i := range items {
+		if !q.Push(&items[i]) {
+			panic("sim: queue overflow (space must be checked before push)")
+		}
 	}
-	return q.items[0], true
 }
 
-func (q *queue) push(it item) {
-	if q.space() <= 0 {
-		panic("sim: queue overflow (space must be checked before push)")
-	}
-	q.items = append(q.items, it)
-}
-
-func (q *queue) pop() item {
-	it := q.items[0]
-	q.items = q.items[1:]
-	return it
-}
+// space returns how many more items q accepts.
+func space(q *fifo.Ring[item]) int { return q.Limit() - q.Len() }
 
 // firing is one schedulable unit of work on a node: the items it will
 // take from the head of each input queue and deliver on each output,
@@ -124,6 +107,6 @@ func (f *firing) writeWords() int64 {
 type automaton interface {
 	// next proposes the next firing, reporting false if the node cannot
 	// fire, and an error if its input stream is malformed.
-	next(qs []queue, f *firing) (bool, error)
+	next(qs []fifo.Ring[item], f *firing) (bool, error)
 	commit()
 }
