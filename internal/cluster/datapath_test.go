@@ -47,23 +47,36 @@ func pooledItems(n int) []wire.Item {
 	return items
 }
 
+// received returns ef as a connection reads it: its items in one slab.
+// The items' own windows are released once encoded.
+func received(t *testing.T, ef *wire.EdgeFrame) *wire.EdgeFrame {
+	t.Helper()
+	b := wire.Append(nil, ef)
+	releaseWireItems(ef.Items)
+	m, err := wire.Decode(wire.TypeEdgeFrame, b[5:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.(*wire.EdgeFrame)
+}
+
 // TestCutEdgeTeardownReleasesQueuedWindows: whatever a cut edge or a
 // relay queue holds when its session ends goes back to the arena —
 // inEdge.abort, outEdge.abort, and a partitionHalf's stopRelay and
-// retire, each with pooled windows queued.
+// retire, each with pooled windows or received slabs queued.
 func TestCutEdgeTeardownReleasesQueuedWindows(t *testing.T) {
 	base := frame.Stats().Live
 	s, _ := edgeSession()
 
 	ie := newInEdge(s, wire.EdgeSpec{ID: 1, Credit: 64})
-	ie.deliver(&wire.EdgeFrame{Edge: 1, Items: append(pooledItems(40), wire.Item{IsToken: true, Tok: token.EOL(0)})})
+	ie.deliver(received(t, &wire.EdgeFrame{Edge: 1, Items: append(pooledItems(40), wire.Item{IsToken: true, Tok: token.EOL(0)})}))
 	if it, ok := ie.pull(); !ok || it.Win.Value() != 0 {
 		t.Fatalf("pull = %v, %v", it, ok)
 	} else {
 		it.Win.Release()
 	}
 	ie.abort()
-	ie.deliver(&wire.EdgeFrame{Edge: 1, Items: pooledItems(3)}) // late frame: released, not queued
+	ie.deliver(received(t, &wire.EdgeFrame{Edge: 1, Items: pooledItems(3)})) // late frame: released, not queued
 	if _, ok := ie.pull(); ok {
 		t.Error("aborted edge still yields items")
 	}
@@ -83,7 +96,7 @@ func TestCutEdgeTeardownReleasesQueuedWindows(t *testing.T) {
 		go func() { h.relay(); close(done) }()
 		h.rmu.Unlock()
 		for i := 0; i < 5; i++ {
-			h.enqueueRelay(&wire.EdgeFrame{Items: pooledItems(8)})
+			h.enqueueRelay(received(t, &wire.EdgeFrame{Items: pooledItems(8)}))
 			h.enqueueRelay(&wire.EdgeCredit{N: 8})
 		}
 		if retire {
@@ -92,7 +105,7 @@ func TestCutEdgeTeardownReleasesQueuedWindows(t *testing.T) {
 			h.stopRelay()
 		}
 		<-done
-		h.enqueueRelay(&wire.EdgeFrame{Items: pooledItems(8)}) // after the stop: released
+		h.enqueueRelay(received(t, &wire.EdgeFrame{Items: pooledItems(8)})) // after the stop: released
 	}
 	if live := frame.Stats().Live - base; live != 0 {
 		t.Errorf("%d pooled windows still live after every teardown", live)
@@ -207,11 +220,16 @@ func (c *bufConn) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
+// warmConn is a connection that reads m forever.
+func warmConn(t *testing.T, m wire.Msg) *wire.Conn {
+	stream := wireStream(t, m)
+	return wire.NewConn(&bufConn{r: bytes.NewReader(stream), stream: stream})
+}
+
 // readAllocs measures steady-state allocations of reading (and
 // releasing) one m off a warm connection.
 func readAllocs(t *testing.T, m wire.Msg) float64 {
-	stream := wireStream(t, m)
-	c := wire.NewConn(&bufConn{r: bytes.NewReader(stream), stream: stream})
+	c := warmConn(t, m)
 	read := func() {
 		got, err := c.Read()
 		if err != nil {
@@ -219,13 +237,38 @@ func readAllocs(t *testing.T, m wire.Msg) float64 {
 		}
 		switch got := got.(type) {
 		case *wire.EdgeFrame:
-			releaseWireItems(got.Items)
+			got.Release()
 		case *wire.Result:
 			releaseResult(got)
 		}
 	}
 	read() // grow the read buffer, warm the arena
 	return testing.AllocsPerRun(200, read)
+}
+
+// appFourFrame is an EdgeFrame of n row batches of 44 5-wide windows,
+// the shape app 4 ships across its cuts.
+func appFourFrame(n int) *wire.EdgeFrame {
+	ef := &wire.EdgeFrame{SID: 1, Edge: 0}
+	for i := 0; i < n; i++ {
+		ef.Items = append(ef.Items, wire.Item{Win: frame.NewWindow(48, 5), B: wire.Batch{N: 44, Sx: 1, Bw: 5}})
+	}
+	return ef
+}
+
+// poolPerRun reports the arena gets and misses (gets a bucket could not
+// serve) per call of f, over runs calls, averaged like
+// testing.AllocsPerRun: in whole units, rounded down. A buffer released
+// on another goroutine's P can sit out of reach of the next get, so an
+// odd miss in hundreds of calls is the pool's, not the path's.
+func poolPerRun(runs int, f func()) (gets, misses float64) {
+	before := frame.Stats()
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	after := frame.Stats()
+	g, h := after.Gets-before.Gets, after.Hits-before.Hits
+	return float64(g / int64(runs)), float64((g - h) / int64(runs))
 }
 
 // TestClusterDataPathAllocs gates the buffer discipline of the cut-edge
@@ -238,14 +281,6 @@ func TestClusterDataPathAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops Puts under the race detector, so the arena allocates")
 	}
 	t.Run("conn-read", func(t *testing.T) {
-		edgeFrame := func(n int) wire.Msg {
-			ef := &wire.EdgeFrame{SID: 1, Edge: 2}
-			for i := 0; i < n; i++ {
-				// A row batch of 44 5-wide windows, the shape app 4 ships.
-				ef.Items = append(ef.Items, wire.Item{Win: frame.NewWindow(48, 5), B: wire.Batch{N: 44, Sx: 1, Bw: 5}})
-			}
-			return ef
-		}
 		result := func(n int) wire.Msg {
 			wins := make([]frame.Window, n)
 			for i := range wins {
@@ -253,14 +288,16 @@ func TestClusterDataPathAllocs(t *testing.T) {
 			}
 			return &wire.Result{SID: 1, Seq: 1, Outputs: []wire.NamedWindows{{Name: "result", Wins: wins}}}
 		}
-		// The message, its item slice; the message, its output list and
-		// the output's name. Windows and window lists come from the arena.
+		// Nothing for an edge frame: the message is recycled and its
+		// slab comes from the arena. The message, its output list and the
+		// output's name for a result, whose windows and window lists come
+		// from the arena.
 		for _, tc := range []struct {
 			name       string
 			one, twice wire.Msg
 			want       float64
 		}{
-			{"edge-frame", edgeFrame(26), edgeFrame(52), 2},
+			{"edge-frame", appFourFrame(26), appFourFrame(52), 0},
 			{"result", result(720), result(1440), 3},
 		} {
 			a, b := readAllocs(t, tc.one), readAllocs(t, tc.twice)
@@ -271,24 +308,30 @@ func TestClusterDataPathAllocs(t *testing.T) {
 	})
 
 	t.Run("in-edge", func(t *testing.T) {
+		// The worker's hop: read a frame off the connection, decode its
+		// slab into the edge's reused list, queue, pull and ack.
 		s, sink := edgeSession()
-		ie := newInEdge(s, wire.EdgeSpec{ID: 1, Credit: 64})
-		ef := &wire.EdgeFrame{Edge: 1, Items: make([]wire.Item, 32)}
-		for i := range ef.Items {
-			ef.Items[i] = wire.Item{Win: frame.Scalar(1)}
-		}
+		ie := newInEdge(s, wire.EdgeSpec{ID: 0, Credit: 64})
+		const n = 26
+		c := warmConn(t, appFourFrame(n))
 		pass := func() {
-			ie.deliver(ef)
-			for range ef.Items {
-				if _, ok := ie.pull(); !ok {
+			m, err := c.Read()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ie.deliver(m.(*wire.EdgeFrame))
+			for i := 0; i < n; i++ {
+				it, ok := ie.pull()
+				if !ok {
 					t.Fatal("edge ended")
 				}
+				it.Win.Release()
 				ie.ack()
 			}
 		}
 		pass()
 		if avg := testing.AllocsPerRun(100, pass); avg != 0 {
-			t.Errorf("deliver→pull→ack of %d items on a warm ring: %.1f allocs, want 0", len(ef.Items), avg)
+			t.Errorf("read→deliver→pull→ack of %d items on a warm edge: %.1f allocs, want 0", n, avg)
 		}
 		if sink.writes.Load() == 0 {
 			t.Error("no credit was ever returned")
@@ -326,49 +369,90 @@ func TestClusterDataPathAllocs(t *testing.T) {
 	})
 
 	t.Run("relay-hop", func(t *testing.T) {
-		// A two-partition session by hand: edge 0 runs from half 0 to
-		// half 1, whose relay writes into a sink.
-		d := &Dispatcher{opts: DispatcherOptions{ReplayBudget: 1 << 40}}
-		ps := &session{d: d, plan: &placement.Plan{
-			Partitions: make([]placement.Partition, 2),
-			Cuts:       []placement.CutEdge{{ID: 0, From: 0, To: 1, Credit: 1024}},
-		}, cuts: make([]cutEdgeState, 1)}
-		sink := &sinkConn{}
-		for i := 0; i < 2; i++ {
-			h := &partitionHalf{ps: ps, idx: i, w: &workerRef{}, sid: uint64(10 + i),
-				conn: wire.NewConn(sink), relayq: fifo.New[wire.Msg](0, fifo.Unbounded)}
-			h.rcond = sync.NewCond(&h.rmu)
-			ps.halves = append(ps.halves, h)
-		}
-		from, to := ps.halves[0], ps.halves[1]
-		go to.relay()
-		defer to.stopRelay()
-		ef := &wire.EdgeFrame{Edge: 0}
-		items := make([]wire.Item, 26)
-		for i := range items {
-			items[i] = wire.Item{Win: frame.NewWindow(48, 5), B: wire.Batch{N: 44, Sx: 1, Bw: 5}}
-		}
-		hop := func() {
-			sent := sink.writes.Load()
-			ef.SID, ef.Items = from.sid, items // as freshly decoded off the producer's connection
-			from.edgeFrame(ef)
-			for sink.writes.Load() == sent {
-				goruntime.Gosched()
+		// The frontend's hop: read a frame off the producer's connection,
+		// log its slab and relay it verbatim to the consumer's. Per hop
+		// that is one arena get, the slab, however many items the frame
+		// carries. With the log off (recovery disabled, or the budget
+		// spent) the slab cycles through a warm bucket and nothing
+		// allocates. A log that retains the slab pays for its storage
+		// when no released buffer is pooled — at most the buffer and its
+		// reference count — and for nothing else.
+		for _, tc := range []struct {
+			name          string
+			budget        int64
+			keep          int64   // slabs the log retains per hop
+			allocs, miss  float64 // at most, per hop
+			logged, items int
+		}{
+			{"log-off", -1, 0, 0, 0, 0, 0},
+			{"log-on", 1 << 40, 1, 2, 1, 702, 702},
+		} {
+			for _, n := range []int{26, 52} {
+				ps, from := relaySession(tc.budget)
+				to := ps.halves[1]
+				sink := to.conn
+				go to.relay()
+				c := warmConn(t, appFourFrame(n))
+				hop := func() {
+					sent, live := sink.Flushes(), frame.Stats().Live+tc.keep
+					m, err := c.Read()
+					if err != nil {
+						t.Fatal(err)
+					}
+					ef := m.(*wire.EdgeFrame)
+					ef.SID = from.sid // as the producer's worker addresses it
+					from.edgeFrame(ef)
+					// Written, and the relay's slab reference ended: only a
+					// retaining log still holds it.
+					for sink.Flushes() == sent || frame.Stats().Live != live {
+						goruntime.Gosched()
+					}
+				}
+				hop()
+				// A retaining log also grows by append; amortised over the
+				// runs that is well under one allocation per hop.
+				if avg := testing.AllocsPerRun(500, hop); avg > tc.allocs {
+					t.Errorf("%s, %d items: read→edgeFrame→relay: %.1f allocs per hop, want at most %.0f", tc.name, n, avg, tc.allocs)
+				}
+				if gets, misses := poolPerRun(200, hop); gets != 1 || misses > tc.miss {
+					t.Errorf("%s, %d items: %.2f arena gets and %.2f misses per hop, want 1 and at most %.0f", tc.name, n, gets, misses, tc.miss)
+				}
+				ps.mu.Lock()
+				frames, logged, items := ps.relayFrames, len(ps.cuts[0].log), ps.cuts[0].logItems
+				ps.mu.Unlock()
+				if frames != 702 || logged != tc.logged || items != uint64(tc.items*n) {
+					t.Errorf("%s, %d items: relayed %d frames and logged %d of %d items, want 702, %d and %d",
+						tc.name, n, frames, logged, items, tc.logged, tc.items*n)
+				}
+				ps.terminate(nil, false)
 			}
 		}
-		hop()
-		// The replay log grows by append; amortised over the runs that is
-		// well under one allocation per hop, and nothing else allocates.
-		if avg := testing.AllocsPerRun(500, hop); avg != 0 {
-			t.Errorf("edgeFrame→relay hop of %d items: %.1f allocs per hop, want only the log's amortised growth", len(items), avg)
-		}
-		ps.mu.Lock()
-		frames, logged := ps.relayFrames, len(ps.cuts[0].log)
-		ps.mu.Unlock()
-		if frames != 502 || logged != 502*len(items) {
-			t.Errorf("relayed %d frames and logged %d items, want 502 and %d", frames, logged, 502*len(items))
-		}
 	})
+}
+
+// relaySession builds a two-partition session by hand: cut edge 0 runs
+// from half 0 to half 1, each half's connection writing into a sink.
+// It returns the session and the producing half.
+func relaySession(budget int64) (*session, *partitionHalf) {
+	d := &Dispatcher{opts: DispatcherOptions{ReplayBudget: budget}}
+	ps := &session{d: d, p: &serve.Pipeline{ID: "test"}, plan: &placement.Plan{
+		Partitions: make([]placement.Partition, 2),
+		Cuts:       []placement.CutEdge{{ID: 0, From: 0, To: 1, Credit: 1024}},
+	}, cuts: make([]cutEdgeState, 1), logFull: budget < 0, done: make(chan struct{})}
+	for i := 0; i < 2; i++ {
+		ps.halves = append(ps.halves, testHalf(ps, i, uint64(10+i), &sinkConn{}))
+	}
+	return ps, ps.halves[0]
+}
+
+// testHalf is partition idx of ps placed under sid on a worker whose
+// connection writes into nc.
+func testHalf(ps *session, idx int, sid uint64, nc net.Conn) *partitionHalf {
+	h := &partitionHalf{ps: ps, idx: idx, w: &workerRef{}, sid: sid,
+		conn: wire.NewConn(nc), relayq: fifo.New[wire.Msg](0, fifo.Unbounded)}
+	h.rcond = sync.NewCond(&h.rmu)
+	h.w.conn = h.conn
+	return h
 }
 
 // TestRelayCountersInMetrics scrapes /metrics on a 3-partition session:

@@ -372,6 +372,10 @@ type SessionStats struct {
 	Workers     []string `json:"workers"`
 	Partitions  int      `json:"partitions"`
 	ReplayBytes int64    `json:"replay_bytes"`
+	// ReplayLost reports that the session can no longer recover a lost
+	// partition: its replay log outgrew ReplayBudget and was released
+	// (or recovery is disabled), so a worker loss now ends the session.
+	ReplayLost bool `json:"replay_lost"`
 	// Cut-edge traffic relayed between the session's partitions so far:
 	// edge frames, the items in them, and those items' sample bytes.
 	RelayFrames int64 `json:"relay_frames"`

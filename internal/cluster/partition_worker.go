@@ -233,8 +233,9 @@ func (s *workerSession) abortEdges() {
 func (s *workerSession) edgeFrame(m *wire.EdgeFrame) {
 	ie := s.inEdges[m.Edge]
 	if ie == nil {
-		releaseWireItems(m.Items)
-		s.beginAbort(fmt.Errorf("edge frame for unknown cut edge %d", m.Edge), true)
+		err := fmt.Errorf("edge frame for unknown cut edge %d", m.Edge)
+		m.Release()
+		s.beginAbort(err, true)
 		return
 	}
 	ie.deliver(m)
@@ -267,6 +268,9 @@ type inEdge struct {
 	s      *workerSession
 	id     uint32
 	credit int
+	// items is the list each received frame's slab decodes into, reused
+	// from frame to frame; only the read loop touches it.
+	items []wire.Item
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -287,18 +291,28 @@ func newInEdge(s *workerSession, spec wire.EdgeSpec) *inEdge {
 	return ie
 }
 
-// deliver queues one EdgeFrame's items. The producer holds a credit
-// per item, so the ring never fills; an item that does not fit is a
-// protocol violation.
+// deliver decodes one received EdgeFrame and queues its items, ending
+// the frame. The producer holds a credit per item, so the ring never
+// fills; an item that does not fit is a protocol violation. It runs on
+// the connection's read loop.
 func (ie *inEdge) deliver(m *wire.EdgeFrame) {
+	items, err := m.Slab.Items(ie.items)
+	eos := m.EOS
+	m.Release()
+	ie.items = items
+	defer clear(items)
+	if err != nil {
+		ie.s.beginAbort(fmt.Errorf("cut edge %d: %w", ie.id, err), true)
+		return
+	}
 	ie.mu.Lock()
 	if ie.aborted {
 		ie.mu.Unlock()
-		releaseWireItems(m.Items)
+		releaseWireItems(items)
 		return
 	}
 	queued := 0
-	for _, it := range m.Items {
+	for _, it := range items {
 		// The wire decoder validated the batch descriptor against the
 		// window (protocol v6), so it re-enters the runtime as-is.
 		if !ie.queue.Push(&graph.Item{
@@ -309,13 +323,13 @@ func (ie *inEdge) deliver(m *wire.EdgeFrame) {
 		}
 		queued++
 	}
-	if m.EOS {
+	if eos {
 		ie.eos = true
 	}
 	ie.cond.Broadcast()
 	ie.mu.Unlock()
-	if queued < len(m.Items) {
-		releaseWireItems(m.Items[queued:])
+	if queued < len(items) {
+		releaseWireItems(items[queued:])
 		ie.s.beginAbort(fmt.Errorf("cut edge %d overran its credit window", ie.id), true)
 	}
 }

@@ -7,11 +7,12 @@ package cluster
 // its feed history and inbound cut-edge logs paced by the fresh
 // instance's credit returns, and swallows the replayed instance's
 // re-acknowledgements so the surviving producers' credit windows stay
-// consistent. Downstream, the worker suppresses results below the
-// delivery watermark and the frontend drops anything that still slips
-// through — at-most-once, byte-identical to a session that never lost
-// the worker. A session that runs whole is the one-partition case: no
-// cut edges to replay, everything else the same.
+// consistent; logged cut-edge frames replay as they were received.
+// Downstream, the worker suppresses results below the delivery
+// watermark and the frontend drops anything that still slips through —
+// at-most-once, byte-identical to a session that never lost the worker.
+// A session that runs whole is the one-partition case: no cut edges to
+// replay, everything else the same.
 //
 // Correctness leans on two determinism facts: generators key on the
 // absolute frame index, so a replayed feed history reproduces the exact
@@ -459,18 +460,25 @@ func (ps *session) replayFeeds(h2 *partitionHalf, total int64, deadline time.Tim
 	}
 }
 
-// replayEdge re-delivers one inbound cut edge's logged items to the
-// re-placed consumer, then flips the edge back to live relay. The flip
-// fires only when the log is exhausted AND the swallow debt is zero:
-// at that point the producer's credit window and the new consumer's
-// queue agree, so direct relay cannot overflow it.
+// replayEdge re-delivers one inbound cut edge's logged frames to the
+// re-placed consumer, then flips the edge back to live relay. Frames go
+// out whole and verbatim, retargeted to the new instance, as many per
+// write as fit in the credits the instance has returned, up to
+// edgeBatchItems items: every logged frame was sent against the same
+// window and the consumer's deterministic acks, so each one fits once
+// the items before it are consumed. The flip fires only when the log is
+// exhausted AND the swallow debt is zero: at that point the producer's
+// credit window and the new consumer's queue agree, so direct relay
+// cannot overflow it.
 func (ps *session) replayEdge(h2 *partitionHalf, ei int, deadline time.Time) error {
 	c := ps.plan.Cuts[ei]
 	ps.mu.Lock()
 	window := uint64(c.Credit)
 	base := ps.cuts[ei].rawAcks // acks from the fresh instance count from here
 	ps.mu.Unlock()
-	pos := uint64(0)
+	var frames []wire.EdgeFrame
+	var batch []wire.Msg
+	next, pos := 0, uint64(0) // the next logged frame, and the items before it
 	for {
 		ps.mu.Lock()
 		if ps.ended {
@@ -483,34 +491,40 @@ func (ps *session) replayEdge(h2 *partitionHalf, ei int, deadline time.Time) err
 		}
 		es := &ps.cuts[ei]
 		allowed := window + (es.rawAcks - base)
-		end := uint64(len(es.log))
-		if end > allowed {
-			end = allowed
-		}
-		if end > pos+edgeBatchItems {
-			end = pos + edgeBatchItems
-		}
-		if end > pos {
-			batch := make([]wire.Item, end-pos)
-			copy(batch, es.log[pos:end])
-			for _, it := range batch {
-				if !it.IsToken {
-					it.Win.Retain(1)
-				}
+		frames = frames[:0]
+		end := pos
+		for _, s := range es.log[next:] {
+			n := uint64(s.N)
+			if end+n > allowed || (len(frames) > 0 && end+n > pos+edgeBatchItems) {
+				break
 			}
+			// Hold a write reference so a concurrent terminal release
+			// cannot poison the slab mid-write.
+			s.Retain(1)
+			frames = append(frames, wire.EdgeFrame{SID: h2.sid, Edge: c.ID, Slab: s})
+			end += n
+		}
+		if len(frames) > 0 {
 			es.sent = end
 			ps.mu.Unlock()
-			err := h2.conn.Write(&wire.EdgeFrame{SID: h2.sid, Edge: c.ID, Items: batch})
-			releaseWireItems(batch)
+			batch = batch[:0]
+			for i := range frames {
+				batch = append(batch, &frames[i])
+			}
+			err := h2.conn.Write(batch...)
+			for _, f := range frames {
+				f.Slab.Release()
+			}
 			if err != nil {
 				h2.conn.Close()
 				return fmt.Errorf("cluster: edge %d replay to %s: %w", c.ID, h2.w.addr, err)
 			}
+			next += len(frames)
 			pos = end
 			continue
 		}
-		if pos == uint64(len(es.log)) && es.swallow == 0 {
-			// Caught up: every logged item re-delivered, every stale ack
+		if next == len(es.log) && es.swallow == 0 {
+			// Caught up: every logged frame re-delivered, every stale ack
 			// absorbed. Flip to direct relay atomically with the last
 			// replayed write already on the wire — the producer's read
 			// loop sees buffering false only after this unlock.

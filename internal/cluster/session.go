@@ -12,6 +12,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -75,7 +76,7 @@ type session struct {
 	err       error
 
 	// Recovery state. feedLog holds every accepted feed (entry index ==
-	// seq); cuts holds each cut edge's item log and watermarks. Both
+	// seq); cuts holds each cut edge's frame log and watermarks. Both
 	// charge logBytes against the dispatcher's ReplayBudget; when it
 	// overflows, logFull releases everything and any partition loss
 	// becomes fatal.
@@ -108,11 +109,14 @@ type logEntry struct {
 // items delivered toward the edge's CURRENT consumer instance, acked
 // counts credits relayed toward the producer (after swallowing), and
 // rawAcks counts every credit the consumer ever returned. While the
-// consumer recovers, buffering parks live items in the log instead of
+// consumer recovers, buffering parks live frames in the log instead of
 // relaying them, and swallow absorbs the replayed instance's
 // re-acknowledgements of items the producer was already credited for.
 type cutEdgeState struct {
-	log       []wire.Item // full item history, in order (log retains windows)
+	// log is the edge's history: every item-carrying frame the producer
+	// sent, still encoded as it was received, one slab reference each.
+	log       []wire.Slab
+	logItems  uint64 // items across log
 	sent      uint64
 	acked     uint64
 	rawAcks   uint64
@@ -239,44 +243,41 @@ func (ps *session) logFeedLocked(inputs map[string]frame.Window) bool {
 	return true
 }
 
-// itemsBytes is the sample bytes an edge frame's data windows carry.
-func itemsBytes(items []wire.Item) int64 {
-	var sz int64
-	for _, it := range items {
-		if !it.IsToken {
-			sz += windowBytes(it.Win)
-		}
-	}
-	return sz
-}
-
-// logEdgeItemsLocked appends one edge frame's items (sz sample bytes)
-// to the edge's replay log, retaining each data window for the log's
-// reference. Caller holds ps.mu.
-func (ps *session) logEdgeItemsLocked(es *cutEdgeState, items []wire.Item, sz int64) bool {
+// logEdgeFrameLocked appends one received edge frame's items to the
+// edge's replay log, retaining the slab for the log's reference and
+// charging its sample bytes. A frame without items (a bare
+// end-of-stream) logs nothing. Caller holds ps.mu.
+func (ps *session) logEdgeFrameLocked(es *cutEdgeState, s wire.Slab) bool {
 	if ps.logFull {
 		return false
 	}
-	if ps.logBytes+sz > ps.d.opts.ReplayBudget {
+	if s.N == 0 {
+		return true
+	}
+	if ps.logBytes+s.SampleBytes > ps.d.opts.ReplayBudget {
 		ps.logFullLocked()
 		return false
 	}
-	for _, it := range items {
-		if !it.IsToken {
-			it.Win.Retain(1)
-		}
-	}
-	es.log = append(es.log, items...)
-	ps.logBytes += sz
+	s.Retain(1)
+	es.log = append(es.log, s)
+	es.logItems += uint64(s.N)
+	ps.logBytes += s.SampleBytes
 	return true
 }
 
 // logFullLocked abandons recoverability: a partial history can never
-// replay byte-identically, so every retained window goes back to the
-// arena at once rather than pinning the budget for nothing.
+// replay byte-identically, so every retained window and slab goes back
+// to the arena at once rather than pinning the budget for nothing. From
+// here a worker loss ends the session, so the overflow is logged once.
 func (ps *session) logFullLocked() {
 	ps.logFull = true
 	ps.releaseLogsLocked()
+	sids := make([]uint64, len(ps.halves))
+	for i, h := range ps.halves {
+		sids[i] = h.sid
+	}
+	slog.Warn("cluster: replay log over budget, released; a worker loss now ends the session",
+		"pipeline", ps.p.ID, "sids", sids, "fed", ps.fed, "budget", ps.d.opts.ReplayBudget)
 }
 
 func (ps *session) releaseLogsLocked() {
@@ -287,8 +288,10 @@ func (ps *session) releaseLogsLocked() {
 	}
 	ps.feedLog = nil
 	for i := range ps.cuts {
-		releaseWireItems(ps.cuts[i].log)
-		ps.cuts[i].log = nil
+		for _, s := range ps.cuts[i].log {
+			s.Release()
+		}
+		ps.cuts[i].log, ps.cuts[i].logItems = nil, 0
 	}
 	ps.logBytes = 0
 }
@@ -302,6 +305,7 @@ func (ps *session) row() SessionStats {
 		Partitions:  len(ps.halves),
 		Workers:     make([]string, 0, len(ps.halves)),
 		ReplayBytes: ps.logBytes,
+		ReplayLost:  ps.logFull,
 		RelayFrames: ps.relayFrames,
 		RelayItems:  ps.relayItems,
 		RelayBytes:  ps.relayBytes,
@@ -529,16 +533,14 @@ type partitionHalf struct {
 }
 
 // enqueueRelay queues one already-retargeted message for this half's
-// connection, taking ownership of any edge-frame items. The queue is
+// connection, taking ownership of a received edge frame. The queue is
 // bounded by the edges' credit windows — a producer only sends items
 // it holds credits for.
 func (h *partitionHalf) enqueueRelay(m wire.Msg) {
 	h.rmu.Lock()
 	if h.rstop {
 		h.rmu.Unlock()
-		if ef, ok := m.(*wire.EdgeFrame); ok {
-			releaseWireItems(ef.Items)
-		}
+		releaseRelayed(m)
 		return
 	}
 	h.relayq.Push(&m)
@@ -565,11 +567,12 @@ func (h *partitionHalf) retire(reason string) {
 }
 
 // relay drains the queue onto the connection in order, everything
-// queued at each wake-up as one write. A write failure closes the
+// queued at each wake-up as one write; an edge frame's slab is written
+// verbatim behind its retargeted header. A write failure closes the
 // connection — connLost decides whether that means a partition recovery
 // or the end of the session — and the loop keeps consuming (and
 // releasing) queued messages until stopRelay arrives and the queue is
-// empty, so every queued window returns to the arena.
+// empty, so every queued slab returns to the arena.
 func (h *partitionHalf) relay() {
 	broken := false
 	var batch []wire.Msg
@@ -590,11 +593,17 @@ func (h *partitionHalf) relay() {
 			}
 		}
 		for _, m := range batch {
-			if ef, ok := m.(*wire.EdgeFrame); ok {
-				releaseWireItems(ef.Items)
-			}
+			releaseRelayed(m)
 		}
 		clear(batch)
+	}
+}
+
+// releaseRelayed ends a relay queue entry: a received edge frame goes
+// back with its slab, a credit is garbage.
+func releaseRelayed(m wire.Msg) {
+	if ef, ok := m.(*wire.EdgeFrame); ok {
+		ef.Release()
 	}
 }
 
@@ -690,41 +699,45 @@ func (h *partitionHalf) addCredits(n int) {
 	ps.mu.Unlock()
 }
 
-// edgeFrame relays cut-edge items from the producing partition to the
-// consuming one, logging them for replay and maintaining the edge's
-// delivery watermark. While the consumer is mid-recovery the items only
-// land in the log — its replay goroutine delivers from there, so a
-// direct relay would duplicate the stream.
+// edgeFrame relays a received cut-edge frame from the producing
+// partition to the consuming one, logging its slab for replay and
+// maintaining the edge's delivery watermark. Only the header is read:
+// the items stay encoded from one worker's connection to the other's.
+// While the consumer is mid-recovery the frame only lands in the log —
+// its replay goroutine delivers from there, so a direct relay would
+// duplicate the stream.
 func (h *partitionHalf) edgeFrame(m *wire.EdgeFrame) {
 	ps := h.ps
 	if int(m.Edge) >= len(ps.plan.Cuts) {
-		releaseWireItems(m.Items)
-		ps.fail(fmt.Errorf("cluster: worker %s sent unknown cut edge %d", h.w.addr, m.Edge))
+		err := fmt.Errorf("cluster: worker %s sent unknown cut edge %d", h.w.addr, m.Edge)
+		m.Release()
+		ps.fail(err)
 		return
 	}
 	c := ps.plan.Cuts[m.Edge]
 	if c.From != h.idx {
-		releaseWireItems(m.Items)
-		ps.fail(fmt.Errorf("cluster: worker %s sent edge %d items from partition %d, producer is %d",
-			h.w.addr, m.Edge, h.idx, c.From))
+		err := fmt.Errorf("cluster: worker %s sent edge %d items from partition %d, producer is %d",
+			h.w.addr, m.Edge, h.idx, c.From)
+		m.Release()
+		ps.fail(err)
 		return
 	}
 	ps.mu.Lock()
 	if !h.current() {
 		ps.mu.Unlock()
-		releaseWireItems(m.Items)
+		m.Release()
 		return
 	}
 	h.progressLocked()
 	es := &ps.cuts[m.Edge]
-	sz := itemsBytes(m.Items)
+	n := m.Slab.N
 	ps.relayFrames++
-	ps.relayItems += int64(len(m.Items))
-	ps.relayBytes += sz
-	logged := ps.logEdgeItemsLocked(es, m.Items, sz)
+	ps.relayItems += int64(n)
+	ps.relayBytes += m.Slab.SampleBytes
+	logged := ps.logEdgeFrameLocked(es, m.Slab)
 	if !logged && ps.recovering {
 		ps.mu.Unlock()
-		releaseWireItems(m.Items)
+		m.Release()
 		ps.fail(fmt.Errorf("%w: replay budget exhausted during partition recovery", serve.ErrSessionLost))
 		return
 	}
@@ -738,19 +751,21 @@ func (h *partitionHalf) edgeFrame(m *wire.EdgeFrame) {
 	}
 	if es.buffering {
 		ps.mu.Unlock()
-		releaseWireItems(m.Items)
+		m.Release()
 		return
 	}
-	es.sent += uint64(len(m.Items))
+	es.sent += uint64(n)
 	if m.EOS {
 		es.eosSent = true
 	}
 	t := ps.halves[c.To]
 	ps.mu.Unlock()
-	if len(m.Items) == 0 && !m.EOS {
+	if n == 0 && !m.EOS {
+		m.Release()
 		return // a fully-deduplicated end-of-stream repeat
 	}
-	// The decoded frame is ours: retarget it instead of building a copy.
+	// The received frame is ours: retarget its header and relay the
+	// slab as it came.
 	m.SID = t.sid
 	t.enqueueRelay(m)
 }

@@ -343,7 +343,7 @@ func (c *workerConn) readLoop() error {
 			if s := c.session(m.SID); s != nil {
 				s.edgeFrame(m)
 			} else {
-				releaseWireItems(m.Items)
+				m.Release()
 			}
 		case *wire.EdgeCredit:
 			if s := c.session(m.SID); s != nil {

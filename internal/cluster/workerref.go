@@ -304,7 +304,7 @@ func (w *workerRef) readLoop(conn *wire.Conn) error {
 			if h := w.session(m.SID); h != nil {
 				h.edgeFrame(m)
 			} else {
-				releaseWireItems(m.Items)
+				m.Release()
 			}
 		case *wire.EdgeCredit:
 			if h := w.session(m.SID); h != nil {

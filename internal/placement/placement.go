@@ -55,8 +55,11 @@ type CutEdge struct {
 
 	// WordsPerFrame is the edge's per-frame traffic from the analysis.
 	WordsPerFrame int64
-	// Credit is the edge's in-flight item window, mirroring the bounded
-	// mailbox the edge replaced in a whole-graph session.
+	// Credit is the edge's in-flight item window: how many items the
+	// producer may have sent that the consumer has not yet taken, and
+	// so the bound of the consumer's inbound ring. Every cut of a plan
+	// gets the same window, 16 × max(64, the widest input frame's width)
+	// items.
 	Credit int
 }
 
@@ -124,9 +127,10 @@ func PlanGraph(g *graph.Graph, r *analysis.Result, m machine.Machine, targets []
 		part.MemWords += l.MemWords
 	}
 
-	// Cut edges in graph order; credit mirrors the runtime's default
-	// mailbox bound (16 × the widest input frame, floor 64) so the
-	// partitioned pipeline has at least the elasticity of the whole one.
+	// Cut edges in graph order, each with a credit window of
+	// 16 × max(64, the widest input frame's width) items — a fixed
+	// rule, not derived from the edge's rate or from the runtime's
+	// plan-time ring capacities.
 	credit := 64
 	for _, in := range g.Inputs() {
 		if in.FrameSize.W > credit {

@@ -30,8 +30,10 @@ const crcSize = 4
 // buffer grown to the largest frame seen, one encode scratch buffer and
 // the bufio pair. A decoded message never aliases the read buffer —
 // strings, descriptor bytes and window samples are all copied out (the
-// samples into arena storage) — so the next Read may overwrite it, and
-// a steady-state connection allocates only the message structs.
+// samples into arena storage, an EdgeFrame's items into its slab) — so
+// the next Read may overwrite it. A steady-state connection allocates
+// only the message structs, and an EdgeFrame's not even that: received
+// frames are recycled by EdgeFrame.Release.
 type Conn struct {
 	c    net.Conn
 	br   *bufio.Reader

@@ -11,8 +11,9 @@ import (
 // FuzzWire throws arbitrary bytes at the frame decoder: any input must
 // either decode cleanly or error — never panic, never allocate outside
 // the codec's bounds — and a successful decode must re-encode to a
-// byte-identical frame (the codec is canonical). Seeds cover every
-// message type plus standalone windows, tokens, and items.
+// byte-identical frame (the codec is canonical). An accepted EdgeFrame
+// must also agree with the full item decoder (checkHeaderWalk). Seeds
+// cover every message type plus standalone windows, tokens, and items.
 func FuzzWire(f *testing.F) {
 	for _, m := range sampleMsgs() {
 		b := Append(nil, m)
@@ -68,6 +69,9 @@ func FuzzWire(f *testing.F) {
 			}
 			return
 		}
+		if ef, ok := m.(*EdgeFrame); ok {
+			checkHeaderWalk(t, ef, data[1:])
+		}
 		// Canonical round trip: re-encoding the decoded message must
 		// reproduce the input frame exactly.
 		re := Append(nil, m)
@@ -117,5 +121,49 @@ func readStream(t *testing.T, data []byte) {
 			return
 		}
 		prev, prevWire = m, Append(nil, m)
+	}
+}
+
+// checkHeaderWalk holds an accepted EdgeFrame's header walk to the full
+// item decoder run over the same payload: the walk's item count, EOS
+// flag and sample bytes are the decoder's, and the slab decodes to the
+// same items.
+func checkHeaderWalk(t *testing.T, ef *EdgeFrame, payload []byte) {
+	t.Helper()
+	r := &reader{b: payload}
+	r.u64("sid")
+	r.u32("edge")
+	eos := r.u8("flags") == 1
+	n := int(r.u16("count"))
+	var items []Item
+	var sz int64
+	for i := 0; i < n && r.err == nil; i++ {
+		it := decodeItem(r)
+		items = append(items, it)
+		if !it.IsToken {
+			sz += int64(it.Win.W) * int64(it.Win.H) * int64(it.Win.Kind.Bytes())
+		}
+	}
+	defer releaseItems(items)
+	if err := r.finish(); err != nil {
+		t.Fatalf("the header walk accepted an edge frame the full decoder refuses: %v", err)
+	}
+	if ef.Slab.N != n || ef.EOS != eos || ef.Slab.SampleBytes != sz {
+		t.Fatalf("header walk: %d items, eos %v, %d sample bytes; full decoder: %d, %v, %d",
+			ef.Slab.N, ef.EOS, ef.Slab.SampleBytes, n, eos, sz)
+	}
+	got, err := ef.Slab.Items(nil)
+	if err != nil {
+		t.Fatalf("an accepted slab does not decode: %v", err)
+	}
+	defer releaseItems(got)
+	if len(got) != len(items) {
+		t.Fatalf("slab decodes to %d items, payload to %d", len(got), len(items))
+	}
+	for i := range got {
+		a, b := got[i], items[i]
+		if a.IsToken != b.IsToken || a.Tok != b.Tok || a.B != b.B || (!a.IsToken && !a.Win.Equal(b.Win)) {
+			t.Fatalf("item %d: slab decodes to %+v, payload to %+v", i, a, b)
+		}
 	}
 }

@@ -494,7 +494,7 @@ func newMsg(t MsgType) Msg {
 	case TypeOpenPartition:
 		return &OpenPartition{}
 	case TypeEdgeFrame:
-		return &EdgeFrame{}
+		return edgeFrames.Get().(*EdgeFrame)
 	case TypeEdgeCredit:
 		return &EdgeCredit{}
 	case TypeRegister:
@@ -511,8 +511,8 @@ func newMsg(t MsgType) Msg {
 }
 
 // Decode parses one frame body (the type byte's payload) into a
-// message. Decoded windows come from the frame arena; on error all
-// partially-decoded windows have been released.
+// message. Decoded windows come from the frame arena, and so does a
+// received EdgeFrame's slab; on error all of it has been released.
 func Decode(t MsgType, payload []byte) (Msg, error) {
 	return decode(new(reader), t, payload)
 }
@@ -550,8 +550,8 @@ func releaseMsgWindows(m Msg) {
 		}
 		m.Outputs = nil
 	case *EdgeFrame:
-		releaseItems(m.Items)
-		m.Items = nil
+		m.Slab.Release()
+		m.Slab = Slab{}
 	}
 }
 

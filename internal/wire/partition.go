@@ -1,5 +1,11 @@
 package wire
 
+import (
+	"sync"
+
+	"blockpar/internal/frame"
+)
+
 // The partition plane: a session is a plan of one or more partitions of
 // a pipeline's compiled graph, each placed on a worker, and the cut
 // edges between partitions are explicit item streams relayed through
@@ -7,7 +13,8 @@ package wire
 // its cut-edge endpoints) — fresh, or resuming after its previous
 // worker died or drained — EdgeFrame moves items across a cut edge, and
 // EdgeCredit returns consumption credits so a cut edge buffers no more
-// than its window, mirroring the bounded mailboxes the edge replaced.
+// than its credit window: the item count placement computes for each
+// cut (placement.CutEdge.Credit).
 // A session that runs whole is the one-partition plan: every node, no
 // edges.
 
@@ -163,11 +170,85 @@ func (m *OpenPartition) outbound(id uint32) bool {
 // frame, the end-of-stream flag. The sender must hold one credit per
 // item; a receiver seeing its buffer overflow treats it as a protocol
 // violation and aborts the session.
+//
+// A frame has two forms with one encoding. A producer fills Items. A
+// received frame carries Slab instead: the read walks and validates
+// every item header but materialises no window, so a relay or a replay
+// log that needs only the header pays one arena buffer per frame, not
+// one per item. Encoding a frame that carries a slab copies its bytes
+// verbatim behind the frame's own SID, edge and EOS flag, which is how
+// a relay retargets a frame and clears a repeated end-of-stream.
 type EdgeFrame struct {
 	SID   uint64
 	Edge  uint32
 	EOS   bool
 	Items []Item
+	Slab  Slab
+}
+
+// Slab is a received EdgeFrame's items, still encoded, in one arena
+// byte buffer holding one reference. N and SampleBytes come from the
+// header walk: the item count, and the sample bytes of the data windows
+// at their native width (what a retained window charges a replay
+// budget). The zero Slab carries no items.
+type Slab struct {
+	N           int
+	SampleBytes int64
+	buf         frame.Window // 1-row U8 window over the encoded items
+}
+
+// newSlab copies the encoded items b out of the read buffer into the
+// arena.
+func newSlab(b []byte, n int, sampleBytes int64) Slab {
+	buf := frame.AllocUninit(frame.U8, len(b), 1)
+	copy(buf.RowU8(0), b)
+	return Slab{N: n, SampleBytes: sampleBytes, buf: buf}
+}
+
+func (s Slab) bytes() []byte {
+	if s.N == 0 {
+		return nil
+	}
+	return s.buf.RowU8(0)
+}
+
+// Retain adds n references to the slab's arena buffer.
+func (s Slab) Retain(n int) { s.buf.Retain(n) }
+
+// Release drops one reference to the slab's arena buffer.
+func (s Slab) Release() { s.buf.Release() }
+
+// Items decodes the slab's items into dst[:0] and returns the list:
+// each data window's storage comes from the arena, one reference owned
+// by the caller, and the slab keeps its own reference. The read that
+// made the slab validated every item, so an error here means the slab
+// was not made by a read.
+func (s Slab) Items(dst []Item) ([]Item, error) {
+	dst = dst[:0]
+	r := reader{b: s.bytes()}
+	for i := 0; i < s.N && r.err == nil; i++ {
+		dst = append(dst, decodeItem(&r))
+	}
+	if err := r.finish(); err != nil {
+		releaseItems(dst)
+		clear(dst)
+		return dst[:0], err
+	}
+	return dst, nil
+}
+
+// edgeFrames recycles received frames: a read takes one, and whoever
+// ends the frame hands it back with Release.
+var edgeFrames = sync.Pool{New: func() any { return new(EdgeFrame) }}
+
+// Release ends a received frame: the slab's reference goes back to the
+// arena and the frame itself to the reads that follow. The caller must
+// not touch m afterwards. A frame built to be sent owns no slab and is
+// never released.
+func (m *EdgeFrame) Release() {
+	m.Slab.Release()
+	*m = EdgeFrame{}
+	edgeFrames.Put(m)
 }
 
 func (*EdgeFrame) Type() MsgType { return TypeEdgeFrame }
@@ -179,12 +260,18 @@ func (m *EdgeFrame) append(b []byte) []byte {
 		flags = 1
 	}
 	b = append(b, flags)
+	if m.Slab.N > 0 {
+		b = appendU16(b, uint16(m.Slab.N))
+		return append(b, m.Slab.bytes()...)
+	}
 	b = appendU16(b, uint16(len(m.Items)))
 	for _, it := range m.Items {
 		b = AppendItem(b, it)
 	}
 	return b
 }
+
+// decode walks the items' headers and keeps them encoded as a slab.
 func (m *EdgeFrame) decode(r *reader) {
 	m.SID = r.u64("edge-frame sid")
 	m.Edge = r.u32("edge-frame edge")
@@ -195,15 +282,13 @@ func (m *EdgeFrame) decode(r *reader) {
 	}
 	m.EOS = flags == 1
 	n := r.count(int(r.u16("edge-frame item count")), minItemBytes, "edge-frame item count")
-	if n > 0 {
-		m.Items = make([]Item, 0, n)
-	}
+	start := r.off
+	var sz int64
 	for i := 0; i < n && r.err == nil; i++ {
-		m.Items = append(m.Items, decodeItem(r))
+		sz += skipItem(r)
 	}
-	if r.err != nil {
-		releaseItems(m.Items)
-		m.Items = nil
+	if r.err == nil && n > 0 {
+		m.Slab = newSlab(r.b[start:r.off], n, sz)
 	}
 }
 

@@ -17,6 +17,9 @@
 //     intermediate dense copy. Decoding allocates from the frame
 //     arena, so a received window is pooled storage the receiver owns
 //     one reference to, under the standard retain/release contract.
+//     A received EdgeFrame is not decoded at all: its items stay
+//     encoded in one arena slab, which a relay forwards verbatim and
+//     only the consuming worker turns into windows (EdgeFrame, Slab).
 //   - Version explicitly. The handshake carries a magic and a protocol
 //     version; everything after it is frames of [u32 length | u8 type
 //     | payload | u32 crc32c] with all integers big-endian and float64
@@ -490,40 +493,72 @@ func DecodeItem(b []byte) (Item, error) {
 	return it, nil
 }
 
-func decodeItem(r *reader) Item {
+// itemHeader reads one item up to its samples and validates all of it:
+// the tag, a batch descriptor against its window's width, a token, and
+// a window's shape against the samples left in the payload. It leaves r
+// at a data item's first sample and returns the window's shape. The
+// header walk that keeps an EdgeFrame encoded and the full decoder both
+// go through it, so they accept exactly the same items.
+func itemHeader(r *reader) (it Item, w, h int, k frame.Kind) {
 	switch tag := r.u8("item tag"); tag {
 	case 0:
-		return Item{Win: decodeWindow(r)}
 	case 1:
-		return Item{IsToken: true, Tok: decodeToken(r)}
+		return Item{IsToken: true, Tok: decodeToken(r)}, 0, 0, 0
 	case 2:
-		b := Batch{
+		it.B = Batch{
 			N:  int32(r.u32("batch n")),
 			Sx: int32(r.u32("batch sx")),
 			Bw: int32(r.u32("batch bw")),
 		}
 		if r.err == nil {
+			b := it.B
 			if b.N < 2 || int64(b.N) > maxWins {
 				r.err = corruptf("batch of %d windows", b.N)
-				return Item{}
+				return Item{}, 0, 0, 0
 			}
 			if b.Sx < 1 || b.Bw < 1 || int64(b.Sx) > maxDim || int64(b.Bw) > maxDim {
 				r.err = corruptf("batch geometry %dx step %d", b.Bw, b.Sx)
-				return Item{}
+				return Item{}, 0, 0, 0
 			}
 		}
-		w := decodeWindow(r)
-		if r.err == nil && w.W != b.spanW() {
-			w.Release()
-			r.err = corruptf("batch of %d %d-wide windows step %d needs a %d-wide window, got %dx%d",
-				b.N, b.Bw, b.Sx, b.spanW(), w.W, w.H)
-			return Item{}
-		}
-		return Item{Win: w, B: b}
 	default:
 		r.err = corruptf("unknown item tag %d", tag)
-		return Item{}
+		return Item{}, 0, 0, 0
 	}
+	w, h, k, ok := windowHeader(r)
+	if !ok {
+		return Item{}, 0, 0, 0
+	}
+	if b := it.B; b.IsBatch() && w != b.spanW() {
+		r.err = corruptf("batch of %d %d-wide windows step %d needs a %d-wide window, got %dx%d",
+			b.N, b.Bw, b.Sx, b.spanW(), w, h)
+		return Item{}, 0, 0, 0
+	}
+	return it, w, h, k
+}
+
+// decodeItem reads one item, a data window's storage from the arena.
+func decodeItem(r *reader) Item {
+	it, w, h, k := itemHeader(r)
+	if r.err != nil || it.IsToken {
+		return it
+	}
+	it.Win = frame.AllocUninit(k, w, h)
+	readSamples(r, &it.Win)
+	return it
+}
+
+// skipItem walks one item without materialising it and returns the
+// sample bytes its window carries (0 for a token).
+func skipItem(r *reader) int64 {
+	it, w, h, k := itemHeader(r)
+	if r.err != nil || it.IsToken {
+		return 0
+	}
+	// itemHeader checked that the payload carries every sample.
+	n := w * h * k.Bytes()
+	r.off += n
+	return int64(n)
 }
 
 // releaseWindows returns decoded windows to the arena on a failed

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"reflect"
@@ -209,6 +210,7 @@ func releaseMsg(m Msg) {
 		}
 	case *EdgeFrame:
 		releaseItems(m.Items)
+		m.Slab.Release()
 	}
 }
 
@@ -262,18 +264,24 @@ func msgEqual(a, b Msg) bool {
 		return true
 	case *EdgeFrame:
 		be := b.(*EdgeFrame)
-		if a.SID != be.SID || a.Edge != be.Edge || a.EOS != be.EOS || len(a.Items) != len(be.Items) {
+		if a.SID != be.SID || a.Edge != be.Edge || a.EOS != be.EOS {
 			return false
 		}
-		for i := range a.Items {
-			if a.Items[i].IsToken != be.Items[i].IsToken {
+		ai, bi := frameItems(a), frameItems(be)
+		defer releaseItems(ai)
+		defer releaseItems(bi)
+		if len(ai) != len(bi) {
+			return false
+		}
+		for i := range ai {
+			if ai[i].IsToken != bi[i].IsToken {
 				return false
 			}
-			if a.Items[i].IsToken {
-				if a.Items[i].Tok != be.Items[i].Tok {
+			if ai[i].IsToken {
+				if ai[i].Tok != bi[i].Tok {
 					return false
 				}
-			} else if !a.Items[i].Win.Equal(be.Items[i].Win) || a.Items[i].B != be.Items[i].B {
+			} else if !ai[i].Win.Equal(bi[i].Win) || ai[i].B != bi[i].B {
 				return false
 			}
 		}
@@ -281,6 +289,25 @@ func msgEqual(a, b Msg) bool {
 	default:
 		return reflect.DeepEqual(a, b)
 	}
+}
+
+// frameItems returns an edge frame's items, decoding a received one's
+// slab; the caller releases them.
+func frameItems(m *EdgeFrame) []Item {
+	if m.Slab.N == 0 {
+		items := append([]Item(nil), m.Items...)
+		for _, it := range items {
+			if !it.IsToken {
+				it.Win.Retain(1)
+			}
+		}
+		return items
+	}
+	items, err := m.Slab.Items(nil)
+	if err != nil {
+		panic(err)
+	}
+	return items
 }
 
 func TestConnFraming(t *testing.T) {
@@ -490,8 +517,67 @@ func TestEdgeFrameDecodeRejectsCorruption(t *testing.T) {
 		releaseMsg(m)
 		t.Error("decode accepted an edge frame with unknown flags")
 	}
+	// A malformed item header deep in an otherwise sound frame: the
+	// header walk refuses it like the full decoder would.
+	for name, at := range map[string]struct {
+		off int
+		val byte
+	}{
+		"item tag":    {15, 9},
+		"window kind": {15 + 1 + 8, 0x7f},
+		"token kind":  {15 + 1 + 9 + 32 + 1, 0x7f},
+	} {
+		bad := append([]byte(nil), payload...)
+		bad[at.off] = at.val
+		if m, err := Decode(TypeEdgeFrame, bad); err == nil {
+			releaseMsg(m)
+			t.Errorf("%s: decode accepted a corrupt item header", name)
+		} else if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: error %v is not tagged ErrCorrupt", name, err)
+		}
+	}
 	if live := frame.Stats().Live; live != base {
 		t.Fatalf("corrupt edge-frame decodes leaked %d arena windows", live-base)
+	}
+}
+
+// TestEdgeFrameSlabRelaysVerbatim: reading an EdgeFrame materialises no
+// window — one arena get, the slab — and counts its items and sample
+// bytes; written again with a new SID and the EOS flag cleared, it is
+// the sent frame byte for byte behind the patched header, and its slab
+// decodes to the sent items.
+func TestEdgeFrameSlabRelaysVerbatim(t *testing.T) {
+	sent := &EdgeFrame{SID: 3, Edge: 2, EOS: true, Items: []Item{
+		{Win: typedTestWindow(frame.U8, 4, 3)},
+		{IsToken: true, Tok: token.EOL(0)},
+		{Win: frame.FromRows([][]float64{{1, 2, 3, 4, 5, 6, 7}}), B: Batch{N: 3, Sx: 2, Bw: 3}},
+		{Win: typedTestWindow(frame.F32, 2, 2)},
+	}}
+	before := frame.Stats()
+	m, err := Decode(TypeEdgeFrame, Append(nil, sent)[5:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := m.(*EdgeFrame)
+	if gets := frame.Stats().Gets - before.Gets; gets != 1 {
+		t.Errorf("reading the frame took %d arena buffers, want 1 (the slab)", gets)
+	}
+	if got.Items != nil || got.Slab.N != 4 || got.Slab.SampleBytes != 12+7*8+4*4 || !got.EOS {
+		t.Errorf("received frame: %d items decoded, slab of %d items and %d sample bytes, eos %v; want 0, 4, 88, true",
+			len(got.Items), got.Slab.N, got.Slab.SampleBytes, got.EOS)
+	}
+	got.SID, got.EOS = 9, false
+	relayed := Append(nil, got)
+	want := Append(nil, &EdgeFrame{SID: 9, Edge: 2, Items: sent.Items})
+	if !bytes.Equal(relayed, want) {
+		t.Errorf("the relayed frame is not the sent one behind a patched header:\n got  %x\n want %x", relayed, want)
+	}
+	if !msgEqual(&EdgeFrame{SID: 9, Edge: 2, Items: sent.Items}, got) {
+		t.Error("the slab decodes to different items")
+	}
+	got.Release()
+	if live := frame.Stats().Live - before.Live; live != 0 {
+		t.Errorf("%d arena buffers live after the frame was released", live)
 	}
 }
 
