@@ -59,14 +59,27 @@ type Ref struct {
 
 var buckets [maxBucketLog + 1]sync.Pool
 
-// poolStats holds the arena's monitoring counters.
-var poolStats struct {
-	gets   atomic.Int64 // Alloc calls served by the arena
-	hits   atomic.Int64 // ... of which reused a pooled buffer
+// classStats are one byte class's monitoring counters, padded so that
+// no two classes' counters share a cache line and allocations in
+// different classes never contend. An alloc adds to exactly one of hits
+// and misses and the final Release adds to puts: two atomic updates per
+// alloc/release pair. Stats derives everything PoolStats reports from
+// these.
+type classStats struct {
+	hits   atomic.Int64 // allocs served by a pooled buffer
+	misses atomic.Int64 // allocs that made a new buffer on the heap
 	puts   atomic.Int64 // buffers returned by the final Release
-	live   atomic.Int64 // buffers allocated and not yet released
-	pooled atomic.Int64 // bytes sitting in the buckets (approximate:
-	// sync.Pool may drop entries under GC pressure without telling us)
+	_      [128 - 3*8]byte
+}
+
+var classes [maxBucketLog + 1]classStats
+
+// statsBase is what ResetStats zeroes the reported counters against;
+// the class counters themselves only ever grow, which keeps
+// PooledBytes whole across a reset.
+var statsBase struct {
+	sync.Mutex
+	hits, misses, puts int64
 }
 
 // PoolStats is a monitoring snapshot of the window arena, exposed by
@@ -97,23 +110,44 @@ func (s PoolStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Gets)
 }
 
-// Stats snapshots the arena counters.
+// Stats snapshots the arena counters. Per class it reads puts first,
+// then hits and misses, then puts again: a buffer is put after it was
+// got and got after it was put, so the first read keeps Live (Gets -
+// Puts) from under-reporting and the second keeps PooledBytes (puts -
+// hits, per class) from going negative while allocations run.
 func Stats() PoolStats {
-	return PoolStats{
-		Gets:        poolStats.gets.Load(),
-		Hits:        poolStats.hits.Load(),
-		Puts:        poolStats.puts.Load(),
-		Live:        poolStats.live.Load(),
-		PooledBytes: poolStats.pooled.Load(),
+	var s PoolStats
+	for b := range classes {
+		c := &classes[b]
+		puts := c.puts.Load()
+		hits, misses := c.hits.Load(), c.misses.Load()
+		s.Puts += puts
+		s.Hits += hits
+		s.Gets += hits + misses
+		s.PooledBytes += (c.puts.Load() - hits) << b
 	}
+	statsBase.Lock()
+	s.Hits -= statsBase.hits
+	s.Gets -= statsBase.hits + statsBase.misses
+	s.Puts -= statsBase.puts
+	statsBase.Unlock()
+	s.Live = s.Gets - s.Puts
+	return s
 }
 
-// ResetStats zeroes the arena counters (benchmark harness use).
+// ResetStats zeroes the arena's Gets, Hits, Puts and Live (benchmark
+// harness use); PooledBytes is a level, not a count, and keeps its
+// value.
 func ResetStats() {
-	poolStats.gets.Store(0)
-	poolStats.hits.Store(0)
-	poolStats.puts.Store(0)
-	poolStats.live.Store(0)
+	statsBase.Lock()
+	defer statsBase.Unlock()
+	statsBase.hits, statsBase.misses, statsBase.puts = 0, 0, 0
+	for b := range classes {
+		c := &classes[b]
+		statsBase.puts += c.puts.Load()
+		statsBase.hits += c.hits.Load()
+		statsBase.misses += c.misses.Load()
+	}
 }
 
 // poison gates the debug use-after-release detector: released buffers
@@ -172,22 +206,22 @@ func AllocKind(k Kind, w, h int) Window {
 // AllocUninit is AllocKind without the zero-fill: the samples are
 // whatever the storage's previous window left there, so the caller
 // must overwrite every one before the window is read. The wire decoder
-// uses it — a decoded window's samples all come from the frame.
+// uses it — a decoded window's samples all come from the frame — and so
+// do the buffer's window spans, copied whole from its ring, and the
+// kernels whose span loops write every output sample.
 func AllocUninit(k Kind, w, h int) Window {
 	nbytes := w * h * k.Bytes()
 	b := bucketFor(nbytes)
 	if b < 0 {
 		return NewWindowKind(k, w, h)
 	}
-	poolStats.gets.Add(1)
-	poolStats.live.Add(1)
 	var r *Ref
 	if v := buckets[b].Get(); v != nil {
 		r = v.(*Ref)
-		poolStats.hits.Add(1)
-		poolStats.pooled.Add(-int64(cap(r.buf)) * 8)
+		classes[b].hits.Add(1)
 	} else {
 		r = &Ref{buf: make([]float64, (1<<b)/8), bucket: b}
+		classes[b].misses.Add(1)
 	}
 	r.refs.Store(1)
 	win := Window{W: w, H: h, Kind: k, ref: r}
@@ -228,8 +262,7 @@ func (w Window) Release() {
 	if left > 0 {
 		return
 	}
-	poolStats.live.Add(-1)
-	poolStats.puts.Add(1)
+	classes[r.bucket].puts.Add(1)
 	if poison.Load() {
 		// 0xFF in every byte: a quiet NaN for f64/f32 rows, 255 for u8
 		// rows — any stale reader diverges loudly in the differential
@@ -240,7 +273,6 @@ func (w Window) Release() {
 			raw[i] = 0xFF
 		}
 	}
-	poolStats.pooled.Add(int64(cap(r.buf)) * 8)
 	buckets[r.bucket].Put(r)
 }
 

@@ -2,6 +2,7 @@ package frame
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -190,6 +191,135 @@ func TestStatsTrackLiveBuffers(t *testing.T) {
 	}
 	if st.Gets != 2 {
 		t.Fatalf("Gets = %d, want 2", st.Gets)
+	}
+}
+
+// TestStatsMatchRunningTotals pins what Stats reports to the arena's
+// original bookkeeping, five running totals updated on every alloc and
+// release: gets, hits, puts and live are counts that ResetStats zeroes,
+// pooled bytes a level that it keeps. The script runs in a byte class no
+// other test touches, emptied first, and tells a hit from a miss by
+// whether the window's storage header was seen before.
+func TestStatsMatchRunningTotals(t *testing.T) {
+	const class = 21
+	size := 1 << class
+	for buckets[class].Get() != nil {
+	}
+	ResetStats()
+	pooled0 := Stats().PooledBytes
+	var m struct{ gets, hits, puts, live, pooled int64 }
+	seen := map[*Ref]bool{}
+	alloc := func() Window {
+		w := AllocUninit(U8, size, 1)
+		m.gets++
+		m.live++
+		if seen[w.ref] {
+			m.hits++
+			m.pooled -= int64(size)
+		}
+		seen[w.ref] = true
+		return w
+	}
+	release := func(w Window) {
+		w.Release()
+		m.live--
+		m.puts++
+		m.pooled += int64(size)
+	}
+	reset := func() {
+		ResetStats()
+		m.gets, m.hits, m.puts, m.live = 0, 0, 0, 0
+	}
+	check := func(step string) {
+		t.Helper()
+		want := PoolStats{Gets: m.gets, Hits: m.hits, Puts: m.puts, Live: m.live, PooledBytes: pooled0 + m.pooled}
+		if got := Stats(); got != want {
+			t.Fatalf("after %s: Stats() = %+v, want %+v", step, got, want)
+		}
+	}
+	a := alloc()
+	check("a miss")
+	b := alloc()
+	check("a second miss")
+	release(a)
+	check("a release")
+	c := alloc()
+	check("an alloc that may reuse it")
+	release(b)
+	release(c)
+	check("releasing both")
+	reset()
+	check("ResetStats")
+	d := alloc()
+	e := alloc()
+	check("two allocs after the reset")
+	release(e)
+	reset()
+	check("ResetStats with a buffer out")
+	release(d)
+	check("releasing a buffer got before the reset")
+}
+
+// TestStatsConcurrentInvariants reads Stats while goroutines allocate,
+// share and release windows across several byte classes. Every snapshot
+// must be self-consistent — Live == Gets - Puts, 0 <= Hits <= Gets,
+// PooledBytes >= 0 — and must never report fewer live buffers than the
+// baseline, which the chaos leak check (Live <= baseline once quiet)
+// relies on; once the goroutines are done, Live is back to the
+// baseline. CI runs it under the race detector with -count=10.
+func TestStatsConcurrentInvariants(t *testing.T) {
+	base := Stats().Live
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s := Stats()
+			if s.Live != s.Gets-s.Puts || s.Hits < 0 || s.Hits > s.Gets || s.PooledBytes < 0 || s.Live < base {
+				t.Errorf("snapshot %d: %+v (baseline Live %d)", n, s, base)
+				return
+			}
+		}
+	}()
+	shapes := []struct {
+		k Kind
+		w int
+	}{{F64, 1}, {U8, 40}, {F32, 100}, {F64, 600}, {U8, 4096}}
+	var workers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		workers.Add(1)
+		go func(g int) {
+			defer workers.Done()
+			var held []Window
+			for i := 0; i < 3000; i++ {
+				s := shapes[(i*(g+1)+g)%len(shapes)]
+				w := AllocKind(s.k, s.w, 1)
+				if i%5 == 0 {
+					w.Retain(1) // a second consumer, ended at once
+					w.Release()
+				}
+				held = append(held, w)
+				if len(held) > 2+g {
+					held[0].Release()
+					held = held[1:]
+				}
+			}
+			for _, w := range held {
+				w.Release()
+			}
+		}(g)
+	}
+	workers.Wait()
+	close(stop)
+	reader.Wait()
+	if got := Stats().Live; got != base {
+		t.Fatalf("Live = %d after every window was released, want the baseline %d", got, base)
 	}
 }
 

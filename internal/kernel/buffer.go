@@ -167,13 +167,14 @@ func (b *bufferBehavior) Take(n *graph.Node, _ int32, it *graph.Item) error {
 }
 
 // Fresh implements graph.StepValues: windows e.J0..e.J1-1 of the
-// completed window row, copied out of the ring as one dense span.
+// completed window row, copied out of the ring as one dense span. The
+// copy writes every sample, so the span skips the arena's zero-fill.
 func (b *bufferBehavior) Fresh(e *graph.StepEmit) graph.Item {
 	pl := b.plan
 	count := int(e.J1 - e.J0)
 	first := int(e.J0) * pl.StepX
 	spanW := (count-1)*pl.StepX + pl.WinW
-	win := frame.AllocKind(b.ring.Kind, spanW, pl.WinH)
+	win := frame.AllocUninit(b.ring.Kind, spanW, pl.WinH)
 	es := b.ring.Kind.Bytes()
 	for dy := 0; dy < pl.WinH; dy++ {
 		src := b.ring.RowBytes((b.pend.wy + dy) % pl.WinH)

@@ -64,8 +64,6 @@ type convBehavior struct {
 	// f32 data path.
 	flat   []float64
 	flat32 []float32
-	acc    []float64
-	acc32  []float32
 }
 
 func (b *convBehavior) Clone() graph.Behavior { return &convBehavior{k: b.k} }
@@ -134,18 +132,14 @@ func (b *convBehavior) Invoke(method string, ctx graph.ExecContext) error {
 
 // convolveF64 convolves the n overlapping k×k windows packed in the
 // span (window j starts at column j*sx) and returns their results as a
-// dense n×1 window. Accumulation visits taps in (ky,kx) order for every
-// output, the same order as the original scalar loop, so results are
-// byte-identical regardless of batching.
+// dense n×1 window, accumulating straight into its zeroed row.
+// Accumulation visits taps in (ky,kx) order for every output, the same
+// order as the original scalar loop, so results are byte-identical
+// regardless of batching.
 func (b *convBehavior) convolveF64(in frame.Window, n, sx int) frame.Window {
 	k := b.k
-	if cap(b.acc) < n {
-		b.acc = make([]float64, n)
-	}
-	acc := b.acc[:n]
-	for j := range acc {
-		acc[j] = 0
-	}
+	out := frame.AllocKind(frame.F64, n, 1)
+	acc := out.Row(0)[:n]
 	if in.Kind == frame.F64 {
 		for ky := 0; ky < k; ky++ {
 			row := in.Row(ky)
@@ -175,8 +169,6 @@ func (b *convBehavior) convolveF64(in frame.Window, n, sx int) frame.Window {
 			}
 		}
 	}
-	out := frame.AllocKind(frame.F64, n, 1)
-	copy(out.Row(0), acc)
 	return out
 }
 
@@ -184,13 +176,8 @@ func (b *convBehavior) convolveF64(in frame.Window, n, sx int) frame.Window {
 // accumulators, f32 results.
 func (b *convBehavior) convolveF32(in frame.Window, n, sx int) frame.Window {
 	k := b.k
-	if cap(b.acc32) < n {
-		b.acc32 = make([]float32, n)
-	}
-	acc := b.acc32[:n]
-	for j := range acc {
-		acc[j] = 0
-	}
+	out := frame.AllocKind(frame.F32, n, 1)
+	acc := out.RowF32(0)[:n]
 	for ky := 0; ky < k; ky++ {
 		row := in.RowF32(ky)
 		for kx := 0; kx < k; kx++ {
@@ -207,7 +194,5 @@ func (b *convBehavior) convolveF32(in frame.Window, n, sx int) frame.Window {
 			}
 		}
 	}
-	out := frame.AllocKind(frame.F32, n, 1)
-	copy(out.RowF32(0), acc)
 	return out
 }

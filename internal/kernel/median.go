@@ -1,9 +1,9 @@
 package kernel
 
 import (
-	"cmp"
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"blockpar/internal/frame"
 	"blockpar/internal/geom"
@@ -13,10 +13,10 @@ import (
 // Median builds a k×k median filter kernel: windowed input "in",
 // 1×1 output "out".
 //
-// The input accepts row batches. For the common 3×3 case each window in
-// the span is reduced with a branch-free 19-exchange median-of-9
-// sorting network over its typed rows (exact for every element kind —
-// the median of integer samples is an integer sample); other sizes fall
+// The input accepts row batches. For the common 3×3 case the span's
+// columns are each sorted once and every window combines its three
+// sorted columns (medianSpan3) — exact for every element kind, since
+// the median of integer samples is an integer sample; other sizes fall
 // back to a per-window gather-and-sort, still batched to amortize the
 // channel traffic.
 func Median(name string, k int) *graph.Node {
@@ -39,6 +39,10 @@ func Median(name string, k int) *graph.Node {
 type medianBehavior struct {
 	k   int
 	buf []float64
+	// k32 (u8 and f32 samples) and k64 (f64 samples) hold a 3×3 span's
+	// sorted columns as sort keys, sized on first use.
+	k32 []int32
+	k64 []int64
 }
 
 func (b *medianBehavior) Clone() graph.Behavior { return &medianBehavior{k: b.k} }
@@ -53,17 +57,15 @@ func (b *medianBehavior) Invoke(method string, ctx graph.ExecContext) error {
 	in := ctx.Input("in")
 	n, sx := spanIn(ctx, "in", 1)
 	var out frame.Window
-	if b.k == 3 {
-		switch in.Kind {
-		case frame.U8:
-			out = medianSpan3(frame.U8, in.RowU8(0), in.RowU8(1), in.RowU8(2), n, sx)
-		case frame.F32:
-			out = medianSpan3(frame.F32, in.RowF32(0), in.RowF32(1), in.RowF32(2), n, sx)
-		default:
-			out = medianSpan3(frame.F64, in.Row(0), in.Row(1), in.Row(2), n, sx)
-		}
-	} else {
+	switch {
+	case b.k != 3:
 		out = b.medianSpanSort(in, n, sx)
+	case in.Kind == frame.U8:
+		out = medianSpan3[uint8](in, &b.k32, n, sx)
+	case in.Kind == frame.F32:
+		out = medianSpan3[int32](in, &b.k32, n, sx)
+	default:
+		out = medianSpan3[int64](in, &b.k64, n, sx)
 	}
 	emitSpan(ctx, "out", out, n, 1)
 	return nil
@@ -72,7 +74,7 @@ func (b *medianBehavior) Invoke(method string, ctx graph.ExecContext) error {
 // medianSpanSort reduces each of the n k×k windows in the span by
 // gathering its samples and sorting — the generic path for k != 3.
 func (b *medianBehavior) medianSpanSort(in frame.Window, n, sx int) frame.Window {
-	out := frame.AllocKind(in.Kind, n, 1)
+	out := frame.AllocUninit(in.Kind, n, 1)
 	for j := 0; j < n; j++ {
 		b.buf = b.buf[:0]
 		for y := 0; y < b.k; y++ {
@@ -86,64 +88,69 @@ func (b *medianBehavior) medianSpanSort(in frame.Window, n, sx int) frame.Window
 	return out
 }
 
-// medianSpan3 runs the median-of-9 network over each 3×3 window in a
-// span of n windows starting sx columns apart, given the span's three
-// typed rows, and packs the medians into a dense n×1 window.
-func medianSpan3[T cmp.Ordered](k frame.Kind, r0, r1, r2 []T, n, sx int) frame.Window {
-	out := frame.AllocKind(k, n, 1)
-	var dst []T
-	switch k {
-	case frame.U8:
-		dst = any(out.RowU8(0)).([]T)
-	case frame.F32:
-		dst = any(out.RowF32(0)).([]T)
-	default:
-		dst = any(out.Row(0)).([]T)
+// medianSpan3 reduces each of the n 3×3 windows in a span, starting sx
+// columns apart, and packs the medians into a dense n×1 window. It
+// sorts each of the span's (n-1)·sx+3 columns once into cols (lowest,
+// middle, highest), so overlapping windows share their columns' sorts.
+// A window's median is then the median of three values taken from its
+// three sorted columns: the highest of the lows, the median of the
+// middles and the lowest of the highs.
+//
+// Samples are compared as integer sort keys of type K, read from the
+// samples' bit patterns E: a u8 sample widens to an int32, and a float's
+// bits become a key that orders as the float does (a negative float has
+// its magnitude bits flipped, which maps the key back again). Every step
+// is then a builtin min or max on integers, which Go compiles to a
+// compare and a conditional move — a byte or float min/max would be a
+// conditional jump or a NaN-and-signed-zero-exact sequence several
+// times as long. So no branch depends on the samples, and a window costs
+// the same on noise as on a ramp. The result equals a sort's median for
+// every element kind (-0 and +0 may trade places, which == cannot see);
+// with a NaN in the window it is unspecified.
+func medianSpan3[E sampleBits, K sortKey](in frame.Window, cols *[]K, n, sx int) frame.Window {
+	out := frame.AllocUninit(in.Kind, n, 1)
+	dst := rowBits[E](out, 0)[:n]
+	m := (n-1)*sx + 3
+	if cap(*cols) < 3*m {
+		*cols = make([]K, 3*m)
 	}
-	if sx == 1 && len(r0) >= n+2 && len(r1) >= n+2 && len(r2) >= n+2 {
-		r0, r1, r2 = r0[:n+2], r1[:n+2], r2[:n+2]
-		for j := 0; j < n; j++ {
-			dst[j] = med9(r0[j], r0[j+1], r0[j+2], r1[j], r1[j+1], r1[j+2], r2[j], r2[j+1], r2[j+2])
-		}
-	} else {
-		for j := 0; j < n; j++ {
-			x := j * sx
-			dst[j] = med9(r0[x], r0[x+1], r0[x+2], r1[x], r1[x+1], r1[x+2], r2[x], r2[x+1], r2[x+2])
-		}
+	c := (*cols)[:3*m]
+	var k K
+	sign := 8*unsafe.Sizeof(k) - 1
+	flip := ^(^K(0) << sign) // every bit but the sign
+	r0, r1, r2 := rowBits[E](in, 0)[:m], rowBits[E](in, 1)[:m], rowBits[E](in, 2)[:m]
+	for x := range r0 {
+		a, b, d := K(r0[x]), K(r1[x]), K(r2[x])
+		a, b, d = a^(a>>sign&flip), b^(b>>sign&flip), d^(d>>sign&flip)
+		lo, hi := min(a, b), max(a, b)
+		s := c[3*x : 3*x+3]
+		s[0], s[1], s[2] = min(lo, d), max(lo, min(hi, d)), max(hi, d)
+	}
+	for j := range dst {
+		w := c[3*j*sx : 3*j*sx+9]
+		v := med3(max(w[0], w[3], w[6]), med3(w[1], w[4], w[7]), min(w[2], w[5], w[8]))
+		dst[j] = E(v ^ (v >> sign & flip))
 	}
 	return out
 }
 
-func s2[T cmp.Ordered](a, b T) (T, T) {
-	if b < a {
-		return b, a
-	}
-	return a, b
+// sampleBits are the bit patterns of the element kinds: u8 samples, and
+// f32 and f64 samples read as int32 and int64.
+type sampleBits interface{ ~uint8 | ~int32 | ~int64 }
+
+// sortKey is the integer type a median compares samples in.
+type sortKey interface{ ~int32 | ~int64 }
+
+// rowBits views row y of w as its samples' bit patterns.
+func rowBits[E sampleBits](w frame.Window, y int) []E {
+	b := w.RowBytes(y)
+	var e E
+	return unsafe.Slice((*E)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/int(unsafe.Sizeof(e)))
 }
 
-// med9 is the classic 19-exchange median-of-9 sorting network
-// (Smith 1996): exact, branch-predictable, and allocation-free.
-func med9[T cmp.Ordered](p0, p1, p2, p3, p4, p5, p6, p7, p8 T) T {
-	p1, p2 = s2(p1, p2)
-	p4, p5 = s2(p4, p5)
-	p7, p8 = s2(p7, p8)
-	p0, p1 = s2(p0, p1)
-	p3, p4 = s2(p3, p4)
-	p6, p7 = s2(p6, p7)
-	p1, p2 = s2(p1, p2)
-	p4, p5 = s2(p4, p5)
-	p7, p8 = s2(p7, p8)
-	p0, p3 = s2(p0, p3)
-	p5, p8 = s2(p5, p8)
-	p4, p7 = s2(p4, p7)
-	p3, p6 = s2(p3, p6)
-	p1, p4 = s2(p1, p4)
-	p2, p5 = s2(p2, p5)
-	p4, p7 = s2(p4, p7)
-	p4, p2 = s2(p4, p2)
-	p6, p4 = s2(p6, p4)
-	p4, p2 = s2(p4, p2)
-	return p4
+// med3 is the median of three samples.
+func med3[T sortKey](a, b, c T) T {
+	return max(min(a, b), min(max(a, b), c))
 }
 
 // Subtract builds the per-pixel difference kernel of Figure 1: two 1×1

@@ -45,10 +45,11 @@ type setupCall struct {
 	win           frame.Window
 }
 
-// pointwiseCase is one batch-aware per-sample kernel: its configuration
-// firings, its data method over inputs ins of bw×bh windows (sx columns
-// apart on its natural stream), and the method, if any, that emits what
-// the data firings accumulated.
+// pointwiseCase is one batch-aware kernel with one result per window
+// (the per-sample kernels and the medians): its configuration firings,
+// its data method over inputs ins of bw×bh windows (sx columns apart on
+// its natural stream), and the method, if any, that emits what the data
+// firings accumulated.
 type pointwiseCase struct {
 	name       string
 	node       func() *graph.Node
@@ -76,6 +77,8 @@ func pointwiseCases() []pointwiseCase {
 			method: "runFIR", ins: []string{"in"}, bw: taps.W, bh: 1, sx: 1},
 		{name: "histogram", node: func() *graph.Node { return Histogram("h", bins.W) }, setup: []setupCall{{"configureBins", "bins", bins}},
 			method: "count", ins: []string{"in"}, bw: 1, bh: 1, sx: 1, finish: "finishCount"},
+		{name: "median3", node: func() *graph.Node { return Median("m3", 3) }, method: "runMedian", ins: []string{"in"}, bw: 3, bh: 3, sx: 1},
+		{name: "median5", node: func() *graph.Node { return Median("m5", 5) }, method: "runMedian", ins: []string{"in"}, bw: 5, bh: 5, sx: 1},
 	}
 }
 
