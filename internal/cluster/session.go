@@ -417,9 +417,10 @@ func (ps *session) TryFeed(inputs map[string]frame.Window) (int64, error) {
 // a local session's.
 func (ps *session) Collect(timeout time.Duration) (*runtime.StreamResult, error) {
 	var tc <-chan time.Time
+	fired := false // the select below took the timer's value
 	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
+		t := runtime.AcquireTimer(timeout)
+		defer func() { runtime.ReleaseTimer(t, fired) }()
 		tc = t.C
 	}
 	select {
@@ -427,6 +428,7 @@ func (ps *session) Collect(timeout time.Duration) (*runtime.StreamResult, error)
 		ps.noteCollected()
 		return res, nil
 	case <-tc:
+		fired = true
 		return nil, fmt.Errorf("cluster: session %w after %v", runtime.ErrCollectTimeout, timeout)
 	case <-ps.done:
 		// Results buffered before the failure are still deliverable.

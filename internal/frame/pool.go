@@ -314,10 +314,14 @@ func AllocList(n int) []Window {
 
 // ReleaseList ends the caller's reference on every window of ws and
 // recycles the list itself if it came from AllocList. The caller must
-// not touch ws afterwards.
+// not touch ws afterwards. Release is a no-op on unpooled windows, so
+// only pooled ones are visited: a list of slab copies costs one load
+// per window.
 func ReleaseList(ws []Window) {
-	for _, w := range ws {
-		w.Release()
+	for i := range ws {
+		if ws[i].ref != nil {
+			ws[i].Release()
+		}
 	}
 	c := minListLog
 	for c < maxListLog && 1<<c < cap(ws) {

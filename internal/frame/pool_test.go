@@ -363,3 +363,25 @@ func TestListCycle(t *testing.T) {
 	ReleaseList(make([]Window, 100)) // a capacity no class has
 	ReleaseList(nil)
 }
+
+// TestReleaseListMixed: a list mixing arena windows (one alone, one
+// shared by two views through Retain) with unpooled slab copies ends
+// every pooled reference and skips the rest, bringing Live back to its
+// baseline.
+func TestReleaseListMixed(t *testing.T) {
+	live := Stats().Live
+	ws := AllocList(100)
+	span := AllocKind(U8, 8, 2)
+	span.Retain(1)
+	slab := NewWindowKind(U8, 8, 2)
+	ws = append(ws, AllocKind(F32, 3, 3), slab.View(0, 0, 4, 2))
+	ws = span.AppendColumns(ws, 2, 4, 4)
+	ws = append(ws, Scalar(1), slab.View(4, 0, 4, 2), PooledScalar(2))
+	if got := Stats().Live - live; got != 3 {
+		t.Fatalf("%d pooled buffers live before release, want 3", got)
+	}
+	ReleaseList(ws)
+	if got := Stats().Live; got != live {
+		t.Errorf("ReleaseList left %d pooled buffers live", got-live)
+	}
+}

@@ -8,6 +8,7 @@ package frame
 import (
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -201,7 +202,7 @@ func quantizeU8(v float64) uint8 {
 // windows — use RowU8/RowF32 (or At) for those.
 func (w Window) Row(y int) []float64 {
 	if w.Kind != F64 {
-		panic(fmt.Sprintf("frame: Row on %v window; use Row%s", w.Kind, w.Kind))
+		panic(rowKindError{"Row", w.Kind})
 	}
 	s := w.RowStride()
 	return w.Pix[y*s : y*s+w.W]
@@ -210,7 +211,7 @@ func (w Window) Row(y int) []float64 {
 // RowU8 returns the y-th row of a U8 window as a span of W bytes.
 func (w Window) RowU8(y int) []byte {
 	if w.Kind != U8 {
-		panic(fmt.Sprintf("frame: RowU8 on %v window", w.Kind))
+		panic(rowKindError{"RowU8", w.Kind})
 	}
 	s := w.RowStride()
 	return w.raw[y*s : y*s+w.W]
@@ -219,10 +220,23 @@ func (w Window) RowU8(y int) []byte {
 // RowF32 returns the y-th row of an F32 window as a span of W floats.
 func (w Window) RowF32(y int) []float32 {
 	if w.Kind != F32 {
-		panic(fmt.Sprintf("frame: RowF32 on %v window", w.Kind))
+		panic(rowKindError{"RowF32", w.Kind})
 	}
 	s := w.RowStride()
 	return bytesF32(w.raw)[y*s : y*s+w.W]
+}
+
+// rowKindError is the panic of a typed row accessor used on a window of
+// another kind. It formats its message only when printed, which keeps
+// the accessors cheap enough to inline: a row loop over many small
+// windows then copies no Window per call.
+type rowKindError struct {
+	accessor string
+	kind     Kind
+}
+
+func (e rowKindError) Error() string {
+	return fmt.Sprintf("frame: %s on %v window", e.accessor, e.kind)
 }
 
 // Bytes returns the y-th row's native-width storage (any kind): W
@@ -324,6 +338,65 @@ func (w Window) View(x, y, vw, vh int) Window {
 		out.raw = w.raw[off*es : end*es]
 	}
 	return out
+}
+
+// AppendColumns appends the n logical windows of a row span to dst:
+// window j is the bw-wide, full-height view at column j*sx, equal field
+// for field to w.View(j*sx, 0, bw, w.H). The bounds are checked once
+// for the span and each view is built in place, so cutting an output
+// span into its windows costs one header store per window.
+func (w Window) AppendColumns(dst []Window, n, sx, bw int) []Window {
+	if n <= 0 {
+		return dst
+	}
+	if sx < 0 || bw < 0 || (n-1)*sx+bw > w.W {
+		panic(fmt.Sprintf("frame: AppendColumns(%d, step %d, %d wide) outside %dx%d", n, sx, bw, w.W, w.H))
+	}
+	s := w.RowStride()
+	span := 0 // elements from a view's first sample to one past its last
+	if bw > 0 && w.H > 0 {
+		span = (w.H-1)*s + bw
+	}
+	k := len(dst)
+	dst = slices.Grow(dst, n)[:k+n]
+	cols := dst[k:]
+	v := Window{W: bw, H: w.H, Stride: s, Kind: w.Kind, ref: w.ref}
+	if w.Kind == F64 {
+		for j, off := 0, 0; j < len(cols); j, off = j+1, off+sx {
+			v.Pix = w.Pix[off : off+span]
+			cols[j] = v
+		}
+		return dst
+	}
+	es := w.Kind.Bytes()
+	for j, off := 0, 0; j < len(cols); j, off = j+1, off+sx*es {
+		v.raw = w.raw[off : off+span*es]
+		cols[j] = v
+	}
+	return dst
+}
+
+// SetRow stores src as row y, narrowing each sample by Set's rule:
+// quantizeU8 for U8, float32 for F32, a plain copy for F64. src must
+// hold exactly W samples.
+func (w Window) SetRow(y int, src []float64) {
+	if len(src) != w.W || y < 0 || y >= w.H {
+		panic(fmt.Sprintf("frame: SetRow(%d) of %d samples on %dx%d", y, len(src), w.W, w.H))
+	}
+	switch w.Kind {
+	case U8:
+		dst := w.RowU8(y)
+		for x, v := range src {
+			dst[x] = quantizeU8(v)
+		}
+	case F32:
+		dst := w.RowF32(y)
+		for x, v := range src {
+			dst[x] = float32(v)
+		}
+	default:
+		copy(w.Row(y), src)
+	}
 }
 
 // Convert returns a dense, unpooled copy of the window with the given

@@ -1,8 +1,10 @@
 package frame
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewWindowZeroed(t *testing.T) {
@@ -167,5 +169,78 @@ func TestSubWithinBoundsQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// sameView reports whether two windows are equal field for field:
+// shape, stride, kind, the same pooled backing, and slice headers with
+// the same base, length and capacity.
+func sameView(a, b Window) bool {
+	return a.W == b.W && a.H == b.H && a.Stride == b.Stride && a.Kind == b.Kind && a.ref == b.ref &&
+		unsafe.SliceData(a.Pix) == unsafe.SliceData(b.Pix) && len(a.Pix) == len(b.Pix) && cap(a.Pix) == cap(b.Pix) &&
+		unsafe.SliceData(a.raw) == unsafe.SliceData(b.raw) && len(a.raw) == len(b.raw) && cap(a.raw) == cap(b.raw)
+}
+
+// TestAppendColumnsMatchesView pins AppendColumns to the per-window
+// cut it replaces (graph.Batch.Window is View(j*sx, 0, bw, H)): every
+// kind, dense and strided and pooled parents, one window, adjacent
+// windows (sx == bw) and overlapping ones (sx < bw).
+func TestAppendColumnsMatchesView(t *testing.T) {
+	for _, k := range []Kind{F64, U8, F32} {
+		pooled := AllocKind(k, 13, 3)
+		parents := map[string]Window{
+			"dense":   NewWindowKind(k, 13, 3),
+			"strided": NewWindowKind(k, 17, 5).View(2, 1, 13, 3),
+			"pooled":  pooled,
+		}
+		for pname, p := range parents {
+			for _, c := range []struct{ n, sx, bw int }{
+				{1, 2, 2}, {1, 1, 13}, {6, 2, 2}, {13, 1, 1}, {5, 2, 5}, {11, 1, 3}, {4, 3, 4}, {3, 0, 2}, {2, 5, 0},
+			} {
+				seed := []Window{Scalar(7)}
+				got := p.AppendColumns(seed, c.n, c.sx, c.bw)
+				if len(got) != 1+c.n || !sameView(got[0], seed[0]) {
+					t.Fatalf("%v %s %+v: %d windows, prefix kept %v", k, pname, c, len(got), sameView(got[0], seed[0]))
+				}
+				for j := 0; j < c.n; j++ {
+					if want := p.View(j*c.sx, 0, c.bw, p.H); !sameView(got[1+j], want) {
+						t.Errorf("%v %s %+v: window %d is %+v, View gives %+v", k, pname, c, j, got[1+j], want)
+					}
+				}
+			}
+		}
+		pooled.Release()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AppendColumns past the parent's width did not panic")
+		}
+	}()
+	NewWindow(6, 2).AppendColumns(nil, 3, 2, 3)
+}
+
+// TestSetRowMatchesSet: a row stored whole narrows exactly as Set
+// narrows each sample, u8 halves and clamps and f32 rounding included.
+func TestSetRowMatchesSet(t *testing.T) {
+	src := []float64{-3, 0, 0.5, 1.5, 2.5, 254.5, 254.49, 255, 300, 1.0 / 3, 16777217, math.MaxFloat64}
+	for _, k := range []Kind{F64, U8, F32} {
+		parent := NewWindowKind(k, len(src)+2, 3)
+		got := parent.View(1, 0, len(src), 3)
+		want := NewWindowKind(k, len(src), 3)
+		got.SetRow(1, src)
+		for x, v := range src {
+			want.Set(x, 1, v)
+		}
+		for x := range src {
+			if g, w := got.At(x, 1), want.At(x, 1); math.Float64bits(g) != math.Float64bits(w) {
+				t.Errorf("%v sample %d (%v): SetRow stored %v, Set %v", k, x, src[x], g, w)
+			}
+			if got.At(x, 0) != 0 || got.At(x, 2) != 0 {
+				t.Errorf("%v: SetRow(1) wrote outside its row", k)
+			}
+		}
+		if parent.At(0, 1) != 0 || parent.At(len(src)+1, 1) != 0 {
+			t.Errorf("%v: SetRow on a view wrote outside its columns", k)
+		}
 	}
 }

@@ -40,9 +40,11 @@ func BayerDemosaic(name string) *graph.Node {
 type bayerBehavior struct {
 	// scratch holds the batch span promoted to dense float64 rows, so
 	// the interpolation runs with direct flat indexing instead of
-	// per-pixel strided At calls. Behaviors are single-threaded per
-	// node instance, so the buffer is reused across firings.
-	scratch []float64
+	// per-pixel strided At calls; planes holds the six output rows (R,
+	// G and B, two rows each) in float64 until they are narrowed.
+	// Behaviors are single-threaded per node instance, so both buffers
+	// are reused across firings.
+	scratch, planes []float64
 }
 
 func (*bayerBehavior) Clone() graph.Behavior { return &bayerBehavior{} }
@@ -56,26 +58,15 @@ func (bb *bayerBehavior) Invoke(method string, ctx graph.ExecContext) error {
 	}
 	in := ctx.Input("in")
 	n, sx := spanIn(ctx, "in", 2)
-	// The window's top-left is at even absolute coordinates (step 2,2
-	// from an even origin), so within-window position (1,1) has odd-odd
-	// absolute parity, (2,2) even-even, matching RGGB via quadParity.
-	r := frame.AllocKind(in.Kind, 2*n, 2)
-	g := frame.AllocKind(in.Kind, 2*n, 2)
-	b := frame.AllocKind(in.Kind, 2*n, 2)
-	if sx%2 == 0 {
-		bb.demosaicSpan(in, n, sx, r, g, b)
-	} else {
-		for j := 0; j < n; j++ {
-			for qy := 0; qy < 2; qy++ {
-				for qx := 0; qx < 2; qx++ {
-					rv, gv, bv := demosaicQuad(in, j*sx+1+qx, 1+qy)
-					r.Set(j*2+qx, qy, rv)
-					g.Set(j*2+qx, qy, gv)
-					b.Set(j*2+qx, qy, bv)
-				}
-			}
-		}
+	// Windows step by (2,2), so a span's stride is even and every quad
+	// of it has the same Bayer parity layout.
+	if sx%2 != 0 {
+		return fmt.Errorf("kernel: bayer span stride %d is odd; its windows step by 2", sx)
 	}
+	r := frame.AllocUninit(in.Kind, 2*n, 2)
+	g := frame.AllocUninit(in.Kind, 2*n, 2)
+	b := frame.AllocUninit(in.Kind, 2*n, 2)
+	bb.demosaicSpan(in, n, sx, r, g, b)
 	emitSpan(ctx, "r", r, n, 2)
 	emitSpan(ctx, "g", g, n, 2)
 	emitSpan(ctx, "b", b, n, 2)
@@ -85,10 +76,14 @@ func (bb *bayerBehavior) Invoke(method string, ctx graph.ExecContext) error {
 // demosaicSpan is the dense row loop: the whole batch span is promoted
 // once into a flat float64 scratch, and every quad interpolates with
 // direct indexing — no strided At calls, no per-pixel closures. The
-// even batch stride keeps the parity class of each quad position fixed,
-// so the four sites unroll statically. Sums are accumulated in the same
-// order as demosaicQuad and outputs narrow through the same Set rule,
-// making the two paths bit-identical.
+// window's top-left is at even absolute coordinates (step 2,2 from an
+// even origin), so within-window position (1,1) has odd-odd absolute
+// parity and (2,2) even-even, matching RGGB, and the even batch stride
+// keeps that true for every quad: the four sites unroll statically.
+// Each site's sums are frame.BayerDemosaic's, accumulated in the same
+// order. The planes are computed in float64 rows and each row narrows
+// once through SetRow, Set's rule, so every kind matches the golden
+// demosaic narrowed sample by sample.
 func (bb *bayerBehavior) demosaicSpan(in frame.Window, n, sx int, r, g, b frame.Window) {
 	w := in.W
 	need := w * 4
@@ -111,58 +106,41 @@ func (bb *bayerBehavior) demosaicSpan(in frame.Window, n, sx int, r, g, b frame.
 			copy(dst, in.Row(y))
 		}
 	}
+	ow := 2 * n
+	if cap(bb.planes) < 6*ow {
+		bb.planes = make([]float64, 6*ow)
+	}
+	pl := bb.planes[:6*ow]
+	r0, r1 := pl[0*ow:1*ow], pl[1*ow:2*ow]
+	g0, g1 := pl[2*ow:3*ow], pl[3*ow:4*ow]
+	b0, b1 := pl[4*ow:5*ow], pl[5*ow:6*ow]
 	for j := 0; j < n; j++ {
+		x := 2 * j
 		// (base+1, 1): odd-odd — blue site.
 		p := w + j*sx + 1
-		b.Set(j*2, 0, s[p])
-		g.Set(j*2, 0, (s[p-1]+s[p+1]+s[p-w]+s[p+w])/4)
-		r.Set(j*2, 0, (s[p-w-1]+s[p-w+1]+s[p+w-1]+s[p+w+1])/4)
+		b0[x] = s[p]
+		g0[x] = (s[p-1] + s[p+1] + s[p-w] + s[p+w]) / 4
+		r0[x] = (s[p-w-1] + s[p-w+1] + s[p+w-1] + s[p+w+1]) / 4
 		// (base+2, 1): even-odd — green on the blue row.
 		p++
-		g.Set(j*2+1, 0, s[p])
-		r.Set(j*2+1, 0, (s[p-w]+s[p+w])/2)
-		b.Set(j*2+1, 0, (s[p-1]+s[p+1])/2)
+		g0[x+1] = s[p]
+		r0[x+1] = (s[p-w] + s[p+w]) / 2
+		b0[x+1] = (s[p-1] + s[p+1]) / 2
 		// (base+1, 2): odd-even — green on the red row.
 		p += w - 1
-		g.Set(j*2, 1, s[p])
-		r.Set(j*2, 1, (s[p-1]+s[p+1])/2)
-		b.Set(j*2, 1, (s[p-w]+s[p+w])/2)
+		g1[x] = s[p]
+		r1[x] = (s[p-1] + s[p+1]) / 2
+		b1[x] = (s[p-w] + s[p+w]) / 2
 		// (base+2, 2): even-even — red site.
 		p++
-		r.Set(j*2+1, 1, s[p])
-		g.Set(j*2+1, 1, (s[p-1]+s[p+1]+s[p-w]+s[p+w])/4)
-		b.Set(j*2+1, 1, (s[p-w-1]+s[p-w+1]+s[p+w-1]+s[p+w+1])/4)
+		r1[x+1] = s[p]
+		g1[x+1] = (s[p-1] + s[p+1] + s[p-w] + s[p+w]) / 4
+		b1[x+1] = (s[p-w-1] + s[p-w+1] + s[p+w-1] + s[p+w+1]) / 4
 	}
-}
-
-// demosaicQuad reconstructs RGB at window position (cx, cy); the window
-// is anchored at even absolute coordinates so absolute parity equals
-// (cx%2, cy%2).
-func demosaicQuad(w frame.Window, cx, cy int) (r, g, b float64) {
-	avg4 := func(dx1, dy1, dx2, dy2, dx3, dy3, dx4, dy4 int) float64 {
-		return (w.At(cx+dx1, cy+dy1) + w.At(cx+dx2, cy+dy2) +
-			w.At(cx+dx3, cy+dy3) + w.At(cx+dx4, cy+dy4)) / 4
-	}
-	avg2 := func(dx1, dy1, dx2, dy2 int) float64 {
-		return (w.At(cx+dx1, cy+dy1) + w.At(cx+dx2, cy+dy2)) / 2
-	}
-	switch {
-	case cy%2 == 0 && cx%2 == 0: // red site
-		r = w.At(cx, cy)
-		g = avg4(-1, 0, 1, 0, 0, -1, 0, 1)
-		b = avg4(-1, -1, 1, -1, -1, 1, 1, 1)
-	case cy%2 == 0 && cx%2 == 1: // green on red row
-		g = w.At(cx, cy)
-		r = avg2(-1, 0, 1, 0)
-		b = avg2(0, -1, 0, 1)
-	case cy%2 == 1 && cx%2 == 0: // green on blue row
-		g = w.At(cx, cy)
-		r = avg2(0, -1, 0, 1)
-		b = avg2(-1, 0, 1, 0)
-	default: // blue site
-		b = w.At(cx, cy)
-		g = avg4(-1, 0, 1, 0, 0, -1, 0, 1)
-		r = avg4(-1, -1, 1, -1, -1, 1, 1, 1)
-	}
-	return r, g, b
+	r.SetRow(0, r0)
+	r.SetRow(1, r1)
+	g.SetRow(0, g0)
+	g.SetRow(1, g1)
+	b.SetRow(0, b0)
+	b.SetRow(1, b1)
 }

@@ -170,6 +170,7 @@ type outState struct {
 	// cur and done are the stream-mode frame assembly: done queues
 	// finished frames until every output has one. A blocking Feed does
 	// not bound the frames in flight, so done may outgrow MaxInFlight.
+	// Batch mode reuses cur as the list a span's windows are cut into.
 	cur  []frame.Window
 	done fifo.Ring[[]frame.Window]
 }
@@ -507,15 +508,12 @@ func (ex *executor) collectOutput(w frame.Window) frame.Window {
 // collectBatch unbatches a row batch into per-window slab views —
 // application outputs always present the logical stream. The batch's
 // span is placed into the slab with one copy and the logical windows
-// are cut as views of that dense copy, so unbatching costs one memmove
-// per row, not one slab placement per window. Must be called with
-// outMu held.
+// are cut from that dense copy in one pass, so unbatching costs one
+// memmove per row and one header store per window. Must be called
+// with outMu held.
 func (ex *executor) collectBatch(dst []frame.Window, it graph.Item) []frame.Window {
 	dense := ex.collectOutput(it.Win)
-	for j := 0; j < int(it.B.N); j++ {
-		dst = append(dst, it.B.Window(dense, j))
-	}
-	return dst
+	return dense.AppendColumns(dst, int(it.B.N), int(it.B.Sx), int(it.B.Bw))
 }
 
 // runOutput collects the stream and stops the run once every output
@@ -533,11 +531,11 @@ func (ex *executor) runOutput(pn *planNode) error {
 		case it.IsToken:
 			o.items = append(o.items, it)
 		case it.B.IsBatch():
-			// Unbatch in place: one slab placement for the span, one
-			// append per logical window.
-			dense := ex.collectOutput(it.Win)
-			for j := 0; j < int(it.B.N); j++ {
-				o.items = append(o.items, graph.DataItem(it.B.Window(dense, j)))
+			// Unbatch in place: one slab placement for the span, cut
+			// into its logical windows through cur, one append each.
+			o.cur = ex.collectBatch(o.cur[:0], it)
+			for i := range o.cur {
+				o.items = append(o.items, graph.DataItem(o.cur[i]))
 			}
 		default:
 			it.Win = ex.collectOutput(it.Win)

@@ -175,9 +175,10 @@ func (s *Session) feed(inputs map[string]frame.Window, block bool) (int64, error
 // fails with ErrSessionClosed.
 func (s *Session) Collect(timeout time.Duration) (*StreamResult, error) {
 	var tc <-chan time.Time
+	fired := false // the select below took the timer's value
 	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
+		t := AcquireTimer(timeout)
+		defer func() { ReleaseTimer(t, fired) }()
 		tc = t.C
 	}
 	select {
@@ -185,6 +186,7 @@ func (s *Session) Collect(timeout time.Duration) (*StreamResult, error) {
 		s.collected.Add(1)
 		return &res, nil
 	case <-tc:
+		fired = true
 		return nil, fmt.Errorf("runtime: session %w after %v", ErrCollectTimeout, timeout)
 	case <-s.ex.stop:
 		// A completed frame may have raced with the failure; prefer it.
@@ -207,6 +209,37 @@ func (s *Session) Collect(timeout time.Duration) (*StreamResult, error) {
 		}
 		return nil, ErrSessionClosed
 	}
+}
+
+// timers recycles the deadline timers of Collect calls, which would
+// otherwise allocate one per collected frame.
+var timers sync.Pool
+
+// AcquireTimer returns a timer that fires once, d from now: a released
+// one when there is one, a new one otherwise. Hand it back with
+// ReleaseTimer.
+func AcquireTimer(d time.Duration) *time.Timer {
+	if t, _ := timers.Get().(*time.Timer); t != nil {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+// ReleaseTimer stops t and makes it reusable; received reports that the
+// caller took t's value from t.C. Under this module's go line (1.22)
+// timer channels are asynchronous: a timer that expired unread holds
+// its value in C, and reused it would deliver that value at once. So
+// when Stop finds the timer expired and the caller did not receive, C
+// is drained first; the expiry's send has happened or is under way, so
+// the receive returns promptly. (With go 1.23's synchronous channels Stop
+// discards an unread value itself and reports true, so the drain never
+// runs.)
+func ReleaseTimer(t *time.Timer, received bool) {
+	if !t.Stop() && !received {
+		<-t.C
+	}
+	timers.Put(t)
 }
 
 // Fed returns the number of frames accepted so far.

@@ -202,15 +202,34 @@ func closeWindow(b []byte, pix int) []byte {
 	return append(b, '}')
 }
 
+// header is the object header a reply last wrote for a window shape:
+// b[start:end] holds `{"w":…,"h":…,"kind":…,"pix":[` for W×H windows of
+// kind k. A window of the same shape copies those bytes instead of
+// formatting them again, so a run of equal windows (app 1's 2,139 quads)
+// pays for one header. end is zero until a header is written.
+type header struct {
+	w, h       int
+	k          frame.Kind
+	start, end int
+}
+
 // appendWindow appends w's wire form, walking its rows in place so a
-// strided view needs no dense copy. A non-finite sample stops the walk:
-// bad is its row-major index, -1 when the whole window was written.
-func appendWindow(b []byte, w frame.Window) (_ []byte, bad int) {
-	kind := ""
-	if w.Kind != frame.F64 {
-		kind = w.Kind.String()
+// strided view needs no dense copy. hd is the reply's last header,
+// reused when w has its shape and replaced when it does not. A
+// non-finite sample stops the walk: bad is its row-major index, -1 when
+// the whole window was written.
+func appendWindow(b []byte, w *frame.Window, hd *header) (_ []byte, bad int) {
+	if hd.end > 0 && w.W == hd.w && w.H == hd.h && w.Kind == hd.k {
+		b = append(b, b[hd.start:hd.end]...)
+	} else {
+		kind := ""
+		if w.Kind != frame.F64 {
+			kind = w.Kind.String()
+		}
+		start := len(b)
+		b = openWindow(b, w.W, w.H, kind)
+		*hd = header{w: w.W, h: w.H, k: w.Kind, start: start, end: len(b)}
 	}
-	b = openWindow(b, w.W, w.H, kind)
 	pix := len(b)
 	for y := 0; y < w.H; y++ {
 		x := -1
@@ -247,18 +266,21 @@ func appendReply(b []byte, seq int64, latencyMS float64, outs map[string][]frame
 	b = append(b, `,"latency_ms":`...)
 	b, _ = appendFloat(b, latencyMS) // a duration: always finite
 	b = append(b, `,"outputs":{`...)
+	var hd header
 	for i, name := range names {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = appendString(b, name)
 		b = append(b, ':', '[')
-		for k, w := range outs[name] {
+		ws := outs[name]
+		for k := range ws {
 			if k > 0 {
 				b = append(b, ',')
 			}
 			var bad int
-			if b, bad = appendWindow(b, w); bad >= 0 {
+			if b, bad = appendWindow(b, &ws[k], &hd); bad >= 0 {
+				w := &ws[k]
 				return b, fmt.Errorf("output %q window %d sample %d is %v, which JSON cannot carry",
 					name, k, bad, w.At(bad%w.W, bad/w.W))
 			}

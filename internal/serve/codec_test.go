@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -86,6 +87,19 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 	for v := 0; v < 256; v++ {
 		u8.Set(v%16, v/16, float64(v))
 	}
+	// Runs of equal-shape windows, as app 1's quads arrive, broken by a
+	// kind change at the same W×H, a shape change of one side, and a new
+	// output whose first window continues the last one's shape.
+	quads := hardWindow(frame.U8, 8, 2, 1)
+	var runA, runB []frame.Window
+	for j := 0; j < 4; j++ {
+		runA = append(runA, quads.View(2*j, 0, 2, 2))
+	}
+	runA = append(runA, hardWindow(frame.U8, 2, 2, 9), hardWindow(frame.F32, 2, 2, 0), hardWindow(frame.F32, 2, 2, 4),
+		hardWindow(frame.F32, 2, 3, 1), hardWindow(frame.F32, 3, 3, 2), hardWindow(frame.F32, 3, 3, 5),
+		hardWindow(frame.F64, 3, 3, 6), hardWindow(frame.F64, 2, 2, 7), hardWindow(frame.U8, 2, 2, 8))
+	runB = append(runB, hardWindow(frame.U8, 2, 2, 10), quads.View(0, 0, 2, 2), hardWindow(frame.F64, 2, 2, 11),
+		frame.NewWindowKind(frame.F64, 0, 2), frame.NewWindowKind(frame.F64, 0, 2), hardWindow(frame.F64, 2, 2, 12))
 	cases := []struct {
 		name    string
 		seq     int64
@@ -98,6 +112,7 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 		{"strided views", math.MaxInt64, 1e-7, map[string][]frame.Window{"v": views, "d": dense[:2]}},
 		{"0x0 and zero-area windows", -3, 1e21, map[string][]frame.Window{"z": empty}},
 		{"every byte value", 12, 3.25, map[string][]frame.Window{"u8": {u8, u8.View(3, 3, 9, 2)}}},
+		{"runs of equal shapes", 5, 0.75, map[string][]frame.Window{"A": runA, "B": runB, "C": runA[:2]}},
 		{"names needing escapes", 2, 2.5, map[string][]frame.Window{
 			"a<b>&c":              {dense[0]},
 			`quo"te\slash`:        {dense[1]},
@@ -169,6 +184,21 @@ func TestReplyNonFinite(t *testing.T) {
 				if !strings.Contains(err.Error(), part) {
 					t.Errorf("%v %v: error %q does not name %s", k, v, err, part)
 				}
+			}
+		}
+	}
+	// Mid-run: windows 0-2 set the header that window 3 copies; its bad
+	// sample is index 2, and the error must still say so.
+	for _, k := range []frame.Kind{frame.F64, frame.F32} {
+		run := []frame.Window{hardWindow(k, 2, 2, 0), hardWindow(k, 2, 2, 1), hardWindow(k, 2, 2, 2), hardWindow(k, 2, 2, 3), hardWindow(k, 2, 2, 4)}
+		run[3].Set(0, 1, math.Inf(-1))
+		_, err := appendReply(nil, 0, 0, map[string][]frame.Window{"A": {hardWindow(k, 2, 2, 5)}, "Run": run})
+		if err == nil {
+			t.Fatalf("%v: encoded a non-finite sample mid-run", k)
+		}
+		for _, part := range []string{`"Run"`, "window 3", "sample 2"} {
+			if !strings.Contains(err.Error(), part) {
+				t.Errorf("%v mid-run: error %q does not name %s", k, err, part)
 			}
 		}
 	}
@@ -439,6 +469,87 @@ func TestEdgeCodecAllocs(t *testing.T) {
 		`{"unknown":null,"W":2,"H":1,"Kind":"u8","pix":[1,2]}}}`)
 	if n := decode(odd); n != small {
 		t.Errorf("a body with escaped and unknown keys allocates %v times, a plain one %v", n, small)
+	}
+}
+
+// sinkWriter is a reusable http.ResponseWriter that keeps the status
+// and the body's length only, so what a served frame allocates is the
+// server's and not a recorder's growing buffer.
+type sinkWriter struct {
+	h    http.Header
+	code int
+	n    int
+}
+
+func (w *sinkWriter) Header() http.Header  { return w.h }
+func (w *sinkWriter) WriteHeader(code int) { w.code = code }
+func (w *sinkWriter) Write(b []byte) (int, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
+	}
+	w.n += len(b)
+	return len(b), nil
+}
+
+func (w *sinkWriter) reset() {
+	clear(w.h)
+	w.code, w.n = 0, 0
+}
+
+// servedFrameAllocs bounds what one served frame of app 1u8 allocates
+// from the feed handler to the collect reply, with the requests' own
+// construction subtracted: the handlers, the session and the runtime's
+// goroutines. It is the count measured with go1.24 on linux/amd64
+// (20 before the deadline timers were pooled and the shared header
+// values went in); lower it when a change lowers the count.
+const servedFrameAllocs = 15
+
+// TestServedFrameAllocs pins the serving layer's allocations per frame
+// (bpbench's local_json traffic): one feed and one collect through
+// Server.ServeHTTP, no network. Building the two requests is measured
+// on its own and subtracted.
+func TestServedFrameAllocs(t *testing.T) {
+	body, _ := app1u8Frame(t)
+	reg := NewRegistry(machine.Embedded())
+	if err := reg.AddSuite("1u8"); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(reg, Options{})
+	defer srv.Shutdown(context.Background())
+	h := srv.Handler()
+
+	open := httptest.NewRecorder()
+	h.ServeHTTP(open, httptest.NewRequest("POST", "/sessions", strings.NewReader(`{"pipeline":"1u8","maxInFlight":1}`)))
+	var opened struct {
+		Session string `json:"session"`
+	}
+	if err := json.Unmarshal(open.Body.Bytes(), &opened); err != nil || open.Code != http.StatusCreated {
+		t.Fatalf("open: %d %s", open.Code, open.Body.Bytes())
+	}
+	feedURL, collURL := "/sessions/"+opened.Session+"/frames", "/sessions/"+opened.Session+"/collect"
+	build := func() (feed, coll *http.Request) {
+		return httptest.NewRequest("POST", feedURL, bytes.NewReader(body)), httptest.NewRequest("POST", collURL, nil)
+	}
+	fw, cw := &sinkWriter{h: http.Header{}}, &sinkWriter{h: http.Header{}}
+	serveFrame := func() {
+		feed, coll := build()
+		fw.reset()
+		h.ServeHTTP(fw, feed)
+		cw.reset()
+		h.ServeHTTP(cw, coll)
+		if fw.code != http.StatusAccepted || cw.code != http.StatusOK || cw.n < 90_000 {
+			t.Fatalf("feed %d, collect %d with a %d-byte reply", fw.code, cw.code, cw.n)
+		}
+	}
+	for i := 0; i < 8; i++ { // warm: the output lists and reply buffers cycle
+		serveFrame()
+	}
+	total := testing.AllocsPerRun(100, serveFrame)
+	requests := testing.AllocsPerRun(100, func() { build() })
+	served := total - requests
+	t.Logf("a served frame allocates %v times (%v with its two requests)", served, total)
+	if !raceEnabled && served > servedFrameAllocs {
+		t.Errorf("a served app 1u8 frame allocates %v times, bound %d", served, servedFrameAllocs)
 	}
 }
 

@@ -401,7 +401,7 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	if len(s.sessions) >= s.opts.MaxSessions {
 		s.mu.Unlock()
 		s.metrics.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
+		w.Header()["Retry-After"] = retryAfter
 		writeErr(w, http.StatusTooManyRequests,
 			fmt.Sprintf("session limit %d reached", s.opts.MaxSessions))
 		return
@@ -426,13 +426,13 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 			// cycles/sec is spoken for — same retry contract as a full
 			// frame queue.
 			s.metrics.rejected.Add(1)
-			w.Header().Set("Retry-After", "1")
+			w.Header()["Retry-After"] = retryAfter
 			writeErr(w, http.StatusTooManyRequests, err.Error())
 			return
 		}
 		if errors.Is(err, ErrUnavailable) || errors.Is(err, ErrSessionLost) {
 			s.metrics.shed.Add(1)
-			w.Header().Set("Retry-After", "1")
+			w.Header()["Retry-After"] = retryAfter
 			writeErr(w, http.StatusServiceUnavailable, err.Error())
 			return
 		}
@@ -587,7 +587,7 @@ func (s *Server) collectAndReply(w http.ResponseWriter, r *http.Request, sess *s
 		switch {
 		case errors.Is(err, ErrSessionLost), errors.Is(err, ErrUnavailable):
 			s.metrics.shed.Add(1)
-			w.Header().Set("Retry-After", "1")
+			w.Header()["Retry-After"] = retryAfter
 			writeErr(w, http.StatusServiceUnavailable, err.Error())
 		case errors.Is(err, runtime.ErrSessionClosed):
 			writeErr(w, http.StatusConflict, err.Error())
@@ -625,11 +625,11 @@ func (s *Server) feedError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, runtime.ErrQueueFull):
 		s.metrics.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
+		w.Header()["Retry-After"] = retryAfter
 		writeErr(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrSessionLost), errors.Is(err, ErrUnavailable):
 		s.metrics.shed.Add(1)
-		w.Header().Set("Retry-After", "1")
+		w.Header()["Retry-After"] = retryAfter
 		writeErr(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, runtime.ErrBadFrame):
 		writeErr(w, http.StatusBadRequest, err.Error())
@@ -699,10 +699,19 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
+// Header values shared by every reply that carries them. They are
+// assigned whole (under their canonical keys) rather than through
+// Header().Set, which allocates a one-element slice per call; net/http
+// only reads a handler's header values, so one slice serves every reply.
+var (
+	jsonContentType = []string{"application/json"}
+	retryAfter      = []string{"1"}
+)
+
 // writeBody sends a complete, already encoded JSON body.
 func writeBody(w http.ResponseWriter, code int, body []byte) {
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
+	h["Content-Type"] = jsonContentType
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
 	w.Write(body)
